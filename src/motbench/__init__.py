@@ -54,13 +54,11 @@ from .ingest import (
     write_result_file,
 )
 from .model import (
-    DEFAULT_OCCLUDER_CLASSES,
     NEUTRAL_CLASSES,
     Box,
     BoxEntry,
     ObjectClass,
     SequenceData,
-    derive_visibility,
     iou,
     pairwise_iou,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "Box",
     "BoxEntry",
     "Counts",
-    "DEFAULT_OCCLUDER_CLASSES",
     "EvalUnit",
     "EventLog",
     "FileKind",
@@ -97,7 +94,6 @@ __all__ = [
     "accumulate",
     "average_precision",
     "build_table",
-    "derive_visibility",
     "derived_rates",
     "evaluate_identity",
     "export_curve",

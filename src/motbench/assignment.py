@@ -25,10 +25,15 @@ differs from the target's last known assignment anywhere earlier in the
 sequence; the memory survives untracked gaps and never expires within a
 sequence.
 
-Equal-cost assignments are broken deterministically in favor of pairs that
-come first in (target id, hypothesis id) order, so repeated runs and runs
-with different parallelism produce identical output.  Cost differences below
-roughly 1e-9 are treated as ties.
+Equal-cost assignments are broken deterministically, so repeated runs and
+runs with different parallelism produce identical output.  Among matchings
+with the most pairs and the lowest total cost, the lowest summed rank
+``i * m + j`` wins, where target ``i`` and hypothesis ``j`` are positions in
+track-id order and ``m`` counts the candidate hypotheses; permutations of the
+same targets and hypotheses, which tie on that sum, pair them in id order.
+Cost differences below 1e-9 count as ties.  Each connected component of the
+feasible pairs is solved on its own (:func:`solve_assignment`), so a target
+without any feasible pair cannot disturb the tie-break of the others.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import NEUTRAL_CLASSES, BoxEntry, ObjectClass, SequenceData, iou, pairwise_iou
-
-# Any matching that uses one more feasible pair beats any cost total, so the
-# solver maximizes match count before minimizing cost.
-_INFEASIBLE = 1.0e9
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,90 @@ class EventLog:
                 out[gt_id].add(ev.frame)
         return dict(out)
 
-    def track_status(self, gt_id: int) -> list[bool]:
-        """Tracked/untracked timeline over the track's life span, inclusive."""
-        frames = self.gt_frames.get(gt_id)
-        if not frames:
-            return []
-        matched = self.matched_frames().get(gt_id, set())
-        first, last = min(frames), max(frames)
-        return [t in matched for t in range(first, last + 1)]
 
-    def assignment_history(self) -> list[dict[int, int]]:
-        """Per-frame target-to-hypothesis maps, i.e. the carryover state."""
-        return [{g: p for g, p, _ in ev.matches} for ev in self.events]
+def _components(rows: list[int], cols: list[int]) -> list[list[int]]:
+    """Edge indices grouped by the connected components of the edge graph."""
+    offset = max(rows) + 1
+    parent = list(range(offset + max(cols) + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows, cols):
+        parent[find(r)] = find(offset + c)
+    groups: dict[int, list[int]] = defaultdict(list)
+    for e, r in enumerate(rows):
+        groups[find(r)].append(e)
+    return list(groups.values())
+
+
+def _solve_component(
+    edges: list[int], rows: list[int], cols: list[int], cost: list[float], rank: list[int]
+) -> list[int]:
+    """The chosen edges of one connected component, by :func:`solve_assignment`."""
+    row_at = {v: i for i, v in enumerate(sorted({rows[e] for e in edges}))}
+    col_at = {v: j for j, v in enumerate(sorted({cols[e] for e in edges}))}
+    n_rows, n_cols = len(row_at), len(col_at)
+    k = min(n_rows, n_cols)
+    local = {(row_at[rows[e]], col_at[cols[e]]): e for e in edges}
+    lowest = min(cost[e] for e in edges)
+    first = min(rank[e] for e in edges)
+    # Any matching's summed rank stays below ``ties``, so scaling the cost
+    # resolution to ``ties`` ranks every cost difference above the rank.
+    ties = k * (max(rank[e] for e in edges) - first + 1)
+    resolution = 1.0 if all(float(cost[e]).is_integer() for e in edges) else 1.0e-9
+    # Permutations of one row and column set tie on summed rank; the last
+    # level, below one rank unit, pairs rows and columns in order.
+    spread = k * n_rows * n_cols
+    keys = [
+        (cost[e] - lowest) * (ties / resolution) + (rank[e] - first)
+        + i * (n_cols - 1 - j) / spread
+        for (i, j), e in local.items()
+    ]
+    # One more pair outweighs any key total of a matching in this component.
+    matrix = np.full(n_rows * n_cols, k * max(keys) + 1.0)
+    matrix[[i * n_cols + j for i, j in local]] = keys
+    picked_rows, picked_cols = linear_sum_assignment(matrix.reshape(n_rows, n_cols))
+    return [
+        local[pair] for pair in zip(picked_rows.tolist(), picked_cols.tolist())
+        if pair in local
+    ]
+
+
+def solve_assignment(
+    rows: np.ndarray, cols: np.ndarray, cost: np.ndarray, rank: np.ndarray
+) -> list[int]:
+    """Optimal matching over a sparse list of feasible edges.
+
+    Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (non-negative
+    integer ids, one id space per side) at ``cost[e]``.  The chosen matching
+    uses only these edges and has the most pairs, then the lowest total cost,
+    then the lowest summed ``rank``; among permutations of the same rows and
+    columns, which tie on summed rank, it pairs them in order.  Cost
+    differences below the resolution of the costs, 1 for integer costs and
+    1e-9 otherwise, count as ties.  Returns the indices of the chosen edges
+    in ascending order.
+
+    Each connected component of the edge graph is solved on its own, so the
+    dense matrix handed to the solver holds one component's rows and columns
+    only, and the penalty for a missing pair is sized from that component,
+    small enough that every tie-break level stays above rounding error.
+    """
+    row_list, col_list = rows.tolist(), cols.tolist()
+    if len(set(row_list)) == len(row_list) and len(set(col_list)) == len(col_list):
+        return list(range(len(row_list)))  # the edges already form a matching
+    cost_list, rank_list = cost.tolist(), rank.tolist()
+    chosen: list[int] = []
+    for edges in _components(row_list, col_list):
+        if len(edges) == 1:
+            chosen += edges
+        else:
+            chosen += _solve_component(edges, row_list, col_list, cost_list, rank_list)
+    chosen.sort()
+    return chosen
 
 
 def _min_cost_matching(
@@ -111,22 +184,22 @@ def _min_cost_matching(
 ) -> list[tuple[BoxEntry, BoxEntry, float]]:
     """Max-cardinality, then min-cost matching over pairs with IoU >= threshold.
 
-    Both entry lists must be sorted by track id; the tiny rank perturbation
-    below prefers earlier (gt, hypothesis) pairs among equal-cost optima.
+    Both entry lists must be sorted by track id; pair ``(i, j)`` ranks
+    ``i * m + j``, so earlier (gt, hypothesis) pairs win equal-cost optima.
     """
     if not gt_entries or not res_entries:
         return []
-    n, m = len(gt_entries), len(res_entries)
+    m = len(res_entries)
     overlaps = pairwise_iou([g.box for g in gt_entries], [r.box for r in res_entries])
-    cost = np.full((n, m), _INFEASIBLE)
-    feasible = overlaps >= threshold
-    tiebreak = np.arange(n * m, dtype=float).reshape(n, m) * (1.0e-9 / (n * m))
-    cost[feasible] = (1.0 - overlaps + tiebreak)[feasible]
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = np.nonzero(overlaps >= threshold)
+    feasible = overlaps[rows, cols]
+    pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
     return [
-        (gt_entries[i], res_entries[j], overlaps[i, j])
-        for i, j in zip(rows, cols)
-        if feasible[i, j]
+        (gt_entries[i], res_entries[j], overlap)
+        for i, j, overlap in map(
+            pairs.__getitem__,
+            solve_assignment(rows, cols, 1.0 - feasible, rows * m + cols),
+        )
     ]
 
 

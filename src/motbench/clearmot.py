@@ -57,10 +57,9 @@ def _fragmentations(status: Sequence[bool]) -> int:
     A gap running to the end of the timeline is not a fragmentation: tracking
     of the target is never resumed.
     """
-    count = 0
-    for k in range(len(status) - 1):
-        if status[k] and not status[k + 1] and any(status[k + 2:]):
-            count += 1
+    count = sum(1 for a, b in zip(status, status[1:]) if a and not b)
+    if count and not status[-1]:
+        count -= 1  # the last transition opens the trailing gap
     return count
 
 

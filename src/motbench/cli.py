@@ -122,19 +122,20 @@ def _report_row(r: MetricsReport) -> list[str]:
     ]
 
 
-def render_text(reports: list[MetricsReport]) -> str:
-    header = ["Sequence", *REPORT_COLUMNS]
-    rows = [_report_row(r) for r in reports]
-    widths = [
-        max(len(header[c]), *(len(row[c]) for row in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    out = []
-    for row in [header, *rows]:
+def _text_table(header: list[str], rows: list[list[str]]) -> str:
+    """Aligned columns: the first left-justified, the rest right-justified."""
+    table = [header, *rows]
+    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
+    lines = []
+    for row in table:
         cells = [row[0].ljust(widths[0])]
-        cells += [row[c].rjust(widths[c]) for c in range(1, len(header))]
-        out.append("  ".join(cells).rstrip())
-    return "\n".join(out) + "\n"
+        cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def render_text(reports: list[MetricsReport]) -> str:
+    return _text_table(["Sequence", *REPORT_COLUMNS], [_report_row(r) for r in reports])
 
 
 def render_csv(reports: list[MetricsReport]) -> str:
@@ -249,13 +250,7 @@ def render_error_analysis(rows: list[dict], out_format: str) -> str:
     ]
     if out_format == "csv":
         return "\n".join([",".join(header)] + [",".join(r) for r in table]) + "\n"
-    widths = [max(len(header[c]), *(len(r[c]) for r in table)) for c in range(len(header))]
-    lines = []
-    for row in [header, *table]:
-        cells = [row[0].ljust(widths[0])]
-        cells += [row[c].rjust(widths[c]) for c in range(1, len(header))]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    return _text_table(header, table)
 
 
 def cmd_error_analysis(cfg: RunConfig) -> int:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import solve_assignment
 from .model import BoxEntry, pairwise_iou
 
 
@@ -104,39 +104,42 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     The bipartite problem is augmented with dummy nodes so every track is
     matched: pairing real tracks i and j costs the frames where either exists
     without the other co-detecting, ``(len_i - co) + (len_j - co)``; pairing
-    with a dummy costs the full track length.  Equal-cost optima are broken
-    toward pairs earlier in (gt id, pred id) order.
+    with a dummy costs the full track length.  A track with no co-detections
+    costs its full length whatever it is paired with, so only tracks that
+    appear in ``co_detections`` enter the solve; every other track's length
+    goes straight into IDFN or IDFP.  The solve runs on the sparse graph of
+    co-detecting pairs, their tracks' own dummies and one dummy-to-dummy edge
+    per pair, one connected component at a time.  Equal-cost optima go to the
+    lowest summed rank ``i * m + j`` of the real pairs, where ``i`` and ``j``
+    are positions in id order among the co-detecting gt and pred tracks, so
+    tracks without co-detections never change the pairing.
     """
-    gt_ids = sorted(table.gt_lengths)
-    pred_ids = sorted(table.pred_lengths)
-    n, m = len(gt_ids), len(pred_ids)
-    total_gt = sum(table.gt_lengths.values())
-    total_pred = sum(table.pred_lengths.values())
+    pairs = sorted(table.co_detections)
+    gt_ids, i = np.unique([gt_id for gt_id, _ in pairs], return_inverse=True)
+    pred_ids, j = np.unique([pred_id for _, pred_id in pairs], return_inverse=True)
+    n, m, n_pairs = len(gt_ids), len(pred_ids), len(pairs)
+    co = np.array([table.co_detections[pair] for pair in pairs], dtype=np.int64)
+    gt_len = np.array([table.gt_lengths[g] for g in gt_ids.tolist()], dtype=np.int64)
+    pred_len = np.array([table.pred_lengths[p] for p in pred_ids.tolist()], dtype=np.int64)
 
-    idtp = 0
-    matches: list[tuple[int, int]] = []
-    if n and m:
-        gt_len = np.array([table.gt_lengths[i] for i in gt_ids], dtype=float)
-        pred_len = np.array([table.pred_lengths[j] for j in pred_ids], dtype=float)
-        co = np.zeros((n, m))
-        gt_index = {gt_id: i for i, gt_id in enumerate(gt_ids)}
-        pred_index = {pred_id: j for j, pred_id in enumerate(pred_ids)}
-        for (gt_id, pred_id), count in table.co_detections.items():
-            co[gt_index[gt_id], pred_index[pred_id]] = count
-
-        cost = np.zeros((n + m, n + m))
-        cost[:n, :m] = gt_len[:, None] + pred_len[None, :] - 2.0 * co
-        cost[:n, :m] += np.arange(n * m, dtype=float).reshape(n, m) * (1e-9 / (n * m))
-        cost[:n, m:] = gt_len[:, None]      # gt paired with a dummy: all frames missed
-        cost[n:, :m] = pred_len[None, :]    # prediction paired with a dummy: all frames false
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if i < n and j < m and co[i, j] > 0:
-                idtp += int(co[i, j])
-                matches.append((gt_ids[i], pred_ids[j]))
-
+    # Rows: gt tracks 0..n-1, then pred dummies n..n+m-1.  Columns: pred
+    # tracks 0..m-1, then gt dummies m..m+n-1.  Real pairs come first.
+    gt_nodes, pred_nodes = np.arange(n), np.arange(m)
+    chosen = solve_assignment(
+        rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]),
+        cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]),
+        cost=np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
+                             np.zeros(n_pairs, dtype=np.int64)]),
+        rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]),
+    )
+    real = [e for e in chosen if e < n_pairs]
+    idtp = int(co[real].sum())
+    matches = tuple(pairs[e] for e in real)
     return _scores_from_counts(
-        idtp, total_pred - idtp, total_gt - idtp, tuple(sorted(matches))
+        idtp,
+        sum(table.pred_lengths.values()) - idtp,
+        sum(table.gt_lengths.values()) - idtp,
+        matches,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import AbstractSet, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,14 +42,6 @@ NEUTRAL_CLASSES = frozenset({
     ObjectClass.STATIC_PERSON,
     ObjectClass.DISTRACTOR,
     ObjectClass.REFLECTION,
-})
-
-#: Classes that hide objects behind them when deriving visibility.
-DEFAULT_OCCLUDER_CLASSES = frozenset({
-    ObjectClass.PEDESTRIAN,
-    ObjectClass.OCCLUDER,
-    ObjectClass.OCCLUDER_ON_GROUND,
-    ObjectClass.OCCLUDER_FULL,
 })
 
 
@@ -185,77 +177,3 @@ class SequenceData:
                         f"sequence {self.name!r}: {kind} entry at frame {e.frame} "
                         f"outside [1, {self.num_frames}]"
                     )
-
-
-def _union_area_within(target: Box, boxes: Iterable[Box]) -> float:
-    """Area of ``target`` covered by the union of ``boxes``.
-
-    Exact sweep over compressed x coordinates; no rasterization, so the result
-    does not depend on image resolution.
-    """
-    clipped = []
-    for b in boxes:
-        left = max(b.left, target.left)
-        right = min(b.right, target.right)
-        top = max(b.top, target.top)
-        bottom = min(b.bottom, target.bottom)
-        if right > left and bottom > top:
-            clipped.append((left, right, top, bottom))
-    if not clipped:
-        return 0.0
-    xs = sorted({x for left, right, _, _ in clipped for x in (left, right)})
-    area = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        spans = sorted(
-            (top, bottom)
-            for left, right, top, bottom in clipped
-            if left <= x0 and right >= x1
-        )
-        covered = 0.0
-        cur_top = cur_bottom = None
-        for top, bottom in spans:
-            if cur_top is None:
-                cur_top, cur_bottom = top, bottom
-            elif top <= cur_bottom:
-                cur_bottom = max(cur_bottom, bottom)
-            else:
-                covered += cur_bottom - cur_top
-                cur_top, cur_bottom = top, bottom
-        if cur_top is not None:
-            covered += cur_bottom - cur_top
-        area += covered * (x1 - x0)
-    return area
-
-
-def derive_visibility(
-    frame_gt: Sequence[BoxEntry],
-    occluder_classes: AbstractSet[ObjectClass] = DEFAULT_OCCLUDER_CLASSES,
-) -> dict[int, float]:
-    """Visibility ratio of every annotated object in one frame.
-
-    An object is hidden by the union of occluding boxes whose bottom edge lies
-    below its own (closer to the camera).  Equal bottom edges break the tie by
-    letting the larger box occlude the smaller one, never the reverse, which
-    keeps the result deterministic and order-independent.
-
-    All entries must share one frame index.  Returns ``track_id -> ratio``.
-    """
-    frames = {e.frame for e in frame_gt}
-    if len(frames) > 1:
-        raise ValueError(f"entries span multiple frames: {sorted(frames)}")
-    out: dict[int, float] = {}
-    for entry in frame_gt:
-        occluders = []
-        for other in frame_gt:
-            if other is entry or other.object_class not in occluder_classes:
-                continue
-            if other.box.bottom > entry.box.bottom or (
-                other.box.bottom == entry.box.bottom
-                and other.box.area > entry.box.area
-            ):
-                occluders.append(other.box)
-        covered = _union_area_within(entry.box, occluders)
-        out[entry.track_id] = max(0.0, 1.0 - covered / entry.box.area)
-    return out

@@ -9,6 +9,7 @@ d=3) and d=4 falls below it (0.429).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -140,9 +141,9 @@ def random_instance(rng: random.Random, max_tracks: int = 4,
                     max_frames: int = 5) -> SequenceData:
     """Small random tracking instance with continuous geometry.
 
-    Coordinates are uniform floats, so equal-cost assignment ties have
-    probability zero and the engine's deterministic tie-break never has to
-    agree with the oracle's.
+    Coordinates are uniform floats, so exact equal-cost assignment ties have
+    probability zero; :func:`snap_to_grid` turns an instance into one where
+    they are common.
     """
     num_frames = rng.randint(1, max_frames)
     gt_entries: list[BoxEntry] = []
@@ -186,6 +187,29 @@ def random_instance(rng: random.Random, max_tracks: int = 4,
                     rng.uniform(6.0, 14.0), rng.uniform(6.0, 14.0),
                 ))
     return seq("random", num_frames, gt_entries, results)
+
+
+def snap_to_grid(instance: SequenceData, step: float = 4.0) -> SequenceData:
+    """The instance with left, top, width and height on a ``step``-pixel grid.
+
+    Extents are at least one step.  Integer-grid geometry, as in real MOT
+    files, makes exact IoU ties common, so the engine's tie-break decides
+    counts and must agree with the oracle's.
+    """
+    def snap(e: BoxEntry) -> BoxEntry:
+        b = e.box
+        return dataclasses.replace(e, box=Box(
+            step * round(b.left / step),
+            step * round(b.top / step),
+            max(step, step * round(b.width / step)),
+            max(step, step * round(b.height / step)),
+        ))
+
+    return dataclasses.replace(
+        instance,
+        gt=tuple(snap(e) for e in instance.gt),
+        results=tuple(snap(e) for e in instance.results),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from conftest import (
     hyp,
     random_instance,
     seq,
+    snap_to_grid,
     write_benchmark_tree,
 )
 from oracles import oracle_clear_counts, oracle_identity_counts
@@ -266,3 +267,18 @@ def test_criterion_7_determinism_across_parallelism(tmp_path):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_8_oracle_equivalence_on_integer_grid():
+    with criterion(8, "brute-force oracle equivalence on 4-px grid instances"):
+        rng = random.Random(880088)
+        start = time.perf_counter()
+        instances = [random_instance(random.Random(seed), 4, 5) for seed in (1913, 2377, 2568)]
+        instances += [random_instance(rng, max_tracks=4, max_frames=5) for _ in range(500)]
+        for instance in map(snap_to_grid, instances):
+            counts, ident = evaluate(instance)
+            assert (counts.fp, counts.fn, counts.idsw) == oracle_clear_counts(instance)
+            assert (ident.idtp, ident.idfp, ident.idfn) == oracle_identity_counts(
+                instance
+            )
+        assert time.perf_counter() - start < 30.0

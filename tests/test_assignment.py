@@ -149,6 +149,19 @@ class TestMatchFrame:
         events, _ = match_frame(kept_gt, kept_res, {}, {}, CFG)
         assert events.idsw_ids == ()
 
+    def test_exact_tie_beside_an_unmatchable_target_keeps_the_earlier_pair(self):
+        # frame 4 of the 4-px grid instance of seed 1913: GT 1 has no
+        # feasible pair, GT 2 overlaps 101 and 103 at exactly 2/3; the earlier
+        # pair (2, 101) continues the identity, so nothing switches
+        kept_gt = [gt(4, 1, 0, 8, 8, 12), gt(4, 2, 4, 24, 12, 8)]
+        kept_res = [
+            hyp(4, 101, 4, 24, 8, 8), hyp(4, 102, 4, 40, 8, 8), hyp(4, 103, 8, 24, 8, 8)
+        ]
+        events, assignment = match_frame(kept_gt, kept_res, {}, {2: 101}, CFG)
+        assert assignment == {2: 101}
+        assert events.idsw_ids == ()
+        assert events.fn_ids == (1,) and events.fp_ids == (102, 103)
+
     def test_all_match_overlaps_meet_threshold(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -167,7 +180,7 @@ class TestRunSequence:
         log = run_sequence(seq("perfect", 5, gt_entries, results), CFG)
         tp, fp, fn, idsw = totals(log)
         assert (tp, fp, fn, idsw) == (15, 0, 0, 0)
-        assert all(all(log.track_status(i)) for i in (1, 2, 3))
+        assert log.matched_frames() == {i: {1, 2, 3, 4, 5} for i in (1, 2, 3)}
 
     def test_empty_results(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 6)]
@@ -191,7 +204,9 @@ class TestRunSequence:
         by_frame = {ev.frame: ev for ev in log.events}
         assert by_frame[3].fn_ids == (1,)
         assert by_frame[4].idsw_ids == (1,)
-        assert log.track_status(1) == [True, True, False, True, True, True]
+        matched = log.matched_frames()[1]
+        timeline = [t in matched for t in range(1, 7)]
+        assert timeline == [True, True, False, True, True, True]
 
     def test_event_totals_balance_with_kept_boxes(self):
         rng = random.Random(4)

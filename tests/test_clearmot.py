@@ -11,6 +11,7 @@ from motbench.assignment import EventLog, FrameEvents, MatchingConfig, run_seque
 from motbench.clearmot import (
     Counts,
     UndefinedMetricError,
+    _fragmentations,
     accumulate,
     derived_rates,
     mota,
@@ -199,6 +200,17 @@ class TestAccumulate:
         counts = accumulate(run_sequence(seq("ids", 6, gt_entries, results)))
         assert counts.idsw == 5
         assert counts.mt == 1 and counts.fm == 0
+
+    def test_fragmentations_match_their_definition(self, rng):
+        # brute-force reading of the docstring: a tracked-to-untracked
+        # transition counts when tracking resumes later in the timeline
+        for _ in range(500):
+            status = [rng.random() < 0.5 for _ in range(rng.randint(0, 12))]
+            resumed = sum(
+                1 for k in range(len(status) - 1)
+                if status[k] and not status[k + 1] and any(status[k + 2:])
+            )
+            assert _fragmentations(status) == resumed
 
     def test_track_classes_partition_and_rates_bounded(self, rng):
         for _ in range(40):

@@ -4,6 +4,7 @@ import pytest
 
 from motbench.assignment import MatchingConfig, preprocess_sequence
 from motbench.identity import (
+    TrackMatchTable,
     build_table,
     evaluate_identity,
     pool_identity,
@@ -84,6 +85,25 @@ class TestSolveIdentity:
         assert (scores.idtp, scores.idfp, scores.idfn) == (5, 5, 5)
         assert scores.idf1 == pytest.approx(50.0)
         assert scores.matches == ((1, 8),)  # tie broken toward the earlier id
+
+    def test_tracks_without_codetections_never_enter_the_solve(self):
+        small = TrackMatchTable(
+            gt_lengths={1: 10, 2: 10},
+            pred_lengths={8: 5, 9: 5, 10: 10},
+            co_detections={(1, 8): 5, (1, 9): 5, (2, 10): 10},
+        )
+        # thousands of one-frame predicted tracklets and a few ground-truth
+        # tracks that overlap nothing
+        crowded = TrackMatchTable(
+            gt_lengths={**small.gt_lengths, **{100 + k: 3 for k in range(5)}},
+            pred_lengths={**small.pred_lengths, **{1000 + k: 1 for k in range(4000)}},
+            co_detections=small.co_detections,
+        )
+        scores = solve_identity(crowded)
+        assert scores.idtp == 5 + 10
+        assert scores.idfn == (10 + 10 + 5 * 3) - scores.idtp
+        assert scores.idfp == (5 + 5 + 10 + 4000) - scores.idtp
+        assert scores.matches == solve_identity(small).matches == ((1, 8), (2, 10))
 
     def test_harmonic_mean_property(self, rng):
         for _ in range(40):

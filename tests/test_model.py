@@ -1,4 +1,4 @@
-"""Geometry and visibility tests, cross-checked against pixel-grid oracles."""
+"""Geometry tests, cross-checked against a pixel-grid oracle."""
 
 import random
 
@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from motbench.model import (
     Box,
     BoxEntry,
-    ObjectClass,
     SequenceData,
-    derive_visibility,
     iou,
     pairwise_iou,
 )
@@ -27,20 +25,6 @@ def pixel_iou(a: Box, b: Box) -> float:
                for y in range(int(b.top), int(b.bottom))}
     union = len(cells_a | cells_b)
     return len(cells_a & cells_b) / union if union else 0.0
-
-
-def pixel_covered_fraction(target: Box, occluders: list[Box]) -> float:
-    cells = {(x, y)
-             for x in range(int(target.left), int(target.right))
-             for y in range(int(target.top), int(target.bottom))}
-    covered = {
-        (x, y)
-        for o in occluders
-        for x in range(int(o.left), int(o.right))
-        for y in range(int(o.top), int(o.bottom))
-        if (x, y) in cells
-    }
-    return len(covered) / len(cells)
 
 
 def int_boxes(max_pos=20, max_size=10):
@@ -149,89 +133,3 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_zero_frames(self):
         with pytest.raises(ValueError):
             SequenceData(name="s", num_frames=0)
-
-
-class TestDeriveVisibility:
-    def test_single_box_fully_visible(self):
-        vis = derive_visibility([gt(1, 1, 0, 0)])
-        assert vis == {1: 1.0}
-
-    def test_fully_covered_by_closer_box(self):
-        target = gt(1, 1, 0, 0, 10, 10)
-        # same footprint, one pixel taller: its bottom edge is in front
-        occluder = gt(1, 2, 0, 0, 10, 11)
-        vis = derive_visibility([target, occluder])
-        assert vis[1] == pytest.approx(0.0)
-        assert vis[2] == pytest.approx(1.0)
-
-    def test_half_covered(self):
-        target = gt(1, 1, 0, 0, 10, 10)
-        occluder = gt(1, 2, 5, 0, 10, 11)
-        vis = derive_visibility([target, occluder])
-        assert vis[1] == pytest.approx(0.5)
-
-    def test_non_occluder_classes_ignored(self):
-        target = gt(1, 1, 0, 0, 10, 10)
-        distractor = gt(1, 2, 0, 1, 10, 10, object_class=ObjectClass.DISTRACTOR)
-        vis = derive_visibility([target, distractor])
-        assert vis[1] == 1.0
-
-    def test_occluder_class_hides(self):
-        target = gt(1, 1, 0, 0, 10, 10)
-        wall = gt(1, 2, 0, 0, 10, 11, object_class=ObjectClass.OCCLUDER)
-        assert derive_visibility([target, wall])[1] == pytest.approx(0.0)
-
-    def test_equal_bottom_larger_area_occludes_smaller(self):
-        small = gt(1, 1, 0, 0, 4, 10)
-        large = gt(1, 2, 0, 0, 20, 10)
-        vis = derive_visibility([small, large])
-        assert vis[1] == pytest.approx(0.0)
-        assert vis[2] == pytest.approx(1.0)  # the smaller box never occludes back
-
-    def test_overlapping_occluders_not_double_counted(self):
-        # two occluders overlap on the target; their union covers 80 of 100
-        # cells, while double counting would claim 96
-        target = gt(1, 1, 0, 0, 10, 10)
-        a = gt(1, 2, 0, 2, 6, 10)
-        b = gt(1, 3, 4, 2, 6, 10)
-        vis = derive_visibility([target, a, b])
-        assert vis[1] == pytest.approx(0.2)
-
-    def test_matches_pixel_grid_oracle(self):
-        rng = random.Random(99)
-        for _ in range(60):
-            frame = [
-                gt(1, i,
-                   rng.randint(0, 15), rng.randint(0, 15),
-                   rng.randint(1, 10), rng.randint(1, 10))
-                for i in range(1, rng.randint(2, 6))
-            ]
-            vis = derive_visibility(frame)
-            for entry in frame:
-                occluders = [
-                    o.box for o in frame
-                    if o is not entry and (
-                        o.box.bottom > entry.box.bottom
-                        or (o.box.bottom == entry.box.bottom
-                            and o.box.area > entry.box.area)
-                    )
-                ]
-                expected = 1.0 - pixel_covered_fraction(entry.box, occluders)
-                assert vis[entry.track_id] == pytest.approx(expected, abs=1e-9)
-
-    def test_order_independent(self):
-        rng = random.Random(3)
-        frame = [
-            gt(1, i, rng.randint(0, 12), rng.randint(0, 12),
-               rng.randint(2, 8), rng.randint(2, 8))
-            for i in range(1, 7)
-        ]
-        reference = derive_visibility(frame)
-        for _ in range(10):
-            shuffled = frame[:]
-            rng.shuffle(shuffled)
-            assert derive_visibility(shuffled) == reference
-
-    def test_rejects_mixed_frames(self):
-        with pytest.raises(ValueError):
-            derive_visibility([gt(1, 1, 0, 0), gt(2, 2, 0, 0)])
