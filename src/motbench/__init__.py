@@ -28,7 +28,7 @@ from .clearmot import (
     pool,
     summarize,
 )
-from .deteval import PRCurve, PRPoint, average_precision, export_curve, pr_curve
+from .deteval import PRCurve, PRPoint, export_curve, pr_curve
 from .identity import (
     IdentityScores,
     TrackMatchTable,
@@ -92,7 +92,6 @@ __all__ = [
     "UndefinedMetricError",
     "ValidationReport",
     "accumulate",
-    "average_precision",
     "build_table",
     "derived_rates",
     "evaluate_identity",

@@ -10,6 +10,8 @@ The matching protocol, applied frame by frame:
     neither penalized nor rewarded for following them.  Only ground-truth
     boxes that are pedestrians with an active consider-flag enter the scoring
     set; inactive entries never count as false negatives or true positives.
+    The IoU of every pair is computed here, once per frame, and the later
+    steps and the identity metrics read the kept part of that matrix.
 
 2.  Carryover.  A pair matched in the previous frame stays matched in the
     current frame whenever its overlap is still at or above the threshold,
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import NEUTRAL_CLASSES, BoxEntry, ObjectClass, SequenceData, iou, pairwise_iou
+from .model import NEUTRAL_CLASSES, BoxEntry, ObjectClass, SequenceData, pairwise_iou
 
 
 @dataclass(frozen=True)
@@ -178,104 +180,101 @@ def solve_assignment(
 
 
 def _min_cost_matching(
-    gt_entries: list[BoxEntry],
-    res_entries: list[BoxEntry],
-    threshold: float,
-) -> list[tuple[BoxEntry, BoxEntry, float]]:
+    overlaps: np.ndarray, threshold: float
+) -> list[tuple[int, int, float]]:
     """Max-cardinality, then min-cost matching over pairs with IoU >= threshold.
 
-    Both entry lists must be sorted by track id; pair ``(i, j)`` ranks
-    ``i * m + j``, so earlier (gt, hypothesis) pairs win equal-cost optima.
+    ``overlaps`` holds the IoU of every (target, hypothesis) pair, both sides
+    in track-id order; pair ``(i, j)`` ranks ``i * m + j``, so earlier pairs
+    win equal-cost optima.  Returns ``(row, col, overlap)`` of the chosen
+    pairs in row order.
     """
-    if not gt_entries or not res_entries:
-        return []
-    m = len(res_entries)
-    overlaps = pairwise_iou([g.box for g in gt_entries], [r.box for r in res_entries])
     rows, cols = np.nonzero(overlaps >= threshold)
+    if not rows.size:
+        return []
     feasible = overlaps[rows, cols]
     pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
-    return [
-        (gt_entries[i], res_entries[j], overlap)
-        for i, j, overlap in map(
-            pairs.__getitem__,
-            solve_assignment(rows, cols, 1.0 - feasible, rows * m + cols),
-        )
-    ]
+    chosen = solve_assignment(rows, cols, 1.0 - feasible, rows * overlaps.shape[1] + cols)
+    return [pairs[e] for e in chosen]
 
 
 def preprocess_frame(
     gt_frame: list[BoxEntry],
     res_frame: list[BoxEntry],
     cfg: MatchingConfig = MatchingConfig(),
-) -> tuple[list[BoxEntry], list[BoxEntry], list[BoxEntry]]:
+) -> tuple[list[int], list[int], list[int], np.ndarray]:
     """Apply the neutral-class filter to one frame.
 
-    Returns ``(kept_gt, kept_res, removed_res)``: the scoreable ground truth
-    (active pedestrians), the surviving result boxes, and the result boxes
-    dropped for following a neutral-class annotation.  Pedestrian matches made
-    here are discarded; scoring re-derives them with carryover applied.
+    Returns ``(gt_ids, res_ids, removed_ids, overlaps)``: the ids of the
+    scoreable ground truth (active pedestrians) and of the surviving result
+    boxes, both ascending; the ids of the result boxes dropped for following
+    a neutral-class annotation; and the IoU of every kept (target,
+    hypothesis) pair, ``overlaps[i, j]`` for ``gt_ids[i]`` and
+    ``res_ids[j]``.  This is the only place the engine computes tracking
+    overlaps: carryover, fresh matching and the identity table all read this
+    matrix.  Pedestrian matches made here are discarded; scoring re-derives
+    them with carryover applied.
     """
     gt_sorted = sorted(gt_frame, key=lambda e: e.track_id)
     res_sorted = sorted(res_frame, key=lambda e: e.track_id)
-    removed: list[BoxEntry] = []
-    if gt_sorted and res_sorted:
-        for g, r, overlap in _min_cost_matching(gt_sorted, res_sorted, cfg.iou_threshold):
-            if g.object_class in cfg.neutral_classes and overlap > cfg.iou_threshold:
-                removed.append(r)
-    removed_ids = {r.track_id for r in removed}
-    kept_res = [r for r in res_sorted if r.track_id not in removed_ids]
-    kept_gt = [
-        g for g in gt_sorted
+    overlaps = pairwise_iou([g.box for g in gt_sorted], [r.box for r in res_sorted])
+    removed = {
+        res_sorted[j].track_id
+        for i, j, overlap in _min_cost_matching(overlaps, cfg.iou_threshold)
+        if gt_sorted[i].object_class in cfg.neutral_classes and overlap > cfg.iou_threshold
+    }
+    keep_gt = [
+        i for i, g in enumerate(gt_sorted)
         if g.object_class is ObjectClass.PEDESTRIAN and g.is_active
     ]
-    return kept_gt, kept_res, removed
+    keep_res = [j for j, r in enumerate(res_sorted) if r.track_id not in removed]
+    return (
+        [gt_sorted[i].track_id for i in keep_gt],
+        [res_sorted[j].track_id for j in keep_res],
+        sorted(removed),
+        overlaps[keep_gt][:, keep_res],
+    )
 
 
 def match_frame(
-    kept_gt: list[BoxEntry],
-    kept_res: list[BoxEntry],
+    gt_ids: list[int],
+    res_ids: list[int],
+    overlaps: np.ndarray,
     prev_assignment: dict[int, int],
     last_assignment: dict[int, int],
     cfg: MatchingConfig = MatchingConfig(),
-    frame: int | None = None,
+    frame: int = 0,
 ) -> tuple[FrameEvents, dict[int, int]]:
     """Match one preprocessed frame; returns its events and the new assignment.
 
+    ``gt_ids``, ``res_ids`` and ``overlaps`` are one frame of
+    :func:`preprocess_sequence`: ascending ids and the IoU of every pair.
     ``prev_assignment`` holds the previous frame's matches (carryover source);
     ``last_assignment`` holds each target's last known hypothesis anywhere in
     the sequence (identity-switch reference).  Neither dict is mutated.
     """
-    if frame is None:
-        frame = kept_gt[0].frame if kept_gt else (kept_res[0].frame if kept_res else 0)
-    gt_by_id = {g.track_id: g for g in kept_gt}
-    res_by_id = {r.track_id: r for r in kept_res}
+    gt_at = {gt_id: i for i, gt_id in enumerate(gt_ids)}
+    res_at = {pred_id: j for j, pred_id in enumerate(res_ids)}
 
     matches: list[tuple[int, int, float]] = []
     for gt_id, pred_id in sorted(prev_assignment.items()):
-        g = gt_by_id.get(gt_id)
-        r = res_by_id.get(pred_id)
-        if g is None or r is None:
-            continue
-        overlap = iou(g.box, r.box)
-        if overlap >= cfg.iou_threshold:
-            matches.append((gt_id, pred_id, overlap))
+        if gt_id in gt_at and pred_id in res_at:
+            overlap = float(overlaps[gt_at[gt_id], res_at[pred_id]])
+            if overlap >= cfg.iou_threshold:
+                matches.append((gt_id, pred_id, overlap))
 
     taken_gt = {gt_id for gt_id, _, _ in matches}
     taken_res = {pred_id for _, pred_id, _ in matches}
-    rem_gt = sorted(
-        (g for g in kept_gt if g.track_id not in taken_gt), key=lambda e: e.track_id
-    )
-    rem_res = sorted(
-        (r for r in kept_res if r.track_id not in taken_res), key=lambda e: e.track_id
-    )
-    for g, r, overlap in _min_cost_matching(rem_gt, rem_res, cfg.iou_threshold):
-        matches.append((g.track_id, r.track_id, overlap))
+    rem_i = [i for i, gt_id in enumerate(gt_ids) if gt_id not in taken_gt]
+    rem_j = [j for j, pred_id in enumerate(res_ids) if pred_id not in taken_res]
+    for a, b, overlap in _min_cost_matching(overlaps[rem_i][:, rem_j], cfg.iou_threshold):
+        matches.append((gt_ids[rem_i[a]], res_ids[rem_j[b]], overlap))
     matches.sort()
 
     matched_gt = {gt_id for gt_id, _, _ in matches}
     matched_res = {pred_id for _, pred_id, _ in matches}
-    fn_ids = tuple(sorted(g.track_id for g in kept_gt if g.track_id not in matched_gt))
-    fp_ids = tuple(sorted(r.track_id for r in kept_res if r.track_id not in matched_res))
+    fn_ids = tuple(gt_id for gt_id in gt_ids if gt_id not in matched_gt)
+    fp_ids = tuple(pred_id for pred_id in res_ids if pred_id not in matched_res)
     idsw_ids = tuple(
         gt_id for gt_id, pred_id, _ in matches
         if last_assignment.get(gt_id, pred_id) != pred_id
@@ -290,15 +289,20 @@ def match_frame(
     return events, {gt_id: pred_id for gt_id, pred_id, _ in matches}
 
 
+#: One preprocessed frame: its index, the kept ids and their overlaps.
+Frame = tuple[int, list[int], list[int], np.ndarray]
+
+
 def preprocess_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
-) -> list[tuple[int, list[BoxEntry], list[BoxEntry]]]:
+) -> list[Frame]:
     """Preprocess every frame of a sequence.
 
-    Returns one ``(frame, kept_gt, kept_res)`` triple per frame in order.
-    Both the frame-level metrics and the identity metrics must score exactly
-    this box set, so compute it once and share it.
+    Returns one ``(frame, gt_ids, res_ids, overlaps)`` tuple per frame in
+    order, as :func:`preprocess_frame` computes them.  Both the frame-level
+    metrics and the identity metrics must score exactly this box set with
+    these overlaps, so compute it once and share it.
     """
     gt_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
     res_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
@@ -308,15 +312,15 @@ def preprocess_sequence(
         res_by_frame[e.frame].append(e)
     out = []
     for t in range(1, seq.num_frames + 1):
-        kept_gt, kept_res, _ = preprocess_frame(gt_by_frame[t], res_by_frame[t], cfg)
-        out.append((t, kept_gt, kept_res))
+        gt_ids, res_ids, _, overlaps = preprocess_frame(gt_by_frame[t], res_by_frame[t], cfg)
+        out.append((t, gt_ids, res_ids, overlaps))
     return out
 
 
 def run_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
-    preprocessed: list[tuple[int, list[BoxEntry], list[BoxEntry]]] | None = None,
+    preprocessed: list[Frame] | None = None,
 ) -> EventLog:
     """Evaluate a whole sequence, threading carryover and last-known state."""
     if preprocessed is None:
@@ -324,11 +328,11 @@ def run_sequence(
     log = EventLog(name=seq.name, num_frames=seq.num_frames)
     prev_assignment: dict[int, int] = {}
     last_assignment: dict[int, int] = {}
-    for t, kept_gt, kept_res in preprocessed:
-        for g in kept_gt:
-            log.gt_frames.setdefault(g.track_id, []).append(t)
+    for t, gt_ids, res_ids, overlaps in preprocessed:
+        for gt_id in gt_ids:
+            log.gt_frames.setdefault(gt_id, []).append(t)
         events, assignment = match_frame(
-            kept_gt, kept_res, prev_assignment, last_assignment, cfg, frame=t
+            gt_ids, res_ids, overlaps, prev_assignment, last_assignment, cfg, frame=t
         )
         log.events.append(events)
         last_assignment.update(assignment)

@@ -32,7 +32,6 @@ class Counts:
     gt_total: int = 0      # scoreable ground-truth boxes
     frames: int = 0
     overlap_sum: float = 0.0  # sum of matched-pair overlaps
-    match_total: int = 0
     mt: int = 0
     pt: int = 0
     ml: int = 0
@@ -105,7 +104,6 @@ def accumulate(log: EventLog) -> Counts:
         gt_total=tp + fn,
         frames=log.num_frames,
         overlap_sum=overlap_sum,
-        match_total=tp,
         mt=mt,
         pt=pt,
         ml=ml,
@@ -137,9 +135,9 @@ def mota(c: Counts) -> float:
 
 def motp(c: Counts) -> float:
     """Localization precision in percent: the mean overlap of all matches."""
-    if c.match_total <= 0:
+    if c.tp <= 0:
         raise UndefinedMetricError("MOTP undefined without matches")
-    return 100.0 * c.overlap_sum / c.match_total
+    return 100.0 * c.overlap_sum / c.tp
 
 
 @dataclass(frozen=True)

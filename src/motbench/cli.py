@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,15 +52,10 @@ class RunConfig:
     results_root: Path
     output: Path | None = None
     out_format: str = "text"
-    iou_threshold: float = 0.5
-    jobs: int = 1
+    matching: MatchingConfig = MatchingConfig()
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError(f"iou threshold must be in (0, 1], got {self.iou_threshold}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.out_format not in ("text", "csv", "json"):
             raise ValueError(f"unknown output format {self.out_format!r}")
 
@@ -85,14 +79,9 @@ def _with_identity(report: MetricsReport, ident: IdentityScores) -> MetricsRepor
 def evaluate_benchmark(seq_set: SequenceSet, cfg: RunConfig) -> list[MetricsReport]:
     """Evaluate every unit of a loaded benchmark and append the pooled row.
 
-    Deterministic regardless of the parallelism degree: units are mapped in
-    order and reduced with an ordered fold.
+    Units are evaluated in order and reduced with an ordered fold.
     """
-    mcfg = MatchingConfig(iou_threshold=cfg.iou_threshold)
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
-        results = list(
-            pool_exec.map(lambda unit: _evaluate_unit(unit, mcfg), seq_set.units)
-        )
+    results = [_evaluate_unit(unit, cfg.matching) for unit in seq_set.units]
     reports = [
         _with_identity(summarize(label, counts), ident)
         for label, counts, ident in results
@@ -200,14 +189,13 @@ def error_analysis(seq_set: SequenceSet, cfg: RunConfig) -> list[dict]:
     were a tracker, all of them, with no confidence gating.  Ratios above one
     mean the tracker makes more of that error than its detector.
     """
-    mcfg = MatchingConfig(iou_threshold=cfg.iou_threshold)
     missing = [unit.label for unit in seq_set.units if not unit.data.detections]
     if missing:
         raise IngestError(f"no detections available for: {', '.join(missing)}")
 
     def one(unit: EvalUnit) -> dict:
-        tracker = accumulate(run_sequence(unit.data, mcfg))
-        detector = accumulate(run_sequence(_detections_as_tracker(unit.data), mcfg))
+        tracker = accumulate(run_sequence(unit.data, cfg.matching))
+        detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg.matching))
         return {
             "sequence": unit.label,
             "fp_tracker": tracker.fp,
@@ -216,8 +204,7 @@ def error_analysis(seq_set: SequenceSet, cfg: RunConfig) -> list[dict]:
             "fn_detector": detector.fn,
         }
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
-        rows = list(pool_exec.map(one, seq_set.units))
+    rows = [one(unit) for unit in seq_set.units]
     total = {
         "sequence": "TOTAL",
         "fp_tracker": sum(r["fp_tracker"] for r in rows),
@@ -282,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iou", type=float, default=0.5,
                        help="matching overlap threshold (default 0.5)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="sequences evaluated concurrently")
+                       help="accepted for compatibility; has no effect, sequences "
+                            "are evaluated one after another")
         p.add_argument("--lenient", action="store_true",
                        help="tolerate recoverable format deviations")
 
@@ -310,8 +298,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         results_root=args.res,
         output=args.out,
         out_format=args.format,
-        iou_threshold=args.iou,
-        jobs=args.jobs,
+        matching=MatchingConfig(iou_threshold=args.iou),
         strict=not args.lenient,
     )
 
@@ -324,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             expected: list[str] = []
             if args.seqmap.suffix == ".txt" and args.seqmap.is_file():
-                expected = [name for name, _, _ in read_seqmap(args.seqmap)]
+                try:
+                    expected = [name for name, _, _ in read_seqmap(args.seqmap)]
+                except ParseError as err:
+                    raise IngestError(f"{args.seqmap}: {err}") from err
                 detectors = Benchmark(args.benchmark).detectors
                 if detectors:
                     expected = [f"{n}-{d}" for n in expected for d in detectors]

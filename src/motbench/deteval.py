@@ -133,11 +133,6 @@ def _eleven_point_ap(points: Sequence[PRPoint]) -> float:
     return total / 11.0
 
 
-def average_precision(curve: PRCurve) -> float:
-    """Eleven-point interpolated average precision of a curve, in percent."""
-    return _eleven_point_ap(curve.points)
-
-
 def export_curve(curve: PRCurve) -> str:
     """Comma-separated (threshold, recall, precision) rows for plotting."""
     lines = ["threshold,recall,precision"]

@@ -11,21 +11,19 @@ frames of matched pairs; every other ground-truth box is an identity false
 negative (IDFN) and every other predicted box an identity false positive
 (IDFP).  Precision, recall, and their harmonic mean follow.
 
-The same neutral-class preprocessing used by the frame-level metrics must be
-applied before building the table, so both metric families score one and the
-same box set.
+The table is built from the same preprocessed frames, ids and overlaps as the
+frame-level metrics, so both metric families score one and the same box set.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .assignment import solve_assignment
-from .model import BoxEntry, pairwise_iou
+from .assignment import Frame, solve_assignment
 
 
 @dataclass(frozen=True)
@@ -66,35 +64,34 @@ def _scores_from_counts(
     )
 
 
-def build_table(
-    gt_entries: Iterable[BoxEntry],
-    pred_entries: Iterable[BoxEntry],
-    iou_threshold: float = 0.5,
-) -> TrackMatchTable:
-    """Count per-frame spatial co-detections for every track pair."""
-    gt_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    pred_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    gt_lengths: Counter[int] = Counter()
-    pred_lengths: Counter[int] = Counter()
-    for e in gt_entries:
-        gt_by_frame[e.frame].append(e)
-        gt_lengths[e.track_id] += 1
-    for e in pred_entries:
-        pred_by_frame[e.frame].append(e)
-        pred_lengths[e.track_id] += 1
+def build_table(frames: Sequence[Frame], iou_threshold: float = 0.5) -> TrackMatchTable:
+    """Count per-frame spatial co-detections for every track pair.
 
-    co: Counter[tuple[int, int]] = Counter()
-    for frame, gts in gt_by_frame.items():
-        preds = pred_by_frame.get(frame)
-        if not preds:
-            continue
-        overlaps = pairwise_iou([g.box for g in gts], [p.box for p in preds])
-        for i, j in zip(*np.nonzero(overlaps >= iou_threshold)):
-            co[(gts[i].track_id, preds[j].track_id)] += 1
+    ``frames`` are the ``(frame, gt_ids, res_ids, overlaps)`` tuples of
+    :func:`~motbench.assignment.preprocess_sequence`; a pair co-detects on a
+    frame when its entry of that frame's overlap matrix is at or above the
+    threshold.
+    """
+    gt_lengths = Counter(gt_id for _, gt_ids, _, _ in frames for gt_id in gt_ids)
+    pred_lengths = Counter(pred_id for _, _, res_ids, _ in frames for pred_id in res_ids)
+    gt_hits: list[np.ndarray] = []
+    pred_hits: list[np.ndarray] = []
+    for _, gt_ids, res_ids, overlaps in frames:
+        rows, cols = np.nonzero(overlaps >= iou_threshold)
+        if rows.size:
+            gt_hits.append(np.take(gt_ids, rows))
+            pred_hits.append(np.take(res_ids, cols))
+    co: dict[tuple[int, int], int] = {}
+    if gt_hits:
+        pairs, counts = np.unique(
+            np.column_stack([np.concatenate(gt_hits), np.concatenate(pred_hits)]),
+            axis=0, return_counts=True,
+        )
+        co = dict(zip(map(tuple, pairs.tolist()), counts.tolist()))
     return TrackMatchTable(
         gt_lengths=dict(gt_lengths),
         pred_lengths=dict(pred_lengths),
-        co_detections=dict(co),
+        co_detections=co,
     )
 
 
@@ -144,13 +141,10 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
 
 
 def evaluate_identity(
-    preprocessed: Sequence[tuple[int, list[BoxEntry], list[BoxEntry]]],
-    iou_threshold: float = 0.5,
+    preprocessed: Sequence[Frame], iou_threshold: float = 0.5
 ) -> IdentityScores:
     """Identity scores of one sequence from its preprocessed frames."""
-    gt_entries = [g for _, kept_gt, _ in preprocessed for g in kept_gt]
-    pred_entries = [r for _, _, kept_res in preprocessed for r in kept_res]
-    return solve_identity(build_table(gt_entries, pred_entries, iou_threshold))
+    return solve_identity(build_table(preprocessed, iou_threshold))
 
 
 def pool_identity(scores: Iterable[IdentityScores]) -> IdentityScores:

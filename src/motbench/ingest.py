@@ -91,13 +91,22 @@ class IngestError(ValueError):
 
 
 def _as_text(source: str | bytes | IO | Path) -> str:
+    """The text of a file, path, stream or buffer.
+
+    Raises :class:`ParseError` with the 1-based line of the first byte that
+    is not UTF-8.
+    """
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if hasattr(source, "read"):
+        source = source.read_bytes()
+    elif hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
+    if not isinstance(source, bytes):
+        return source
+    try:
         return source.decode("utf-8")
-    return source
+    except UnicodeDecodeError as err:
+        line_no = source.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{source[err.start]:02x}", line_no) from None
 
 
 def _number(token: str, line_no: int, what: str) -> float:
@@ -374,7 +383,7 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
     Blank lines and lines starting with '#' are skipped.
     """
     rows: list[tuple[str, int, float | None]] = []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -415,9 +424,13 @@ def load_sequence_set(
     if not seqmap_path.is_file():
         raise IngestError(f"missing sequence map {seqmap_path}")
     variant = benchmark.variant
+    try:
+        seqmap = read_seqmap(seqmap_path)
+    except ParseError as err:
+        raise IngestError(f"{seqmap_path}: {err}") from err
 
     units: list[EvalUnit] = []
-    for name, num_frames, fps in read_seqmap(seqmap_path):
+    for name, num_frames, fps in seqmap:
         gt_path = root / "gt" / f"{name}.txt"
         if not gt_path.is_file():
             raise IngestError(f"missing ground truth for sequence {name!r}: {gt_path}")

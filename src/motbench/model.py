@@ -94,32 +94,25 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _ltwh(boxes: Sequence[Box]) -> tuple[np.ndarray, ...]:
+    return (np.array([x.left for x in boxes]), np.array([x.top for x in boxes]),
+            np.array([x.width for x in boxes]), np.array([x.height for x in boxes]))
+
+
 def pairwise_iou(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
     """IoU of every box pair as a ``len(a) x len(b)`` array.
 
-    Same arithmetic as :func:`iou`, vectorized for the per-frame matching
-    matrices.
+    Same arithmetic as :func:`iou`, area included (width times height), so
+    every entry is bit-equal to the scalar value of its pair.
     """
     if not a or not b:
         return np.zeros((len(a), len(b)))
-    a_left = np.array([x.left for x in a])
-    a_top = np.array([x.top for x in a])
-    a_right = np.array([x.right for x in a])
-    a_bottom = np.array([x.bottom for x in a])
-    b_left = np.array([x.left for x in b])
-    b_top = np.array([x.top for x in b])
-    b_right = np.array([x.right for x in b])
-    b_bottom = np.array([x.bottom for x in b])
-    inter_w = np.minimum(a_right[:, None], b_right[None, :]) - np.maximum(
-        a_left[:, None], b_left[None, :]
-    )
-    inter_h = np.minimum(a_bottom[:, None], b_bottom[None, :]) - np.maximum(
-        a_top[:, None], b_top[None, :]
-    )
-    inter = np.clip(inter_w, 0.0, None) * np.clip(inter_h, 0.0, None)
-    area_a = (a_right - a_left) * (a_bottom - a_top)
-    area_b = (b_right - b_left) * (b_bottom - b_top)
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    al, at, aw, ah = _ltwh(a)
+    bl, bt, bw, bh = _ltwh(b)
+    inter_w = np.minimum.outer(al + aw, bl + bw) - np.maximum.outer(al, bl)
+    inter_h = np.minimum.outer(at + ah, bt + bh) - np.maximum.outer(at, bt)
+    inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
+    return inter / (np.add.outer(aw * ah, bw * bh) - inter)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def test_criterion_5_property_suite():
             counts_b, _ = evaluate(random_instance(rng))
             pooled = pool([counts_a, counts_b])
             for field in ("tp", "fp", "fn", "idsw", "fm", "gt_total", "frames",
-                          "mt", "pt", "ml", "gt_tracks", "match_total"):
+                          "mt", "pt", "ml", "gt_tracks"):
                 assert getattr(pooled, field) == (
                     getattr(counts_a, field) + getattr(counts_b, field)
                 )
@@ -181,7 +181,7 @@ def test_criterion_5_property_suite():
         # localization precision bounded by the matching threshold
         for _ in range(60):
             counts, _ = evaluate(random_instance(rng))
-            if counts.match_total > 0:
+            if counts.tp > 0:
                 assert 50.0 - 1e-9 <= motp(counts) <= 100.0 + 1e-9
 
         # perfect-input suite

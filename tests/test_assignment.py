@@ -8,10 +8,11 @@ from motbench.assignment import (
     MatchingConfig,
     match_frame,
     preprocess_frame,
+    preprocess_sequence,
     run_sequence,
 )
 from motbench.clearmot import accumulate
-from motbench.model import ObjectClass
+from motbench.model import ObjectClass, iou
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
@@ -33,21 +34,27 @@ def totals(log):
     return tp, fp, fn, idsw
 
 
+def kept(gt_frame, res_frame):
+    """``(gt_ids, res_ids, overlaps)`` of one preprocessed frame."""
+    gt_ids, res_ids, _, overlaps = preprocess_frame(gt_frame, res_frame, CFG)
+    return gt_ids, res_ids, overlaps
+
+
 class TestPreprocessFrame:
     def test_result_on_static_person_removed(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.STATIC_PERSON)]
         res_frame = [hyp(1, 9, 0, 1)]  # IoU 0.818 with the static person
-        kept_gt, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert kept_gt == []
-        assert kept_res == []
-        assert [r.track_id for r in removed] == [9]
+        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert gt_ids == []
+        assert res_ids == []
+        assert removed == [9]
 
     def test_pedestrian_only_frame_is_a_no_op(self):
         gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 50, 50)]
         res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 200, 200)]
-        kept_gt, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert len(kept_gt) == 2
-        assert [r.track_id for r in kept_res] == [8, 9]
+        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert len(gt_ids) == 2
+        assert res_ids == [8, 9]
         assert removed == []
 
     def test_sub_threshold_neutral_overlap_keeps_result(self):
@@ -58,9 +65,9 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 10, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 4)]
-        kept_gt, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert [g.track_id for g in kept_gt] == [1]
-        assert [r.track_id for r in kept_res] == [9]
+        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert gt_ids == [1]
+        assert res_ids == [9]
         assert removed == []
 
     def test_removal_requires_winning_the_match_not_just_overlap(self):
@@ -72,8 +79,8 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 3.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        _, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert [r.track_id for r in kept_res] == [9]
+        _, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert res_ids == [9]
         assert removed == []
 
     def test_removal_when_the_neutral_box_wins_the_match(self):
@@ -84,80 +91,94 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 0.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        kept_gt, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert kept_res == []
-        assert [r.track_id for r in removed] == [9]
-        assert [g.track_id for g in kept_gt] == [1]  # the pedestrian still scores
+        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert res_ids == []
+        assert removed == [9]
+        assert gt_ids == [1]  # the pedestrian still scores
 
     def test_inactive_entries_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, conf=0.0), gt(1, 2, 30, 30)]
-        kept_gt, _, _ = preprocess_frame(gt_frame, [], CFG)
-        assert [g.track_id for g in kept_gt] == [2]
+        gt_ids, _, _, _ = preprocess_frame(gt_frame, [], CFG)
+        assert gt_ids == [2]
 
     def test_inactive_neutral_entry_still_absorbs_followers(self):
         # the reflection is flagged inactive yet the evaluation still drops
         # the hypothesis glued to it
         gt_frame = [gt(1, 1, 0, 0, conf=0.0, object_class=ObjectClass.REFLECTION)]
         res_frame = [hyp(1, 9, 0, 1)]
-        _, kept_res, removed = preprocess_frame(gt_frame, res_frame, CFG)
-        assert kept_res == []
-        assert [r.track_id for r in removed] == [9]
+        _, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        assert res_ids == []
+        assert removed == [9]
 
     def test_non_pedestrian_classes_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.CAR)]
-        kept_gt, kept_res, removed = preprocess_frame(gt_frame, [hyp(1, 9, 0, 0)], CFG)
-        assert kept_gt == []
+        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, [hyp(1, 9, 0, 0)], CFG)
+        assert gt_ids == []
         # cars are not neutral: the follower is kept and will be a false positive
-        assert [r.track_id for r in kept_res] == [9]
+        assert res_ids == [9]
+
+    def test_overlaps_are_the_iou_of_the_kept_boxes(self):
+        # the one overlap matrix every later stage reads, on the criterion 4
+        # stream: each entry is bit-equal to the scalar IoU of its two boxes
+        rng = random.Random(500500)
+        for _ in range(200):
+            instance = random_instance(rng)
+            gt_box = {(e.frame, e.track_id): e.box for e in instance.gt}
+            res_box = {(e.frame, e.track_id): e.box for e in instance.results}
+            for t, gt_ids, res_ids, overlaps in preprocess_sequence(instance, CFG):
+                assert overlaps.shape == (len(gt_ids), len(res_ids))
+                for i, gt_id in enumerate(gt_ids):
+                    for j, pred_id in enumerate(res_ids):
+                        assert overlaps[i, j] == iou(gt_box[t, gt_id], res_box[t, pred_id])
 
 
 class TestMatchFrame:
     def test_perfect_one_to_one(self):
-        kept_gt = [gt(1, 1, 0, 0), gt(1, 2, 30, 0)]
-        kept_res = [hyp(1, 8, 0, 0), hyp(1, 9, 30, 0)]
-        events, assignment = match_frame(kept_gt, kept_res, {}, {}, CFG)
+        gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 30, 0)]
+        res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 30, 0)]
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG)
         assert {(g, p) for g, p, _ in events.matches} == {(1, 8), (2, 9)}
         assert events.fp_ids == () and events.fn_ids == () and events.idsw_ids == ()
         assert assignment == {1: 8, 2: 9}
 
     def test_carryover_beats_closer_hypothesis(self):
-        kept_gt = [gt(2, 1, 0, 0)]
-        kept_res = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]  # 9 is closer
-        events, assignment = match_frame(kept_gt, kept_res, {1: 8}, {1: 8}, CFG)
+        gt_frame = [gt(2, 1, 0, 0)]
+        res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]  # 9 is closer
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG)
         assert assignment == {1: 8}
         assert events.fp_ids == (9,)
         assert events.idsw_ids == ()
 
     def test_without_carryover_the_closer_hypothesis_wins(self):
-        kept_gt = [gt(2, 1, 0, 0)]
-        kept_res = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]
-        events, assignment = match_frame(kept_gt, kept_res, {}, {1: 8}, CFG)
+        gt_frame = [gt(2, 1, 0, 0)]
+        res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {1: 8}, CFG)
         assert assignment == {1: 9}
         assert events.idsw_ids == (1,)
 
     def test_broken_carryover_frees_both_sides(self):
-        kept_gt = [gt(3, 1, 0, 0)]
-        kept_res = [hyp(3, 8, 0, 40), hyp(3, 9, 0, 2)]
-        events, assignment = match_frame(kept_gt, kept_res, {1: 8}, {1: 8}, CFG)
+        gt_frame = [gt(3, 1, 0, 0)]
+        res_frame = [hyp(3, 8, 0, 40), hyp(3, 9, 0, 2)]
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG)
         assert assignment == {1: 9}
         assert events.fp_ids == (8,)
         assert events.idsw_ids == (1,)
 
     def test_switch_requires_a_previous_assignment(self):
-        kept_gt = [gt(1, 1, 0, 0)]
-        kept_res = [hyp(1, 9, 0, 0)]
-        events, _ = match_frame(kept_gt, kept_res, {}, {}, CFG)
+        gt_frame = [gt(1, 1, 0, 0)]
+        res_frame = [hyp(1, 9, 0, 0)]
+        events, _ = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG)
         assert events.idsw_ids == ()
 
     def test_exact_tie_beside_an_unmatchable_target_keeps_the_earlier_pair(self):
         # frame 4 of the 4-px grid instance of seed 1913: GT 1 has no
         # feasible pair, GT 2 overlaps 101 and 103 at exactly 2/3; the earlier
         # pair (2, 101) continues the identity, so nothing switches
-        kept_gt = [gt(4, 1, 0, 8, 8, 12), gt(4, 2, 4, 24, 12, 8)]
-        kept_res = [
+        gt_frame = [gt(4, 1, 0, 8, 8, 12), gt(4, 2, 4, 24, 12, 8)]
+        res_frame = [
             hyp(4, 101, 4, 24, 8, 8), hyp(4, 102, 4, 40, 8, 8), hyp(4, 103, 8, 24, 8, 8)
         ]
-        events, assignment = match_frame(kept_gt, kept_res, {}, {2: 101}, CFG)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {2: 101}, CFG)
         assert assignment == {2: 101}
         assert events.idsw_ids == ()
         assert events.fn_ids == (1,) and events.fp_ids == (102, 103)

@@ -53,7 +53,7 @@ def counts_from_row(fp, fn, idsw, gt_total, frames=1, fm=0):
     return Counts(
         tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm,
         gt_total=gt_total, frames=frames,
-        overlap_sum=float(tp), match_total=tp,
+        overlap_sum=float(tp),
     )
 
 
@@ -93,11 +93,11 @@ class TestMota:
 
 class TestMotp:
     def test_exact_matches_give_100(self):
-        c = Counts(match_total=4, overlap_sum=4.0)
+        c = Counts(tp=4, overlap_sum=4.0)
         assert motp(c) == 100.0
 
     def test_arithmetic_mean_of_overlaps(self):
-        c = Counts(match_total=2, overlap_sum=1.5)
+        c = Counts(tp=2, overlap_sum=1.5)
         assert motp(c) == pytest.approx(75.0)
 
     def test_undefined_without_matches(self):
@@ -160,7 +160,6 @@ class TestAccumulate:
         assert counts.mt == counts.gt_tracks == 2
         assert counts.ml == 0
         assert counts.tp + counts.fn == counts.gt_total
-        assert counts.match_total == counts.tp
 
     def test_fragmentation_and_mostly_tracked(self):
         # covered frames 1-2 and 4-6 of 6: one fragmentation, ratio 5/6

@@ -186,6 +186,17 @@ class TestValidate:
             "validate", str(sub), "--benchmark", "MOT17", "--seqmap", str(seqmap)
         ]) == 0
 
+    def test_malformed_seqmap_names_the_file_and_line(self, tmp_path, capsys):
+        seqmap = tmp_path / "seqmap.txt"
+        seqmap.write_text("SEQ-01 abc\n")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        assert code == 1
+        assert f"{seqmap}: line 1: malformed number" in capsys.readouterr().err
+
 
 class TestErrorAnalysis:
     def test_detections_as_tracker_give_unit_ratios(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from motbench.deteval import PRCurve, PRPoint, average_precision, export_curve, pr_curve
+from motbench.deteval import PRCurve, PRPoint, _eleven_point_ap, export_curve, pr_curve
 from conftest import det, gt
 
 
@@ -147,26 +147,23 @@ class TestAveragePrecision:
             PRPoint(threshold=1.0 - 0.1 * k, recall=10.0 * k, precision=100.0)
             for k in range(1, 11)
         )
-        curve = PRCurve(points=points, ap=0.0, operating_point=points[-1])
-        assert average_precision(curve) == pytest.approx(100.0)
+        assert _eleven_point_ap(points) == pytest.approx(100.0)
 
     def test_precision_one_up_to_half_recall(self):
         points = (PRPoint(threshold=0.9, recall=50.0, precision=100.0),)
-        curve = PRCurve(points=points, ap=0.0, operating_point=points[0])
         # recall levels 0..50 see precision 100, the other five see nothing
-        assert average_precision(curve) == pytest.approx(600.0 / 11.0)
+        assert _eleven_point_ap(points) == pytest.approx(600.0 / 11.0)
 
     def test_empty_curve_is_zero(self):
-        assert average_precision(PRCurve(points=(), ap=0.0, operating_point=None)) == 0.0
+        assert _eleven_point_ap(()) == 0.0
 
     def test_interpolation_takes_best_precision_to_the_right(self):
         points = (
             PRPoint(threshold=0.9, recall=30.0, precision=40.0),
             PRPoint(threshold=0.5, recall=60.0, precision=90.0),
         )
-        curve = PRCurve(points=points, ap=0.0, operating_point=points[-1])
         # levels 0..60 interpolate to 90, not 40
-        assert average_precision(curve) == pytest.approx(7 * 90.0 / 11.0)
+        assert _eleven_point_ap(points) == pytest.approx(7 * 90.0 / 11.0)
 
 
 def test_export_curve_round_trips_numbers():

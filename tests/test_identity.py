@@ -19,11 +19,17 @@ def scores_for(instance, threshold=0.5):
     return evaluate_identity(frames, threshold)
 
 
+def frames_of(gts, preds):
+    """The preprocessed frames of a sequence holding exactly these boxes."""
+    num_frames = max((e.frame for e in [*gts, *preds]), default=1)
+    return preprocess_sequence(seq("table", num_frames, gts, preds))
+
+
 class TestBuildTable:
     def test_disjoint_tracks_give_empty_table(self):
         gts = [gt(t, 1, 0, 0) for t in (1, 2, 3)]
         preds = [hyp(t, 9, 500, 500) for t in (1, 2, 3)]
-        table = build_table(gts, preds)
+        table = build_table(frames_of(gts, preds))
         assert table.co_detections == {}
         assert table.gt_lengths == {1: 3}
         assert table.pred_lengths == {9: 3}
@@ -31,7 +37,7 @@ class TestBuildTable:
     def test_identical_track_codetects_full_length(self):
         gts = [gt(t, 1, 0, 0) for t in range(1, 6)]
         preds = [hyp(t, 9, 0, 0) for t in range(1, 6)]
-        table = build_table(gts, preds)
+        table = build_table(frames_of(gts, preds))
         assert table.co_detections == {(1, 9): 5}
 
     def test_crossing_pairs_match_frame_by_frame_count(self):
@@ -43,7 +49,7 @@ class TestBuildTable:
         for t in range(1, 7):
             gts += [gt(t, 1, 0, ys1[t - 1]), gt(t, 2, 0, ys2[t - 1])]
             preds += [hyp(t, 8, 0, 0), hyp(t, 9, 0, 30)]
-        table = build_table(gts, preds)
+        table = build_table(frames_of(gts, preds))
         assert table.co_detections == {
             (1, 8): 3, (1, 9): 3, (2, 8): 3, (2, 9): 3,
         }
@@ -51,7 +57,7 @@ class TestBuildTable:
     def test_one_frame_contributes_at_most_one_count_per_pair(self):
         gts = [gt(1, 1, 0, 0)]
         preds = [hyp(1, 9, 0, 0), hyp(1, 10, 0, 1)]
-        table = build_table(gts, preds)
+        table = build_table(frames_of(gts, preds))
         assert table.co_detections == {(1, 9): 1, (1, 10): 1}
 
 
@@ -59,20 +65,20 @@ class TestSolveIdentity:
     def test_perfect_predictions(self):
         gts = [gt(t, i, 40 * i, 0) for t in range(1, 6) for i in (1, 2)]
         preds = [hyp(e.frame, e.track_id + 50, e.box.left, e.box.top) for e in gts]
-        scores = solve_identity(build_table(gts, preds))
+        scores = solve_identity(build_table(frames_of(gts, preds)))
         assert scores.idf1 == pytest.approx(100.0)
         assert scores.idfp == scores.idfn == 0
 
     def test_empty_predictions(self):
         gts = [gt(t, 1, 0, 0) for t in range(1, 6)]
-        scores = solve_identity(build_table(gts, []))
+        scores = solve_identity(build_table(frames_of(gts, [])))
         assert scores.idtp == 0
         assert scores.idr == 0.0
         assert scores.idf1 == 0.0
         assert scores.idp is None
 
     def test_nothing_at_all_is_undefined(self):
-        scores = solve_identity(build_table([], []))
+        scores = solve_identity(build_table(frames_of([], [])))
         assert scores.idf1 is None and scores.idp is None and scores.idr is None
 
     def test_track_split_in_half(self):
@@ -81,7 +87,7 @@ class TestSolveIdentity:
         gts = [gt(t, 1, 0, 0) for t in range(1, 11)]
         preds = [hyp(t, 8, 0, 0) for t in range(1, 6)]
         preds += [hyp(t, 9, 0, 0) for t in range(6, 11)]
-        scores = solve_identity(build_table(gts, preds))
+        scores = solve_identity(build_table(frames_of(gts, preds)))
         assert (scores.idtp, scores.idfp, scores.idfn) == (5, 5, 5)
         assert scores.idf1 == pytest.approx(50.0)
         assert scores.matches == ((1, 8),)  # tie broken toward the earlier id
@@ -173,8 +179,9 @@ class TestPoolIdentity:
     def test_counts_sum_then_ratios(self):
         gts = [gt(t, 1, 0, 0) for t in range(1, 11)]
         half = [hyp(t, 8, 0, 0) for t in range(1, 6)]
-        a = solve_identity(build_table(gts, half))
-        b = solve_identity(build_table(gts, [hyp(e.frame, 8, 0, 0) for e in gts]))
+        a = solve_identity(build_table(frames_of(gts, half)))
+        full = [hyp(e.frame, 8, 0, 0) for e in gts]
+        b = solve_identity(build_table(frames_of(gts, full)))
         pooled = pool_identity([a, b])
         assert pooled.idtp == a.idtp + b.idtp
         assert pooled.idfn == a.idfn + b.idfn

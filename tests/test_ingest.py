@@ -239,6 +239,15 @@ class TestValidateSubmission:
         with pytest.raises(IngestError):
             validate_submission(tmp_path / "nope", ["SEQ-01"])
 
+    def test_non_utf8_byte_recorded_not_raised(self, tmp_path):
+        path = self.make_submission(tmp_path, ["SEQ-01", "SEQ-02"])
+        (path / "SEQ-02.txt").write_bytes(b"1,1,10,10,5,5,1,-1,-1\n2,1,1\xff,10,5,5,1,-1,-1\n")
+        report = validate_submission(path, ["SEQ-01", "SEQ-02"])
+        assert not report.passed
+        (message,) = report.file_errors["SEQ-02.txt"]
+        assert "line 2" in message and "0xff" in message
+        assert "SEQ-01.txt" not in report.file_errors
+
 
 def small_sequence(name="SEQ-01", frames=3):
     gt_entries = [gt(t, 1, 0, 0) for t in range(1, frames + 1)]
@@ -286,6 +295,19 @@ class TestLoadSequenceSet:
         write_benchmark_tree(tmp_path, [small_sequence("SEQ-01", frames=5)])
         (tmp_path / "seqmap.txt").write_text("SEQ-01 3\n")
         with pytest.raises(IngestError, match="outside"):
+            load_sequence_set(tmp_path, Benchmark.MOT16)
+
+    def test_malformed_seqmap_names_the_file_and_line(self, tmp_path):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
+        (tmp_path / "seqmap.txt").write_text("SEQ-01 abc\n")
+        with pytest.raises(IngestError, match=r"seqmap\.txt: line 1: malformed number"):
+            load_sequence_set(tmp_path, Benchmark.MOT16)
+
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
+        res = tmp_path / "res" / "SEQ-01.txt"
+        res.write_bytes(res.read_bytes().replace(b"\n2,", b"\n2\xff,", 1))
+        with pytest.raises(IngestError, match=r"SEQ-01\.txt: line 2: invalid UTF-8 byte 0xff"):
             load_sequence_set(tmp_path, Benchmark.MOT16)
 
     def test_missing_results_tolerated_when_not_required(self, tmp_path):

@@ -112,6 +112,17 @@ class TestIou:
             for j, b in enumerate(rhs):
                 assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-14)
 
+    def test_pairwise_is_bit_equal_to_scalar(self):
+        # continuous coordinates, boxes near each other: the vectorized and
+        # the scalar route must agree to the last bit, not just closely
+        rng = random.Random(21)
+        for _ in range(3000):
+            a = box(rng.uniform(-50, 500), rng.uniform(-50, 500),
+                    rng.uniform(0.5, 120), rng.uniform(0.5, 120))
+            b = box(a.left + rng.uniform(-40, 40), a.top + rng.uniform(-40, 40),
+                    rng.uniform(0.5, 120), rng.uniform(0.5, 120))
+            assert pairwise_iou([a], [b])[0, 0] == iou(a, b)
+
     def test_pairwise_empty_sides(self):
         assert pairwise_iou([], [box(0, 0)]).shape == (0, 1)
         assert pairwise_iou([box(0, 0)], []).shape == (1, 0)
