@@ -41,7 +41,6 @@ from .ingest import (
     Benchmark,
     EvalUnit,
     FileKind,
-    FormatSchema,
     FormatVariant,
     IngestError,
     ParseError,
@@ -58,6 +57,7 @@ from .model import (
     Box,
     BoxEntry,
     ObjectClass,
+    Rows,
     SequenceData,
     iou,
     pairwise_iou,
@@ -73,7 +73,6 @@ __all__ = [
     "EvalUnit",
     "EventLog",
     "FileKind",
-    "FormatSchema",
     "FormatVariant",
     "FrameEvents",
     "IdentityScores",
@@ -86,6 +85,7 @@ __all__ = [
     "PRPoint",
     "ParseError",
     "Rates",
+    "Rows",
     "SequenceData",
     "SequenceSet",
     "TrackMatchTable",

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import NEUTRAL_CLASSES, BoxEntry, ObjectClass, SequenceData, pairwise_iou
+from .model import NEUTRAL_CLASSES, ObjectClass, Rows, SequenceData, pairwise_iou
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,14 @@ class MatchingConfig:
     """Knobs of the matching protocol."""
 
     iou_threshold: float = 0.5
-    neutral_classes: frozenset[ObjectClass] = NEUTRAL_CLASSES
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+
+
+#: ``_NEUTRAL[code]``: whether class code ``code`` is a neutral class.
+_NEUTRAL = np.isin(np.arange(max(ObjectClass) + 1), list(NEUTRAL_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -198,42 +201,43 @@ def _min_cost_matching(
     return [pairs[e] for e in chosen]
 
 
+def _preprocess(
+    gt_ids: np.ndarray, gt_ltwh: np.ndarray, neutral: np.ndarray, scoreable: np.ndarray,
+    res_ids: np.ndarray, res_ltwh: np.ndarray, threshold: float,
+) -> tuple[list[int], list[int], list[int], np.ndarray]:
+    """:func:`preprocess_frame` on the columns of one frame's rows."""
+    overlaps = pairwise_iou(gt_ltwh, res_ltwh)
+    res_list = res_ids.tolist()
+    removed = {
+        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
+        if neutral[i] and overlap > threshold
+    } if neutral.any() else set()
+    keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
+    return (
+        gt_ids[scoreable].tolist(),
+        [res_list[j] for j in keep_res],
+        sorted(removed),
+        overlaps[scoreable][:, keep_res],
+    )
+
+
 def preprocess_frame(
-    gt_frame: list[BoxEntry],
-    res_frame: list[BoxEntry],
-    cfg: MatchingConfig = MatchingConfig(),
+    gt: Rows, res: Rows, cfg: MatchingConfig = MatchingConfig()
 ) -> tuple[list[int], list[int], list[int], np.ndarray]:
     """Apply the neutral-class filter to one frame.
 
-    Returns ``(gt_ids, res_ids, removed_ids, overlaps)``: the ids of the
-    scoreable ground truth (active pedestrians) and of the surviving result
-    boxes, both ascending; the ids of the result boxes dropped for following
-    a neutral-class annotation; and the IoU of every kept (target,
-    hypothesis) pair, ``overlaps[i, j]`` for ``gt_ids[i]`` and
-    ``res_ids[j]``.  This is the only place the engine computes tracking
-    overlaps: carryover, fresh matching and the identity table all read this
-    matrix.  Pedestrian matches made here are discarded; scoring re-derives
-    them with carryover applied.
+    ``gt`` and ``res`` hold the rows of one frame in track-id order, as
+    :class:`SequenceData` stores them.  Returns ``(gt_ids, res_ids,
+    removed_ids, overlaps)``: the ids of the scoreable ground truth (active
+    pedestrians) and of the surviving result boxes, both ascending; the ids
+    of the result boxes dropped for following a neutral-class annotation;
+    and the IoU of every kept (target, hypothesis) pair, ``overlaps[i, j]``
+    for ``gt_ids[i]`` and ``res_ids[j]``, which every later step reads.
+    Pedestrian matches made here are discarded; scoring re-derives them with
+    carryover applied.
     """
-    gt_sorted = sorted(gt_frame, key=lambda e: e.track_id)
-    res_sorted = sorted(res_frame, key=lambda e: e.track_id)
-    overlaps = pairwise_iou([g.box for g in gt_sorted], [r.box for r in res_sorted])
-    removed = {
-        res_sorted[j].track_id
-        for i, j, overlap in _min_cost_matching(overlaps, cfg.iou_threshold)
-        if gt_sorted[i].object_class in cfg.neutral_classes and overlap > cfg.iou_threshold
-    }
-    keep_gt = [
-        i for i, g in enumerate(gt_sorted)
-        if g.object_class is ObjectClass.PEDESTRIAN and g.is_active
-    ]
-    keep_res = [j for j, r in enumerate(res_sorted) if r.track_id not in removed]
-    return (
-        [gt_sorted[i].track_id for i in keep_gt],
-        [res_sorted[j].track_id for j in keep_res],
-        sorted(removed),
-        overlaps[keep_gt][:, keep_res],
-    )
+    return _preprocess(gt.track_id, gt.ltwh, _NEUTRAL[gt.object_class], gt.scoreable,
+                       res.track_id, res.ltwh, cfg.iou_threshold)
 
 
 def match_frame(
@@ -304,15 +308,18 @@ def preprocess_sequence(
     metrics and the identity metrics must score exactly this box set with
     these overlaps, so compute it once and share it.
     """
-    gt_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    res_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    for e in seq.gt:
-        gt_by_frame[e.frame].append(e)
-    for e in seq.results:
-        res_by_frame[e.frame].append(e)
+    gt, res = seq.gt, seq.results
+    neutral, scoreable = _NEUTRAL[gt.object_class], gt.scoreable
+    bounds = np.arange(1, seq.num_frames + 2)
+    g = np.searchsorted(gt.frame, bounds).tolist()
+    r = np.searchsorted(res.frame, bounds).tolist()
     out = []
     for t in range(1, seq.num_frames + 1):
-        gt_ids, res_ids, _, overlaps = preprocess_frame(gt_by_frame[t], res_by_frame[t], cfg)
+        gs, rs = slice(g[t - 1], g[t]), slice(r[t - 1], r[t])
+        gt_ids, res_ids, _, overlaps = _preprocess(
+            gt.track_id[gs], gt.ltwh[gs], neutral[gs], scoreable[gs],
+            res.track_id[rs], res.ltwh[rs], cfg.iou_threshold,
+        )
         out.append((t, gt_ids, res_ids, overlaps))
     return out
 

@@ -31,7 +31,7 @@ from .ingest import (
     read_seqmap,
     validate_submission,
 )
-from .model import BoxEntry, SequenceData
+from .model import SequenceData
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -173,12 +173,8 @@ def cmd_validate(
 
 def _detections_as_tracker(data: SequenceData) -> SequenceData:
     """Rebrand raw detections as a degenerate tracker, one id per box."""
-    pseudo = tuple(
-        BoxEntry(frame=d.frame, track_id=k, box=d.box, confidence=d.confidence)
-        for k, d in enumerate(
-            sorted(data.detections, key=lambda d: (d.frame, d.track_id)), start=1
-        )
-    )
+    dets = data.detections
+    pseudo = dataclasses.replace(dets, track_id=range(1, len(dets) + 1))
     return dataclasses.replace(data, results=pseudo, detections=())
 
 

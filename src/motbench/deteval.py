@@ -14,13 +14,12 @@ constant.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .model import BoxEntry, ObjectClass, pairwise_iou
+from .model import BoxEntry, Rows, pairwise_iou
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -46,66 +45,59 @@ class PRCurve:
     operating_point: PRPoint | None
 
 
-def _greedy_frame_tp(dets: Sequence[BoxEntry], gts: Sequence[BoxEntry], thr: float) -> int:
-    overlaps = pairwise_iou([d.box for d in dets], [g.box for g in gts])
-    pairs = [
-        (-overlaps[di, gi], di, gi)
-        for di, gi in zip(*np.nonzero(overlaps >= thr))
-    ]
-    pairs.sort()
+def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:
+    """Matches of greedy descending-IoU matching, earlier rows and columns first on ties."""
+    rows, cols = np.nonzero(overlaps >= thr)
+    pairs = sorted(zip((-overlaps[rows, cols]).tolist(), rows.tolist(), cols.tolist()))
     used_d: set[int] = set()
     used_g: set[int] = set()
-    tp = 0
     for _, di, gi in pairs:
         if di in used_d or gi in used_g:
             continue
         used_d.add(di)
         used_g.add(gi)
-        tp += 1
-    return tp
-
-
-def _scoring_gt(
-    gt: Iterable[BoxEntry], mode: GroundTruthMode, min_visibility: float
-) -> list[BoxEntry]:
-    kept = [g for g in gt if g.object_class is ObjectClass.PEDESTRIAN and g.is_active]
-    if mode == "visible_only":
-        kept = [g for g in kept if g.visibility >= min_visibility]
-    return kept
+    return len(used_d)
 
 
 def pr_curve(
-    detections: Iterable[BoxEntry],
-    gt: Iterable[BoxEntry],
+    detections: Rows | Iterable[BoxEntry],
+    gt: Rows | Iterable[BoxEntry],
     iou_threshold: float = 0.5,
     mode: GroundTruthMode = "tracking_gt",
     min_visibility: float = 0.5,
 ) -> PRCurve:
     """Sweep every distinct confidence value and score the kept detections.
 
-    With no scored detections the curve is empty and its AP is zero.
+    Within a frame, greedy matching ties go to the higher-scored detection,
+    then to the lower ground-truth track id.  With no scored detections the
+    curve is empty and its AP is zero.
     """
-    dets = sorted(detections, key=lambda d: (d.frame, -d.confidence, d.track_id))
-    gts = _scoring_gt(gt, mode, min_visibility)
-    num_gt = len(gts)
-    gt_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    for g in gts:
-        gt_by_frame[g.frame].append(g)
+    dets, gts = Rows.of(detections), Rows.of(gt).sorted()
+    scored = gts.scoreable
+    if mode == "visible_only":
+        scored &= gts.visibility >= min_visibility
+    gt_frame, gt_ltwh = gts.frame[scored], gts.ltwh[scored]
+    order = np.lexsort((dets.track_id, -dets.confidence, dets.frame))
+    det_frame, det_conf, det_ltwh = dets.frame[order], dets.confidence[order], dets.ltwh[order]
 
-    thresholds = sorted({d.confidence for d in dets}, reverse=True)
+    thresholds = np.unique(det_conf)[::-1]
+    frames, starts = np.unique(det_frame, return_index=True)
+    ends = np.append(starts[1:], len(det_frame))
+    spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))
+    # Per frame: the IoU of each (detection, GT) pair, and the count each threshold keeps.
+    per_frame = [
+        (pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d]),
+         np.searchsorted(-det_conf[a:b], -thresholds, side="right").tolist())
+        for a, b, (c, d) in zip(starts, ends, spans)
+    ]
     points = []
-    for thr in thresholds:
-        kept_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-        kept_total = 0
-        for d in dets:
-            if d.confidence >= thr:
-                kept_by_frame[d.frame].append(d)
-                kept_total += 1
-        tp = sum(
-            _greedy_frame_tp(kept_by_frame[f], gt_by_frame[f], iou_threshold)
-            for f in kept_by_frame
-        )
-        recall = 100.0 * tp / num_gt if num_gt else 0.0
+    for t, thr in enumerate(thresholds.tolist()):
+        tp = kept_total = 0
+        for overlaps, kept in per_frame:
+            if kept[t]:
+                tp += _greedy_frame_tp(overlaps[:kept[t]], iou_threshold)
+                kept_total += kept[t]
+        recall = 100.0 * tp / len(gt_frame) if len(gt_frame) else 0.0
         precision = 100.0 * tp / kept_total if kept_total else 0.0
         points.append(PRPoint(threshold=thr, recall=recall, precision=precision))
 

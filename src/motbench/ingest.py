@@ -17,6 +17,9 @@ Strict parsing demands the exact column count of the declared variant; lenient
 parsing accepts 7 to 10 columns, downgrades unknown class codes to
 ``ObjectClass.OTHER`` and clamps out-of-range visibility values, logging each
 repair.
+
+:func:`parse_file` checks one line at a time, so every error names its 1-based
+line, and returns the file's rows as columns (:class:`~motbench.model.Rows`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .model import Box, BoxEntry, ObjectClass, SequenceData
+from .model import BoxEntry, ObjectClass, Rows, SequenceData
 
 logger = logging.getLogger(__name__)
 
@@ -49,16 +52,6 @@ class FileKind(Enum):
     DETECTION = "det"
     GROUND_TRUTH = "gt"
     RESULT = "result"
-
-
-@dataclass(frozen=True)
-class FormatSchema:
-    variant: FormatVariant
-    kind: FileKind
-
-    @property
-    def columns(self) -> int:
-        return self.variant.columns
 
 
 class Benchmark(Enum):
@@ -128,16 +121,19 @@ def _integer(token: str, line_no: int, what: str) -> int:
 
 def parse_file(
     source: str | bytes | IO | Path,
-    schema: FormatSchema,
+    variant: FormatVariant,
+    kind: FileKind,
     strict: bool = True,
-) -> list[BoxEntry]:
-    """Parse one annotation, detection, or result file into entries.
+    num_frames: int | None = None,
+) -> Rows:
+    """Parse one annotation, detection, or result file into rows.
 
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
-    column counts (strict mode), non-positive box extents, or duplicate
-    (frame, id) pairs in ground-truth/result files.  Blank lines are skipped.
+    column counts (strict mode), non-positive box extents, frames outside
+    ``[1, num_frames]`` (if given), or duplicate (frame, id) pairs in
+    ground-truth/result files.  Blank lines are skipped.
     """
-    entries: list[BoxEntry] = []
+    records: list[tuple] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(_as_text(source).splitlines(), start=1):
         line = raw.strip()
@@ -145,9 +141,9 @@ def parse_file(
             continue
         tokens = [t.strip() for t in line.split(",")]
         if strict:
-            if len(tokens) != schema.columns:
+            if len(tokens) != variant.columns:
                 raise ParseError(
-                    f"expected {schema.columns} columns for {schema.variant.value}, "
+                    f"expected {variant.columns} columns for {variant.value}, "
                     f"got {len(tokens)}",
                     line_no,
                 )
@@ -157,6 +153,8 @@ def parse_file(
         frame = _integer(tokens[0], line_no, "frame")
         if frame < 1:
             raise ParseError(f"frame index must be >= 1, got {frame}", line_no)
+        if num_frames is not None and frame > num_frames:
+            raise ParseError(f"frame {frame} outside [1, {num_frames}]", line_no)
         track_id = _integer(tokens[1], line_no, "id")
         left = _number(tokens[2], line_no, "left")
         top = _number(tokens[3], line_no, "top")
@@ -168,20 +166,16 @@ def parse_file(
             )
         confidence = _number(tokens[6], line_no, "confidence")
 
-        object_class = ObjectClass.PEDESTRIAN
+        code = ObjectClass.PEDESTRIAN
         visibility = 1.0
-        if schema.kind is FileKind.GROUND_TRUTH and schema.variant is FormatVariant.MOT16_17:
+        if kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17:
             if len(tokens) >= 8:
                 code = _integer(tokens[7], line_no, "class")
-                try:
-                    object_class = ObjectClass(code)
-                    if object_class is ObjectClass.OTHER:
-                        raise ValueError
-                except ValueError:
+                if not ObjectClass.OTHER < code <= ObjectClass.REFLECTION:
                     if strict:
-                        raise ParseError(f"unknown class code {code}", line_no) from None
+                        raise ParseError(f"unknown class code {code}", line_no)
                     logger.warning("line %d: unknown class code %d, using OTHER", line_no, code)
-                    object_class = ObjectClass.OTHER
+                    code = ObjectClass.OTHER
             if len(tokens) >= 9:
                 visibility = _number(tokens[8], line_no, "visibility")
                 if not 0.0 <= visibility <= 1.0:
@@ -194,23 +188,15 @@ def parse_file(
         # The 10-column layout's world coordinates and the class/visibility
         # columns of non-GT files are read and discarded.
 
-        if schema.kind is not FileKind.DETECTION and track_id >= 0:
+        if kind is not FileKind.DETECTION and track_id >= 0:
             key = (frame, track_id)
             if key in seen:
                 raise ParseError(f"duplicate (frame, id) pair {key}", line_no)
             seen.add(key)
 
-        entries.append(
-            BoxEntry(
-                frame=frame,
-                track_id=track_id,
-                box=Box(left, top, width, height),
-                confidence=confidence,
-                object_class=object_class,
-                visibility=visibility,
-            )
-        )
-    return entries
+        records.append((frame, track_id, (left, top, width, height), confidence, code,
+                        visibility))
+    return Rows(*zip(*records))
 
 
 def _fmt(value: float) -> str:
@@ -221,32 +207,28 @@ def _fmt(value: float) -> str:
 
 
 def write_result_file(
-    entries: Iterable[BoxEntry],
+    entries: Rows | Iterable[BoxEntry],
     variant: FormatVariant = FormatVariant.MOT16_17,
 ) -> str:
-    """Serialize result entries, sorted by (frame, id), one row per entry.
+    """Serialize result rows, sorted by (frame, id), one line per row.
 
-    Unknown trailing fields are written as -1.  Entries with a negative track
+    Unknown trailing fields are written as -1.  Rows with a negative track
     id are rejected: writers must supply assigned identities.
     """
-    rows = []
-    for e in sorted(entries, key=lambda e: (e.frame, e.track_id)):
-        if e.track_id < 0:
+    rows = Rows.of(entries).sorted()
+    lines = []
+    for frame, track_id, ltwh, confidence in zip(
+        rows.frame.tolist(), rows.track_id.tolist(), rows.ltwh.tolist(),
+        rows.confidence.tolist(),
+    ):
+        if track_id < 0:
             raise ValueError(
-                f"result entry at frame {e.frame} has unassigned track id {e.track_id}"
+                f"result entry at frame {frame} has unassigned track id {track_id}"
             )
-        fields = [
-            str(e.frame),
-            str(e.track_id),
-            _fmt(e.box.left),
-            _fmt(e.box.top),
-            _fmt(e.box.width),
-            _fmt(e.box.height),
-            _fmt(e.confidence),
-        ]
+        fields = [str(frame), str(track_id), *map(_fmt, ltwh), _fmt(confidence)]
         fields += ["-1", "-1", "-1"] if variant is FormatVariant.MOT15 else ["-1", "-1"]
-        rows.append(",".join(fields))
-    return "\n".join(rows) + ("\n" if rows else "")
+        lines.append(",".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass
@@ -323,13 +305,12 @@ def validate_submission(
         seq for seq in expected_sequences if f"{seq}.txt" not in files
     )
     report.extra = sorted(name for name in files if name not in expected_names)
-    schema = FormatSchema(variant, FileKind.RESULT)
     for seq in expected_sequences:
         name = f"{seq}.txt"
         if name not in files:
             continue
         try:
-            parse_file(files[name], schema, strict=True)
+            parse_file(files[name], variant, FileKind.RESULT, strict=True)
         except ParseError as err:
             report.file_errors.setdefault(name, []).append(str(err))
     return report
@@ -368,19 +349,12 @@ class SequenceSet:
                 raise IngestError(f"duplicate sequence {unit.label!r} in partition")
             seen.add(key)
 
-    @property
-    def sequence_names(self) -> list[str]:
-        names = []
-        for unit in self.units:
-            if unit.data.name not in names:
-                names.append(unit.data.name)
-        return names
-
 
 def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
     """Parse the sequence-map file: one 'name num_frames [fps]' row per line.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  A frame count
+    below 1 is an error at its line.
     """
     rows: list[tuple[str, int, float | None]] = []
     for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
@@ -395,6 +369,8 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
             fps = float(tokens[2]) if len(tokens) == 3 else None
         except ValueError:
             raise ParseError(f"malformed number in {line!r}", line_no) from None
+        if num_frames < 1:
+            raise ParseError(f"sequence {tokens[0]!r}: num_frames must be > 0", line_no)
         rows.append((tokens[0], num_frames, fps))
     return rows
 
@@ -429,54 +405,36 @@ def load_sequence_set(
     except ParseError as err:
         raise IngestError(f"{seqmap_path}: {err}") from err
 
+    def parse(path: Path, kind: FileKind, num_frames: int) -> Rows:
+        try:
+            return parse_file(path, variant, kind, strict, num_frames)
+        except ParseError as err:
+            raise IngestError(f"{path}: {err}") from err
+
     units: list[EvalUnit] = []
     for name, num_frames, fps in seqmap:
         gt_path = root / "gt" / f"{name}.txt"
         if not gt_path.is_file():
             raise IngestError(f"missing ground truth for sequence {name!r}: {gt_path}")
-        try:
-            gt = parse_file(gt_path, FormatSchema(variant, FileKind.GROUND_TRUTH), strict)
-        except ParseError as err:
-            raise IngestError(f"{gt_path}: {err}") from err
+        gt = parse(gt_path, FileKind.GROUND_TRUTH, num_frames).sorted()
 
-        detectors: tuple[str | None, ...] = benchmark.detectors or (None,)
-        for detector in detectors:
+        for detector in benchmark.detectors or (None,):
             suffix = f"-{detector}" if detector else ""
-            detections: list[BoxEntry] = []
+            detections: Rows | tuple = ()
             det_path = root / "det" / f"{name}{suffix}.txt"
             if not det_path.is_file() and detector:
                 det_path = root / "det" / f"{name}.txt"
             if det_path.is_file():
-                try:
-                    detections = parse_file(
-                        det_path, FormatSchema(variant, FileKind.DETECTION), strict
-                    )
-                except ParseError as err:
-                    raise IngestError(f"{det_path}: {err}") from err
+                detections = parse(det_path, FileKind.DETECTION, num_frames)
 
-            results: list[BoxEntry] = []
+            results: Rows | tuple = ()
             res_path = results_dir / f"{name}{suffix}.txt"
             if res_path.is_file():
-                try:
-                    results = parse_file(
-                        res_path, FormatSchema(variant, FileKind.RESULT), strict
-                    )
-                except ParseError as err:
-                    raise IngestError(f"{res_path}: {err}") from err
+                results = parse(res_path, FileKind.RESULT, num_frames)
             elif require_results:
                 raise IngestError(f"missing result file for {name}{suffix!r}: {res_path}")
 
-            try:
-                data = SequenceData(
-                    name=name,
-                    num_frames=num_frames,
-                    gt=tuple(gt),
-                    results=tuple(results),
-                    detections=tuple(detections),
-                    fps=fps,
-                )
-            except ValueError as err:
-                raise IngestError(str(err)) from err
+            data = SequenceData(name, num_frames, gt, results, detections, fps)
             units.append(EvalUnit(detector=detector, data=data))
 
     return SequenceSet(benchmark=benchmark, units=tuple(units))

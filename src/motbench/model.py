@@ -5,6 +5,10 @@ y grows downward).  Coordinates may be negative or exceed the frame size:
 annotations routinely extend past the image borders for cropped targets.
 Width and height must be strictly positive.
 
+A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
+by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
+:class:`Box` build and inspect rows one at a time; evaluation never does.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across worker threads.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,21 +98,15 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _ltwh(boxes: Sequence[Box]) -> tuple[np.ndarray, ...]:
-    return (np.array([x.left for x in boxes]), np.array([x.top for x in boxes]),
-            np.array([x.width for x in boxes]), np.array([x.height for x in boxes]))
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box pair of two ``n x 4`` left/top/width/height arrays.
 
-
-def pairwise_iou(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
-    """IoU of every box pair as a ``len(a) x len(b)`` array.
-
-    Same arithmetic as :func:`iou`, area included (width times height), so
-    every entry is bit-equal to the scalar value of its pair.
+    Returns a ``len(a) x len(b)`` array.  Same arithmetic as :func:`iou`,
+    area included (width times height), so every entry is bit-equal to the
+    scalar value of its pair.
     """
-    if not a or not b:
-        return np.zeros((len(a), len(b)))
-    al, at, aw, ah = _ltwh(a)
-    bl, bt, bw, bh = _ltwh(b)
+    al, at, aw, ah = a.T
+    bl, bt, bw, bh = b.T
     inter_w = np.minimum.outer(al + aw, bl + bw) - np.maximum.outer(al, bl)
     inter_h = np.minimum.outer(at + ah, bt + bh) - np.maximum.outer(at, bt)
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
@@ -142,31 +140,91 @@ class BoxEntry:
         return self.confidence != 0
 
 
+#: The :class:`Rows` columns stored as int64; the others are float64.
+_INT_COLUMNS = ("frame", "track_id", "object_class")
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """File rows as read-only numpy columns; iterating yields :class:`BoxEntry`.
+
+    ``ltwh`` is ``n x 4`` (left, top, width, height), ``object_class`` holds
+    class codes; the other columns are as on :class:`BoxEntry`.
+    """
+
+    frame: np.ndarray = ()
+    track_id: np.ndarray = ()
+    ltwh: np.ndarray = ()
+    confidence: np.ndarray = ()
+    object_class: np.ndarray = ()
+    visibility: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name, value in list(vars(self).items()):
+            column = np.array(value, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+            column = column.reshape(-1, 4) if name == "ltwh" else column
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if any(len(column) != len(self.frame) for column in vars(self).values()):
+            raise ValueError("columns differ in length")
+
+    @classmethod
+    def of(cls, entries: Rows | Iterable[BoxEntry]) -> Rows:
+        """``entries`` as columns; a :class:`Rows` is returned as it is."""
+        if isinstance(entries, Rows):
+            return entries
+        return cls(*zip(*[
+            (e.frame, e.track_id, (e.box.left, e.box.top, e.box.width, e.box.height),
+             e.confidence, e.object_class, e.visibility)
+            for e in entries
+        ]))
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self) -> Iterator[BoxEntry]:
+        for frame, track_id, ltwh, conf, code, vis in zip(*(
+                column.tolist() for column in vars(self).values())):
+            yield BoxEntry(frame, track_id, Box(*ltwh), conf, ObjectClass(code), vis)
+
+    @property
+    def scoreable(self) -> np.ndarray:
+        """Per row, whether it is an active pedestrian: the boxes that score."""
+        return (self.object_class == ObjectClass.PEDESTRIAN) & (self.confidence != 0)
+
+    def sorted(self) -> Rows:
+        """The rows ordered by (frame, track id), input order kept among equal keys."""
+        order = np.lexsort((self.track_id, self.frame))
+        if (order == np.arange(len(order))).all():
+            return self
+        return Rows(*(column[order] for column in vars(self).values()))
+
+
 @dataclass(frozen=True)
 class SequenceData:
-    """All entries of one sequence plus its frame-count metadata.
+    """All rows of one sequence plus its frame-count metadata.
 
-    ``fps`` is reporting metadata only; it never influences any metric.
+    ``gt``, ``results`` and ``detections`` take :class:`Rows` or any iterable
+    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`.  ``fps`` is
+    reporting metadata only; it never influences any metric.
     """
 
     name: str
     num_frames: int
-    gt: tuple[BoxEntry, ...] = ()
-    results: tuple[BoxEntry, ...] = ()
-    detections: tuple[BoxEntry, ...] = ()
+    gt: Rows = ()
+    results: Rows = ()
+    detections: Rows = ()
     fps: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gt", tuple(self.gt))
-        object.__setattr__(self, "results", tuple(self.results))
-        object.__setattr__(self, "detections", tuple(self.detections))
         if self.num_frames <= 0:
             raise ValueError(f"sequence {self.name!r}: num_frames must be > 0")
-        for kind, entries in (("gt", self.gt), ("results", self.results),
-                              ("detections", self.detections)):
-            for e in entries:
-                if not 1 <= e.frame <= self.num_frames:
-                    raise ValueError(
-                        f"sequence {self.name!r}: {kind} entry at frame {e.frame} "
-                        f"outside [1, {self.num_frames}]"
-                    )
+        for kind in ("gt", "results", "detections"):
+            rows = Rows.of(getattr(self, kind)).sorted()
+            object.__setattr__(self, kind, rows)
+            outside = rows.frame[(rows.frame < 1) | (rows.frame > self.num_frames)]
+            if outside.size:
+                raise ValueError(
+                    f"sequence {self.name!r}: {kind} entry at frame {outside[0]} "
+                    f"outside [1, {self.num_frames}]"
+                )

@@ -16,7 +16,7 @@ from motbench.assignment import MatchingConfig, preprocess_sequence, run_sequenc
 from motbench.cli import main
 from motbench.clearmot import Counts, accumulate, derived_rates, mota, motp, pool, summarize
 from motbench.identity import evaluate_identity
-from motbench.ingest import FileKind, FormatSchema, FormatVariant, parse_file, write_result_file
+from motbench.ingest import FileKind, FormatVariant, parse_file, write_result_file
 from motbench.model import ObjectClass
 from conftest import (
     ALL_SCENARIOS,
@@ -153,13 +153,14 @@ def test_criterion_5_property_suite():
             )
 
         # parse/write round-trip identity
-        schema = FormatSchema(FormatVariant.MOT16_17, FileKind.RESULT)
         entries = [
             hyp(rng.randint(1, 40), tid, rng.uniform(-10, 800), rng.uniform(-10, 400),
                 rng.uniform(1, 90), rng.uniform(1, 200), conf=rng.uniform(0, 1))
             for tid in range(1, 120)
         ]
-        recovered = parse_file(write_result_file(entries), schema)
+        recovered = parse_file(
+            write_result_file(entries), FormatVariant.MOT16_17, FileKind.RESULT
+        )
         assert sorted(recovered, key=lambda e: (e.frame, e.track_id)) == sorted(
             entries, key=lambda e: (e.frame, e.track_id)
         )

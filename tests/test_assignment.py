@@ -12,7 +12,7 @@ from motbench.assignment import (
     run_sequence,
 )
 from motbench.clearmot import accumulate
-from motbench.model import ObjectClass, iou
+from motbench.model import ObjectClass, Rows, iou
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
@@ -36,7 +36,7 @@ def totals(log):
 
 def kept(gt_frame, res_frame):
     """``(gt_ids, res_ids, overlaps)`` of one preprocessed frame."""
-    gt_ids, res_ids, _, overlaps = preprocess_frame(gt_frame, res_frame, CFG)
+    gt_ids, res_ids, _, overlaps = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
     return gt_ids, res_ids, overlaps
 
 
@@ -44,7 +44,7 @@ class TestPreprocessFrame:
     def test_result_on_static_person_removed(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.STATIC_PERSON)]
         res_frame = [hyp(1, 9, 0, 1)]  # IoU 0.818 with the static person
-        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert gt_ids == []
         assert res_ids == []
         assert removed == [9]
@@ -52,7 +52,7 @@ class TestPreprocessFrame:
     def test_pedestrian_only_frame_is_a_no_op(self):
         gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 50, 50)]
         res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 200, 200)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert len(gt_ids) == 2
         assert res_ids == [8, 9]
         assert removed == []
@@ -65,7 +65,7 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 10, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 4)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert gt_ids == [1]
         assert res_ids == [9]
         assert removed == []
@@ -79,7 +79,7 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 3.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        _, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        _, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert res_ids == [9]
         assert removed == []
 
@@ -91,14 +91,14 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 0.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert res_ids == []
         assert removed == [9]
         assert gt_ids == [1]  # the pedestrian still scores
 
     def test_inactive_entries_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, conf=0.0), gt(1, 2, 30, 30)]
-        gt_ids, _, _, _ = preprocess_frame(gt_frame, [], CFG)
+        gt_ids, _, _, _ = preprocess_frame(Rows.of(gt_frame), Rows.of([]), CFG)
         assert gt_ids == [2]
 
     def test_inactive_neutral_entry_still_absorbs_followers(self):
@@ -106,13 +106,13 @@ class TestPreprocessFrame:
         # the hypothesis glued to it
         gt_frame = [gt(1, 1, 0, 0, conf=0.0, object_class=ObjectClass.REFLECTION)]
         res_frame = [hyp(1, 9, 0, 1)]
-        _, res_ids, removed, _ = preprocess_frame(gt_frame, res_frame, CFG)
+        _, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
         assert res_ids == []
         assert removed == [9]
 
     def test_non_pedestrian_classes_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.CAR)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(gt_frame, [hyp(1, 9, 0, 0)], CFG)
+        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of([hyp(1, 9, 0, 0)]), CFG)
         assert gt_ids == []
         # cars are not neutral: the follower is kept and will be a false positive
         assert res_ids == [9]

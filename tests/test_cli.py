@@ -5,11 +5,14 @@ import io
 import json
 import random
 import zipfile
+from unittest import mock
 
 import pytest
 
 from motbench.cli import main
-from motbench.ingest import Benchmark
+from motbench.deteval import export_curve, pr_curve
+from motbench.ingest import Benchmark, load_sequence_set
+from motbench.model import Box, BoxEntry
 from conftest import det, gt, hyp, random_instance, seq, write_benchmark_tree
 
 
@@ -66,7 +69,7 @@ class TestEvaluate:
 
     def test_text_output_columns_and_sorting(self, tmp_path, capsys):
         bad = perfect_sequence("SEQ-BAD")
-        bad = seq(bad.name, bad.num_frames, bad.gt, bad.results[: len(bad.results) // 2],
+        bad = seq(bad.name, bad.num_frames, bad.gt, list(bad.results)[: len(bad.results) // 2],
                   bad.detections)
         root = write_benchmark_tree(tmp_path, [bad, perfect_sequence("SEQ-GOOD")])
         code = main([
@@ -129,6 +132,17 @@ class TestEvaluate:
         ])
         assert code == 1
         assert "SEQ-01" in capsys.readouterr().err
+
+    def test_zero_frame_count_names_the_file_and_line(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        (root / "seqmap.txt").write_text("# name frames\nSEQ-01 0\n")
+        code = main([
+            "evaluate", "--benchmark", "MOT16",
+            "--gt", str(root), "--res", str(root / "res"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{root / 'seqmap.txt'}: line 2: sequence 'SEQ-01': num_frames must be > 0" in err
 
     def test_three_partitions_pool_into_one_report(self, tmp_path):
         sequences = [perfect_sequence("SEQ-01"), perfect_sequence("SEQ-02")]
@@ -196,6 +210,18 @@ class TestValidate:
         ])
         assert code == 1
         assert f"{seqmap}: line 1: malformed number" in capsys.readouterr().err
+
+    def test_zero_frame_count_names_the_file_and_line(self, tmp_path, capsys):
+        seqmap = tmp_path / "seqmap.txt"
+        seqmap.write_text("SEQ-01 10\nSEQ-02 0\n")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{seqmap}: line 2: sequence 'SEQ-02': num_frames must be > 0" in err
 
 
 class TestErrorAnalysis:
@@ -302,3 +328,24 @@ class TestRunConfigValidation:
             "--out", str(tmp_path / "r.txt"), "--lenient",
         ])
         assert lenient_code == 0
+
+
+def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):
+    # the evaluate, error-analysis and PR-curve paths read the row columns
+    # only: none of them builds a BoxEntry or a Box, one per parsed row
+    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=2))
+    args = ["--benchmark", "MOT16", "--gt", str(root), "--res", str(root / "res")]
+    refuse = mock.Mock(side_effect=AssertionError("row object constructed"))
+    with mock.patch.object(BoxEntry, "__post_init__", refuse), \
+            mock.patch.object(Box, "__post_init__", refuse):
+        for fmt in ("text", "csv", "json"):
+            assert main(["evaluate", *args, "--format", fmt,
+                         "--out", str(tmp_path / f"eval.{fmt}")]) == 0
+            assert main(["error-analysis", *args, "--format", fmt,
+                         "--out", str(tmp_path / f"ea.{fmt}")]) == 0
+        seq_set = load_sequence_set(root, Benchmark.MOT16)
+        for unit in seq_set.units:
+            for mode in ("tracking_gt", "visible_only"):
+                curve = pr_curve(unit.data.detections, unit.data.gt, mode=mode)
+                assert curve.points and export_curve(curve)
+    refuse.assert_not_called()

@@ -2,6 +2,7 @@
 
 import random
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from motbench.ingest import (
     Benchmark,
     FileKind,
-    FormatSchema,
     FormatVariant,
     IngestError,
     ParseError,
@@ -22,17 +22,15 @@ from motbench.ingest import (
 from motbench.model import ObjectClass
 from conftest import gt, hyp, seq, write_benchmark_tree
 
-DET_16 = FormatSchema(FormatVariant.MOT16_17, FileKind.DETECTION)
-GT_16 = FormatSchema(FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)
-RES_16 = FormatSchema(FormatVariant.MOT16_17, FileKind.RESULT)
-GT_15 = FormatSchema(FormatVariant.MOT15, FileKind.GROUND_TRUTH)
+DET_16 = (FormatVariant.MOT16_17, FileKind.DETECTION)
+GT_16 = (FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)
+RES_16 = (FormatVariant.MOT16_17, FileKind.RESULT)
+GT_15 = (FormatVariant.MOT15, FileKind.GROUND_TRUTH)
 
 
 class TestParse:
     def test_detection_line(self):
-        entries = parse_file("1, -1, 794.2, 47.5, 71.2, 174.8, 67.5, -1, -1", DET_16)
-        assert len(entries) == 1
-        e = entries[0]
+        (e,) = parse_file("1, -1, 794.2, 47.5, 71.2, 174.8, 67.5, -1, -1", *DET_16)
         assert e.frame == 1
         assert e.track_id == -1
         assert (e.box.left, e.box.top, e.box.width, e.box.height) == (794.2, 47.5, 71.2, 174.8)
@@ -41,86 +39,96 @@ class TestParse:
         assert e.visibility == 1.0
 
     def test_ground_truth_line_with_flag_class_visibility(self):
-        entries = parse_file("2, 4, 781.7, 25.1, 69.2, 170.2, 0, 12, 1.", GT_16)
-        e = entries[0]
+        (e,) = parse_file("2, 4, 781.7, 25.1, 69.2, 170.2, 0, 12, 1.", *GT_16)
         assert not e.is_active
         assert e.object_class is ObjectClass.REFLECTION
         assert e.visibility == 1.0
 
     def test_ten_column_ground_truth(self):
-        entries = parse_file("1, 3, 875.4, 39.9, 25.3, 35.0, 0, -1, -1, -1", GT_15)
-        e = entries[0]
+        (e,) = parse_file("1, 3, 875.4, 39.9, 25.3, 35.0, 0, -1, -1, -1", *GT_15)
         assert e.track_id == 3
         assert not e.is_active
         # world coordinates are discarded; everything defaults to pedestrian
         assert e.object_class is ObjectClass.PEDESTRIAN
 
     def test_empty_file(self):
-        assert parse_file("", DET_16) == []
-        assert parse_file("\n\n", DET_16) == []
+        assert len(parse_file("", *DET_16)) == 0
+        assert len(parse_file("\n\n", *DET_16)) == 0
 
     def test_accepts_bytes(self):
-        entries = parse_file(b"1, -1, 1, 1, 5, 5, 0.9, -1, -1", DET_16)
-        assert entries[0].confidence == 0.9
+        rows = parse_file(b"1, -1, 1, 1, 5, 5, 0.9, -1, -1", *DET_16)
+        assert rows.confidence.tolist() == [0.9]
 
     def test_accepts_stream_and_path(self, tmp_path):
         import io
 
         line = "1, -1, 1, 1, 5, 5, 0.9, -1, -1\n"
-        assert parse_file(io.StringIO(line), DET_16)[0].confidence == 0.9
+        assert parse_file(io.StringIO(line), *DET_16).confidence.tolist() == [0.9]
         path = tmp_path / "det.txt"
         path.write_text(line)
-        assert parse_file(path, DET_16)[0].confidence == 0.9
+        assert parse_file(path, *DET_16).confidence.tolist() == [0.9]
 
     def test_wrong_column_count_strict(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_file("1, -1, 1, 1, 5, 5, 0.9", DET_16)
+            parse_file("1, -1, 1, 1, 5, 5, 0.9", *DET_16)
 
     def test_lenient_accepts_seven_to_ten_columns(self):
-        entries = parse_file("1, -1, 1, 1, 5, 5, 0.9", DET_16, strict=False)
-        assert entries[0].confidence == 0.9
-        entries = parse_file("1, 2, 1, 1, 5, 5, 1, -1, -1, -1", RES_16, strict=False)
-        assert entries[0].track_id == 2
+        rows = parse_file("1, -1, 1, 1, 5, 5, 0.9", *DET_16, strict=False)
+        assert rows.confidence.tolist() == [0.9]
+        rows = parse_file("1, 2, 1, 1, 5, 5, 1, -1, -1, -1", *RES_16, strict=False)
+        assert rows.track_id.tolist() == [2]
 
     def test_malformed_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_file("1, -1, 1, 1, 5, 5, 1, -1, -1\n1, -1, x, 1, 5, 5, 1, -1, -1", DET_16)
+            parse_file("1, -1, 1, 1, 5, 5, 1, -1, -1\n1, -1, x, 1, 5, 5, 1, -1, -1", *DET_16)
 
     def test_non_finite_numbers_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 1.*non-finite"):
-            parse_file("1, -1, 1, 1, nan, 5, 1, -1, -1", DET_16)
+            parse_file("1, -1, 1, 1, nan, 5, 1, -1, -1", *DET_16)
         with pytest.raises(ParseError, match="line 1.*non-finite"):
-            parse_file("1, -1, inf, 1, 5, 5, 1, -1, -1", DET_16)
+            parse_file("1, -1, inf, 1, 5, 5, 1, -1, -1", *DET_16)
 
     def test_non_positive_extent(self):
         with pytest.raises(ParseError, match="non-positive"):
-            parse_file("1, 1, 10, 10, 0, 5, 1, 1, 1", GT_16)
+            parse_file("1, 1, 10, 10, 0, 5, 1, 1, 1", *GT_16)
 
     def test_fractional_frame_rejected(self):
         with pytest.raises(ParseError, match="integer"):
-            parse_file("1.5, 1, 10, 10, 5, 5, 1, 1, 1", GT_16)
+            parse_file("1.5, 1, 10, 10, 5, 5, 1, 1, 1", *GT_16)
 
     def test_duplicate_frame_id_pair(self):
         text = "1, 7, 0, 0, 5, 5, 1, 1, 1\n1, 7, 10, 10, 5, 5, 1, 1, 1"
         with pytest.raises(ParseError, match=r"line 2.*duplicate"):
-            parse_file(text, GT_16)
+            parse_file(text, *GT_16)
 
     def test_duplicate_detection_ids_allowed(self):
         text = "1, -1, 0, 0, 5, 5, 1, -1, -1\n1, -1, 10, 10, 5, 5, 1, -1, -1"
-        assert len(parse_file(text, DET_16)) == 2
+        assert len(parse_file(text, *DET_16)) == 2
 
     def test_unknown_class_strict_vs_lenient(self):
         line = "1, 1, 0, 0, 5, 5, 1, 77, 1"
         with pytest.raises(ParseError, match="unknown class"):
-            parse_file(line, GT_16)
-        entries = parse_file(line, GT_16, strict=False)
-        assert entries[0].object_class is ObjectClass.OTHER
+            parse_file(line, *GT_16)
+        (e,) = parse_file(line, *GT_16, strict=False)
+        assert e.object_class is ObjectClass.OTHER
 
     def test_visibility_out_of_range(self):
         line = "1, 1, 0, 0, 5, 5, 1, 1, 1.5"
         with pytest.raises(ParseError, match="visibility"):
-            parse_file(line, GT_16)
-        assert parse_file(line, GT_16, strict=False)[0].visibility == 1.0
+            parse_file(line, *GT_16)
+        assert parse_file(line, *GT_16, strict=False).visibility.tolist() == [1.0]
+
+    def test_rows_iterate_back_to_the_written_entries(self):
+        rng = random.Random(19)
+        entries = [
+            hyp(rng.randint(1, 30), tid, rng.uniform(-20, 900), rng.uniform(-20, 500),
+                rng.uniform(0.5, 120), rng.uniform(0.5, 300), conf=rng.choice([0.0, 1.0]))
+            for tid in range(1, 60)
+        ]
+        rows = parse_file(write_result_file(entries), *RES_16)
+        assert len(rows) == len(entries)
+        assert Counter(rows) == Counter(entries)
+        assert all(type(e.frame) is int and type(e.box.left) is float for e in rows)
 
     def test_shuffling_lines_preserves_entry_multiset(self):
         rng = random.Random(5)
@@ -129,13 +137,13 @@ class TestParse:
             for f in range(1, 6) for i in range(1, 5)
         ]
         reference = sorted(
-            parse_file("\n".join(lines), GT_16),
+            parse_file("\n".join(lines), *GT_16),
             key=lambda e: (e.frame, e.track_id),
         )
         shuffled = lines[:]
         rng.shuffle(shuffled)
         assert sorted(
-            parse_file("\n".join(shuffled), GT_16),
+            parse_file("\n".join(shuffled), *GT_16),
             key=lambda e: (e.frame, e.track_id),
         ) == reference
 
@@ -172,7 +180,7 @@ class TestWrite:
             )
             for tid in range(1, 101)
         ]
-        parsed = parse_file(write_result_file(entries), RES_16)
+        parsed = parse_file(write_result_file(entries), *RES_16)
         assert sorted(parsed, key=lambda e: (e.frame, e.track_id)) == sorted(
             entries, key=lambda e: (e.frame, e.track_id)
         )
@@ -277,7 +285,6 @@ class TestLoadSequenceSet:
         loaded = load_sequence_set(tmp_path, Benchmark.MOT17)
         assert len(loaded.units) == 21
         assert sorted({u.detector for u in loaded.units}) == ["DPM", "FRCNN", "SDP"]
-        assert loaded.sequence_names == [f"SEQ-{i:02d}" for i in range(1, 8)]
 
     def test_missing_partition_file_is_an_error(self, tmp_path):
         write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")], Benchmark.MOT17)
@@ -295,6 +302,30 @@ class TestLoadSequenceSet:
         write_benchmark_tree(tmp_path, [small_sequence("SEQ-01", frames=5)])
         (tmp_path / "seqmap.txt").write_text("SEQ-01 3\n")
         with pytest.raises(IngestError, match="outside"):
+            load_sequence_set(tmp_path, Benchmark.MOT16)
+
+    def test_gt_frame_past_frame_count_names_the_file_and_line(self, tmp_path):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01", frames=1)])
+        gt_path = tmp_path / "gt" / "SEQ-01.txt"
+        gt_path.write_text(gt_path.read_text() + "5,2,0,0,10,10,1,1,1.0\n")
+        with pytest.raises(IngestError) as err:
+            load_sequence_set(tmp_path, Benchmark.MOT16)
+        assert str(err.value) == f"{gt_path}: line 2: frame 5 outside [1, 1]"
+
+    def test_result_frame_past_frame_count_names_the_file_and_line(self, tmp_path):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01", frames=3)])
+        res_path = tmp_path / "res" / "SEQ-01.txt"
+        res_path.write_text("4,7,0,0,10,10,1,-1,-1\n" + res_path.read_text())
+        with pytest.raises(IngestError) as err:
+            load_sequence_set(tmp_path, Benchmark.MOT16)
+        assert str(err.value) == f"{res_path}: line 1: frame 4 outside [1, 3]"
+
+    def test_zero_frame_count_names_the_file_and_line(self, tmp_path):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
+        (tmp_path / "seqmap.txt").write_text("SEQ-01 3\n\nSEQ-02 -2\n")
+        with pytest.raises(IngestError, match=(
+            r"seqmap\.txt: line 3: sequence 'SEQ-02': num_frames must be > 0"
+        )):
             load_sequence_set(tmp_path, Benchmark.MOT16)
 
     def test_malformed_seqmap_names_the_file_and_line(self, tmp_path):
@@ -316,7 +347,7 @@ class TestLoadSequenceSet:
         loaded = load_sequence_set(
             tmp_path, Benchmark.MOT16, require_results=False
         )
-        assert loaded.units[0].data.results == ()
+        assert len(loaded.units[0].data.results) == 0
 
     def test_seqmap_with_fps_and_comments(self, tmp_path):
         path = tmp_path / "seqmap.txt"

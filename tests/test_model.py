@@ -1,18 +1,27 @@
 """Geometry tests, cross-checked against a pixel-grid oracle."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from motbench.model import (
     Box,
     BoxEntry,
+    ObjectClass,
+    Rows,
     SequenceData,
     iou,
     pairwise_iou,
 )
-from conftest import box, gt
+from conftest import box, gt, hyp
+
+
+def ltwh(boxes) -> np.ndarray:
+    """The ``n x 4`` left/top/width/height array that ``pairwise_iou`` takes."""
+    return np.array([(b.left, b.top, b.width, b.height) for b in boxes]).reshape(-1, 4)
 
 
 def pixel_iou(a: Box, b: Box) -> float:
@@ -106,7 +115,7 @@ class TestIou:
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(9)]
         rhs = [box(rng.uniform(-5, 40), rng.uniform(-5, 40),
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(7)]
-        matrix = pairwise_iou(lhs, rhs)
+        matrix = pairwise_iou(ltwh(lhs), ltwh(rhs))
         assert matrix.shape == (9, 7)
         for i, a in enumerate(lhs):
             for j, b in enumerate(rhs):
@@ -121,11 +130,61 @@ class TestIou:
                     rng.uniform(0.5, 120), rng.uniform(0.5, 120))
             b = box(a.left + rng.uniform(-40, 40), a.top + rng.uniform(-40, 40),
                     rng.uniform(0.5, 120), rng.uniform(0.5, 120))
-            assert pairwise_iou([a], [b])[0, 0] == iou(a, b)
+            assert pairwise_iou(ltwh([a]), ltwh([b]))[0, 0] == iou(a, b)
 
     def test_pairwise_empty_sides(self):
-        assert pairwise_iou([], [box(0, 0)]).shape == (0, 1)
-        assert pairwise_iou([box(0, 0)], []).shape == (1, 0)
+        assert pairwise_iou(ltwh([]), ltwh([box(0, 0)])).shape == (0, 1)
+        assert pairwise_iou(ltwh([box(0, 0)]), ltwh([])).shape == (1, 0)
+
+
+class TestRows:
+    def rows(self):
+        return Rows.of([gt(2, 5, 0, 0), gt(1, 3, 10, 10, conf=0.0), hyp(1, 1, 20, 20)])
+
+    def test_columns_are_read_only(self):
+        rows = self.rows()
+        for name in ("frame", "track_id", "ltwh", "confidence", "object_class",
+                     "visibility"):
+            column = getattr(rows, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rows, name, column)
+
+    def test_construction_copies_its_inputs(self):
+        frames = np.array([1, 2])
+        rows = Rows(frames, [1, 1], [(0, 0, 1, 1)] * 2, [1, 1], [1, 1], [1, 1])
+        frames[0] = 9
+        assert rows.frame.tolist() == [1, 2]
+        assert frames.flags.writeable
+
+    def test_columns_of_different_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            Rows([1, 2], [1], [(0, 0, 1, 1)], [1], [1], [1])
+
+    def test_iterates_as_entries(self):
+        entries = [gt(2, 5, 0, 0, object_class=ObjectClass.REFLECTION, visibility=0.25),
+                   hyp(1, 1, 20.5, 20, 3, 4, conf=0.75)]
+        assert list(Rows.of(entries)) == entries
+        assert list(Rows.of(())) == [] and Rows.of(()).ltwh.shape == (0, 4)
+
+    def test_sequence_orders_rows_by_frame_then_id_stably(self):
+        # equal (frame, id) keys are legal for unassigned ids: they keep
+        # their input order
+        results = [hyp(3, 2, 0, 0), hyp(1, -1, 5, 0), hyp(1, 4, 0, 0),
+                   hyp(1, -1, 6, 0), hyp(3, 1, 0, 0), hyp(1, -1, 7, 0)]
+        data = SequenceData(name="s", num_frames=3, results=results)
+        assert isinstance(data.results, Rows)
+        assert list(zip(data.results.frame.tolist(), data.results.track_id.tolist())) == [
+            (1, -1), (1, -1), (1, -1), (1, 4), (3, 1), (3, 2)
+        ]
+        assert data.results.ltwh[:3, 0].tolist() == [5.0, 6.0, 7.0]
+
+    def test_sorted_rows_are_kept_as_they_are(self):
+        rows = Rows.of([gt(1, 1, 0, 0), gt(1, 2, 0, 0), gt(2, 1, 0, 0)])
+        assert rows.sorted() is rows
+        assert SequenceData(name="s", num_frames=2, gt=rows).gt is rows
 
 
 class TestEntriesAndSequences:
