@@ -156,7 +156,8 @@ def _emit(text: str, output: Path | None) -> None:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     seq_set = load_sequence_set(
-        cfg.gt_root, cfg.benchmark, results_root=cfg.results_root, strict=cfg.strict
+        cfg.gt_root, cfg.benchmark, results_root=cfg.results_root, strict=cfg.strict,
+        read_detections=False,
     )
     reports = evaluate_benchmark(seq_set, cfg)
     _emit(_RENDERERS[cfg.out_format](reports), cfg.output)

@@ -18,8 +18,16 @@ parsing accepts 7 to 10 columns, downgrades unknown class codes to
 ``ObjectClass.OTHER`` and clamps out-of-range visibility values, logging each
 repair.
 
-:func:`parse_file` checks one line at a time, so every error names its 1-based
-line, and returns the file's rows as columns (:class:`~motbench.model.Rows`).
+:func:`parse_file` returns a file's rows as columns
+(:class:`~motbench.model.Rows`) along one of two paths.  A columnar pass
+converts each needed column in one go and checks every rule of the format over
+whole columns; it accepts only files on which every line has the same valid
+column count and nothing is malformed, out of range, duplicated or in need of
+a repair.  Every other file goes to the row loop, which checks one line at a
+time, names the 1-based line of each error and logs each lenient repair.  The
+row loop is the format's reference: the columnar pass may hand it a file the
+row loop accepts, but never accepts a file the row loop rejects or repairs, and
+on any file it accepts it returns the same columns, value for value.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .model import BoxEntry, ObjectClass, Rows, SequenceData
 
@@ -102,6 +112,10 @@ def _as_text(source: str | bytes | IO | Path) -> str:
         raise ParseError(f"invalid UTF-8 byte 0x{source[err.start]:02x}", line_no) from None
 
 
+#: Integer columns are stored as int64; a magnitude at or above this is an error.
+_INT64_LIMIT = 2.0**63
+
+
 def _number(token: str, line_no: int, what: str) -> float:
     try:
         value = float(token)
@@ -116,6 +130,8 @@ def _integer(token: str, line_no: int, what: str) -> int:
     value = _number(token, line_no, what)
     if value != int(value):
         raise ParseError(f"{what} must be an integer, got {token!r}", line_no)
+    if abs(value) >= _INT64_LIMIT:
+        raise ParseError(f"{what} out of range, got {token!r}", line_no)
     return int(value)
 
 
@@ -129,13 +145,96 @@ def parse_file(
     """Parse one annotation, detection, or result file into rows.
 
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
-    column counts (strict mode), non-positive box extents, frames outside
-    ``[1, num_frames]`` (if given), or duplicate (frame, id) pairs in
-    ground-truth/result files.  Blank lines are skipped.
+    column counts (strict mode), integers beyond int64, non-positive box
+    extents, frames outside ``[1, num_frames]`` (if given), or duplicate
+    (frame, id) pairs in ground-truth/result files.  Blank lines are skipped.
+    Lenient repair warnings name ``source`` when it is a :class:`Path`.
+    """
+    text = _as_text(source)
+    rows = _parse_columns(text, variant, kind, strict, num_frames)
+    if rows is None:
+        origin = f"{source}: " if isinstance(source, Path) else ""
+        rows = _parse_rows(text, variant, kind, strict, num_frames, origin)
+    return rows
+
+
+def _parse_columns(
+    text: str,
+    variant: FormatVariant,
+    kind: FileKind,
+    strict: bool,
+    num_frames: int | None,
+) -> Rows | None:
+    """The rows of ``text`` in one columnar pass, or None to leave it to the row loop.
+
+    Returns None unless every line has the same valid column count, every
+    number parses, and no row breaks a check of :func:`_parse_rows` or needs
+    one of its lenient repairs.
+    """
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if not lines:
+        return Rows()
+    n, k = len(lines), lines[0].count(",") + 1
+    valid = k == variant.columns if strict else 7 <= k <= 10
+    if not valid or {line.count(",") for line in lines} != {k - 1}:
+        return None
+    # The row loop reads class and visibility of MOT16/17 ground truth only.
+    labelled = kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17
+    read = min(k, 9) if labelled else 7
+    flat = ",".join(lines).split(",")
+    try:
+        columns = np.array([
+            np.fromiter(map(float, flat[c::k]), np.float64, n) for c in range(read)
+        ])
+    except ValueError:
+        return None
+    if not np.isfinite(columns).all():
+        return None
+    integers = columns[[0, 1, 7] if read > 7 else [0, 1]]
+    if not ((np.trunc(integers) == integers).all()
+            and (np.abs(integers) < _INT64_LIMIT).all()):
+        return None
+    frame, track_id = columns[:2].astype(np.int64)
+    ltwh = np.ascontiguousarray(columns[2:6].T)  # row-major, as the row loop builds it
+    if (frame.min() < 1 or (num_frames is not None and int(frame.max()) > num_frames)
+            or not (ltwh[:, 2:] > 0).all()):
+        return None
+    code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
+    visibility = np.ones(n)
+    if read > 7:
+        code = integers[2].astype(np.int64)
+        if not ((code > ObjectClass.OTHER) & (code <= ObjectClass.REFLECTION)).all():
+            return None
+    if read > 8:
+        visibility = columns[8]
+        if not ((visibility >= 0.0) & (visibility <= 1.0)).all():
+            return None
+    if kind is not FileKind.DETECTION:
+        keyed = track_id >= 0
+        f, i = frame[keyed], track_id[keyed]
+        order = np.lexsort((i, f))
+        f, i = f[order], i[order]
+        if ((f[1:] == f[:-1]) & (i[1:] == i[:-1])).any():
+            return None
+    return Rows(frame, track_id, ltwh, columns[6], code, visibility)
+
+
+def _parse_rows(
+    text: str,
+    variant: FormatVariant,
+    kind: FileKind,
+    strict: bool = True,
+    num_frames: int | None = None,
+    origin: str = "",
+) -> Rows:
+    """Parse ``text`` one line at a time: the reference for :func:`parse_file`.
+
+    Every error names its 1-based line; ``origin`` prefixes each lenient
+    repair warning.
     """
     records: list[tuple] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(_as_text(source).splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -174,7 +273,8 @@ def parse_file(
                 if not ObjectClass.OTHER < code <= ObjectClass.REFLECTION:
                     if strict:
                         raise ParseError(f"unknown class code {code}", line_no)
-                    logger.warning("line %d: unknown class code %d, using OTHER", line_no, code)
+                    logger.warning("%sline %d: unknown class code %d, using OTHER",
+                                   origin, line_no, code)
                     code = ObjectClass.OTHER
             if len(tokens) >= 9:
                 visibility = _number(tokens[8], line_no, "visibility")
@@ -183,7 +283,8 @@ def parse_file(
                         raise ParseError(
                             f"visibility {visibility} outside [0, 1]", line_no
                         )
-                    logger.warning("line %d: clamping visibility %g", line_no, visibility)
+                    logger.warning("%sline %d: clamping visibility %g",
+                                   origin, line_no, visibility)
                     visibility = min(1.0, max(0.0, visibility))
         # The 10-column layout's world coordinates and the class/visibility
         # columns of non-GT files are read and discarded.
@@ -354,9 +455,10 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
     """Parse the sequence-map file: one 'name num_frames [fps]' row per line.
 
     Blank lines and lines starting with '#' are skipped.  A frame count
-    below 1 is an error at its line.
+    below 1 and a name listed before are errors at their line.
     """
     rows: list[tuple[str, int, float | None]] = []
+    names: set[str] = set()
     for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -371,6 +473,9 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
             raise ParseError(f"malformed number in {line!r}", line_no) from None
         if num_frames < 1:
             raise ParseError(f"sequence {tokens[0]!r}: num_frames must be > 0", line_no)
+        if tokens[0] in names:
+            raise ParseError(f"duplicate sequence {tokens[0]!r}", line_no)
+        names.add(tokens[0])
         rows.append((tokens[0], num_frames, fps))
     return rows
 
@@ -381,6 +486,7 @@ def load_sequence_set(
     results_root: str | Path | None = None,
     strict: bool = True,
     require_results: bool = True,
+    read_detections: bool = True,
 ) -> SequenceSet:
     """Load a full benchmark directory into a :class:`SequenceSet`.
 
@@ -393,6 +499,8 @@ def load_sequence_set(
 
     Result files live under ``results_root`` (default ``root/res``) as
     ``<Seq>.txt``, or ``<Seq>-<DET>.txt`` for each detector partition.
+    With ``read_detections`` false, ``det/`` is not read and every unit has
+    no detections.
     """
     root = Path(root)
     results_dir = Path(results_root) if results_root is not None else root / "res"
@@ -424,7 +532,7 @@ def load_sequence_set(
             det_path = root / "det" / f"{name}{suffix}.txt"
             if not det_path.is_file() and detector:
                 det_path = root / "det" / f"{name}.txt"
-            if det_path.is_file():
+            if read_detections and det_path.is_file():
                 detections = parse(det_path, FileKind.DETECTION, num_frames)
 
             results: Rows | tuple = ()

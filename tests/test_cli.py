@@ -144,6 +144,32 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{root / 'seqmap.txt'}: line 2: sequence 'SEQ-01': num_frames must be > 0" in err
 
+    def test_duplicate_seqmap_row_names_the_file_and_line(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        (root / "seqmap.txt").write_text("SEQ-01 6\nSEQ-01 6\n")
+        code = main([
+            "evaluate", "--benchmark", "MOT16",
+            "--gt", str(root), "--res", str(root / "res"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {root / 'seqmap.txt'}: line 2: duplicate sequence 'SEQ-01'\n"
+
+    def test_detection_files_are_not_read(self, tmp_path, capsys):
+        # evaluate never reads detections, so a malformed det file does not
+        # stop it; error-analysis reads them and names the file and the line
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        det_path = root / "det" / "SEQ-01.txt"
+        det_path.write_text(det_path.read_text() + "1,-1,x,0,5,5,0.9,-1,-1\n")
+        args = ["--benchmark", "MOT16", "--gt", str(root), "--res", str(root / "res")]
+        assert main(["evaluate", *args]) == 0
+        assert "OVERALL" in capsys.readouterr().out
+        assert main(["error-analysis", *args]) == 1
+        line_no = len(det_path.read_text().splitlines())
+        assert capsys.readouterr().err == (
+            f"error: {det_path}: line {line_no}: malformed number 'x' in left field\n"
+        )
+
     def test_three_partitions_pool_into_one_report(self, tmp_path):
         sequences = [perfect_sequence("SEQ-01"), perfect_sequence("SEQ-02")]
         root = write_benchmark_tree(tmp_path, sequences, Benchmark.MOT17)
@@ -222,6 +248,33 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{seqmap}: line 2: sequence 'SEQ-02': num_frames must be > 0" in err
+
+
+    def test_duplicate_seqmap_row_names_the_file_and_line(self, tmp_path, capsys):
+        seqmap = self.write_seqmap(tmp_path, ["SEQ-01", "SEQ-01"])
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "SEQ-01.txt").write_text("1,1,0,0,5,5,1,-1,-1\n")
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err == f"error: {seqmap}: line 2: duplicate sequence 'SEQ-01'\n"
+
+    def test_id_beyond_int64_names_the_line(self, tmp_path, capsys):
+        seqmap = self.write_seqmap(tmp_path, ["SEQ-01"])
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "SEQ-01.txt").write_text("1,1,0,0,5,5,1,-1,-1\n1,1e19,1,1,5,5,1,-1,-1\n")
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "SEQ-01.txt: line 2: id out of range, got '1e19'\nFAIL\n"
+        )
 
 
 class TestErrorAnalysis:

@@ -1,12 +1,15 @@
 """Parser, writer, submission validation, and sequence-set loading tests."""
 
+import logging
 import random
 import zipfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from motbench import ingest
 from motbench.ingest import (
     Benchmark,
     FileKind,
@@ -118,6 +121,32 @@ class TestParse:
             parse_file(line, *GT_16)
         assert parse_file(line, *GT_16, strict=False).visibility.tolist() == [1.0]
 
+    @pytest.mark.parametrize("line, field", [
+        ("1, 1e19, 1, 1, 5, 5, 1, -1, -1", "id"),
+        ("1, -9223372036854775808, 1, 1, 5, 5, 1, -1, -1", "id"),
+        ("9.3e18, 1, 1, 1, 5, 5, 1, -1, -1", "frame"),
+    ])
+    def test_integer_beyond_int64_names_its_line(self, line, field):
+        text = "1, 1, 1, 1, 5, 5, 1, -1, -1\n" + line
+        token = line.split(", ")[0 if field == "frame" else 1]
+        with pytest.raises(ParseError) as err:
+            parse_file(text, *RES_16)
+        assert str(err.value) == f"line 2: {field} out of range, got {token!r}"
+
+    def test_lenient_repair_warnings_name_the_file(self, tmp_path, caplog):
+        text = "1, 1, 0, 0, 5, 5, 1, 77, 1\n2, 1, 0, 0, 5, 5, 1, 1, 1.5\n"
+        path = tmp_path / "gt.txt"
+        path.write_text(text)
+        with caplog.at_level(logging.WARNING, logger="motbench.ingest"):
+            parse_file(path, *GT_16, strict=False)
+            parse_file(text, *GT_16, strict=False)
+        assert caplog.messages == [
+            f"{path}: line 1: unknown class code 77, using OTHER",
+            f"{path}: line 2: clamping visibility 1.5",
+            "line 1: unknown class code 77, using OTHER",
+            "line 2: clamping visibility 1.5",
+        ]
+
     def test_rows_iterate_back_to_the_written_entries(self):
         rng = random.Random(19)
         entries = [
@@ -146,6 +175,90 @@ class TestParse:
             parse_file("\n".join(shuffled), *GT_16),
             key=lambda e: (e.frame, e.track_id),
         ) == reference
+
+
+# Tokens on which a columnar conversion could disagree with the row loop.
+EDGE_TOKENS = ("nan", "-inf", "Infinity", "x", "", "1e19", "-1e19", "9.3e18",
+               "9223372036854775807", "-9223372036854775808", "1e300", "1_0",
+               " 4 ", "\x1f1", "-0", "0.5", "1.5", "13", "99", "-1", "0")
+
+
+def _random_line(rng: random.Random, columns: int) -> str:
+    values = [rng.randint(1, 4), rng.randint(-1, 3), rng.randint(-5, 50),
+              rng.uniform(-5, 50), rng.choice([1, 7.5, 20]), rng.randint(1, 30),
+              rng.choice([0, 1, 0.25]), rng.choice([1, 1, 2, 7, 12]),
+              rng.choice([0, 0.5, 1, 1.0]), -1]
+    tokens = [str(v) for v in values[:columns]] + ["-1"] * (columns - len(values))
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        tokens[rng.randrange(columns)] = rng.choice(EDGE_TOKENS)
+    pad = rng.choice(["", "", " ", "\t"])
+    return pad + f"{pad},{pad}".join(tokens) + pad
+
+
+def _random_file(rng: random.Random, variant: FormatVariant) -> str:
+    columns = rng.choice([variant.columns] * 3 + [7, 8, 10, 11])
+    lines = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  "]))
+            continue
+        ragged = rng.random() < 0.1
+        lines.append(_random_line(rng, rng.randint(6, 11) if ragged else columns))
+    return "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def _columns(rows) -> list:
+    return [(column.dtype, column.shape, column.tolist()) for column in vars(rows).values()]
+
+
+def _outcome(parse, *args):
+    try:
+        return _columns(parse(*args))
+    except ParseError as err:
+        return type(err), str(err)
+
+
+# Three rows of each kind, as published MOT16/17 files write them.
+WELL_FORMED = {
+    FileKind.GROUND_TRUTH: ("1,1,912,484,97,109,0,7,1", "1,2,1338,418,167,379,1,1,0.86",
+                            "2,2,1342,417,168,380,1,12,0"),
+    FileKind.RESULT: ("1,1,912.5,484,97,109,1,-1,-1", "1,2,1338,418,167.5,379,1,-1,-1",
+                      "2,2,1342,417,168,380,0,-1,-1"),
+    FileKind.DETECTION: ("1,-1,1359.1,413.27,120.26,362.77,2.3092,-1,-1",
+                         "1,-1,571.03,402.13,104.56,315.68,1.5028,-1,-1",
+                         "2,-1,1359.1,413.27,120.26,362.77,-0.35,-1,-1"),
+}
+
+
+class TestColumnarPath:
+    def test_matches_the_row_loop(self):
+        # Each file gives the same columns, dtypes included, or the same error.
+        rng = random.Random(2024)
+        accepted = 0
+        for _ in range(3000):
+            variant = rng.choice(list(FormatVariant))
+            kind = rng.choice(list(FileKind))
+            strict = rng.random() < 0.5
+            num_frames = rng.choice([None, 3, 6])
+            text = _random_file(rng, variant)
+            expected = _outcome(ingest._parse_rows, text, variant, kind, strict, num_frames)
+            assert _outcome(parse_file, text, variant, kind, strict, num_frames) == expected, (
+                text, variant, kind, strict, num_frames)
+            accepted += ingest._parse_columns(text, variant, kind, strict, num_frames) is not None
+        assert accepted > 500
+
+    @pytest.mark.parametrize("variant", list(FormatVariant))
+    @pytest.mark.parametrize("kind", list(FileKind))
+    def test_well_formed_files_never_reach_the_row_loop(self, variant, kind):
+        # A silent fallback would keep every result and lose the speed.
+        lines = WELL_FORMED[kind]
+        if variant is FormatVariant.MOT15:
+            lines = [line.rsplit(",", 2)[0] + ",-1,-1,-1" for line in lines]
+        text = "\n".join(lines) + "\n"
+        expected = _columns(ingest._parse_rows(text, variant, kind))
+        with mock.patch.object(ingest, "_parse_rows",
+                               side_effect=AssertionError("row loop used")):
+            assert _columns(parse_file(text, variant, kind, num_frames=2)) == expected
 
 
 class TestWrite:
