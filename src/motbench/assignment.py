@@ -17,8 +17,8 @@ The matching protocol, applied frame by frame:
     current frame whenever its overlap is still at or above the threshold,
     even if another hypothesis is closer to the target.
 
-3.  Fresh matching.  The remaining targets and hypotheses are matched by the
-    Hungarian algorithm on cost 1 - IoU; pairs below the overlap threshold are
+3.  Fresh matching.  The remaining targets and hypotheses are matched by an
+    optimal assignment on cost 1 - IoU; pairs below the overlap threshold are
     infeasible.  Unmatched targets become false negatives, unmatched
     hypotheses false positives.
 
@@ -40,11 +40,12 @@ without any feasible pair cannot disturb the tie-break of the others.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import NEUTRAL_CLASSES, ObjectClass, Rows, SequenceData, pairwise_iou
 
@@ -116,6 +117,72 @@ def _components(rows: list[int], cols: list[int]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) -> list[int]:
+    """Min-cost assignment of every row over sparse edges; the column of each row.
+
+    ``adj[r]`` lists ``(column, key)`` of row ``r``'s edges, keys non-negative
+    and columns below ``n_cols``, plus one edge to a slack column that no
+    other row reaches, so every row can be assigned.  Each row in turn runs
+    one Dijkstra search (Jonker & Volgenant 1987; Crouse 2016) on the reduced
+    keys ``key - u[r] - v[c]`` to the nearest free column, which is then
+    taken by augmenting along the path.  Only the rows and columns the search
+    finalised change potential.  Each column is finalised at most once per
+    search: float rounding of large keys can make an already finalised column
+    look closer again, and revisiting it would never end.  On equal distance a
+    free column is taken before a matched one, as scipy's solver does.
+    """
+    n_all = n_cols + len(adj)
+    inf, push, pop = math.inf, heapq.heappush, heapq.heappop
+    u = [0.0] * len(adj)
+    v = [0.0] * n_all
+    row4col = [-1] * n_all
+    col4row = [-1] * len(adj)
+    dist = [inf] * n_all
+    via = [-1] * n_all
+    final = [False] * n_all
+    for start in range(len(adj)):
+        heap: list[tuple[float, bool, int]] = []
+        seen: list[int] = []
+        done: list[int] = []
+        rows: list[int] = []  # the matched rows the search reached
+        row, reach = start, 0.0
+        while True:
+            base = reach - u[row]
+            for col, key in adj[row]:
+                d = base + key - v[col]
+                if d < dist[col] and not final[col]:
+                    if dist[col] == inf:
+                        seen.append(col)
+                    dist[col] = d
+                    via[col] = row
+                    push(heap, (d, row4col[col] >= 0, col))
+            while True:
+                reach, _, col = pop(heap)
+                if reach == dist[col] and not final[col]:
+                    break
+            final[col] = True
+            done.append(col)
+            if row4col[col] < 0:
+                break
+            row = row4col[col]
+            rows.append(row)
+        u[start] += reach
+        for row in rows:
+            u[row] += reach - dist[col4row[row]]
+        for c in done:
+            v[c] -= reach - dist[c]
+        while True:  # augment: every row on the path moves to its next column
+            row = via[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == start:
+                break
+        for c in seen:
+            dist[c] = inf
+            final[c] = False
+    return col4row
+
+
 def _solve_component(
     edges: list[int], rows: list[int], cols: list[int], cost: list[float], rank: list[int]
 ) -> list[int]:
@@ -139,13 +206,23 @@ def _solve_component(
         + i * (n_cols - 1 - j) / spread
         for (i, j), e in local.items()
     ]
-    # One more pair outweighs any key total of a matching in this component.
-    matrix = np.full(n_rows * n_cols, k * max(keys) + 1.0)
-    matrix[[i * n_cols + j for i, j in local]] = keys
-    picked_rows, picked_cols = linear_sum_assignment(matrix.reshape(n_rows, n_cols))
+    # One more pair outweighs any key total of a matching in this component,
+    # so a slack column, at this key, is taken only when no pair is left.
+    penalty = k * max(keys) + 1.0
+    # Search from the smaller side: one search per node of that side.
+    flip = n_rows > n_cols
+    n_search, n_other = (n_cols, n_rows) if flip else (n_rows, n_cols)
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_search)]
+    for (i, j), key in zip(local, keys):
+        if flip:
+            adj[j].append((i, key))
+        else:
+            adj[i].append((j, key))
+    for a, out in enumerate(adj):
+        out.append((n_other + a, penalty))
+    picked = _shortest_augmenting_paths(adj, n_other)
     return [
-        local[pair] for pair in zip(picked_rows.tolist(), picked_cols.tolist())
-        if pair in local
+        local[(b, a) if flip else (a, b)] for a, b in enumerate(picked) if b < n_other
     ]
 
 
@@ -163,10 +240,12 @@ def solve_assignment(
     1e-9 otherwise, count as ties.  Returns the indices of the chosen edges
     in ascending order.
 
-    Each connected component of the edge graph is solved on its own, so the
-    dense matrix handed to the solver holds one component's rows and columns
-    only, and the penalty for a missing pair is sized from that component,
-    small enough that every tie-break level stays above rounding error.
+    Each connected component of the edge graph is solved on its own by
+    shortest augmenting paths over its edge lists
+    (:func:`_shortest_augmenting_paths`); no dense matrix is built.  The
+    penalty for a missing pair, the key of each node's slack column, is sized
+    from that component, small enough that every tie-break level stays above
+    rounding error.
     """
     row_list, col_list = rows.tolist(), cols.tolist()
     if len(set(row_list)) == len(row_list) and len(set(col_list)) == len(col_list):

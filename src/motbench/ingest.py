@@ -32,6 +32,7 @@ on any file it accepts it returns the same columns, value for value.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import math
 import zipfile
@@ -94,7 +95,7 @@ class IngestError(ValueError):
 
 
 def _as_text(source: str | bytes | IO | Path) -> str:
-    """The text of a file, path, stream or buffer.
+    """The text of a file, path, stream or buffer, without a leading byte-order mark.
 
     Raises :class:`ParseError` with the 1-based line of the first byte that
     is not UTF-8.
@@ -104,7 +105,9 @@ def _as_text(source: str | bytes | IO | Path) -> str:
     elif hasattr(source, "read"):
         source = source.read()
     if not isinstance(source, bytes):
-        return source
+        return source.removeprefix("\ufeff")
+    # As the utf-8-sig codec reads it, but its error offsets skip the mark.
+    source = source.removeprefix(codecs.BOM_UTF8)
     try:
         return source.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -146,8 +149,10 @@ def parse_file(
 
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
     column counts (strict mode), integers beyond int64, non-positive box
-    extents, frames outside ``[1, num_frames]`` (if given), or duplicate
-    (frame, id) pairs in ground-truth/result files.  Blank lines are skipped.
+    extents, box edges or areas that are not finite, frames outside
+    ``[1, num_frames]`` (if given), or duplicate (frame, id) pairs in
+    ground-truth/result files.  Blank lines and a leading byte-order mark are
+    skipped.
     Lenient repair warnings name ``source`` when it is a :class:`Path`.
     """
     text = _as_text(source)
@@ -199,6 +204,10 @@ def _parse_columns(
     if (frame.min() < 1 or (num_frames is not None and int(frame.max()) > num_frames)
             or not (ltwh[:, 2:] > 0).all()):
         return None
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(ltwh[:, :2] + ltwh[:, 2:]).all()
+                and np.isfinite(ltwh[:, 2] * ltwh[:, 3]).all()):
+            return None
     code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
     visibility = np.ones(n)
     if read > 7:
@@ -263,6 +272,8 @@ def _parse_rows(
             raise ParseError(
                 f"non-positive box extent width={width} height={height}", line_no
             )
+        if not all(map(math.isfinite, (left + width, top + height, width * height))):
+            raise ParseError("box right edge, bottom edge or area is not finite", line_no)
         confidence = _number(tokens[6], line_no, "confidence")
 
         code = ObjectClass.PEDESTRIAN
@@ -540,7 +551,7 @@ def load_sequence_set(
             if res_path.is_file():
                 results = parse(res_path, FileKind.RESULT, num_frames)
             elif require_results:
-                raise IngestError(f"missing result file for {name}{suffix!r}: {res_path}")
+                raise IngestError(f"missing result file for {name + suffix!r}: {res_path}")
 
             data = SequenceData(name, num_frames, gt, results, detections, fps)
             units.append(EvalUnit(detector=detector, data=data))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from motbench.assignment import (
@@ -10,6 +11,7 @@ from motbench.assignment import (
     preprocess_frame,
     preprocess_sequence,
     run_sequence,
+    solve_assignment,
 )
 from motbench.clearmot import accumulate
 from motbench.model import ObjectClass, Rows, iou
@@ -269,3 +271,100 @@ class TestOracleAgreement:
             a = totals(run_sequence(instance, CFG))
             b = totals(run_sequence(relabeled, CFG))
             assert a == b
+
+
+def _random_edges(rng: random.Random):
+    """A seeded random edge list: ``(rows, cols, cost, rank)`` arrays.
+
+    Sides are rectangular with sparse, non-contiguous ids; densities run from
+    sparse to complete; costs are continuous floats, quarter steps, small
+    integers (ties everywhere) or wide integers; ranks are ``i * m + j`` in
+    id order, sometimes scaled up to the size of identity ranks.
+    """
+    row_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
+    col_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
+    density = rng.choice([0.15, 0.3, 0.6, 1.0])
+    pairs = [(i, j) for i in range(len(row_ids)) for j in range(len(col_ids))
+             if rng.random() < density]
+    if not pairs:
+        pairs = [(0, 0)]
+    kind = rng.choice(["float", "quarter", "small", "wide"])
+    draw = {
+        "float": lambda: rng.uniform(0.0, 0.5),
+        "quarter": lambda: rng.randint(0, 4) / 4,
+        "small": lambda: rng.randint(0, 3),
+        "wide": lambda: rng.randint(0, 10**6),
+    }[kind]
+    dtype = np.float64 if kind in ("float", "quarter") else np.int64
+    scale = rng.choice([1, 1, 10**4])
+    i, j = np.array(pairs).T
+    return (np.take(row_ids, i), np.take(col_ids, j),
+            np.array([draw() for _ in pairs], dtype=dtype), (i * len(col_ids) + j) * scale)
+
+
+def _scipy_optimum(rows, cols, cost, banned=None):
+    """(pairs, total cost, chosen pairs) of the max-cardinality min-cost matching.
+
+    Solved densely by ``scipy.optimize.linear_sum_assignment`` with a missing
+    pair priced above any matching's cost; ``banned`` is one edge index left
+    out of the graph.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    row_ids, r = np.unique(rows, return_inverse=True)
+    col_ids, c = np.unique(cols, return_inverse=True)
+    missing = (min(len(row_ids), len(col_ids)) + 1) * (float(np.abs(cost).max()) + 1.0)
+    matrix = np.full((len(row_ids), len(col_ids)), missing)
+    feasible = np.zeros(matrix.shape, dtype=bool)
+    for e in range(len(rows)):
+        if e != banned:
+            matrix[r[e], c[e]] = cost[e]
+            feasible[r[e], c[e]] = True
+    a, b = linear_sum_assignment(matrix)
+    keep = feasible[a, b]
+    chosen = {(int(row_ids[x]), int(col_ids[y])) for x, y in zip(a[keep], b[keep])}
+    return len(chosen), float(matrix[a[keep], b[keep]].sum()), chosen
+
+
+class TestSolveAssignment:
+    def test_agrees_with_scipy_on_random_instances(self):
+        # Same cardinality and optimum cost always; the same pairs wherever
+        # the optimum is unique: every other matching of that size drops an
+        # edge of it, so it is unique when banning each chosen edge in turn
+        # leaves fewer pairs or a higher cost.
+        pytest.importorskip("scipy")
+        rng = random.Random(606)
+        unique = short = 0
+        for _ in range(2400):
+            rows, cols, cost, rank = _random_edges(rng)
+            chosen = solve_assignment(rows, cols, cost, rank)
+            assert chosen == sorted(set(chosen))
+            pairs = {(int(rows[e]), int(cols[e])) for e in chosen}
+            assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+            size, total, expected = _scipy_optimum(rows, cols, cost)
+            assert len(pairs) == size
+            assert float(cost[chosen].sum()) == pytest.approx(total, rel=1e-12, abs=1e-9)
+            short += size < len(set(rows.tolist()))
+            if all(
+                alt_size < size or alt_total > total + 1e-9
+                for alt_size, alt_total, _ in (
+                    _scipy_optimum(rows, cols, cost, banned=e) for e in chosen
+                )
+            ):
+                unique += 1
+                assert pairs == expected
+        assert unique > 1000 and short > 300
+
+    def test_large_sparse_components_agree_with_scipy(self):
+        # Identity-sized components: hundreds of nodes a side, a few edges
+        # each, integer costs and ranks in the tens of millions.
+        pytest.importorskip("scipy")
+        rng = random.Random(885)
+        for n in (150, 400, 885):
+            rows = np.repeat(np.arange(n), 3)
+            cols = np.array([rng.randrange(n) for _ in rows])
+            rows, cols = np.unique(np.column_stack([rows, cols]), axis=0).T
+            cost = np.array([rng.randint(0, 300) for _ in rows], dtype=np.int64)
+            chosen = solve_assignment(rows, cols, cost, rows * 4251 + cols)
+            size, total, _ = _scipy_optimum(rows, cols, cost)
+            assert (len(chosen), int(cost[chosen].sum())) == (size, total)

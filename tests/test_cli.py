@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import motbench
 from motbench.cli import main
 from motbench.deteval import export_curve, pr_curve
 from motbench.ingest import Benchmark, load_sequence_set
@@ -168,6 +173,21 @@ class TestEvaluate:
         line_no = len(det_path.read_text().splitlines())
         assert capsys.readouterr().err == (
             f"error: {det_path}: line {line_no}: malformed number 'x' in left field\n"
+        )
+
+    def test_non_finite_geometry_names_the_file_and_line(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        res_path = root / "res" / "SEQ-01.txt"
+        res_path.write_text(res_path.read_text() + "1,5,1e308,10,1e308,40,1,-1,-1\n")
+        line_no = len(res_path.read_text().splitlines())
+        code = main([
+            "evaluate", "--benchmark", "MOT16",
+            "--gt", str(root), "--res", str(root / "res"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {res_path}: line {line_no}: "
+            "box right edge, bottom edge or area is not finite\n"
         )
 
     def test_three_partitions_pool_into_one_report(self, tmp_path):
@@ -402,3 +422,37 @@ def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):
                 curve = pr_curve(unit.data.detections, unit.data.gt, mode=mode)
                 assert curve.points and export_curve(curve)
     refuse.assert_not_called()
+
+
+# Blocks every scipy import, then runs evaluate and a PR sweep on the tree
+# given as the first argument.
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from motbench.cli import main
+from motbench.deteval import pr_curve
+from motbench.ingest import Benchmark, load_sequence_set
+
+root = sys.argv[1]
+assert main(["evaluate", "--benchmark", "MOT16", "--gt", root,
+             "--res", root + "/res", "--out", root + "/report.txt"]) == 0
+unit = load_sequence_set(root, Benchmark.MOT16).units[0]
+assert pr_curve(unit.data.detections, unit.data.gt).ap > 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path, rng):
+    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=3))
+    env = {**os.environ, "PYTHONPATH": str(Path(motbench.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(root)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (root / "report.txt").read_text().startswith("Sequence")

@@ -1,5 +1,6 @@
 """Parser, writer, submission validation, and sequence-set loading tests."""
 
+import codecs
 import logging
 import random
 import zipfile
@@ -91,6 +92,33 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1.*non-finite"):
             parse_file("1, -1, inf, 1, 5, 5, 1, -1, -1", *DET_16)
 
+    @pytest.mark.parametrize("line", [
+        "1,5,1e308,10,1e308,40,1,-1,-1",  # right edge
+        "1,5,10,1e308,10,1e308,1,-1,-1",  # bottom edge
+        "1,5,10,10,1e200,1e200,1,-1,-1",  # area
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_geometry_rejected_on_both_paths(self, line, strict):
+        text = "1,4,10,10,5,5,1,-1,-1\n" + line + "\n"
+        for parse in (parse_file, ingest._parse_rows):
+            with pytest.raises(ParseError) as err:
+                parse(text, *RES_16, strict=strict)
+            assert str(err.value) == "line 2: box right edge, bottom edge or area is not finite"
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        text = "1,1,10,10,5,5,1,-1,-1\n2,1,10,10,5,5,1,-1,-1\n"
+        expected = _columns(parse_file(text, *RES_16))
+        assert _columns(parse_file(codecs.BOM_UTF8 + text.encode(), *RES_16)) == expected
+        assert _columns(parse_file("\ufeff" + text, *RES_16)) == expected
+        # the row loop sees the same text: a BOM before a bad line still
+        # names that line and its byte
+        with pytest.raises(ParseError) as err:
+            parse_file(codecs.BOM_UTF8 + b"1,1,10,10,5,5,1,-1,-1\n2,1,1\xff,0,5,5,1,-1,-1",
+                       *RES_16)
+        assert str(err.value) == "line 2: invalid UTF-8 byte 0xff"
+        with pytest.raises(ParseError, match="line 1: expected 9 columns"):
+            parse_file(codecs.BOM_UTF8 + b"1,1,10,10,5,5,1,-1", *RES_16)
+
     def test_non_positive_extent(self):
         with pytest.raises(ParseError, match="non-positive"):
             parse_file("1, 1, 10, 10, 0, 5, 1, 1, 1", *GT_16)
@@ -179,7 +207,7 @@ class TestParse:
 
 # Tokens on which a columnar conversion could disagree with the row loop.
 EDGE_TOKENS = ("nan", "-inf", "Infinity", "x", "", "1e19", "-1e19", "9.3e18",
-               "9223372036854775807", "-9223372036854775808", "1e300", "1_0",
+               "9223372036854775807", "-9223372036854775808", "1e300", "1e308", "1_0",
                " 4 ", "\x1f1", "-0", "0.5", "1.5", "13", "99", "-1", "0")
 
 
@@ -404,6 +432,17 @@ class TestLoadSequenceSet:
         (tmp_path / "res" / "SEQ-01-SDP.txt").unlink()
         with pytest.raises(IngestError, match="SEQ-01-SDP"):
             load_sequence_set(tmp_path, Benchmark.MOT17)
+
+    @pytest.mark.parametrize("bench, label", [
+        (Benchmark.MOT16, "SEQ-01"), (Benchmark.MOT17, "SEQ-01-SDP"),
+    ])
+    def test_missing_result_file_names_the_sequence(self, tmp_path, bench, label):
+        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")], bench)
+        path = tmp_path / "res" / f"{label}.txt"
+        path.unlink()
+        with pytest.raises(IngestError) as err:
+            load_sequence_set(tmp_path, bench)
+        assert str(err.value) == f"missing result file for {label!r}: {path}"
 
     def test_missing_gt_is_an_error(self, tmp_path):
         write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
