@@ -125,11 +125,13 @@ def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) 
     other row reaches, so every row can be assigned.  Each row in turn runs
     one Dijkstra search (Jonker & Volgenant 1987; Crouse 2016) on the reduced
     keys ``key - u[r] - v[c]`` to the nearest free column, which is then
-    taken by augmenting along the path.  Only the rows and columns the search
-    finalised change potential.  Each column is finalised at most once per
-    search: float rounding of large keys can make an already finalised column
-    look closer again, and revisiting it would never end.  On equal distance a
-    free column is taken before a matched one, as scipy's solver does.
+    taken by augmenting along the path.  On equal distance a free column
+    comes before a matched one, as in scipy's solver, so a column farther
+    than the nearest free column seen so far is never reached and is not
+    queued.  Only the rows and columns the search finalised change potential.
+    Each column is finalised at most once per search: float rounding of large
+    keys can make an already finalised column look closer again, and
+    revisiting it would never end.
     """
     n_all = n_cols + len(adj)
     inf, push, pop = math.inf, heapq.heappush, heapq.heappop
@@ -145,17 +147,20 @@ def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) 
         seen: list[int] = []
         done: list[int] = []
         rows: list[int] = []  # the matched rows the search reached
-        row, reach = start, 0.0
+        row, reach, bound = start, 0.0, inf  # bound: nearest free column so far
         while True:
             base = reach - u[row]
             for col, key in adj[row]:
                 d = base + key - v[col]
-                if d < dist[col] and not final[col]:
+                if d < dist[col] and d <= bound and not final[col]:
                     if dist[col] == inf:
                         seen.append(col)
                     dist[col] = d
                     via[col] = row
-                    push(heap, (d, row4col[col] >= 0, col))
+                    taken = row4col[col] >= 0
+                    if not taken:
+                        bound = d
+                    push(heap, (d, taken, col))
             while True:
                 reach, _, col = pop(heap)
                 if reach == dist[col] and not final[col]:
