@@ -303,11 +303,12 @@ def _random_edges(rng: random.Random):
 
 
 def _scipy_optimum(rows, cols, cost, banned=None):
-    """(pairs, total cost, chosen pairs) of the max-cardinality min-cost matching.
+    """(size, total cost, pairs) of the max-cardinality min-cost matching.
 
-    Solved densely by ``scipy.optimize.linear_sum_assignment`` with a missing
-    pair priced above any matching's cost; ``banned`` is one edge index left
-    out of the graph.
+    Solved densely by ``scipy.optimize.linear_sum_assignment`` (from the
+    ``test`` extra; the runtime never imports scipy) with a missing pair
+    priced above any matching's cost; ``banned`` is one edge index left out
+    of the graph.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -332,7 +333,6 @@ class TestSolveAssignment:
         # the optimum is unique: every other matching of that size drops an
         # edge of it, so it is unique when banning each chosen edge in turn
         # leaves fewer pairs or a higher cost.
-        pytest.importorskip("scipy")
         rng = random.Random(606)
         unique = short = 0
         for _ in range(2400):
@@ -358,7 +358,6 @@ class TestSolveAssignment:
     def test_large_sparse_components_agree_with_scipy(self):
         # Identity-sized components: hundreds of nodes a side, a few edges
         # each, integer costs and ranks in the tens of millions.
-        pytest.importorskip("scipy")
         rng = random.Random(885)
         for n in (150, 400, 885):
             rows = np.repeat(np.arange(n), 3)
