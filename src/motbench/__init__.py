@@ -8,6 +8,7 @@ pooling and leaderboard reporting.
 """
 
 from .assignment import (
+    EdgeTable,
     EventLog,
     FrameEvents,
     MatchingConfig,
@@ -70,6 +71,7 @@ __all__ = [
     "Box",
     "BoxEntry",
     "Counts",
+    "EdgeTable",
     "EvalUnit",
     "EventLog",
     "FileKind",

@@ -1,4 +1,4 @@
-"""Per-frame tracker-to-target matching.
+"""Tracker-to-target matching.
 
 The matching protocol, applied frame by frame:
 
@@ -10,8 +10,6 @@ The matching protocol, applied frame by frame:
     neither penalized nor rewarded for following them.  Only ground-truth
     boxes that are pedestrians with an active consider-flag enter the scoring
     set; inactive entries never count as false negatives or true positives.
-    The IoU of every pair is computed here, once per frame, and the later
-    steps and the identity metrics read the kept part of that matrix.
 
 2.  Carryover.  A pair matched in the previous frame stays matched in the
     current frame whenever its overlap is still at or above the threshold,
@@ -36,12 +34,24 @@ same targets and hypotheses, which tie on that sum, pair them in id order.
 Cost differences below 1e-9 count as ties.  Each connected component of the
 feasible pairs is solved on its own (:func:`solve_assignment`), so a target
 without any feasible pair cannot disturb the tie-break of the others.
+
+Evaluation runs the protocol on a whole sequence at once.
+:func:`preprocess_sequence` computes the IoU of every same-frame pair in a
+few vectorised passes and keeps the pairs at or above the threshold, with
+the boxes that survive the neutral-class filter, as one :class:`EdgeTable`.
+:func:`run_sequence` decides every pair that shares no box with another pair
+by array operations and loops only over the frames that hold a conflict.
+The identity metrics count co-detections on the same table.
+:func:`preprocess_frame` and :func:`match_frame` run the protocol on one
+frame's dense IoU matrix; they are the reference the sequence pass is tested
+against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -285,26 +295,6 @@ def _min_cost_matching(
     return [pairs[e] for e in chosen]
 
 
-def _preprocess(
-    gt_ids: np.ndarray, gt_ltwh: np.ndarray, neutral: np.ndarray, scoreable: np.ndarray,
-    res_ids: np.ndarray, res_ltwh: np.ndarray, threshold: float,
-) -> tuple[list[int], list[int], list[int], np.ndarray]:
-    """:func:`preprocess_frame` on the columns of one frame's rows."""
-    overlaps = pairwise_iou(gt_ltwh, res_ltwh)
-    res_list = res_ids.tolist()
-    removed = {
-        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
-        if neutral[i] and overlap > threshold
-    } if neutral.any() else set()
-    keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
-    return (
-        gt_ids[scoreable].tolist(),
-        [res_list[j] for j in keep_res],
-        sorted(removed),
-        overlaps[scoreable][:, keep_res],
-    )
-
-
 def preprocess_frame(
     gt: Rows, res: Rows, cfg: MatchingConfig = MatchingConfig()
 ) -> tuple[list[int], list[int], list[int], np.ndarray]:
@@ -320,8 +310,21 @@ def preprocess_frame(
     Pedestrian matches made here are discarded; scoring re-derives them with
     carryover applied.
     """
-    return _preprocess(gt.track_id, gt.ltwh, _NEUTRAL[gt.object_class], gt.scoreable,
-                       res.track_id, res.ltwh, cfg.iou_threshold)
+    threshold, scoreable = cfg.iou_threshold, gt.scoreable
+    overlaps = pairwise_iou(gt.ltwh, res.ltwh)
+    neutral = _NEUTRAL[gt.object_class]
+    res_list = res.track_id.tolist()
+    removed = {
+        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
+        if neutral[i] and overlap > threshold
+    } if neutral.any() else set()
+    keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
+    return (
+        gt.track_id[scoreable].tolist(),
+        [res_list[j] for j in keep_res],
+        sorted(removed),
+        overlaps[scoreable][:, keep_res],
+    )
 
 
 def match_frame(
@@ -336,7 +339,7 @@ def match_frame(
     """Match one preprocessed frame; returns its events and the new assignment.
 
     ``gt_ids``, ``res_ids`` and ``overlaps`` are one frame of
-    :func:`preprocess_sequence`: ascending ids and the IoU of every pair.
+    :func:`preprocess_frame`: ascending ids and the IoU of every pair.
     ``prev_assignment`` holds the previous frame's matches (carryover source);
     ``last_assignment`` holds each target's last known hypothesis anywhere in
     the sequence (identity-switch reference).  Neither dict is mutated.
@@ -377,55 +380,240 @@ def match_frame(
     return events, {gt_id: pred_id for gt_id, pred_id, _ in matches}
 
 
-#: One preprocessed frame: its index, the kept ids and their overlaps.
-Frame = tuple[int, list[int], list[int], np.ndarray]
+#: Same-frame (GT row, result row) pairs whose IoU one vectorised pass
+#: computes; a constant, so preprocessing memory does not grow with crowding.
+_PAIR_BUDGET = 1 << 12
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """The scoring box set of one sequence and its feasible pairs.
+
+    ``gt_frame``/``gt_id`` list the scoreable ground truth (active
+    pedestrians) and ``res_frame``/``res_id`` the result boxes that survive
+    the neutral-class filter, both ordered by (frame, id).  Edge ``e`` joins
+    ``gt_row[e]`` and ``res_row[e]``, positions in those lists, in frame
+    ``frame[e]`` at overlap ``iou[e]``; only pairs at or above the matching
+    threshold are stored, ordered by (frame, gt id, result id).
+    ``len(table)`` is the sequence's frame count.
+    """
+
+    num_frames: int
+    gt_frame: np.ndarray
+    gt_id: np.ndarray
+    res_frame: np.ndarray
+    res_id: np.ndarray
+    frame: np.ndarray
+    gt_row: np.ndarray
+    res_row: np.ndarray
+    iou: np.ndarray
+
+    def __len__(self) -> int:
+        return self.num_frames
+
+
+def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Left, top, right, bottom and area per row, as :func:`pairwise_iou` forms them."""
+    left, top, width, height = ltwh.T
+    return left, top, left + width, top + height, width * height
+
+
+def _edges(gt: Rows, res: Rows, res_start: np.ndarray, threshold: float):
+    """``(gt_row, res_row, iou)`` of every same-frame pair with IoU >= threshold.
+
+    Rows are positions in ``gt`` and ``res``; ``res_start[t]`` is the first
+    result row of frame ``t``.  GT rows are taken in blocks of at most
+    :data:`_PAIR_BUDGET` pairs (one row alone may exceed it), and each IoU is
+    bit-equal to :func:`pairwise_iou` of its pair.
+    """
+    first = res_start[gt.frame]  # the result rows of each GT row's frame
+    count = res_start[gt.frame + 1] - first
+    end = np.cumsum(count)
+    gx0, gy0, gx1, gy1, g_area = _geometry(gt.ltwh)
+    rx0, ry0, rx1, ry1, r_area = _geometry(res.ltwh)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    a, done = 0, 0
+    while a < len(end) and done < end[-1]:
+        b = max(int(np.searchsorted(end, done + _PAIR_BUDGET, "right")), a + 1)
+        n = count[a:b]
+        stop = end[a:b] - done  # where each GT row's pairs end in the block
+        ri = np.arange(stop[-1]) + np.repeat(first[a:b] - (stop - n), n)
+        inter_w = np.repeat(gx1[a:b], n)
+        np.minimum(inter_w, rx1[ri], out=inter_w)
+        left = np.repeat(gx0[a:b], n)
+        inter_w -= np.maximum(left, rx0[ri], out=left)
+        del left  # freed now, not once the next block has made its arrays
+        across = np.flatnonzero(inter_w > 0)  # the other pairs have IoU 0
+        gi = a + np.searchsorted(stop, across, "right")
+        ri, inter_w = ri[across], inter_w[across]
+        inter_h = np.minimum(gy1[gi], ry1[ri]) - np.maximum(gy0[gi], ry0[ri])
+        inter = inter_w * np.maximum(inter_h, 0.0)
+        overlap = inter / ((g_area[gi] + r_area[ri]) - inter)
+        hit = overlap >= threshold
+        found.append((gi[hit], ri[hit], overlap[hit]))
+        a, done = b, int(end[b - 1])
+    if not found:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per edge ``(a[e], b[e])``, a label its connected component shares.
+
+    ``a`` and ``b`` are node ids of the two sides.  Each node takes the
+    lowest label of its edges, then its label's label, until nothing changes.
+    """
+    n = int(a.max()) + 1
+    label = np.arange(n + int(b.max()) + 1)
+    b = b + n
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if (new == label).all():
+            return label[a]
+        label = new
 
 
 def preprocess_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
-) -> list[Frame]:
-    """Preprocess every frame of a sequence.
+) -> EdgeTable:
+    """Apply the neutral-class filter to a whole sequence; its :class:`EdgeTable`.
 
-    Returns one ``(frame, gt_ids, res_ids, overlaps)`` tuple per frame in
-    order, as :func:`preprocess_frame` computes them.  Both the frame-level
-    metrics and the identity metrics must score exactly this box set with
-    these overlaps, so compute it once and share it.
+    The IoU of every same-frame (GT, result) pair is computed in a few
+    vectorised passes and only pairs at or above the threshold are kept.
+    The neutral-class filter of :func:`preprocess_frame` solves only the
+    connected components of those pairs that hold a neutral-class pair above
+    the threshold, with the ranks of the whole frame, so every frame keeps
+    the boxes and overlaps :func:`preprocess_frame` keeps.  Both the
+    frame-level metrics and the identity metrics score exactly this table.
     """
-    gt, res = seq.gt, seq.results
-    neutral, scoreable = _NEUTRAL[gt.object_class], gt.scoreable
-    bounds = np.arange(1, seq.num_frames + 2)
-    g = np.searchsorted(gt.frame, bounds).tolist()
-    r = np.searchsorted(res.frame, bounds).tolist()
-    out = []
-    for t in range(1, seq.num_frames + 1):
-        gs, rs = slice(g[t - 1], g[t]), slice(r[t - 1], r[t])
-        gt_ids, res_ids, _, overlaps = _preprocess(
-            gt.track_id[gs], gt.ltwh[gs], neutral[gs], scoreable[gs],
-            res.track_id[rs], res.ltwh[rs], cfg.iou_threshold,
-        )
-        out.append((t, gt_ids, res_ids, overlaps))
-    return out
+    gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
+    frames = np.arange(seq.num_frames + 2)  # index t: the first row of frame t
+    g_lo, r_lo = np.searchsorted(gt.frame, frames), np.searchsorted(res.frame, frames)
+    g, r, overlap = _edges(gt, res, r_lo, threshold)
+    kept = np.ones(len(res), dtype=bool)
+    neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
+    if neutral.any():
+        # A pair sharing no box with another pair is its own matching.
+        free = (np.bincount(g)[g] == 1) & (np.bincount(r)[r] == 1)
+        kept[r[neutral & free]] = False
+        label = _edge_components(g, r)
+        hot = np.flatnonzero(np.isin(label, label[neutral & ~free]))
+        frame = gt.frame[g[hot]]
+        i, j = g[hot] - g_lo[frame], r[hot] - r_lo[frame]
+        m = r_lo[frame + 1] - r_lo[frame]
+        chosen = hot[solve_assignment(g[hot], r[hot], 1.0 - overlap[hot], i * m + j)]
+        kept[r[chosen[neutral[chosen]]]] = False
+    scoreable = gt.scoreable
+    scoring = scoreable[g] & kept[r]
+    g, r = g[scoring], r[scoring]
+    return EdgeTable(
+        num_frames=seq.num_frames,
+        gt_frame=gt.frame[scoreable],
+        gt_id=gt.track_id[scoreable],
+        res_frame=res.frame[kept],
+        res_id=res.track_id[kept],
+        frame=gt.frame[g],
+        gt_row=(np.cumsum(scoreable) - 1)[g],
+        res_row=(np.cumsum(kept) - 1)[r],
+        iou=overlap[scoring],
+    )
+
+
+def _match(table: EdgeTable) -> list[bool]:
+    """Per edge of ``table``, whether frame-by-frame matching takes it.
+
+    An edge that shares neither endpoint with another edge is matched
+    whatever carryover says.  Only frames with a conflicting edge run
+    :func:`match_frame`'s steps, in frame order: carryover from the previous
+    frame's matches, then one :func:`solve_assignment` over the remaining
+    conflicting edges, ranked by position among the ids that no carried
+    edge took, as :func:`match_frame` ranks them.
+    """
+    g, r = table.gt_row, table.res_row
+    free = ((np.bincount(g, minlength=len(table.gt_id))[g] == 1)
+            & (np.bincount(r, minlength=len(table.res_id))[r] == 1))
+    matched = free.tolist()
+    if free.all():
+        return matched
+    frames = np.arange(table.num_frames + 2)  # index t: the first row of frame t
+    g_lo = np.searchsorted(table.gt_frame, frames)
+    r_lo = np.searchsorted(table.res_frame, frames)
+    e_lo = np.searchsorted(table.frame, frames).tolist()
+    gt_id, res_id = table.gt_id[g].tolist(), table.res_id[r].tolist()
+    g_pos = (g - g_lo[table.frame]).tolist()
+    r_pos = (r - r_lo[table.frame]).tolist()
+    n_res = np.diff(r_lo).tolist()
+    for t in np.flatnonzero(np.bincount(table.frame[~free])).tolist():
+        prev = {gt_id[e]: res_id[e] for e in range(e_lo[t - 1], e_lo[t]) if matched[e]}
+        edges = range(e_lo[t], e_lo[t + 1])
+        # Carried free edges count too: they move the others' positions.
+        carried = [e for e in edges if prev.get(gt_id[e]) == res_id[e]]
+        taken_g = sorted(g_pos[e] for e in carried)
+        taken_r = sorted(r_pos[e] for e in carried)
+        rest = [e for e in edges if not matched[e]
+                and g_pos[e] not in taken_g and r_pos[e] not in taken_r]
+        for e in carried:
+            matched[e] = True
+        if not rest:
+            continue
+        rows = np.array([g_pos[e] - bisect_left(taken_g, g_pos[e]) for e in rest])
+        cols = np.array([r_pos[e] - bisect_left(taken_r, r_pos[e]) for e in rest])
+        rank = rows * (n_res[t] - len(carried)) + cols
+        for k in solve_assignment(rows, cols, 1.0 - table.iou[rest], rank):
+            matched[rest[k]] = True
+    return matched
+
+
+def _by_frame(num_frames: int, frame: np.ndarray, values: list) -> list[tuple]:
+    """``values`` grouped into one tuple per frame 1..num_frames; ``frame`` ascending."""
+    bounds = np.searchsorted(frame, np.arange(1, num_frames + 2)).tolist()
+    return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
-    preprocessed: list[Frame] | None = None,
+    preprocessed: EdgeTable | None = None,
 ) -> EventLog:
-    """Evaluate a whole sequence, threading carryover and last-known state."""
-    if preprocessed is None:
-        preprocessed = preprocess_sequence(seq, cfg)
-    log = EventLog(name=seq.name, num_frames=seq.num_frames)
-    prev_assignment: dict[int, int] = {}
-    last_assignment: dict[int, int] = {}
-    for t, gt_ids, res_ids, overlaps in preprocessed:
-        for gt_id in gt_ids:
-            log.gt_frames.setdefault(gt_id, []).append(t)
-        events, assignment = match_frame(
-            gt_ids, res_ids, overlaps, prev_assignment, last_assignment, cfg, frame=t
-        )
-        log.events.append(events)
-        last_assignment.update(assignment)
-        prev_assignment = assignment
+    """Evaluate a whole sequence, threading carryover and last-known state.
+
+    ``preprocessed`` is the sequence's :func:`preprocess_sequence` table under
+    ``cfg``, computed here when not given.  The events equal those of
+    :func:`preprocess_frame` and :func:`match_frame` run frame by frame; an
+    identity switch is a match whose hypothesis differs from the target's
+    previous match.
+    """
+    table = preprocess_sequence(seq, cfg) if preprocessed is None else preprocessed
+    matched = np.array(_match(table), dtype=bool)
+    g, r, frame = table.gt_row[matched], table.res_row[matched], table.frame[matched]
+    gt_id, res_id = table.gt_id[g], table.res_id[r]
+    by_track = np.lexsort((frame, gt_id))
+    switch = np.zeros(len(g), dtype=bool)
+    s_gt, s_res = gt_id[by_track], res_id[by_track]
+    switch[by_track[1:]] = (s_gt[1:] == s_gt[:-1]) & (s_res[1:] != s_res[:-1])
+    fn = np.ones(len(table.gt_id), dtype=bool)
+    fn[g] = False
+    fp = np.ones(len(table.res_id), dtype=bool)
+    fp[r] = False
+    n = table.num_frames
+    columns = zip(
+        _by_frame(n, frame, list(zip(gt_id.tolist(), res_id.tolist(),
+                                     table.iou[matched].tolist()))),
+        _by_frame(n, table.res_frame[fp], table.res_id[fp].tolist()),
+        _by_frame(n, table.gt_frame[fn], table.gt_id[fn].tolist()),
+        _by_frame(n, frame[switch], gt_id[switch].tolist()),
+    )
+    log = EventLog(name=seq.name, num_frames=n,
+                   events=[FrameEvents(t, *ev) for t, ev in enumerate(columns, start=1)])
+    order = np.argsort(table.gt_id, kind="stable")
+    tracks, starts = np.unique(table.gt_id[order], return_index=True)
+    frames, bounds = table.gt_frame[order].tolist(), [*starts.tolist(), len(order)]
+    log.gt_frames = {
+        track: frames[lo:hi] for track, lo, hi in zip(tracks.tolist(), bounds, bounds[1:])
+    }
     return log

@@ -63,10 +63,10 @@ class RunConfig:
 def _evaluate_unit(
     unit: EvalUnit, cfg: MatchingConfig
 ) -> tuple[str, Counts, IdentityScores]:
-    frames = preprocess_sequence(unit.data, cfg)
-    log = run_sequence(unit.data, cfg, preprocessed=frames)
+    table = preprocess_sequence(unit.data, cfg)
+    log = run_sequence(unit.data, cfg, preprocessed=table)
     counts = accumulate(log)
-    ident = evaluate_identity(frames, cfg.iou_threshold)
+    ident = evaluate_identity(table, cfg.iou_threshold)
     return unit.label, counts, ident
 
 

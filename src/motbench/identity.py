@@ -11,19 +11,19 @@ frames of matched pairs; every other ground-truth box is an identity false
 negative (IDFN) and every other predicted box an identity false positive
 (IDFP).  Precision, recall, and their harmonic mean follow.
 
-The table is built from the same preprocessed frames, ids and overlaps as the
-frame-level metrics, so both metric families score one and the same box set.
+Co-detections are counted on the edge table the frame-level metrics score
+(the kept boxes of each frame and their pairs at or above the matching
+threshold), so both metric families score one and the same box set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .assignment import Frame, solve_assignment
+from .assignment import EdgeTable, solve_assignment
 
 
 @dataclass(frozen=True)
@@ -64,34 +64,27 @@ def _scores_from_counts(
     )
 
 
-def build_table(frames: Sequence[Frame], iou_threshold: float = 0.5) -> TrackMatchTable:
+def build_table(table: EdgeTable, iou_threshold: float = 0.5) -> TrackMatchTable:
     """Count per-frame spatial co-detections for every track pair.
 
-    ``frames`` are the ``(frame, gt_ids, res_ids, overlaps)`` tuples of
+    ``table`` is the :class:`~motbench.assignment.EdgeTable` of
     :func:`~motbench.assignment.preprocess_sequence`; a pair co-detects on a
-    frame when its entry of that frame's overlap matrix is at or above the
-    threshold.
+    frame when its edge of that frame has an overlap at or above
+    ``iou_threshold``.  The table stores only pairs at or above its own
+    matching threshold, so a lower ``iou_threshold`` adds no pairs.
     """
-    gt_lengths = Counter(gt_id for _, gt_ids, _, _ in frames for gt_id in gt_ids)
-    pred_lengths = Counter(pred_id for _, _, res_ids, _ in frames for pred_id in res_ids)
-    gt_hits: list[np.ndarray] = []
-    pred_hits: list[np.ndarray] = []
-    for _, gt_ids, res_ids, overlaps in frames:
-        rows, cols = np.nonzero(overlaps >= iou_threshold)
-        if rows.size:
-            gt_hits.append(np.take(gt_ids, rows))
-            pred_hits.append(np.take(res_ids, cols))
-    co: dict[tuple[int, int], int] = {}
-    if gt_hits:
-        pairs, counts = np.unique(
-            np.column_stack([np.concatenate(gt_hits), np.concatenate(pred_hits)]),
-            axis=0, return_counts=True,
-        )
-        co = dict(zip(map(tuple, pairs.tolist()), counts.tolist()))
+    gt_ids, gt_track, gt_len = np.unique(table.gt_id, return_inverse=True, return_counts=True)
+    pred_ids, pred_track, pred_len = np.unique(
+        table.res_id, return_inverse=True, return_counts=True)
+    hit = table.iou >= iou_threshold
+    m = len(pred_ids)
+    pairs, co = np.unique(gt_track[table.gt_row[hit]] * m + pred_track[table.res_row[hit]],
+                          return_counts=True)
     return TrackMatchTable(
-        gt_lengths=dict(gt_lengths),
-        pred_lengths=dict(pred_lengths),
-        co_detections=co,
+        gt_lengths=dict(zip(gt_ids.tolist(), gt_len.tolist())),
+        pred_lengths=dict(zip(pred_ids.tolist(), pred_len.tolist())),
+        co_detections=dict(zip(
+            zip(gt_ids[pairs // m].tolist(), pred_ids[pairs % m].tolist()), co.tolist())),
     )
 
 
@@ -140,10 +133,8 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     )
 
 
-def evaluate_identity(
-    preprocessed: Sequence[Frame], iou_threshold: float = 0.5
-) -> IdentityScores:
-    """Identity scores of one sequence from its preprocessed frames."""
+def evaluate_identity(preprocessed: EdgeTable, iou_threshold: float = 0.5) -> IdentityScores:
+    """Identity scores of one sequence from its :class:`EdgeTable`."""
     return solve_identity(build_table(preprocessed, iou_threshold))
 
 

@@ -118,6 +118,10 @@ def _as_text(source: str | bytes | IO | Path) -> str:
 #: Integer columns are stored as int64; a magnitude at or above this is an error.
 _INT64_LIMIT = 2.0**63
 
+#: Largest magnitude of a box edge or area: up to it, the sums and
+#: differences of the IoU arithmetic stay finite.
+_GEOMETRY_LIMIT = 2.0**1022
+
 
 def _number(token: str, line_no: int, what: str) -> float:
     try:
@@ -149,10 +153,10 @@ def parse_file(
 
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
     column counts (strict mode), integers beyond int64, non-positive box
-    extents, box edges or areas that are not finite, frames outside
-    ``[1, num_frames]`` (if given), or duplicate (frame, id) pairs in
-    ground-truth/result files.  Blank lines and a leading byte-order mark are
-    skipped.
+    extents, box edges or areas that are not finite or beyond 2**1022, box
+    areas that underflow to 0, frames outside ``[1, num_frames]`` (if
+    given), or duplicate (frame, id) pairs in ground-truth/result files.
+    Blank lines and a leading byte-order mark are skipped.
     Lenient repair warnings name ``source`` when it is a :class:`Path`.
     """
     text = _as_text(source)
@@ -204,9 +208,14 @@ def _parse_columns(
     if (frame.min() < 1 or (num_frames is not None and int(frame.max()) > num_frames)
             or not (ltwh[:, 2:] > 0).all()):
         return None
+    # Positive extents put each left and top at or below its right and
+    # bottom, so the least left or top and the greatest right or bottom
+    # bound every edge.
     with np.errstate(over="ignore"):
-        if not (np.isfinite(ltwh[:, :2] + ltwh[:, 2:]).all()
-                and np.isfinite(ltwh[:, 2] * ltwh[:, 3]).all()):
+        if not (ltwh[:, :2].min() >= -_GEOMETRY_LIMIT
+                and (ltwh[:, :2] + ltwh[:, 2:]).max() <= _GEOMETRY_LIMIT
+                and (ltwh[:, 2] * ltwh[:, 3]).max() <= _GEOMETRY_LIMIT
+                and (ltwh[:, 2] * ltwh[:, 3]).min() > 0):
             return None
     code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
     visibility = np.ones(n)
@@ -272,8 +281,14 @@ def _parse_rows(
             raise ParseError(
                 f"non-positive box extent width={width} height={height}", line_no
             )
-        if not all(map(math.isfinite, (left + width, top + height, width * height))):
+        edges = (left, top, left + width, top + height)
+        area = width * height
+        if not all(map(math.isfinite, (*edges[2:], area))):
             raise ParseError("box right edge, bottom edge or area is not finite", line_no)
+        if max(*map(abs, edges), area) > _GEOMETRY_LIMIT:
+            raise ParseError("box edge or area beyond 2**1022", line_no)
+        if area == 0:
+            raise ParseError("box area width * height underflows to 0", line_no)
         confidence = _number(tokens[6], line_no, "confidence")
 
         code = ObjectClass.PEDESTRIAN

@@ -120,18 +120,30 @@ class TestPreprocessFrame:
         assert res_ids == [9]
 
     def test_overlaps_are_the_iou_of_the_kept_boxes(self):
-        # the one overlap matrix every later stage reads, on the criterion 4
-        # stream: each entry is bit-equal to the scalar IoU of its two boxes
+        # the one edge table every later stage reads, on the criterion 4
+        # stream: each stored overlap is bit-equal to the scalar IoU of its
+        # two boxes, and each kept same-frame pair left out is below threshold
         rng = random.Random(500500)
         for _ in range(200):
             instance = random_instance(rng)
             gt_box = {(e.frame, e.track_id): e.box for e in instance.gt}
             res_box = {(e.frame, e.track_id): e.box for e in instance.results}
-            for t, gt_ids, res_ids, overlaps in preprocess_sequence(instance, CFG):
-                assert overlaps.shape == (len(gt_ids), len(res_ids))
-                for i, gt_id in enumerate(gt_ids):
-                    for j, pred_id in enumerate(res_ids):
-                        assert overlaps[i, j] == iou(gt_box[t, gt_id], res_box[t, pred_id])
+            table = preprocess_sequence(instance, CFG)
+            gt_rows = list(zip(table.gt_frame.tolist(), table.gt_id.tolist()))
+            res_rows = list(zip(table.res_frame.tolist(), table.res_id.tolist()))
+            stored = {}
+            for t, i, j, overlap in zip(table.frame.tolist(), table.gt_row.tolist(),
+                                        table.res_row.tolist(), table.iou.tolist()):
+                (gt_t, gt_id), (res_t, pred_id) = gt_rows[i], res_rows[j]
+                assert gt_t == res_t == t
+                assert overlap == iou(gt_box[t, gt_id], res_box[t, pred_id])
+                assert overlap >= CFG.iou_threshold
+                stored[t, gt_id, pred_id] = overlap
+            assert list(stored) == sorted(stored)
+            for t, gt_id in gt_rows:
+                for res_t, pred_id in res_rows:
+                    if res_t == t and (t, gt_id, pred_id) not in stored:
+                        assert iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
 
 
 class TestMatchFrame:

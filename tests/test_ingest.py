@@ -105,6 +105,38 @@ class TestParse:
                 parse(text, *RES_16, strict=strict)
             assert str(err.value) == "line 2: box right edge, bottom edge or area is not finite"
 
+    @pytest.mark.parametrize("line", [
+        "1,5,0,0,1e154,1e154,1,-1,-1",  # area 1e308: two areas overflow their sum
+        "1,5,-8.9e307,0,10,10,1,-1,-1",  # left
+        "1,5,0,-8.9e307,10,10,1,-1,-1",  # top
+        "1,5,4e307,0,4e307,0.001,1,-1,-1",  # right edge
+        "1,5,0,4e307,0.001,4e307,1,-1,-1",  # bottom edge
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_geometry_beyond_2_pow_1022_rejected_on_both_paths(self, line, strict):
+        text = "1,4,10,10,5,5,1,-1,-1\n" + line + "\n"
+        for parse in (parse_file, ingest._parse_rows):
+            with pytest.raises(ParseError) as err:
+                parse(text, *RES_16, strict=strict)
+            assert str(err.value) == "line 2: box edge or area beyond 2**1022"
+        # the largest legal values still parse
+        edge = "1,5,0,0,4.49423283715579e307,1,1,-1,-1"
+        assert len(parse_file(edge, *RES_16, strict=strict)) == 1
+
+    @pytest.mark.parametrize("line", [
+        "1,5,0,0,1e-200,1e-200,1,-1,-1",
+        "1,5,3,4,5e-324,0.25,1,-1,-1",
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_area_underflow_rejected_on_both_paths(self, line, strict):
+        text = "1,4,10,10,5,5,1,-1,-1\n" + line + "\n"
+        for parse in (parse_file, ingest._parse_rows):
+            with pytest.raises(ParseError) as err:
+                parse(text, *RES_16, strict=strict)
+            assert str(err.value) == "line 2: box area width * height underflows to 0"
+        # a denormal area is not an underflow to 0
+        assert len(parse_file("1,5,0,0,1e-200,1e-110,1,-1,-1", *RES_16, strict=strict)) == 1
+
     def test_leading_byte_order_mark_is_skipped(self):
         text = "1,1,10,10,5,5,1,-1,-1\n2,1,10,10,5,5,1,-1,-1\n"
         expected = _columns(parse_file(text, *RES_16))
@@ -207,7 +239,8 @@ class TestParse:
 
 # Tokens on which a columnar conversion could disagree with the row loop.
 EDGE_TOKENS = ("nan", "-inf", "Infinity", "x", "", "1e19", "-1e19", "9.3e18",
-               "9223372036854775807", "-9223372036854775808", "1e300", "1e308", "1_0",
+               "9223372036854775807", "-9223372036854775808", "1e300", "1e308", "1e154",
+               "-8.9e307", "1e-200", "5e-324", "1_0",
                " 4 ", "\x1f1", "-0", "0.5", "1.5", "13", "99", "-1", "0")
 
 
