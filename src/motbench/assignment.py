@@ -41,7 +41,10 @@ few vectorised passes and keeps the pairs at or above the threshold, with
 the boxes that survive the neutral-class filter, as one :class:`EdgeTable`.
 :func:`run_sequence` decides every pair that shares no box with another pair
 by array operations and loops only over the frames that hold a conflict.
-The identity metrics count co-detections on the same table.
+Its :class:`EventLog` is two masks over the table's pairs, matched and
+identity switch; the frame-level counts are read off those columns and the
+identity metrics count co-detections on the same table.  No step does work
+per declared frame: a sequence costs what its rows cost.
 :func:`preprocess_frame` and :func:`match_frame` run the protocol on one
 frame's dense IoU matrix; they are the reference the sequence pass is tested
 against.
@@ -53,7 +56,7 @@ import heapq
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,28 +87,6 @@ class FrameEvents:
     fp_ids: tuple[int, ...]
     fn_ids: tuple[int, ...]
     idsw_ids: tuple[int, ...]
-
-
-@dataclass
-class EventLog:
-    """Assignment outcomes of a whole sequence.
-
-    ``gt_frames`` records, per ground-truth track, the frames that carry a
-    scoreable box; it defines each track's life span for coverage metrics.
-    """
-
-    name: str
-    num_frames: int
-    events: list[FrameEvents] = field(default_factory=list)
-    gt_frames: dict[int, list[int]] = field(default_factory=dict)
-
-    def matched_frames(self) -> dict[int, set[int]]:
-        """Frames in which each ground-truth track was matched."""
-        out: dict[int, set[int]] = defaultdict(set)
-        for ev in self.events:
-            for gt_id, _, _ in ev.matches:
-                out[gt_id].add(ev.frame)
-        return dict(out)
 
 
 def _components(rows: list[int], cols: list[int]) -> list[list[int]]:
@@ -415,19 +396,19 @@ class EdgeTable:
 def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
     """Left, top, right, bottom and area per row, as :func:`pairwise_iou` forms them."""
     left, top, width, height = ltwh.T
-    return left, top, left + width, top + height, width * height
+    right, bottom = left + width, top + height
+    return left, top, right, bottom, (right - left) * (bottom - top)
 
 
-def _edges(gt: Rows, res: Rows, res_start: np.ndarray, threshold: float):
+def _edges(gt: Rows, res: Rows, threshold: float):
     """``(gt_row, res_row, iou)`` of every same-frame pair with IoU >= threshold.
 
-    Rows are positions in ``gt`` and ``res``; ``res_start[t]`` is the first
-    result row of frame ``t``.  GT rows are taken in blocks of at most
-    :data:`_PAIR_BUDGET` pairs (one row alone may exceed it), and each IoU is
-    bit-equal to :func:`pairwise_iou` of its pair.
+    Rows are positions in ``gt`` and ``res``.  GT rows are taken in blocks
+    of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed it), and
+    each IoU is bit-equal to :func:`pairwise_iou` of its pair.
     """
-    first = res_start[gt.frame]  # the result rows of each GT row's frame
-    count = res_start[gt.frame + 1] - first
+    first = np.searchsorted(res.frame, gt.frame)  # the result rows of each GT row's frame
+    count = np.searchsorted(res.frame, gt.frame, "right") - first
     end = np.cumsum(count)
     gx0, gy0, gx1, gy1, g_area = _geometry(gt.ltwh)
     rx0, ry0, rx1, ry1, r_area = _geometry(res.ltwh)
@@ -492,9 +473,7 @@ def preprocess_sequence(
     frame-level metrics and the identity metrics score exactly this table.
     """
     gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
-    frames = np.arange(seq.num_frames + 2)  # index t: the first row of frame t
-    g_lo, r_lo = np.searchsorted(gt.frame, frames), np.searchsorted(res.frame, frames)
-    g, r, overlap = _edges(gt, res, r_lo, threshold)
+    g, r, overlap = _edges(gt, res, threshold)
     kept = np.ones(len(res), dtype=bool)
     neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
     if neutral.any():
@@ -504,8 +483,9 @@ def preprocess_sequence(
         label = _edge_components(g, r)
         hot = np.flatnonzero(np.isin(label, label[neutral & ~free]))
         frame = gt.frame[g[hot]]
-        i, j = g[hot] - g_lo[frame], r[hot] - r_lo[frame]
-        m = r_lo[frame + 1] - r_lo[frame]
+        r_lo = np.searchsorted(res.frame, frame)
+        i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
+        m = np.searchsorted(res.frame, frame, "right") - r_lo
         chosen = hot[solve_assignment(g[hot], r[hot], 1.0 - overlap[hot], i * m + j)]
         kept[r[chosen[neutral[chosen]]]] = False
     scoreable = gt.scoreable
@@ -524,7 +504,7 @@ def preprocess_sequence(
     )
 
 
-def _match(table: EdgeTable) -> list[bool]:
+def _match(table: EdgeTable) -> np.ndarray:
     """Per edge of ``table``, whether frame-by-frame matching takes it.
 
     An edge that shares neither endpoint with another edge is matched
@@ -534,23 +514,23 @@ def _match(table: EdgeTable) -> list[bool]:
     conflicting edges, ranked by position among the ids that no carried
     edge took, as :func:`match_frame` ranks them.
     """
-    g, r = table.gt_row, table.res_row
+    g, r, frame = table.gt_row, table.res_row, table.frame
     free = ((np.bincount(g, minlength=len(table.gt_id))[g] == 1)
             & (np.bincount(r, minlength=len(table.res_id))[r] == 1))
-    matched = free.tolist()
     if free.all():
-        return matched
-    frames = np.arange(table.num_frames + 2)  # index t: the first row of frame t
-    g_lo = np.searchsorted(table.gt_frame, frames)
-    r_lo = np.searchsorted(table.res_frame, frames)
-    e_lo = np.searchsorted(table.frame, frames).tolist()
+        return free
+    matched = free.tolist()
     gt_id, res_id = table.gt_id[g].tolist(), table.res_id[r].tolist()
-    g_pos = (g - g_lo[table.frame]).tolist()
-    r_pos = (r - r_lo[table.frame]).tolist()
-    n_res = np.diff(r_lo).tolist()
-    for t in np.flatnonzero(np.bincount(table.frame[~free])).tolist():
-        prev = {gt_id[e]: res_id[e] for e in range(e_lo[t - 1], e_lo[t]) if matched[e]}
-        edges = range(e_lo[t], e_lo[t + 1])
+    g_pos = (g - np.searchsorted(table.gt_frame, frame)).tolist()
+    r_pos = (r - np.searchsorted(table.res_frame, frame)).tolist()
+    hot = frame[~free]
+    hot = hot[np.diff(hot, prepend=0) != 0]  # each frame t with a conflict, ascending
+    # Per t: where the edges of frames t - 1, t and t + 1 start; t's result count.
+    starts = np.searchsorted(frame, hot + [[-1], [0], [1]]).tolist()
+    res_count = np.diff(np.searchsorted(table.res_frame, hot + [[0], [1]]), axis=0)[0]
+    for before, lo, hi, n_res in zip(*starts, res_count.tolist()):
+        prev = {gt_id[e]: res_id[e] for e in range(before, lo) if matched[e]}
+        edges = range(lo, hi)
         # Carried free edges count too: they move the others' positions.
         carried = [e for e in edges if prev.get(gt_id[e]) == res_id[e]]
         taken_g = sorted(g_pos[e] for e in carried)
@@ -563,16 +543,58 @@ def _match(table: EdgeTable) -> list[bool]:
             continue
         rows = np.array([g_pos[e] - bisect_left(taken_g, g_pos[e]) for e in rest])
         cols = np.array([r_pos[e] - bisect_left(taken_r, r_pos[e]) for e in rest])
-        rank = rows * (n_res[t] - len(carried)) + cols
+        rank = rows * (n_res - len(carried)) + cols
         for k in solve_assignment(rows, cols, 1.0 - table.iou[rest], rank):
             matched[rest[k]] = True
-    return matched
+    return np.array(matched, dtype=bool)
 
 
 def _by_frame(num_frames: int, frame: np.ndarray, values: list) -> list[tuple]:
     """``values`` grouped into one tuple per frame 1..num_frames; ``frame`` ascending."""
     bounds = np.searchsorted(frame, np.arange(1, num_frames + 2)).tolist()
     return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Assignment outcome of a whole sequence, as columns over its edge table.
+
+    ``matched[e]`` tells whether frame-by-frame matching takes edge ``e`` of
+    ``table``, and ``switch[e]`` whether that match is an identity switch:
+    its hypothesis differs from the target's previous match.  Every
+    scoreable box of ``table`` that no matched edge holds is a false
+    negative or a false positive.
+    """
+
+    name: str
+    table: EdgeTable
+    matched: np.ndarray
+    switch: np.ndarray
+
+    @property
+    def num_frames(self) -> int:
+        return self.table.num_frames
+
+    @property
+    def events(self) -> list[FrameEvents]:
+        """The outcome grouped into one :class:`FrameEvents` per frame 1..num_frames.
+
+        Builds a tuple per declared frame; counting never reads it.
+        """
+        table, matched, switch = self.table, self.matched, self.switch
+        g, r = table.gt_row[matched], table.res_row[matched]
+        fn = np.bincount(g, minlength=len(table.gt_id)) == 0
+        fp = np.bincount(r, minlength=len(table.res_id)) == 0
+        n = self.num_frames
+        columns = zip(
+            _by_frame(n, table.frame[matched], list(zip(
+                table.gt_id[g].tolist(), table.res_id[r].tolist(),
+                table.iou[matched].tolist()))),
+            _by_frame(n, table.res_frame[fp], table.res_id[fp].tolist()),
+            _by_frame(n, table.gt_frame[fn], table.gt_id[fn].tolist()),
+            _by_frame(n, table.frame[switch], table.gt_id[table.gt_row[switch]].tolist()),
+        )
+        return [FrameEvents(t, *ev) for t, ev in enumerate(columns, start=1)]
 
 
 def run_sequence(
@@ -589,31 +611,10 @@ def run_sequence(
     previous match.
     """
     table = preprocess_sequence(seq, cfg) if preprocessed is None else preprocessed
-    matched = np.array(_match(table), dtype=bool)
-    g, r, frame = table.gt_row[matched], table.res_row[matched], table.frame[matched]
-    gt_id, res_id = table.gt_id[g], table.res_id[r]
-    by_track = np.lexsort((frame, gt_id))
-    switch = np.zeros(len(g), dtype=bool)
-    s_gt, s_res = gt_id[by_track], res_id[by_track]
-    switch[by_track[1:]] = (s_gt[1:] == s_gt[:-1]) & (s_res[1:] != s_res[:-1])
-    fn = np.ones(len(table.gt_id), dtype=bool)
-    fn[g] = False
-    fp = np.ones(len(table.res_id), dtype=bool)
-    fp[r] = False
-    n = table.num_frames
-    columns = zip(
-        _by_frame(n, frame, list(zip(gt_id.tolist(), res_id.tolist(),
-                                     table.iou[matched].tolist()))),
-        _by_frame(n, table.res_frame[fp], table.res_id[fp].tolist()),
-        _by_frame(n, table.gt_frame[fn], table.gt_id[fn].tolist()),
-        _by_frame(n, frame[switch], gt_id[switch].tolist()),
-    )
-    log = EventLog(name=seq.name, num_frames=n,
-                   events=[FrameEvents(t, *ev) for t, ev in enumerate(columns, start=1)])
-    order = np.argsort(table.gt_id, kind="stable")
-    tracks, starts = np.unique(table.gt_id[order], return_index=True)
-    frames, bounds = table.gt_frame[order].tolist(), [*starts.tolist(), len(order)]
-    log.gt_frames = {
-        track: frames[lo:hi] for track, lo, hi in zip(tracks.tolist(), bounds, bounds[1:])
-    }
-    return log
+    matched = _match(table)
+    e = np.flatnonzero(matched)
+    e = e[np.lexsort((table.frame[e], table.gt_id[table.gt_row[e]]))]  # by target, then frame
+    gt_id, res_id = table.gt_id[table.gt_row[e]], table.res_id[table.res_row[e]]
+    switch = np.zeros(len(matched), dtype=bool)
+    switch[e[1:]] = (gt_id[1:] == gt_id[:-1]) & (res_id[1:] != res_id[:-1])
+    return EventLog(seq.name, table, matched, switch)

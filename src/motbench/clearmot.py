@@ -1,17 +1,20 @@
 """Frame-level accuracy, precision, and track-coverage metrics.
 
-Counts accumulate per sequence and pool by plain summation, which is exactly
-the evaluation of all sequences concatenated into one.  Benchmark scores are
-always computed from pooled counts, never by averaging per-sequence scores:
-sequences differ wildly in target count, and pooling is the count-weighted
-average.
+:func:`accumulate` counts a sequence straight off the columns of its
+:class:`~motbench.assignment.EventLog`.  Counts accumulate per sequence and
+pool by plain summation, which is exactly the evaluation of all sequences
+concatenated into one.  Benchmark scores are always computed from pooled
+counts, never by averaging per-sequence scores: sequences differ wildly in
+target count, and pooling is the count-weighted average.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .assignment import EventLog
 
@@ -50,18 +53,6 @@ MOSTLY_TRACKED_MIN = 0.8
 MOSTLY_LOST_MAX = 0.2
 
 
-def _fragmentations(status: Sequence[bool]) -> int:
-    """Tracked-to-untracked transitions that are resumed later.
-
-    A gap running to the end of the timeline is not a fragmentation: tracking
-    of the target is never resumed.
-    """
-    count = sum(1 for a, b in zip(status, status[1:]) if a and not b)
-    if count and not status[-1]:
-        count -= 1  # the last transition opens the trailing gap
-    return count
-
-
 def accumulate(log: EventLog) -> Counts:
     """Reduce a sequence's event log to counts.
 
@@ -69,45 +60,53 @@ def accumulate(log: EventLog) -> Counts:
     its last scoreable frame inclusive; identity changes are irrelevant for
     coverage.  Frames inside the span without a scoreable box count as
     untracked, so an interrupted ground-truth trajectory that is picked up on
-    both sides still yields a fragmentation.
+    both sides still yields a fragmentation: every gap between two matched
+    frames of a track is one.  A gap running to the end of the span is not,
+    as tracking of the target is never resumed.
     """
-    tp = fp = fn = idsw = 0
-    overlap_sum = 0.0
-    for ev in log.events:
-        tp += len(ev.matches)
-        fp += len(ev.fp_ids)
-        fn += len(ev.fn_ids)
-        idsw += len(ev.idsw_ids)
-        overlap_sum += sum(overlap for _, _, overlap in ev.matches)
+    table, matched = log.table, log.matched
+    frame = table.frame[matched]
+    tp = len(frame)
+    # MOTP's sum keeps one association: each frame's overlaps in target-id
+    # order (the table's order), then the frame sums in frame order.
+    overlaps = table.iou[matched].tolist()
+    overlap_sum, lo = 0.0, 0
+    for hi in [*(np.flatnonzero(np.diff(frame)) + 1).tolist(), tp]:
+        overlap_sum += sum(overlaps[lo:hi])
+        lo = hi
 
-    matched = log.matched_frames()
-    fm = mt = pt = ml = 0
-    for gt_id, frames in log.gt_frames.items():
-        first, last = min(frames), max(frames)
-        track_matched = matched.get(gt_id, set())
-        status = [t in track_matched for t in range(first, last + 1)]
-        fm += _fragmentations(status)
-        ratio = sum(status) / len(status)
-        if ratio >= MOSTLY_TRACKED_MIN:
-            mt += 1
-        elif ratio < MOSTLY_LOST_MAX:
-            ml += 1
-        else:
-            pt += 1
+    # The table lists boxes in frame order: a track's first and last box
+    # open and close its life span.
+    tracks, first, track_of_row = np.unique(table.gt_id, return_index=True,
+                                            return_inverse=True)
+    last = len(table.gt_id) - 1 - np.unique(table.gt_id[::-1], return_index=True)[1]
+    span = table.gt_frame[last] - table.gt_frame[first] + 1
+    track = track_of_row[table.gt_row[matched]]
+    by_track = np.lexsort((frame, track))
+    track, frame = track[by_track], frame[by_track]
+    same = track[1:] == track[:-1]
+    step = np.diff(frame)
+    fm = int((same & (step > 1)).sum())
+    new = np.ones(tp, dtype=bool)  # the first match of each (track, frame)
+    new[1:] = ~same | (step != 0)
+    ratio = np.bincount(track[new], minlength=len(tracks)) / span
+    mt = int((ratio >= MOSTLY_TRACKED_MIN).sum())
+    ml = int((ratio < MOSTLY_LOST_MAX).sum())
 
+    fn, fp = len(table.gt_id) - tp, len(table.res_id) - tp
     return Counts(
         tp=tp,
         fp=fp,
         fn=fn,
-        idsw=idsw,
+        idsw=int(log.switch.sum()),
         fm=fm,
         gt_total=tp + fn,
         frames=log.num_frames,
         overlap_sum=overlap_sum,
         mt=mt,
-        pt=pt,
+        pt=len(tracks) - mt - ml,
         ml=ml,
-        gt_tracks=len(log.gt_frames),
+        gt_tracks=len(tracks),
     )
 
 
@@ -116,10 +115,7 @@ def pool(counts: Iterable[Counts]) -> Counts:
     counts = list(counts)
     if not counts:
         raise ValueError("cannot pool an empty collection of counts")
-    total = counts[0]
-    for c in counts[1:]:
-        total = total + c
-    return total
+    return sum(counts[1:], counts[0])
 
 
 def mota(c: Counts) -> float:

@@ -66,7 +66,7 @@ def _evaluate_unit(
     table = preprocess_sequence(unit.data, cfg)
     log = run_sequence(unit.data, cfg, preprocessed=table)
     counts = accumulate(log)
-    ident = evaluate_identity(table, cfg.iou_threshold)
+    ident = evaluate_identity(table)
     return unit.label, counts, ident
 
 
@@ -202,21 +202,13 @@ def error_analysis(seq_set: SequenceSet, cfg: RunConfig) -> list[dict]:
         }
 
     rows = [one(unit) for unit in seq_set.units]
-    total = {
-        "sequence": "TOTAL",
-        "fp_tracker": sum(r["fp_tracker"] for r in rows),
-        "fp_detector": sum(r["fp_detector"] for r in rows),
-        "fn_tracker": sum(r["fn_tracker"] for r in rows),
-        "fn_detector": sum(r["fn_detector"] for r in rows),
-    }
-    rows.append(total)
+    rows.append({"sequence": "TOTAL", **{
+        key: sum(r[key] for r in rows)
+        for key in ("fp_tracker", "fp_detector", "fn_tracker", "fn_detector")}})
     for row in rows:
-        row["fp_ratio"] = (
-            row["fp_tracker"] / row["fp_detector"] if row["fp_detector"] else None
-        )
-        row["fn_ratio"] = (
-            row["fn_tracker"] / row["fn_detector"] if row["fn_detector"] else None
-        )
+        for kind in ("fp", "fn"):
+            detector = row[f"{kind}_detector"]
+            row[f"{kind}_ratio"] = row[f"{kind}_tracker"] / detector if detector else None
     return rows
 
 
@@ -306,17 +298,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(_run_config(args))
         if args.command == "validate":
-            expected: list[str] = []
-            if args.seqmap.suffix == ".txt" and args.seqmap.is_file():
-                try:
-                    expected = [name for name, _, _ in read_seqmap(args.seqmap)]
-                except ParseError as err:
-                    raise IngestError(f"{args.seqmap}: {err}") from err
-                detectors = Benchmark(args.benchmark).detectors
-                if detectors:
-                    expected = [f"{n}-{d}" for n in expected for d in detectors]
-            else:
+            if args.seqmap.suffix != ".txt" or not args.seqmap.is_file():
                 raise IngestError(f"cannot read sequence map {args.seqmap}")
+            try:
+                expected = [name for name, _, _ in read_seqmap(args.seqmap)]
+            except ParseError as err:
+                raise IngestError(f"{args.seqmap}: {err}") from err
+            detectors = Benchmark(args.benchmark).detectors
+            if detectors:
+                expected = [f"{n}-{d}" for n in expected for d in detectors]
             return cmd_validate(args.submission, Benchmark(args.benchmark), expected)
         if args.command == "error-analysis":
             return cmd_error_analysis(_run_config(args))

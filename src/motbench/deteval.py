@@ -80,7 +80,8 @@ def pr_curve(
     order = np.lexsort((dets.track_id, -dets.confidence, dets.frame))
     det_frame, det_conf, det_ltwh = dets.frame[order], dets.confidence[order], dets.ltwh[order]
 
-    thresholds = np.unique(det_conf)[::-1]
+    # Any return flag keeps np.unique from importing numpy.ma (numpy 2.x).
+    thresholds = np.unique(det_conf, return_counts=True)[0][::-1]
     frames, starts = np.unique(det_frame, return_index=True)
     ends = np.append(starts[1:], len(det_frame))
     spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))

@@ -14,31 +14,40 @@ negative (IDFN) and every other predicted box an identity false positive
 Co-detections are counted on the edge table the frame-level metrics score
 (the kept boxes of each frame and their pairs at or above the matching
 threshold), so both metric families score one and the same box set.
+:func:`build_table` reduces it to track lengths and pair counts, as columns
+that :func:`solve_identity` reads as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .assignment import EdgeTable, solve_assignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackMatchTable:
-    """Per-pair temporal overlap counts between whole tracks.
+    """Per-track lengths and per-pair temporal overlap counts, as columns.
 
-    ``co_detections[(i, j)]`` is the number of frames on which ground-truth
-    track ``i`` and predicted track ``j`` both have a box overlapping at or
-    above the matching threshold.  A frame contributes at most one count per
-    pair; no per-frame exclusivity is imposed at table-build time.
+    ``gt_ids``/``pred_ids`` list the tracks in ascending id order and
+    ``gt_lengths``/``pred_lengths`` their box counts.  Co-detecting pair
+    ``k``, in (gt id, pred id) order, joins tracks ``gt_ids[pair_gt[k]]`` and
+    ``pred_ids[pair_pred[k]]``; ``co_detections[k]`` counts the frames on
+    which their boxes overlap at or above the matching threshold.  A frame
+    contributes at most one count per pair; no per-frame exclusivity is
+    imposed at table-build time.
     """
 
-    gt_lengths: Mapping[int, int]
-    pred_lengths: Mapping[int, int]
-    co_detections: Mapping[tuple[int, int], int]
+    gt_ids: np.ndarray
+    gt_lengths: np.ndarray
+    pred_ids: np.ndarray
+    pred_lengths: np.ndarray
+    pair_gt: np.ndarray
+    pair_pred: np.ndarray
+    co_detections: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,28 +73,21 @@ def _scores_from_counts(
     )
 
 
-def build_table(table: EdgeTable, iou_threshold: float = 0.5) -> TrackMatchTable:
+def build_table(table: EdgeTable) -> TrackMatchTable:
     """Count per-frame spatial co-detections for every track pair.
 
     ``table`` is the :class:`~motbench.assignment.EdgeTable` of
     :func:`~motbench.assignment.preprocess_sequence`; a pair co-detects on a
-    frame when its edge of that frame has an overlap at or above
-    ``iou_threshold``.  The table stores only pairs at or above its own
-    matching threshold, so a lower ``iou_threshold`` adds no pairs.
+    frame when it has an edge in that frame, that is, an overlap at or above
+    the table's matching threshold.
     """
     gt_ids, gt_track, gt_len = np.unique(table.gt_id, return_inverse=True, return_counts=True)
     pred_ids, pred_track, pred_len = np.unique(
         table.res_id, return_inverse=True, return_counts=True)
-    hit = table.iou >= iou_threshold
     m = len(pred_ids)
-    pairs, co = np.unique(gt_track[table.gt_row[hit]] * m + pred_track[table.res_row[hit]],
+    pairs, co = np.unique(gt_track[table.gt_row] * m + pred_track[table.res_row],
                           return_counts=True)
-    return TrackMatchTable(
-        gt_lengths=dict(zip(gt_ids.tolist(), gt_len.tolist())),
-        pred_lengths=dict(zip(pred_ids.tolist(), pred_len.tolist())),
-        co_detections=dict(zip(
-            zip(gt_ids[pairs // m].tolist(), pred_ids[pairs % m].tolist()), co.tolist())),
-    )
+    return TrackMatchTable(gt_ids, gt_len, pred_ids, pred_len, pairs // m, pairs % m, co)
 
 
 def solve_identity(table: TrackMatchTable) -> IdentityScores:
@@ -96,7 +98,7 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     without the other co-detecting, ``(len_i - co) + (len_j - co)``; pairing
     with a dummy costs the full track length.  A track with no co-detections
     costs its full length whatever it is paired with, so only tracks that
-    appear in ``co_detections`` enter the solve; every other track's length
+    appear in a co-detecting pair enter the solve; every other track's length
     goes straight into IDFN or IDFP.  The solve runs on the sparse graph of
     co-detecting pairs, their tracks' own dummies and one dummy-to-dummy edge
     per pair, one connected component at a time.  Equal-cost optima go to the
@@ -104,13 +106,13 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     are positions in id order among the co-detecting gt and pred tracks, so
     tracks without co-detections never change the pairing.
     """
-    pairs = sorted(table.co_detections)
-    gt_ids, i = np.unique([gt_id for gt_id, _ in pairs], return_inverse=True)
-    pred_ids, j = np.unique([pred_id for _, pred_id in pairs], return_inverse=True)
-    n, m, n_pairs = len(gt_ids), len(pred_ids), len(pairs)
-    co = np.array([table.co_detections[pair] for pair in pairs], dtype=np.int64)
-    gt_len = np.array([table.gt_lengths[g] for g in gt_ids.tolist()], dtype=np.int64)
-    pred_len = np.array([table.pred_lengths[p] for p in pred_ids.tolist()], dtype=np.int64)
+    co = table.co_detections
+    # i, j: positions among the co-detecting tracks, which stay in id order.
+    gt_used = np.bincount(table.pair_gt, minlength=len(table.gt_ids)) > 0
+    pred_used = np.bincount(table.pair_pred, minlength=len(table.pred_ids)) > 0
+    i, j = (np.cumsum(gt_used) - 1)[table.pair_gt], (np.cumsum(pred_used) - 1)[table.pair_pred]
+    gt_len, pred_len = table.gt_lengths[gt_used], table.pred_lengths[pred_used]
+    n, m, n_pairs = len(gt_len), len(pred_len), len(co)
 
     # Rows: gt tracks 0..n-1, then pred dummies n..n+m-1.  Columns: pred
     # tracks 0..m-1, then gt dummies m..m+n-1.  Real pairs come first.
@@ -122,20 +124,21 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
                              np.zeros(n_pairs, dtype=np.int64)]),
         rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]),
     )
-    real = [e for e in chosen if e < n_pairs]
+    real = np.array([e for e in chosen if e < n_pairs], dtype=np.int64)
     idtp = int(co[real].sum())
-    matches = tuple(pairs[e] for e in real)
+    matches = tuple(zip(table.gt_ids[table.pair_gt[real]].tolist(),
+                        table.pred_ids[table.pair_pred[real]].tolist()))
     return _scores_from_counts(
         idtp,
-        sum(table.pred_lengths.values()) - idtp,
-        sum(table.gt_lengths.values()) - idtp,
+        int(table.pred_lengths.sum()) - idtp,
+        int(table.gt_lengths.sum()) - idtp,
         matches,
     )
 
 
-def evaluate_identity(preprocessed: EdgeTable, iou_threshold: float = 0.5) -> IdentityScores:
+def evaluate_identity(preprocessed: EdgeTable) -> IdentityScores:
     """Identity scores of one sequence from its :class:`EdgeTable`."""
-    return solve_identity(build_table(preprocessed, iou_threshold))
+    return solve_identity(build_table(preprocessed))
 
 
 def pool_identity(scores: Iterable[IdentityScores]) -> IdentityScores:

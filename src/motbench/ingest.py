@@ -154,8 +154,9 @@ def parse_file(
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
     column counts (strict mode), integers beyond int64, non-positive box
     extents, box edges or areas that are not finite or beyond 2**1022, box
-    areas that underflow to 0, frames outside ``[1, num_frames]`` (if
-    given), or duplicate (frame, id) pairs in ground-truth/result files.
+    areas that are 0 between the rounded edges (an extent lost to rounding,
+    or an underflow), frames outside ``[1, num_frames]`` (if given), or
+    duplicate (frame, id) pairs in ground-truth/result files.
     Blank lines and a leading byte-order mark are skipped.
     Lenient repair warnings name ``source`` when it is a :class:`Path`.
     """
@@ -211,11 +212,13 @@ def _parse_columns(
     # Positive extents put each left and top at or below its right and
     # bottom, so the least left or top and the greatest right or bottom
     # bound every edge.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner = ltwh[:, :2] + ltwh[:, 2:]
+        extent = corner - ltwh[:, :2]
+        area = extent[:, 0] * extent[:, 1]
         if not (ltwh[:, :2].min() >= -_GEOMETRY_LIMIT
-                and (ltwh[:, :2] + ltwh[:, 2:]).max() <= _GEOMETRY_LIMIT
-                and (ltwh[:, 2] * ltwh[:, 3]).max() <= _GEOMETRY_LIMIT
-                and (ltwh[:, 2] * ltwh[:, 3]).min() > 0):
+                and corner.max() <= _GEOMETRY_LIMIT
+                and area.max() <= _GEOMETRY_LIMIT and area.min() > 0):
             return None
     code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
     visibility = np.ones(n)
@@ -281,14 +284,14 @@ def _parse_rows(
             raise ParseError(
                 f"non-positive box extent width={width} height={height}", line_no
             )
-        edges = (left, top, left + width, top + height)
-        area = width * height
-        if not all(map(math.isfinite, (*edges[2:], area))):
+        right, bottom = left + width, top + height
+        area = (right - left) * (bottom - top)
+        if not all(map(math.isfinite, (right, bottom, area))):
             raise ParseError("box right edge, bottom edge or area is not finite", line_no)
-        if max(*map(abs, edges), area) > _GEOMETRY_LIMIT:
+        if max(*map(abs, (left, top, right, bottom)), area) > _GEOMETRY_LIMIT:
             raise ParseError("box edge or area beyond 2**1022", line_no)
         if area == 0:
-            raise ParseError("box area width * height underflows to 0", line_no)
+            raise ParseError("box area (right - left) * (bottom - top) is 0", line_no)
         confidence = _number(tokens[6], line_no, "confidence")
 
         code = ObjectClass.PEDESTRIAN

@@ -3,7 +3,8 @@
 Boxes are continuous rectangles in 1-based image coordinates (top-left origin,
 y grows downward).  Coordinates may be negative or exceed the frame size:
 annotations routinely extend past the image borders for cropped targets.
-Width and height must be strictly positive.
+Width and height must be strictly positive, and so must the area between the
+rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -59,13 +60,12 @@ class Box:
     height: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "top", float(self.top))
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
-        if not self.width > 0 or not self.height > 0:
+        for name in ("left", "top", "width", "height"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (self.width > 0 and self.height > 0 and self.area > 0):
             raise ValueError(
-                f"box extent must be positive, got width={self.width} height={self.height}"
+                f"box extent must be positive, also between the rounded edges, got "
+                f"left={self.left} top={self.top} width={self.width} height={self.height}"
             )
 
     @property
@@ -79,14 +79,17 @@ class Box:
 
     @property
     def area(self) -> float:
-        return self.width * self.height
+        """Area between the rounded edges, as every overlap measures it."""
+        return (self.right - self.left) * (self.bottom - self.top)
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, on continuous areas.
 
-    Returns a value in [0, 1]; 1.0 only for identical boxes, 0.0 when the
-    boxes do not overlap.  Symmetric in its arguments.
+    Every length is a difference of rounded edges, so the intersection never
+    exceeds either area.  Returns a value in [0, 1]; exactly 1.0 for
+    identical boxes, 0.0 when the boxes do not overlap.  Symmetric in its
+    arguments.
     """
     inter_w = min(a.right, b.right) - max(a.left, b.left)
     if inter_w <= 0:
@@ -102,15 +105,16 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box pair of two ``n x 4`` left/top/width/height arrays.
 
     Returns a ``len(a) x len(b)`` array.  Same arithmetic as :func:`iou`,
-    area included (width times height), so every entry is bit-equal to the
-    scalar value of its pair.
+    area included (between the rounded edges), so every entry is bit-equal
+    to the scalar value of its pair.
     """
     al, at, aw, ah = a.T
     bl, bt, bw, bh = b.T
-    inter_w = np.minimum.outer(al + aw, bl + bw) - np.maximum.outer(al, bl)
-    inter_h = np.minimum.outer(at + ah, bt + bh) - np.maximum.outer(at, bt)
+    ar, ab, br, bb = al + aw, at + ah, bl + bw, bt + bh
+    inter_w = np.minimum.outer(ar, br) - np.maximum.outer(al, bl)
+    inter_h = np.minimum.outer(ab, bb) - np.maximum.outer(at, bt)
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    return inter / (np.add.outer(aw * ah, bw * bh) - inter)
+    return inter / (np.add.outer((ar - al) * (ab - at), (br - bl) * (bb - bt)) - inter)
 
 
 @dataclass(frozen=True)

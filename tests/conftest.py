@@ -13,8 +13,10 @@ import dataclasses
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from motbench.identity import TrackMatchTable
 from motbench.ingest import Benchmark
 from motbench.model import Box, BoxEntry, ObjectClass, SequenceData
 
@@ -215,6 +217,37 @@ def snap_to_grid(instance: SequenceData, step: float = 4.0) -> SequenceData:
 # ---------------------------------------------------------------------------
 # On-disk benchmark trees for ingest/CLI tests
 # ---------------------------------------------------------------------------
+
+def track_table(gt_lengths: dict, pred_lengths: dict,
+                co_detections: dict) -> TrackMatchTable:
+    """The :class:`TrackMatchTable` of these track lengths and pair co-detections."""
+    gt_ids, pred_ids, pairs = sorted(gt_lengths), sorted(pred_lengths), sorted(co_detections)
+
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    return TrackMatchTable(
+        gt_ids=column(gt_ids),
+        gt_lengths=column([gt_lengths[g] for g in gt_ids]),
+        pred_ids=column(pred_ids),
+        pred_lengths=column([pred_lengths[p] for p in pred_ids]),
+        pair_gt=column([gt_ids.index(g) for g, _ in pairs]),
+        pair_pred=column([pred_ids.index(p) for _, p in pairs]),
+        co_detections=column([co_detections[pair] for pair in pairs]),
+    )
+
+
+def table_counts(table: TrackMatchTable) -> tuple[dict, dict, dict]:
+    """``(gt_lengths, pred_lengths, co_detections)`` of ``table`` as dicts keyed by id."""
+    gt_ids, pred_ids = table.gt_ids.tolist(), table.pred_ids.tolist()
+    pairs = zip(table.pair_gt.tolist(), table.pair_pred.tolist())
+    return (
+        dict(zip(gt_ids, table.gt_lengths.tolist())),
+        dict(zip(pred_ids, table.pred_lengths.tolist())),
+        {(gt_ids[i], pred_ids[j]): co
+         for (i, j), co in zip(pairs, table.co_detections.tolist())},
+    )
+
 
 def gt_file_text(entries, variant_cols: int = 9) -> str:
     lines = []

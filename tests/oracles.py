@@ -3,13 +3,18 @@
 These enumerate every feasible option directly with itertools and never call
 the production matchers or scipy, so agreement between the two routes is
 meaningful.  They are only practical for a handful of tracks and frames.
+:func:`per_frame_counts` is the frame-by-frame reading of the count
+definitions that ``accumulate`` computes from columns.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import product
+from typing import Sequence
 
+from motbench.assignment import FrameEvents
+from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.model import BoxEntry, ObjectClass, SequenceData, iou
 
 
@@ -119,3 +124,55 @@ def oracle_identity_counts(seq: SequenceData, threshold: float = 0.5):
     idfn = sum(gt_len.values()) - idtp
     idfp = sum(res_len.values()) - idtp
     return idtp, idfp, idfn
+
+
+def _fragmentations(status: Sequence[bool]) -> int:
+    """Tracked-to-untracked transitions that are resumed later.
+
+    A gap running to the end of the timeline is not a fragmentation: tracking
+    of the target is never resumed.
+    """
+    count = sum(1 for a, b in zip(status, status[1:]) if a and not b)
+    if count and not status[-1]:
+        count -= 1  # the last transition opens the trailing gap
+    return count
+
+
+def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
+    """The counts of a sequence's per-frame events, one frame and track at a time.
+
+    A track's life span runs from its first to its last scoreable frame (a
+    frame where it is matched or missed); frames inside the span where it is
+    not matched count as untracked.
+    """
+    tp = fp = fn = idsw = 0
+    overlap_sum = 0.0
+    gt_frames: dict[int, list[int]] = defaultdict(list)
+    matched: dict[int, set[int]] = defaultdict(set)
+    for ev in events:
+        tp += len(ev.matches)
+        fp += len(ev.fp_ids)
+        fn += len(ev.fn_ids)
+        idsw += len(ev.idsw_ids)
+        overlap_sum += sum(overlap for _, _, overlap in ev.matches)
+        for gt_id, _, _ in ev.matches:
+            matched[gt_id].add(ev.frame)
+            gt_frames[gt_id].append(ev.frame)
+        for gt_id in ev.fn_ids:
+            gt_frames[gt_id].append(ev.frame)
+
+    fm = mt = pt = ml = 0
+    for gt_id, frames in gt_frames.items():
+        first, last = min(frames), max(frames)
+        status = [t in matched[gt_id] for t in range(first, last + 1)]
+        fm += _fragmentations(status)
+        ratio = sum(status) / len(status)
+        if ratio >= MOSTLY_TRACKED_MIN:
+            mt += 1
+        elif ratio < MOSTLY_LOST_MAX:
+            ml += 1
+        else:
+            pt += 1
+    return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, gt_total=tp + fn,
+                  frames=num_frames, overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml,
+                  gt_tracks=len(gt_frames))

@@ -48,7 +48,7 @@ def evaluate(instance, threshold=0.5):
     cfg = MatchingConfig(iou_threshold=threshold)
     frames = preprocess_sequence(instance, cfg)
     counts = accumulate(run_sequence(instance, cfg, preprocessed=frames))
-    ident = evaluate_identity(frames, threshold)
+    ident = evaluate_identity(frames)
     return counts, ident
 
 

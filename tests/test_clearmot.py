@@ -5,13 +5,16 @@ given a row's FP/FN/IDSW and the benchmark's ground-truth box total, the
 formulas must reproduce the row's published scores to report precision.
 """
 
+import dataclasses
+
 import pytest
 
-from motbench.assignment import EventLog, FrameEvents, MatchingConfig, run_sequence
+from motbench.assignment import MatchingConfig, run_sequence
 from motbench.clearmot import (
+    MOSTLY_LOST_MAX,
+    MOSTLY_TRACKED_MIN,
     Counts,
     UndefinedMetricError,
-    _fragmentations,
     accumulate,
     derived_rates,
     mota,
@@ -201,15 +204,30 @@ class TestAccumulate:
         assert counts.mt == 1 and counts.fm == 0
 
     def test_fragmentations_match_their_definition(self, rng):
-        # brute-force reading of the docstring: a tracked-to-untracked
-        # transition counts when tracking resumes later in the timeline
+        # brute-force reading of the docstring over one track: its life span
+        # runs from its first to its last box, a frame of the span is tracked
+        # when it is matched, and a tracked-to-untracked transition counts
+        # when tracking resumes later in the span
         for _ in range(500):
-            status = [rng.random() < 0.5 for _ in range(rng.randint(0, 12))]
+            num_frames = rng.randint(1, 12)
+            boxes = [t for t in range(1, num_frames + 1) if rng.random() < 0.8]
+            hits = [t for t in boxes if rng.random() < 0.5]
+            counts = accumulate(run_sequence(seq(
+                "frag", num_frames, [gt(t, 1, 0, 0) for t in boxes],
+                [hyp(t, 10, 0, 0) for t in hits])))
+            span = range(min(boxes, default=1), max(boxes, default=0) + 1)
+            status = [t in hits for t in span]
             resumed = sum(
                 1 for k in range(len(status) - 1)
                 if status[k] and not status[k + 1] and any(status[k + 2:])
             )
-            assert _fragmentations(status) == resumed
+            assert counts.fm == resumed
+            ratio = sum(status) / len(status) if status else None
+            assert (counts.mt, counts.pt, counts.ml) == (
+                (0, 0, 0) if ratio is None
+                else (1, 0, 0) if ratio >= MOSTLY_TRACKED_MIN
+                else (0, 0, 1) if ratio < MOSTLY_LOST_MAX
+                else (0, 1, 0))
 
     def test_track_classes_partition_and_rates_bounded(self, rng):
         for _ in range(40):
@@ -251,30 +269,21 @@ class TestPool:
         assert pooled_score != pytest.approx(mean_score)
 
     def test_additivity_against_concatenated_log(self, rng):
+        # the second sequence follows the first in time, with its own ids;
+        # evaluating both as one sequence gives the pooled counts
         for _ in range(20):
             first = random_instance(rng)
             second = random_instance(rng)
-            log_a = run_sequence(first)
-            log_b = run_sequence(second)
-            merged = EventLog(
-                name="merged",
-                num_frames=first.num_frames + second.num_frames,
-            )
-            offset = first.num_frames
-            merged.events = list(log_a.events) + [
-                FrameEvents(
-                    frame=ev.frame + offset,
-                    matches=tuple((g + 1000, p, o) for g, p, o in ev.matches),
-                    fp_ids=ev.fp_ids,
-                    fn_ids=tuple(g + 1000 for g in ev.fn_ids),
-                    idsw_ids=tuple(g + 1000 for g in ev.idsw_ids),
-                )
-                for ev in log_b.events
-            ]
-            merged.gt_frames = dict(log_a.gt_frames)
-            for track, frames in log_b.gt_frames.items():
-                merged.gt_frames[track + 1000] = [t + offset for t in frames]
-            assert accumulate(merged) == pool([accumulate(log_a), accumulate(log_b)])
+
+            def shifted(rows):
+                return [dataclasses.replace(e, frame=e.frame + first.num_frames,
+                                            track_id=e.track_id + 1000) for e in rows]
+
+            merged = seq("merged", first.num_frames + second.num_frames,
+                         [*first.gt, *shifted(second.gt)],
+                         [*first.results, *shifted(second.results)])
+            parts = [accumulate(run_sequence(first)), accumulate(run_sequence(second))]
+            assert accumulate(run_sequence(merged)) == pool(parts)
 
 
 class TestSummarize:

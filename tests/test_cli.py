@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ from unittest import mock
 import pytest
 
 import motbench
+import motbench.assignment
 from motbench.cli import main
 from motbench.deteval import export_curve, pr_curve
 from motbench.ingest import Benchmark, load_sequence_set
@@ -424,6 +426,61 @@ def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):
     refuse.assert_not_called()
 
 
+def test_evaluate_never_builds_per_frame_events(tmp_path, rng):
+    # the counts are read off the edge table's columns: evaluate runs
+    # without building one FrameEvents tuple
+    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=3))
+    refuse = mock.Mock(side_effect=AssertionError("per-frame events built"))
+    with mock.patch.object(motbench.assignment, "FrameEvents", refuse):
+        assert main(["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+                     "--res", str(root / "res"), "--format", "json",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    refuse.assert_not_called()
+
+
+def _write_tree(root: Path, seqmap: str, gt_rows: str, res_rows: str) -> list[str]:
+    """A one-sequence MOT16 tree (sequence ``S-01``); the evaluate arguments for it."""
+    (root / "gt").mkdir(parents=True)
+    (root / "res").mkdir()
+    (root / "seqmap.txt").write_text(seqmap)
+    (root / "gt" / "S-01.txt").write_text(gt_rows)
+    (root / "res" / "S-01.txt").write_text(res_rows)
+    return ["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+            "--res", str(root / "res"), "--format", "json"]
+
+
+def test_work_scales_with_rows_not_declared_frames(tmp_path, capsys):
+    # three rows in a sequence that declares a million frames: a track seen
+    # in the first and the last frame, matched in the last
+    args = _write_tree(tmp_path, "S-01 1000000 30\n",
+                       "1,1,10,20,30,60,1,1,1\n1000000,1,10,20,30,60,1,1,1\n",
+                       "1000000,7,10,20,30,60,1,-1,-1\n")
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tuple or an index entry per declared frame would take over 100 MB
+    assert peak < 5_000_000
+    row = json.loads(capsys.readouterr().out)[0]
+    assert {k: row[k] for k in ("frames", "gt_total", "fp", "fn", "idsw", "fm", "mt", "ml",
+                                "mota", "motp", "far", "idf1")} == {
+        "frames": 10**6, "gt_total": 2, "fp": 0, "fn": 1, "idsw": 0, "fm": 0, "mt": 0,
+        "ml": 1, "mota": 50.0, "motp": 100.0, "far": 0.0, "idf1": 200.0 / 3}
+
+
+def test_extents_below_one_ulp_score_at_most_100(tmp_path, capsys):
+    # left + width rounds up to the next float: an identical pair measured
+    # between its rounded edges has IoU exactly 1
+    tiny = "1.6653345369377348e-16"
+    args = _write_tree(tmp_path, "S-01 1 30\n", f"1,1,1,1,{tiny},{tiny},1,1,1\n",
+                       f"1,1,1,1,{tiny},{tiny},1,-1,-1\n")
+    assert main(args) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert (row["motp"], row["fn"], row["fp"]) == (100.0, 0, 0)
+
+
 # Blocks every scipy import, then runs evaluate and a PR sweep on the tree
 # given as the first argument.
 _WITHOUT_SCIPY = """
@@ -446,6 +503,7 @@ assert main(["evaluate", "--benchmark", "MOT16", "--gt", root,
 unit = load_sequence_set(root, Benchmark.MOT16).units[0]
 assert pr_curve(unit.data.detections, unit.data.gt).ap > 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+assert "numpy.ma" not in sys.modules
 """
 
 

@@ -4,19 +4,18 @@ import pytest
 
 from motbench.assignment import MatchingConfig, preprocess_sequence
 from motbench.identity import (
-    TrackMatchTable,
     build_table,
     evaluate_identity,
     pool_identity,
     solve_identity,
 )
-from conftest import gt, hyp, random_instance, seq
+from conftest import gt, hyp, random_instance, seq, table_counts, track_table
 from oracles import oracle_identity_counts
 
 
 def scores_for(instance, threshold=0.5):
     frames = preprocess_sequence(instance, MatchingConfig(iou_threshold=threshold))
-    return evaluate_identity(frames, threshold)
+    return evaluate_identity(frames)
 
 
 def frames_of(gts, preds):
@@ -29,16 +28,13 @@ class TestBuildTable:
     def test_disjoint_tracks_give_empty_table(self):
         gts = [gt(t, 1, 0, 0) for t in (1, 2, 3)]
         preds = [hyp(t, 9, 500, 500) for t in (1, 2, 3)]
-        table = build_table(frames_of(gts, preds))
-        assert table.co_detections == {}
-        assert table.gt_lengths == {1: 3}
-        assert table.pred_lengths == {9: 3}
+        assert table_counts(build_table(frames_of(gts, preds))) == ({1: 3}, {9: 3}, {})
 
     def test_identical_track_codetects_full_length(self):
         gts = [gt(t, 1, 0, 0) for t in range(1, 6)]
         preds = [hyp(t, 9, 0, 0) for t in range(1, 6)]
-        table = build_table(frames_of(gts, preds))
-        assert table.co_detections == {(1, 9): 5}
+        _, _, co_detections = table_counts(build_table(frames_of(gts, preds)))
+        assert co_detections == {(1, 9): 5}
 
     def test_crossing_pairs_match_frame_by_frame_count(self):
         # two targets swap positions across 6 frames; count co-detections by
@@ -49,16 +45,16 @@ class TestBuildTable:
         for t in range(1, 7):
             gts += [gt(t, 1, 0, ys1[t - 1]), gt(t, 2, 0, ys2[t - 1])]
             preds += [hyp(t, 8, 0, 0), hyp(t, 9, 0, 30)]
-        table = build_table(frames_of(gts, preds))
-        assert table.co_detections == {
+        _, _, co_detections = table_counts(build_table(frames_of(gts, preds)))
+        assert co_detections == {
             (1, 8): 3, (1, 9): 3, (2, 8): 3, (2, 9): 3,
         }
 
     def test_one_frame_contributes_at_most_one_count_per_pair(self):
         gts = [gt(1, 1, 0, 0)]
         preds = [hyp(1, 9, 0, 0), hyp(1, 10, 0, 1)]
-        table = build_table(frames_of(gts, preds))
-        assert table.co_detections == {(1, 9): 1, (1, 10): 1}
+        _, _, co_detections = table_counts(build_table(frames_of(gts, preds)))
+        assert co_detections == {(1, 9): 1, (1, 10): 1}
 
 
 class TestSolveIdentity:
@@ -93,17 +89,15 @@ class TestSolveIdentity:
         assert scores.matches == ((1, 8),)  # tie broken toward the earlier id
 
     def test_tracks_without_codetections_never_enter_the_solve(self):
-        small = TrackMatchTable(
-            gt_lengths={1: 10, 2: 10},
-            pred_lengths={8: 5, 9: 5, 10: 10},
-            co_detections={(1, 8): 5, (1, 9): 5, (2, 10): 10},
-        )
+        gt_lengths, pred_lengths = {1: 10, 2: 10}, {8: 5, 9: 5, 10: 10}
+        co_detections = {(1, 8): 5, (1, 9): 5, (2, 10): 10}
+        small = track_table(gt_lengths, pred_lengths, co_detections)
         # thousands of one-frame predicted tracklets and a few ground-truth
         # tracks that overlap nothing
-        crowded = TrackMatchTable(
-            gt_lengths={**small.gt_lengths, **{100 + k: 3 for k in range(5)}},
-            pred_lengths={**small.pred_lengths, **{1000 + k: 1 for k in range(4000)}},
-            co_detections=small.co_detections,
+        crowded = track_table(
+            {**gt_lengths, **{100 + k: 3 for k in range(5)}},
+            {**pred_lengths, **{1000 + k: 1 for k in range(4000)}},
+            co_detections,
         )
         scores = solve_identity(crowded)
         assert scores.idtp == 5 + 10

@@ -125,7 +125,9 @@ class TestParse:
 
     @pytest.mark.parametrize("line", [
         "1,5,0,0,1e-200,1e-200,1,-1,-1",
-        "1,5,3,4,5e-324,0.25,1,-1,-1",
+        "1,5,3,4,5e-324,0.25,1,-1,-1",  # 3 + width rounds to 3
+        "1,5,1,1,1e-17,1,1,-1,-1",  # 1 + width rounds to 1
+        "1,5,1,1e18,5,1,1,-1,-1",  # 1e18 + height rounds to 1e18
     ])
     @pytest.mark.parametrize("strict", [True, False])
     def test_area_underflow_rejected_on_both_paths(self, line, strict):
@@ -133,9 +135,12 @@ class TestParse:
         for parse in (parse_file, ingest._parse_rows):
             with pytest.raises(ParseError) as err:
                 parse(text, *RES_16, strict=strict)
-            assert str(err.value) == "line 2: box area width * height underflows to 0"
-        # a denormal area is not an underflow to 0
+            assert str(err.value) == "line 2: box area (right - left) * (bottom - top) is 0"
+        # a denormal area is not an underflow to 0, and an extent below one
+        # ulp of its edge rounds up to a positive one
         assert len(parse_file("1,5,0,0,1e-200,1e-110,1,-1,-1", *RES_16, strict=strict)) == 1
+        assert len(parse_file("1,5,1,1,1.6653345369377348e-16,1.6653345369377348e-16,1,-1,-1",
+                              *RES_16, strict=strict)) == 1
 
     def test_leading_byte_order_mark_is_skipped(self):
         text = "1,1,10,10,5,5,1,-1,-1\n2,1,10,10,5,5,1,-1,-1\n"

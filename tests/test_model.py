@@ -1,6 +1,7 @@
 """Geometry tests, cross-checked against a pixel-grid oracle."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestBox:
             Box(0, 0, 0, 5)
         with pytest.raises(ValueError):
             Box(0, 0, 5, -1)
+
+    def test_rejects_extent_lost_to_rounding(self):
+        # 1 + 1e-17 rounds to 1: no extent is left between the edges
+        with pytest.raises(ValueError, match="rounded edges"):
+            Box(1.0, 0.0, 1e-17, 5.0)
+        with pytest.raises(ValueError, match="rounded edges"):
+            Box(0.0, 0.0, 1e-200, 1e-200)  # the area underflows to 0
+        assert Box(1.0, 0.0, 1.6653345369377348e-16, 5.0).area == 2.0**-52 * 5.0
 
     def test_negative_coordinates_allowed(self):
         b = Box(-10.5, -3.0, 4.0, 8.0)
@@ -108,6 +117,23 @@ class TestIou:
             b = box(rng.uniform(-5, 5), rng.uniform(-5, 5),
                     rng.uniform(0.1, 9), rng.uniform(0.1, 9))
             assert 0.0 <= iou(a, b) <= 1.0
+
+    def test_bounded_for_extents_near_one_ulp(self):
+        # widths and heights of a fraction of an ulp up to a few ulps of
+        # their edge: rounded edges can make a box wider than its width,
+        # never an intersection wider than a box
+        rng = random.Random(5)
+        for _ in range(2000):
+            edge = rng.choice([1.0, 3.0, 1000.0])
+            ulp = math.ulp(edge)
+            boxes = [box(edge + rng.randint(0, 3) * ulp, edge,
+                         rng.uniform(0.6, 3.0) * ulp, rng.uniform(0.6, 3.0) * ulp)
+                     for _ in range(2)]
+            a, b = boxes
+            assert 0.0 <= iou(a, b) <= 1.0
+            assert iou(a, a) == 1.0
+            assert pairwise_iou(ltwh(boxes), ltwh(boxes)).tolist() == [
+                [iou(p, q) for q in boxes] for p in boxes]
 
     def test_pairwise_matches_scalar(self):
         rng = random.Random(13)

@@ -3,7 +3,9 @@
 ``preprocess_sequence`` and ``run_sequence`` score a whole sequence from one
 edge table; ``preprocess_frame`` and ``match_frame`` are the protocol frame
 by frame.  On every stream here both routes must give the same events,
-counts, identity table, identity scores and identity pairing.
+counts, identity table, identity scores and identity pairing; the counts of
+the sequence pass, read from columns, must equal the per-frame counting of
+the reference events.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 
 import motbench.assignment as assignment
 from motbench.assignment import (
-    EventLog,
+    FrameEvents,
     MatchingConfig,
     match_frame,
     preprocess_frame,
@@ -24,9 +26,10 @@ from motbench.assignment import (
     solve_assignment,
 )
 from motbench.clearmot import accumulate
-from motbench.identity import TrackMatchTable, build_table, solve_identity
+from motbench.identity import build_table, solve_identity
 from motbench.model import ObjectClass, Rows
-from conftest import gt, hyp, random_instance, seq, snap_to_grid
+from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
+from oracles import per_frame_counts
 
 CFG = MatchingConfig()
 
@@ -36,9 +39,9 @@ def _frame_rows(rows: Rows, t: int) -> Rows:
     return Rows(*(column[at] for column in vars(rows).values()))
 
 
-def per_frame_reference(instance, cfg=CFG) -> tuple[EventLog, TrackMatchTable]:
-    """Events and identity table of the protocol run one frame at a time."""
-    log = EventLog(name=instance.name, num_frames=instance.num_frames)
+def per_frame_reference(instance, cfg=CFG) -> tuple[list[FrameEvents], tuple[dict, ...]]:
+    """Events and identity table counts of the protocol run one frame at a time."""
+    events: list[FrameEvents] = []
     gt_len: Counter = Counter()
     pred_len: Counter = Counter()
     co: Counter = Counter()
@@ -48,28 +51,27 @@ def per_frame_reference(instance, cfg=CFG) -> tuple[EventLog, TrackMatchTable]:
         gt_ids, res_ids, _, overlaps = preprocess_frame(
             _frame_rows(instance.gt, t), _frame_rows(instance.results, t), cfg
         )
-        for gt_id in gt_ids:
-            log.gt_frames.setdefault(gt_id, []).append(t)
-        events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, cfg, frame=t)
-        log.events.append(events)
+        frame_events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, cfg, frame=t)
+        events.append(frame_events)
         last.update(prev)
         gt_len.update(gt_ids)
         pred_len.update(res_ids)
         for i, j in zip(*np.nonzero(overlaps >= cfg.iou_threshold)):
             co[gt_ids[i], res_ids[j]] += 1
-    return log, TrackMatchTable(dict(gt_len), dict(pred_len), dict(co))
+    return events, (dict(gt_len), dict(pred_len), dict(co))
 
 
 def assert_pinned(instance, cfg=CFG):
     table = preprocess_sequence(instance, cfg)
     assert len(table) == instance.num_frames
     log = run_sequence(instance, cfg, preprocessed=table)
-    ref_log, ref_table = per_frame_reference(instance, cfg)
-    assert log == ref_log
-    assert accumulate(log) == accumulate(ref_log)
-    identity_table = build_table(table, cfg.iou_threshold)
-    assert identity_table == ref_table
-    scores, ref_scores = solve_identity(identity_table), solve_identity(ref_table)
+    ref_events, ref_counts = per_frame_reference(instance, cfg)
+    assert log.events == ref_events
+    assert accumulate(log) == per_frame_counts(ref_events, instance.num_frames)
+    identity_table = build_table(table)
+    assert table_counts(identity_table) == ref_counts
+    scores = solve_identity(identity_table)
+    ref_scores = solve_identity(track_table(*ref_counts))
     assert scores == ref_scores
     assert scores.matches == ref_scores.matches
 
