@@ -31,9 +31,10 @@ with the most pairs and the lowest total cost, the lowest summed rank
 ``i * m + j`` wins, where target ``i`` and hypothesis ``j`` are positions in
 track-id order and ``m`` counts the candidate hypotheses; permutations of the
 same targets and hypotheses, which tie on that sum, pair them in id order.
-Cost differences below 1e-9 count as ties.  Each connected component of the
-feasible pairs is solved on its own (:func:`solve_assignment`), so a target
-without any feasible pair cannot disturb the tie-break of the others.
+Cost differences below 1e-9 count as ties.  :func:`solve_assignment` takes
+each pair that shares no box with another pair directly, splits the rest
+into connected components with one numpy labelling and solves each on its
+own, so a target without any feasible pair cannot disturb the others' ties.
 
 Evaluation runs the protocol on a whole sequence at once.
 :func:`preprocess_sequence` computes the IoU of every same-frame pair in a
@@ -55,7 +56,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,25 +87,6 @@ class FrameEvents:
     fp_ids: tuple[int, ...]
     fn_ids: tuple[int, ...]
     idsw_ids: tuple[int, ...]
-
-
-def _components(rows: list[int], cols: list[int]) -> list[list[int]]:
-    """Edge indices grouped by the connected components of the edge graph."""
-    offset = max(rows) + 1
-    parent = list(range(offset + max(cols) + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, c in zip(rows, cols):
-        parent[find(r)] = find(offset + c)
-    groups: dict[int, list[int]] = defaultdict(list)
-    for e, r in enumerate(rows):
-        groups[find(r)].append(e)
-    return list(groups.values())
 
 
 def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) -> list[int]:
@@ -222,6 +203,31 @@ def _solve_component(
     ]
 
 
+def _free(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per edge ``(a[e], b[e])``, whether it shares neither endpoint with another edge."""
+    return (np.bincount(a)[a] == 1) & (np.bincount(b)[b] == 1)
+
+
+def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per edge ``(a[e], b[e])``, a label its connected component shares.
+
+    ``a`` and ``b`` are node ids of the two sides.  Each node takes the
+    lowest label of its edges, then its label's label, until nothing changes.
+    """
+    n = int(a.max()) + 1
+    label = np.arange(n + int(b.max()) + 1)
+    b = b + n
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if (new == label).all():
+            return label[a]
+        label = new
+
+
 def solve_assignment(
     rows: np.ndarray, cols: np.ndarray, cost: np.ndarray, rank: np.ndarray
 ) -> list[int]:
@@ -236,23 +242,28 @@ def solve_assignment(
     1e-9 otherwise, count as ties.  Returns the indices of the chosen edges
     in ascending order.
 
-    Each connected component of the edge graph is solved on its own by
+    An edge that shares neither endpoint with another edge is its own
+    matching and is taken directly.  The other edges are split into the
+    connected components of their graph by one numpy labelling
+    (:func:`_edge_components`), and each component is solved on its own by
     shortest augmenting paths over its edge lists
     (:func:`_shortest_augmenting_paths`); no dense matrix is built.  The
     penalty for a missing pair, the key of each node's slack column, is sized
     from that component, small enough that every tie-break level stays above
     rounding error.
     """
+    free = _free(rows, cols)
+    if free.all():
+        return list(range(len(rows)))  # the edges already form a matching
+    rest = np.flatnonzero(~free)
+    label = _edge_components(rows[rest], cols[rest])
+    order = np.argsort(label, kind="stable")  # each component's edges stay ascending
+    components = np.split(rest[order], np.flatnonzero(np.diff(label[order])) + 1)
     row_list, col_list = rows.tolist(), cols.tolist()
-    if len(set(row_list)) == len(row_list) and len(set(col_list)) == len(col_list):
-        return list(range(len(row_list)))  # the edges already form a matching
     cost_list, rank_list = cost.tolist(), rank.tolist()
-    chosen: list[int] = []
-    for edges in _components(row_list, col_list):
-        if len(edges) == 1:
-            chosen += edges
-        else:
-            chosen += _solve_component(edges, row_list, col_list, cost_list, rank_list)
+    chosen = np.flatnonzero(free).tolist()
+    for edges in components:
+        chosen += _solve_component(edges.tolist(), row_list, col_list, cost_list, rank_list)
     chosen.sort()
     return chosen
 
@@ -268,8 +279,6 @@ def _min_cost_matching(
     pairs in row order.
     """
     rows, cols = np.nonzero(overlaps >= threshold)
-    if not rows.size:
-        return []
     feasible = overlaps[rows, cols]
     pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
     chosen = solve_assignment(rows, cols, 1.0 - feasible, rows * overlaps.shape[1] + cols)
@@ -438,26 +447,6 @@ def _edges(gt: Rows, res: Rows, threshold: float):
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per edge ``(a[e], b[e])``, a label its connected component shares.
-
-    ``a`` and ``b`` are node ids of the two sides.  Each node takes the
-    lowest label of its edges, then its label's label, until nothing changes.
-    """
-    n = int(a.max()) + 1
-    label = np.arange(n + int(b.max()) + 1)
-    b = b + n
-    while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if (new == label).all():
-            return label[a]
-        label = new
-
-
 def preprocess_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
@@ -477,11 +466,8 @@ def preprocess_sequence(
     kept = np.ones(len(res), dtype=bool)
     neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
     if neutral.any():
-        # A pair sharing no box with another pair is its own matching.
-        free = (np.bincount(g)[g] == 1) & (np.bincount(r)[r] == 1)
-        kept[r[neutral & free]] = False
         label = _edge_components(g, r)
-        hot = np.flatnonzero(np.isin(label, label[neutral & ~free]))
+        hot = np.flatnonzero(np.isin(label, label[neutral]))
         frame = gt.frame[g[hot]]
         r_lo = np.searchsorted(res.frame, frame)
         i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
@@ -515,8 +501,7 @@ def _match(table: EdgeTable) -> np.ndarray:
     edge took, as :func:`match_frame` ranks them.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
-    free = ((np.bincount(g, minlength=len(table.gt_id))[g] == 1)
-            & (np.bincount(r, minlength=len(table.res_id))[r] == 1))
+    free = _free(g, r)
     if free.all():
         return free
     matched = free.tolist()

@@ -154,12 +154,18 @@ def _emit(text: str, output: Path | None) -> None:
         output.write_text(text, encoding="utf-8")
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def _load(cfg: RunConfig, read_detections: bool) -> SequenceSet:
     seq_set = load_sequence_set(
         cfg.gt_root, cfg.benchmark, results_root=cfg.results_root, strict=cfg.strict,
-        read_detections=False,
+        read_detections=read_detections,
     )
-    reports = evaluate_benchmark(seq_set, cfg)
+    if not seq_set.units:
+        raise IngestError(f"{cfg.gt_root / 'seqmap.txt'}: lists no sequence")
+    return seq_set
+
+
+def cmd_evaluate(cfg: RunConfig) -> int:
+    reports = evaluate_benchmark(_load(cfg, read_detections=False), cfg)
     _emit(_RENDERERS[cfg.out_format](reports), cfg.output)
     return EXIT_OK
 
@@ -230,10 +236,7 @@ def render_error_analysis(rows: list[dict], out_format: str) -> str:
 
 
 def cmd_error_analysis(cfg: RunConfig) -> int:
-    seq_set = load_sequence_set(
-        cfg.gt_root, cfg.benchmark, results_root=cfg.results_root, strict=cfg.strict
-    )
-    rows = error_analysis(seq_set, cfg)
+    rows = error_analysis(_load(cfg, read_detections=True), cfg)
     _emit(render_error_analysis(rows, cfg.out_format), cfg.output)
     return EXIT_OK
 
@@ -304,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
                 expected = [name for name, _, _ in read_seqmap(args.seqmap)]
             except ParseError as err:
                 raise IngestError(f"{args.seqmap}: {err}") from err
+            if not expected:
+                raise IngestError(f"{args.seqmap}: lists no sequence")
             detectors = Benchmark(args.benchmark).detectors
             if detectors:
                 expected = [f"{n}-{d}" for n in expected for d in detectors]

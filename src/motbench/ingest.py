@@ -36,6 +36,7 @@ import codecs
 import logging
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -387,21 +388,32 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+#: What the zip reader raises on a damaged archive: bad headers, a bad CRC or
+#: deflate stream, an unknown compression method or version, an encrypted
+#: entry, a truncated entry or extra field, a seek to a negative offset.
+_ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, NotImplementedError, EOFError,
+               RuntimeError, IndexError, OSError)
+
+
 def _submission_files(path: Path) -> tuple[dict[str, bytes], list[str]]:
     """'<stem>.txt' basenames mapped to contents, plus duplicated basenames."""
     files: dict[str, bytes] = {}
     duplicates: list[str] = []
     if zipfile.is_zipfile(path):
-        with zipfile.ZipFile(path) as archive:
-            for info in archive.infolist():
-                if info.is_dir():
-                    continue
-                base = Path(info.filename).name
-                if not base.endswith(".txt") or base.startswith("."):
-                    continue
-                if base in files:
-                    duplicates.append(base)
-                files[base] = archive.read(info)
+        try:
+            with zipfile.ZipFile(path) as archive:
+                for info in archive.infolist():
+                    if info.is_dir():
+                        continue
+                    base = Path(info.filename).name
+                    if not base.endswith(".txt") or base.startswith("."):
+                        continue
+                    if base in files:
+                        duplicates.append(base)
+                    files[base] = archive.read(info)
+        except _ZIP_ERRORS as err:
+            reason = str(err) or type(err).__name__
+            raise IngestError(f"{path}: unreadable zip archive: {reason}") from err
     elif path.is_dir():
         for child in sorted(path.iterdir()):
             if child.is_file() and child.suffix == ".txt":
@@ -514,7 +526,6 @@ def load_sequence_set(
     benchmark: Benchmark,
     results_root: str | Path | None = None,
     strict: bool = True,
-    require_results: bool = True,
     read_detections: bool = True,
 ) -> SequenceSet:
     """Load a full benchmark directory into a :class:`SequenceSet`.
@@ -564,12 +575,10 @@ def load_sequence_set(
             if read_detections and det_path.is_file():
                 detections = parse(det_path, FileKind.DETECTION, num_frames)
 
-            results: Rows | tuple = ()
             res_path = results_dir / f"{name}{suffix}.txt"
-            if res_path.is_file():
-                results = parse(res_path, FileKind.RESULT, num_frames)
-            elif require_results:
+            if not res_path.is_file():
                 raise IngestError(f"missing result file for {name + suffix!r}: {res_path}")
+            results = parse(res_path, FileKind.RESULT, num_frames)
 
             data = SequenceData(name, num_frames, gt, results, detections, fps)
             units.append(EvalUnit(detector=detector, data=data))

@@ -353,6 +353,8 @@ class TestSolveAssignment:
         # the optimum is unique: every other matching of that size drops an
         # edge of it, so it is unique when banning each chosen edge in turn
         # leaves fewer pairs or a higher cost.
+        empty = np.zeros(0, dtype=np.int64)
+        assert solve_assignment(empty, empty, empty, empty) == []
         rng = random.Random(606)
         unique = short = 0
         for _ in range(2400):
@@ -377,13 +379,21 @@ class TestSolveAssignment:
 
     def test_large_sparse_components_agree_with_scipy(self):
         # Identity-sized components: hundreds of nodes a side, a few edges
-        # each, integer costs and ranks in the tens of millions.
+        # each, integer costs and ranks in the tens of millions; then one
+        # path of 1999 edges alternating row and column under shuffled ids,
+        # whose component labelling takes hundreds of propagation rounds.
         rng = random.Random(885)
-        for n in (150, 400, 885):
-            rows = np.repeat(np.arange(n), 3)
-            cols = np.array([rng.randrange(n) for _ in rows])
-            rows, cols = np.unique(np.column_stack([rows, cols]), axis=0).T
+
+        def check(rows, cols):
             cost = np.array([rng.randint(0, 300) for _ in rows], dtype=np.int64)
             chosen = solve_assignment(rows, cols, cost, rows * 4251 + cols)
             size, total, _ = _scipy_optimum(rows, cols, cost)
             assert (len(chosen), int(cost[chosen].sum())) == (size, total)
+
+        for n in (150, 400, 885):
+            rows = np.repeat(np.arange(n), 3)
+            cols = np.array([rng.randrange(n) for _ in rows])
+            check(*np.unique(np.column_stack([rows, cols]), axis=0).T)
+        row_id, col_id = rng.sample(range(1000), 1000), rng.sample(range(1000), 1000)
+        step = np.arange(1000)
+        check(np.take(row_id, np.r_[step, step[1:]]), np.take(col_id, np.r_[step, step[:-1]]))

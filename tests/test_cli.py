@@ -162,6 +162,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {root / 'seqmap.txt'}: line 2: duplicate sequence 'SEQ-01'\n"
 
+    def test_seqmap_listing_no_sequence_is_an_input_error(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        (root / "seqmap.txt").write_text("# name frames\n")
+        code = main([
+            "evaluate", "--benchmark", "MOT16", "--format", "json",
+            "--gt", str(root), "--res", str(root / "res"),
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {root / 'seqmap.txt'}: lists no sequence\n"
+
     def test_detection_files_are_not_read(self, tmp_path, capsys):
         # evaluate never reads detections, so a malformed det file does not
         # stop it; error-analysis reads them and names the file and the line
@@ -237,6 +248,44 @@ class TestValidate:
         ])
         assert code == 1
         assert "missing sequence: SEQ-02" in capsys.readouterr().out
+
+    def test_damaged_zip_is_an_input_error(self, tmp_path, capsys):
+        # every single-byte mutation of a small deflated archive: the zip
+        # reader's errors (bad headers, CRC, deflate stream, compression
+        # method, encryption flag, truncation) end in one error line that
+        # names the archive
+        seqmap = self.write_seqmap(tmp_path, ["S"])
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("S.txt", "1,1,10,10,20,20,1,-1,-1\n2,1,11,10,20,20,1,-1,-1\n")
+        raw = buffer.getvalue()
+        archive = tmp_path / "sub.zip"
+        unreadable = 0
+        for at in range(len(raw)):
+            for mutated in (0, raw[at] ^ 0xFF, raw[at] ^ 1):
+                archive.write_bytes(raw[:at] + bytes([mutated]) + raw[at + 1:])
+                code = main([
+                    "validate", str(archive), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+                ])
+                err = capsys.readouterr().err
+                assert code in (0, 1), err
+                if err.startswith(f"error: {archive}: unreadable zip archive: "):
+                    unreadable += 1
+                else:
+                    assert err in ("", f"error: {archive} is neither a zip archive nor a directory\n")
+                assert err.count("\n") <= 1
+        assert unreadable > len(raw)
+
+    def test_seqmap_listing_no_sequence_is_an_input_error(self, tmp_path, capsys):
+        seqmap = self.write_seqmap(tmp_path, [])
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {seqmap}: lists no sequence\n"
 
     def test_partitioned_benchmark_expects_suffixed_files(self, tmp_path, capsys):
         seqmap = self.write_seqmap(tmp_path, ["SEQ-01"])
@@ -375,6 +424,17 @@ class TestErrorAnalysis:
         ])
         assert code == 1
         assert "no detections" in capsys.readouterr().err
+
+    def test_seqmap_listing_no_sequence_is_an_input_error(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        (root / "seqmap.txt").write_text("\n")
+        code = main([
+            "error-analysis", "--benchmark", "MOT16",
+            "--gt", str(root), "--res", str(root / "res"),
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {root / 'seqmap.txt'}: lists no sequence\n"
 
 
 class TestRunConfigValidation:

@@ -8,6 +8,10 @@ endings, a byte-order mark, an empty file, and a directory in place of the
 file.  ``evaluate`` runs in-process with every warning raised as an error.
 It must exit 1 with one ``error:`` line, or 0 with a report whose pooled
 row adds up its units and whose scores lie in their ranges; never 2.
+
+``validate`` gets the same mutations on a zip of both result files, applied
+to the archive bytes or to one entry's content.  It must exit 0 with a
+``PASS`` summary, or 1 with a ``FAIL`` summary or one ``error:`` line.
 """
 
 import codecs
@@ -15,6 +19,7 @@ import io
 import json
 import shutil
 import warnings
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -49,6 +54,13 @@ def tree(tmp_path_factory):
     root = write_benchmark_tree(tmp_path_factory.mktemp("fuzz"),
                                 [_sequence("FUZZ-01"), _sequence("FUZZ-02", 0.5)])
     return root, {target: (root / target).read_bytes() for target in TARGETS}
+
+
+def _restore(root, originals) -> None:
+    for target, original in originals.items():
+        if (root / target).is_dir():
+            shutil.rmtree(root / target)
+        (root / target).write_bytes(original)
 
 
 def _mutate(raw: bytes, data, sep: bytes) -> bytes | None:
@@ -98,10 +110,7 @@ def _check_report(rows: list[dict]) -> None:
 @given(data=st.data())
 def test_mutated_input_file_exits_0_or_1(tree, data):
     root, originals = tree
-    for target, original in originals.items():
-        if (root / target).is_dir():
-            shutil.rmtree(root / target)
-        (root / target).write_bytes(original)
+    _restore(root, originals)
     target = data.draw(st.sampled_from(TARGETS))
     mutated = _mutate(originals[target], data, b" " if target == "seqmap.txt" else b",")
     if mutated is None:
@@ -121,20 +130,56 @@ def test_mutated_input_file_exits_0_or_1(tree, data):
         assert err.getvalue().count("\n") == 1
     else:
         rows = json.loads(out.getvalue())
-        if not rows:  # a sequence map that lists no sequence
-            assert target == "seqmap.txt"
-            return
         _check_report(rows)
         if target.startswith("res/"):
             assert rows[-1]["gt_total"] == 2 * SCOREABLE
 
 
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_zip_submission_exits_0_or_1(tree, data):
+    root, originals = tree
+    _restore(root, originals)
+    entries = {name: (root / "res" / name).read_bytes()
+               for name in ("FUZZ-01.txt", "FUZZ-02.txt")}
+    name = data.draw(st.sampled_from([None, *entries]))  # None: the archive itself
+    if name is not None:
+        entries[name] = _mutate(entries[name], data, b",")
+    archive = root / "sub.zip"
+    if archive.is_dir():
+        archive.rmdir()
+    with zipfile.ZipFile(archive, "w", data.draw(st.sampled_from(
+            [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]))) as zf:
+        for entry, content in entries.items():
+            if content is None:  # a directory in place of the file
+                zf.writestr(entry + "/", b"")
+            else:
+                zf.writestr(entry, content)
+    if name is None:
+        mutated = _mutate(archive.read_bytes(), data, b",")
+        archive.unlink()
+        if mutated is None:
+            archive.mkdir()
+        else:
+            archive.write_bytes(mutated)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["validate", str(archive), "--benchmark", "MOT16",
+                     "--seqmap", str(root / "seqmap.txt")])
+    assert code in (0, 1), err.getvalue()
+    if err.getvalue():
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue().endswith("PASS\n" if code == 0 else "FAIL\n")
+
+
 def test_the_unmutated_tree_scores_every_box(tree):
     root, originals = tree
-    for target, original in originals.items():
-        if (root / target).is_dir():
-            shutil.rmtree(root / target)
-        (root / target).write_bytes(original)
+    _restore(root, originals)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["evaluate", "--benchmark", "MOT16", "--gt", str(root),

@@ -531,14 +531,6 @@ class TestLoadSequenceSet:
         with pytest.raises(IngestError, match=r"SEQ-01\.txt: line 2: invalid UTF-8 byte 0xff"):
             load_sequence_set(tmp_path, Benchmark.MOT16)
 
-    def test_missing_results_tolerated_when_not_required(self, tmp_path):
-        write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
-        (tmp_path / "res" / "SEQ-01.txt").unlink()
-        loaded = load_sequence_set(
-            tmp_path, Benchmark.MOT16, require_results=False
-        )
-        assert len(loaded.units[0].data.results) == 0
-
     def test_seqmap_with_fps_and_comments(self, tmp_path):
         path = tmp_path / "seqmap.txt"
         path.write_text("# comment\nSEQ-01 600 30\n\nSEQ-02 450\n")
