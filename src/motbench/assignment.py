@@ -211,21 +211,24 @@ def _free(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per edge ``(a[e], b[e])``, a label its connected component shares.
 
-    ``a`` and ``b`` are node ids of the two sides.  Each node takes the
-    lowest label of its edges, then its label's label, until nothing changes.
+    ``a`` and ``b`` are node ids of the two sides.  Every node points at a
+    node of its component with an id no higher than its own, and roots point
+    at themselves.  Each round hooks the larger root of every edge whose
+    endpoints have different roots onto the smaller one, then follows the
+    pointers until each node points at a root.  When every edge's endpoints
+    share a root, that root is the lowest node id of the component.
     """
     n = int(a.max()) + 1
     label = np.arange(n + int(b.max()) + 1)
     b = b + n
     while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if (new == label).all():
-            return label[a]
-        label = new
+        ra, rb = label[a], label[b]
+        if (ra == rb).all():
+            return ra
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        root = label[label]
+        while (root != label).any():
+            label, root = root, root[root]
 
 
 def solve_assignment(

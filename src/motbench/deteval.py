@@ -15,6 +15,7 @@ constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -46,7 +47,12 @@ class PRCurve:
 
 
 def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:
-    """Matches of greedy descending-IoU matching, earlier rows and columns first on ties."""
+    """Matches of greedy descending-IoU matching, earlier rows and columns first on ties.
+
+    :func:`pr_curve` calls it once per distinct score in a frame, with rows
+    the frame's detections scored at or above that score, in sweep order,
+    and columns the frame's ground truth by track id.
+    """
     rows, cols = np.nonzero(overlaps >= thr)
     pairs = sorted(zip((-overlaps[rows, cols]).tolist(), rows.tolist(), cols.tolist()))
     used_d: set[int] = set()
@@ -69,8 +75,13 @@ def pr_curve(
     """Sweep every distinct confidence value and score the kept detections.
 
     Within a frame, greedy matching ties go to the higher-scored detection,
-    then to the lower ground-truth track id.  With no scored detections the
-    curve is empty and its AP is zero.
+    then to the lower detection track id, then to the detection that comes
+    first in the input (the sort is stable), and among ground truth to the
+    lower track id.  A frame's kept detections change only at its own
+    scores, so each frame is matched once per distinct score in it, and the
+    change in its match count is added at that threshold; a cumulative sum
+    gives the true positives at every threshold.  With no scored detections
+    the curve is empty and its AP is zero.
     """
     dets, gts = Rows.of(detections), Rows.of(gt).sorted()
     scored = gts.scoreable
@@ -81,25 +92,28 @@ def pr_curve(
     det_frame, det_conf, det_ltwh = dets.frame[order], dets.confidence[order], dets.ltwh[order]
 
     # Any return flag keeps np.unique from importing numpy.ma (numpy 2.x).
-    thresholds = np.unique(det_conf, return_counts=True)[0][::-1]
+    scores, counts = np.unique(det_conf, return_counts=True)
+    # Per detection, the index of its score among the thresholds, highest first.
+    level = (len(scores) - 1 - np.searchsorted(scores, det_conf)).tolist()
     frames, starts = np.unique(det_frame, return_index=True)
     ends = np.append(starts[1:], len(det_frame))
     spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))
-    # Per frame: the IoU of each (detection, GT) pair, and the count each threshold keeps.
-    per_frame = [
-        (pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d]),
-         np.searchsorted(-det_conf[a:b], -thresholds, side="right").tolist())
-        for a, b, (c, d) in zip(starts, ends, spans)
-    ]
+    gain = [0] * len(scores)
+    for a, b, (c, d) in zip(starts.tolist(), ends.tolist(), spans):
+        overlaps = pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d])
+        conf = det_conf[a:b]
+        tp = 0
+        # The prefix ends: the last detection of each run of one score.
+        for k in [*(np.flatnonzero(conf[1:] != conf[:-1]) + 1).tolist(), b - a]:
+            now = _greedy_frame_tp(overlaps[:k], iou_threshold)
+            gain[level[a + k - 1]] += now - tp
+            tp = now
     points = []
-    for t, thr in enumerate(thresholds.tolist()):
-        tp = kept_total = 0
-        for overlaps, kept in per_frame:
-            if kept[t]:
-                tp += _greedy_frame_tp(overlaps[:kept[t]], iou_threshold)
-                kept_total += kept[t]
+    for thr, tp, kept_total in zip(
+        scores[::-1].tolist(), accumulate(gain), accumulate(counts[::-1].tolist())
+    ):
         recall = 100.0 * tp / len(gt_frame) if len(gt_frame) else 0.0
-        precision = 100.0 * tp / kept_total if kept_total else 0.0
+        precision = 100.0 * tp / kept_total
         points.append(PRPoint(threshold=thr, recall=recall, precision=precision))
 
     curve_points = tuple(points)

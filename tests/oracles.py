@@ -5,17 +5,29 @@ the production matchers or scipy, so agreement between the two routes is
 meaningful.  They are only practical for a handful of tracks and frames.
 :func:`per_frame_counts` is the frame-by-frame reading of the count
 definitions that ``accumulate`` computes from columns.
+:func:`pr_curve_rescored` is the threshold-by-threshold PR sweep; it shares
+the greedy frame matcher with ``deteval.pr_curve`` and checks only how the
+sweep adds the frames up.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from motbench.assignment import FrameEvents
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
-from motbench.model import BoxEntry, ObjectClass, SequenceData, iou
+from motbench.deteval import (
+    GroundTruthMode,
+    PRCurve,
+    PRPoint,
+    _eleven_point_ap,
+    _greedy_frame_tp,
+)
+from motbench.model import BoxEntry, ObjectClass, Rows, SequenceData, iou, pairwise_iou
 
 
 def _frames(seq: SequenceData):
@@ -176,3 +188,57 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
     return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, gt_total=tp + fn,
                   frames=num_frames, overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml,
                   gt_tracks=len(gt_frames))
+
+
+def pr_curve_rescored(
+    detections: Rows | Iterable[BoxEntry],
+    gt: Rows | Iterable[BoxEntry],
+    iou_threshold: float = 0.5,
+    mode: GroundTruthMode = "tracking_gt",
+    min_visibility: float = 0.5,
+) -> PRCurve:
+    """The PR sweep that re-matches every frame at every distinct threshold.
+
+    This is the sweep ``deteval.pr_curve`` ran before it matched each frame
+    once per distinct score in it; both must give equal curves.
+
+    Within a frame, greedy matching ties go to the higher-scored detection,
+    then to the lower ground-truth track id.  With no scored detections the
+    curve is empty and its AP is zero.
+    """
+    dets, gts = Rows.of(detections), Rows.of(gt).sorted()
+    scored = gts.scoreable
+    if mode == "visible_only":
+        scored &= gts.visibility >= min_visibility
+    gt_frame, gt_ltwh = gts.frame[scored], gts.ltwh[scored]
+    order = np.lexsort((dets.track_id, -dets.confidence, dets.frame))
+    det_frame, det_conf, det_ltwh = dets.frame[order], dets.confidence[order], dets.ltwh[order]
+
+    # Any return flag keeps np.unique from importing numpy.ma (numpy 2.x).
+    thresholds = np.unique(det_conf, return_counts=True)[0][::-1]
+    frames, starts = np.unique(det_frame, return_index=True)
+    ends = np.append(starts[1:], len(det_frame))
+    spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))
+    # Per frame: the IoU of each (detection, GT) pair, and the count each threshold keeps.
+    per_frame = [
+        (pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d]),
+         np.searchsorted(-det_conf[a:b], -thresholds, side="right").tolist())
+        for a, b, (c, d) in zip(starts, ends, spans)
+    ]
+    points = []
+    for t, thr in enumerate(thresholds.tolist()):
+        tp = kept_total = 0
+        for overlaps, kept in per_frame:
+            if kept[t]:
+                tp += _greedy_frame_tp(overlaps[:kept[t]], iou_threshold)
+                kept_total += kept[t]
+        recall = 100.0 * tp / len(gt_frame) if len(gt_frame) else 0.0
+        precision = 100.0 * tp / kept_total if kept_total else 0.0
+        points.append(PRPoint(threshold=thr, recall=recall, precision=precision))
+
+    curve_points = tuple(points)
+    return PRCurve(
+        points=curve_points,
+        ap=_eleven_point_ap(curve_points),
+        operating_point=curve_points[-1] if curve_points else None,
+    )

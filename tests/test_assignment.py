@@ -1,12 +1,15 @@
 """Matching-protocol tests: preprocessing, carryover, switches, oracles."""
 
 import random
+import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from motbench.assignment import (
     MatchingConfig,
+    _edge_components,
     match_frame,
     preprocess_frame,
     preprocess_sequence,
@@ -381,7 +384,7 @@ class TestSolveAssignment:
         # Identity-sized components: hundreds of nodes a side, a few edges
         # each, integer costs and ranks in the tens of millions; then one
         # path of 1999 edges alternating row and column under shuffled ids,
-        # whose component labelling takes hundreds of propagation rounds.
+        # one component whose ids do not follow the path.
         rng = random.Random(885)
 
         def check(rows, cols):
@@ -397,3 +400,44 @@ class TestSolveAssignment:
         row_id, col_id = rng.sample(range(1000), 1000), rng.sample(range(1000), 1000)
         step = np.arange(1000)
         check(np.take(row_id, np.r_[step, step[1:]]), np.take(col_id, np.r_[step, step[:-1]]))
+
+
+class TestEdgeComponents:
+    def test_labels_agree_with_breadth_first_search(self):
+        # Each edge's label is the lowest row id of its component.
+        rng = random.Random(515)
+        for _ in range(400):
+            n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
+            m = rng.randint(1, 60)
+            a = np.array([rng.randrange(n_rows) for _ in range(m)])
+            b = np.array([rng.randrange(n_cols) for _ in range(m)])
+            adjacent = defaultdict(set)
+            for x, y in zip(a.tolist(), b.tolist()):
+                adjacent[("row", x)].add(("col", y))
+                adjacent[("col", y)].add(("row", x))
+            lowest = {}
+            for start in adjacent:
+                if start in lowest:
+                    continue
+                members = [start]
+                seen = {start}
+                for node in members:
+                    for other in adjacent[node] - seen:
+                        seen.add(other)
+                        members.append(other)
+                low = min(x for side, x in members if side == "row")
+                lowest.update(dict.fromkeys(members, low))
+            assert _edge_components(a, b).tolist() == [lowest[("row", x)] for x in a.tolist()]
+
+    def test_shuffled_chain_labels_in_under_a_second(self):
+        # A path alternating row and column under shuffled ids; labelling by
+        # propagating the lowest label along edges took seconds here.
+        n = 16000
+        gen = np.random.default_rng(16000)
+        row_id, col_id = gen.permutation(n), gen.permutation(n)
+        step = np.arange(n)
+        a, b = row_id[np.r_[step, step[1:]]], col_id[np.r_[step, step[:-1]]]
+        start = time.perf_counter()
+        label = _edge_components(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert (label == 0).all()

@@ -4,8 +4,30 @@ import random
 
 import pytest
 
+import motbench.deteval as deteval
 from motbench.deteval import PRCurve, PRPoint, _eleven_point_ap, export_curve, pr_curve
 from conftest import det, gt
+from oracles import pr_curve_rescored
+
+
+def _tie_heavy(rng: random.Random, frames: int = 8):
+    """Integer-pixel GT and detections whose scores come from four values.
+
+    Boxes sit on a coarse grid, so equal IoUs and duplicate detections are
+    common; some frames have detections and no GT, others GT and no
+    detections.  Visibilities straddle the ``visible_only`` cut.
+    """
+    gts, dets = [], []
+    for t in range(1, frames + 1):
+        if rng.random() < 0.8:
+            gts += [gt(t, i, 10 * rng.randint(0, 4), 10 * rng.randint(0, 2),
+                       visibility=rng.choice([0.0, 0.4, 0.5, 1.0]))
+                    for i in rng.sample(range(1, 9), rng.randint(1, 4))]
+        if rng.random() < 0.8:
+            dets += [det(t, 5 * rng.randint(0, 9), 5 * rng.randint(0, 5),
+                         rng.choice([10, 15]), 10, conf=rng.choice([0.25, 0.5, 0.75, 1.0]))
+                     for _ in range(rng.randint(1, 7))]
+    return gts, dets
 
 
 class TestPrCurve:
@@ -102,6 +124,13 @@ class TestPrCurve:
         recalls = [p.recall for p in curve.points]
         assert all(a <= b + 1e-9 for a, b in zip(recalls, recalls[1:]))
 
+    def test_score_and_overlap_ties_go_to_the_detection_first_in_the_file(self):
+        # Both detections cover G1 at IoU 0.5; only the wide one also covers G2.
+        gts = [gt(1, 1, 0, 0), gt(1, 2, 10, 0)]
+        tall, wide = det(1, 0, 0, 10, 20, conf=0.9), det(1, 0, 0, 20, 10, conf=0.9)
+        assert pr_curve([tall, wide], gts).points[0].recall == pytest.approx(100.0)
+        assert pr_curve([wide, tall], gts).points[0].recall == pytest.approx(50.0)
+
     def test_visible_only_mode_shrinks_gt(self):
         gts = [
             gt(1, 1, 0, 0, visibility=1.0),
@@ -139,6 +168,31 @@ class TestPrCurve:
         strict = pr_curve(dets, gts, iou_threshold=0.7)
         loose = pr_curve(dets, gts, iou_threshold=0.3)
         assert loose.points[-1].recall >= strict.points[-1].recall - 1e-9
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("mode", ["tracking_gt", "visible_only"])
+    def test_equals_the_rescoring_sweep_on_ties(self, mode, iou_threshold):
+        rng = random.Random(9001)
+        for _ in range(80):
+            gts, dets = _tie_heavy(rng)
+            for detections in (dets, []):
+                curve = pr_curve(detections, gts, iou_threshold, mode)
+                expected = pr_curve_rescored(detections, gts, iou_threshold, mode)
+                assert curve == expected
+                assert export_curve(curve) == export_curve(expected)
+
+    def test_matches_each_frame_once_per_distinct_score(self, monkeypatch):
+        calls = []
+        greedy = deteval._greedy_frame_tp
+
+        def counted(overlaps, thr):
+            calls.append(len(overlaps))
+            return greedy(overlaps, thr)
+
+        monkeypatch.setattr(deteval, "_greedy_frame_tp", counted)
+        gts, dets = _tie_heavy(random.Random(77), frames=20)
+        pr_curve(dets, gts)
+        assert len(calls) == len({(d.frame, d.confidence) for d in dets})
 
 
 class TestAveragePrecision:
