@@ -161,7 +161,8 @@ def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) 
 
 
 def _solve_component(
-    edges: list[int], rows: list[int], cols: list[int], cost: list[float], rank: list[int]
+    edges: list[int], rows: list[int], cols: list[int], cost: list[float], rank: list[int],
+    *, most_pairs: bool = True,
 ) -> list[int]:
     """The chosen edges of one connected component, by :func:`solve_assignment`."""
     row_at = {v: i for i, v in enumerate(sorted({rows[e] for e in edges}))}
@@ -171,21 +172,24 @@ def _solve_component(
     local = {(row_at[rows[e]], col_at[cols[e]]): e for e in edges}
     lowest = min(cost[e] for e in edges)
     first = min(rank[e] for e in edges)
+    if not most_pairs:  # a slack column is an edge at cost 0 and rank 0
+        lowest, first = min(lowest, 0), min(first, 0)
     # Any matching's summed rank stays below ``ties``, so scaling the cost
     # resolution to ``ties`` ranks every cost difference above the rank.
     ties = k * (max(rank[e] for e in edges) - first + 1)
     resolution = 1.0 if all(float(cost[e]).is_integer() for e in edges) else 1.0e-9
+    scale = ties / resolution
     # Permutations of one row and column set tie on summed rank; the last
     # level, below one rank unit, pairs rows and columns in order.
     spread = k * n_rows * n_cols
     keys = [
-        (cost[e] - lowest) * (ties / resolution) + (rank[e] - first)
+        (cost[e] - lowest) * scale + (rank[e] - first)
         + i * (n_cols - 1 - j) / spread
         for (i, j), e in local.items()
     ]
-    # One more pair outweighs any key total of a matching in this component,
-    # so a slack column, at this key, is taken only when no pair is left.
-    penalty = k * max(keys) + 1.0
+    # With ``most_pairs``, one more pair outweighs any key total of a matching
+    # in this component, so a slack column is taken only when no pair is left.
+    slack = k * max(keys) + 1.0 if most_pairs else -lowest * scale - first
     # Search from the smaller side: one search per node of that side.
     flip = n_rows > n_cols
     n_search, n_other = (n_cols, n_rows) if flip else (n_rows, n_cols)
@@ -196,7 +200,7 @@ def _solve_component(
         else:
             adj[i].append((j, key))
     for a, out in enumerate(adj):
-        out.append((n_other + a, penalty))
+        out.append((n_other + a, slack))
     picked = _shortest_augmenting_paths(adj, n_other)
     return [
         local[(b, a) if flip else (a, b)] for a, b in enumerate(picked) if b < n_other
@@ -232,7 +236,8 @@ def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_assignment(
-    rows: np.ndarray, cols: np.ndarray, cost: np.ndarray, rank: np.ndarray
+    rows: np.ndarray, cols: np.ndarray, cost: np.ndarray, rank: np.ndarray,
+    *, most_pairs: bool = True,
 ) -> list[int]:
     """Optimal matching over a sparse list of feasible edges.
 
@@ -240,20 +245,25 @@ def solve_assignment(
     integer ids, one id space per side) at ``cost[e]``.  The chosen matching
     uses only these edges and has the most pairs, then the lowest total cost,
     then the lowest summed ``rank``; among permutations of the same rows and
-    columns, which tie on summed rank, it pairs them in order.  Cost
-    differences below the resolution of the costs, 1 for integer costs and
-    1e-9 otherwise, count as ties.  Returns the indices of the chosen edges
-    in ascending order.
+    columns, which tie on summed rank, it pairs them in order.  With
+    ``most_pairs=False`` the number of pairs does not count: any node may stay
+    unmatched at cost 0 and rank 0, so the lowest total cost comes first.
+    Every cost must then be negative, so that a pair always beats leaving
+    both its ends unmatched.  Cost differences below the resolution of the
+    costs, 1 for integer costs and 1e-9 otherwise, count as ties.  Returns
+    the indices of the chosen edges in ascending order.
 
     An edge that shares neither endpoint with another edge is its own
     matching and is taken directly.  The other edges are split into the
     connected components of their graph by one numpy labelling
     (:func:`_edge_components`), and each component is solved on its own by
     shortest augmenting paths over its edge lists
-    (:func:`_shortest_augmenting_paths`); no dense matrix is built.  The
-    penalty for a missing pair, the key of each node's slack column, is sized
+    (:func:`_shortest_augmenting_paths`); no dense matrix is built.  Each
+    node of the searching side has a slack column of its own, taken when the
+    node stays unmatched.  Its key is the penalty for a missing pair, sized
     from that component, small enough that every tie-break level stays above
-    rounding error.
+    rounding error; with ``most_pairs=False`` it is the key of a cost-0,
+    rank-0 edge.
     """
     free = _free(rows, cols)
     if free.all():
@@ -266,7 +276,8 @@ def solve_assignment(
     cost_list, rank_list = cost.tolist(), rank.tolist()
     chosen = np.flatnonzero(free).tolist()
     for edges in components:
-        chosen += _solve_component(edges.tolist(), row_list, col_list, cost_list, rank_list)
+        chosen += _solve_component(edges.tolist(), row_list, col_list, cost_list, rank_list,
+                                   most_pairs=most_pairs)
     chosen.sort()
     return chosen
 

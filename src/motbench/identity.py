@@ -1,10 +1,13 @@
 """Identity metrics from a global track-level bipartite matching.
 
 Unlike the frame-level metrics, the target-to-hypothesis mapping here is
-decided once for the entire sequence: whole tracks are paired so that the
-total number of frames on which paired tracks disagree is minimal.  Dummy
-nodes absorb unmatched tracks at the cost of their full length, so the
-optimal matching pairs tracks with the largest temporal overlap.
+decided once for the entire sequence: whole tracks are paired one to one so
+that the paired tracks co-detect on the most frames (Ristani et al., 2016).
+This is the pairing with the fewest frames on which paired tracks disagree,
+an unpaired track disagreeing on its whole length: those frames number the
+summed track length minus twice the co-detected frames.  Only co-detecting
+pairs add to that count, so the pairing is a maximum-weight matching over
+them alone, and any track may stay unpaired.
 
 From the optimal matching, identity true positives (IDTP) are the co-detected
 frames of matched pairs; every other ground-truth box is an identity false
@@ -93,41 +96,22 @@ def build_table(table: EdgeTable) -> TrackMatchTable:
 def solve_identity(table: TrackMatchTable) -> IdentityScores:
     """Optimal track pairing and the identity scores it induces.
 
-    The bipartite problem is augmented with dummy nodes so every track is
-    matched: pairing real tracks i and j costs the frames where either exists
-    without the other co-detecting, ``(len_i - co) + (len_j - co)``; pairing
-    with a dummy costs the full track length.  A track with no co-detections
-    costs its full length whatever it is paired with, so only tracks that
-    appear in a co-detecting pair enter the solve; every other track's length
-    goes straight into IDFN or IDFP.  The solve runs on the sparse graph of
-    co-detecting pairs, their tracks' own dummies and one dummy-to-dummy edge
-    per pair, one connected component at a time.  Equal-cost optima go to the
-    lowest summed rank ``i * m + j`` of the real pairs, where ``i`` and ``j``
-    are positions in id order among the co-detecting gt and pred tracks, so
-    tracks without co-detections never change the pairing.
+    The pairing has the most co-detected frames summed over its pairs.  It
+    is one :func:`~motbench.assignment.solve_assignment` over the
+    co-detecting pairs alone, at cost ``-co`` and with ``most_pairs=False``,
+    so any track may stay unpaired and a track without co-detections never
+    enters the solve.  Equal optima go to the lowest summed rank
+    ``i * m + j`` of the pairs, where ``i`` and ``j`` are positions in id
+    order among the co-detecting gt and pred tracks, so tracks without
+    co-detections never change the pairing either.
     """
     co = table.co_detections
-    # i, j: positions among the co-detecting tracks, which stay in id order.
-    gt_used = np.bincount(table.pair_gt, minlength=len(table.gt_ids)) > 0
-    pred_used = np.bincount(table.pair_pred, minlength=len(table.pred_ids)) > 0
-    i, j = (np.cumsum(gt_used) - 1)[table.pair_gt], (np.cumsum(pred_used) - 1)[table.pair_pred]
-    gt_len, pred_len = table.gt_lengths[gt_used], table.pred_lengths[pred_used]
-    n, m, n_pairs = len(gt_len), len(pred_len), len(co)
-
-    # Rows: gt tracks 0..n-1, then pred dummies n..n+m-1.  Columns: pred
-    # tracks 0..m-1, then gt dummies m..m+n-1.  Real pairs come first.
-    gt_nodes, pred_nodes = np.arange(n), np.arange(m)
-    chosen = solve_assignment(
-        rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]),
-        cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]),
-        cost=np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
-                             np.zeros(n_pairs, dtype=np.int64)]),
-        rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]),
-    )
-    real = np.array([e for e in chosen if e < n_pairs], dtype=np.int64)
-    idtp = int(co[real].sum())
-    matches = tuple(zip(table.gt_ids[table.pair_gt[real]].tolist(),
-                        table.pred_ids[table.pair_pred[real]].tolist()))
+    _, i = np.unique(table.pair_gt, return_inverse=True)
+    pred_used, j = np.unique(table.pair_pred, return_inverse=True)
+    chosen = solve_assignment(i, j, -co, i * len(pred_used) + j, most_pairs=False)
+    idtp = int(co[chosen].sum())
+    matches = tuple(zip(table.gt_ids[table.pair_gt[chosen]].tolist(),
+                        table.pred_ids[table.pair_pred[chosen]].tolist()))
     return _scores_from_counts(
         idtp,
         int(table.pred_lengths.sum()) - idtp,

@@ -1,13 +1,18 @@
-"""Brute-force reference implementations used to cross-check the engine.
+"""Reference implementations used to cross-check the engine.
 
-These enumerate every feasible option directly with itertools and never call
-the production matchers or scipy, so agreement between the two routes is
-meaningful.  They are only practical for a handful of tracks and frames.
-:func:`per_frame_counts` is the frame-by-frame reading of the count
-definitions that ``accumulate`` computes from columns.
-:func:`pr_curve_rescored` is the threshold-by-threshold PR sweep; it shares
-the greedy frame matcher with ``deteval.pr_curve`` and checks only how the
-sweep adds the frames up.
+The brute-force oracles enumerate every feasible option directly with
+itertools and never call the production matchers or scipy, so agreement
+between the two routes is meaningful.  They are only practical for a handful
+of tracks and frames.  :func:`per_frame_counts` is the frame-by-frame reading
+of the count definitions that ``accumulate`` computes from columns.
+:func:`pr_curve_rescored` is the threshold-by-threshold PR sweep, with its
+own copy of the greedy frame matcher.
+
+:func:`solve_identity_dummy_graph` is the identity solve as it was before it
+paired only the co-detecting tracks: a perfect matching on a graph where
+dummy nodes absorb unpaired tracks.  It shares the production solver, so it
+checks only the graph construction; the scipy cross-check of
+``solve_assignment`` covers the solver.
 """
 
 from __future__ import annotations
@@ -18,15 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from motbench.assignment import FrameEvents
+from motbench.assignment import FrameEvents, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
-from motbench.deteval import (
-    GroundTruthMode,
-    PRCurve,
-    PRPoint,
-    _eleven_point_ap,
-    _greedy_frame_tp,
-)
+from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
+from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
 from motbench.model import BoxEntry, ObjectClass, Rows, SequenceData, iou, pairwise_iou
 
 
@@ -138,6 +138,47 @@ def oracle_identity_counts(seq: SequenceData, threshold: float = 0.5):
     return idtp, idfp, idfn
 
 
+def solve_identity_dummy_graph(table: TrackMatchTable) -> IdentityScores:
+    """``solve_identity`` on a graph where dummy nodes absorb unpaired tracks.
+
+    Every track is matched: pairing real tracks i and j costs the frames
+    where either exists without the other co-detecting,
+    ``(len_i - co) + (len_j - co)``; pairing with a dummy costs the full
+    track length.  Only tracks that appear in a co-detecting pair enter the
+    graph, with their own dummies and one dummy-to-dummy edge per pair.
+    Equal-cost optima go to the lowest summed rank ``i * m + j`` of the real
+    pairs, positions in id order among the co-detecting tracks.
+    """
+    co = table.co_detections
+    # i, j: positions among the co-detecting tracks, which stay in id order.
+    gt_used = np.bincount(table.pair_gt, minlength=len(table.gt_ids)) > 0
+    pred_used = np.bincount(table.pair_pred, minlength=len(table.pred_ids)) > 0
+    i, j = (np.cumsum(gt_used) - 1)[table.pair_gt], (np.cumsum(pred_used) - 1)[table.pair_pred]
+    gt_len, pred_len = table.gt_lengths[gt_used], table.pred_lengths[pred_used]
+    n, m, n_pairs = len(gt_len), len(pred_len), len(co)
+
+    # Rows: gt tracks 0..n-1, then pred dummies n..n+m-1.  Columns: pred
+    # tracks 0..m-1, then gt dummies m..m+n-1.  Real pairs come first.
+    gt_nodes, pred_nodes = np.arange(n), np.arange(m)
+    chosen = solve_assignment(
+        rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]),
+        cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]),
+        cost=np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
+                             np.zeros(n_pairs, dtype=np.int64)]),
+        rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]),
+    )
+    real = np.array([e for e in chosen if e < n_pairs], dtype=np.int64)
+    idtp = int(co[real].sum())
+    matches = tuple(zip(table.gt_ids[table.pair_gt[real]].tolist(),
+                        table.pred_ids[table.pair_pred[real]].tolist()))
+    return _scores_from_counts(
+        idtp,
+        int(table.pred_lengths.sum()) - idtp,
+        int(table.gt_lengths.sum()) - idtp,
+        matches,
+    )
+
+
 def _fragmentations(status: Sequence[bool]) -> int:
     """Tracked-to-untracked transitions that are resumed later.
 
@@ -188,6 +229,26 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
     return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, gt_total=tp + fn,
                   frames=num_frames, overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml,
                   gt_tracks=len(gt_frames))
+
+
+def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:
+    """Matches of greedy descending-IoU matching, earlier rows and columns first on ties.
+
+    Rows are the frame's kept detections in sweep order, columns its ground
+    truth by track id.
+    """
+    pairs = sorted(
+        (-float(overlaps[d, g]), d, g)
+        for d in range(overlaps.shape[0]) for g in range(overlaps.shape[1])
+        if overlaps[d, g] >= thr
+    )
+    used_d: set[int] = set()
+    used_g: set[int] = set()
+    for _, d, g in pairs:
+        if d not in used_d and g not in used_g:
+            used_d.add(d)
+            used_g.add(g)
+    return len(used_d)
 
 
 def pr_curve_rescored(

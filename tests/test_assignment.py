@@ -380,6 +380,48 @@ class TestSolveAssignment:
                 assert pairs == expected
         assert unique > 1000 and short > 300
 
+    def test_without_most_pairs_agrees_with_enumeration(self):
+        # Any node may stay unmatched: the chosen edges must form a matching
+        # with the lowest summed cost, then the lowest summed rank, among all
+        # matchings, the empty one included.  Most costs are -1 and a few are
+        # heavier, so equal totals are common and the optimum often leaves
+        # out a pair that the most-pairs matching takes.
+        rng = random.Random(1107)
+        fewer = 0  # instances whose optimum has fewer pairs than the most
+        for _ in range(2400):
+            row_ids = sorted(rng.sample(range(30), rng.randint(1, 6)))
+            col_ids = sorted(rng.sample(range(30), rng.randint(1, 6)))
+            density = rng.choice([0.3, 0.5, 0.8, 1.0])
+            pairs = [(i, j) for i in range(len(row_ids)) for j in range(len(col_ids))
+                     if rng.random() < density] or [(0, 0)]
+            i, j = np.array(pairs).T
+            rows, cols = np.take(row_ids, i), np.take(col_ids, j)
+            heavy = rng.choice([1, 2, 3, 5])
+            cost = -np.array([rng.choice([1, 1, heavy]) for _ in pairs], dtype=np.int64)
+            rank = (i * len(col_ids) + j) * rng.choice([1, 1, 10**4])
+            chosen = solve_assignment(rows, cols, cost, rank, most_pairs=False)
+            assert chosen == sorted(set(chosen))
+            assert len(set(rows[chosen].tolist())) == len(set(cols[chosen].tolist())) == len(chosen)
+
+            by_row = defaultdict(list)
+            for e, r in enumerate(rows.tolist()):
+                by_row[r].append(e)
+
+            def best(rest, used):
+                """Lowest (cost, rank) over matchings of the rows in ``rest``."""
+                if not rest:
+                    return (0, 0)
+                options = [best(rest[1:], used)]
+                for e in by_row[rest[0]]:
+                    if cols[e] not in used:
+                        c, r = best(rest[1:], used | {int(cols[e])})
+                        options.append((c + int(cost[e]), r + int(rank[e])))
+                return min(options)
+
+            assert (int(cost[chosen].sum()), int(rank[chosen].sum())) == best(sorted(by_row), set())
+            fewer += len(chosen) < len(solve_assignment(rows, cols, cost, rank))
+        assert fewer > 50
+
     def test_large_sparse_components_agree_with_scipy(self):
         # Identity-sized components: hundreds of nodes a side, a few edges
         # each, integer costs and ranks in the tens of millions; then one

@@ -1,16 +1,19 @@
 """Track-level identity matching tests."""
 
+import random
+
 import pytest
 
-from motbench.assignment import MatchingConfig, preprocess_sequence
+import motbench.identity as identity
+from motbench.assignment import MatchingConfig, preprocess_sequence, solve_assignment
 from motbench.identity import (
     build_table,
     evaluate_identity,
     pool_identity,
     solve_identity,
 )
-from conftest import gt, hyp, random_instance, seq, table_counts, track_table
-from oracles import oracle_identity_counts
+from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
+from oracles import oracle_identity_counts, solve_identity_dummy_graph
 
 
 def scores_for(instance, threshold=0.5):
@@ -22,6 +25,43 @@ def frames_of(gts, preds):
     """The preprocessed frames of a sequence holding exactly these boxes."""
     num_frames = max((e.frame for e in [*gts, *preds]), default=1)
     return preprocess_sequence(seq("table", num_frames, gts, preds))
+
+
+def crowded_tables():
+    """A small track table, and the same with thousands of tracks that co-detect nothing."""
+    gt_lengths, pred_lengths = {1: 10, 2: 10}, {8: 5, 9: 5, 10: 10}
+    co_detections = {(1, 8): 5, (1, 9): 5, (2, 10): 10}
+    small = track_table(gt_lengths, pred_lengths, co_detections)
+    # thousands of one-frame predicted tracklets and a few ground-truth
+    # tracks that overlap nothing
+    crowded = track_table(
+        {**gt_lengths, **{100 + k: 3 for k in range(5)}},
+        {**pred_lengths, **{1000 + k: 1 for k in range(4000)}},
+        co_detections,
+    )
+    return small, crowded
+
+
+def tie_heavy_table(rng: random.Random):
+    """A random track table with co-detection counts of 1 to 3, so optima tie often."""
+    gt_ids = rng.sample(range(1, 40), rng.randint(1, 7))
+    pred_ids = rng.sample(range(100, 140), rng.randint(1, 7))
+    density = rng.choice([0.2, 0.4, 0.7])
+    co = {(g, p): rng.randint(1, 3) for g in gt_ids for p in pred_ids if rng.random() < density}
+
+    def lengths(ids, side):
+        return {t: max([c for pair, c in co.items() if pair[side] == t], default=1)
+                + rng.randint(0, 2) for t in ids}
+
+    return track_table(lengths(gt_ids, 0), lengths(pred_ids, 1), co)
+
+
+def rank_sum(table, matches) -> int:
+    """Summed rank ``i * m + j`` of ``matches``, positions among the co-detecting tracks."""
+    _, _, co = table_counts(table)
+    gt_at = {g: i for i, g in enumerate(sorted({g for g, _ in co}))}
+    pred_at = {p: j for j, p in enumerate(sorted({p for _, p in co}))}
+    return sum(gt_at[g] * len(pred_at) + pred_at[p] for g, p in matches)
 
 
 class TestBuildTable:
@@ -89,21 +129,42 @@ class TestSolveIdentity:
         assert scores.matches == ((1, 8),)  # tie broken toward the earlier id
 
     def test_tracks_without_codetections_never_enter_the_solve(self):
-        gt_lengths, pred_lengths = {1: 10, 2: 10}, {8: 5, 9: 5, 10: 10}
-        co_detections = {(1, 8): 5, (1, 9): 5, (2, 10): 10}
-        small = track_table(gt_lengths, pred_lengths, co_detections)
-        # thousands of one-frame predicted tracklets and a few ground-truth
-        # tracks that overlap nothing
-        crowded = track_table(
-            {**gt_lengths, **{100 + k: 3 for k in range(5)}},
-            {**pred_lengths, **{1000 + k: 1 for k in range(4000)}},
-            co_detections,
-        )
+        small, crowded = crowded_tables()
         scores = solve_identity(crowded)
         assert scores.idtp == 5 + 10
         assert scores.idfn == (10 + 10 + 5 * 3) - scores.idtp
         assert scores.idfp == (5 + 5 + 10 + 4000) - scores.idtp
         assert scores.matches == solve_identity(small).matches == ((1, 8), (2, 10))
+
+    def test_the_solve_gets_the_co_detecting_pairs_alone(self, monkeypatch):
+        _, crowded = crowded_tables()
+        sizes = []
+
+        def spy(rows, cols, cost, rank, **kwargs):
+            sizes.append(len(rows))
+            return solve_assignment(rows, cols, cost, rank, **kwargs)
+
+        monkeypatch.setattr(identity, "solve_assignment", spy)
+        solve_identity(crowded)
+        assert sizes == [len(crowded.co_detections)]
+
+    def test_agrees_with_the_dummy_graph_on_tie_heavy_inputs(self):
+        # Same counts always; the same pairing except where two pairings tie
+        # on both summed co-detections and summed rank, which only the last
+        # tie-break level, or none, separates: pairings with different
+        # numbers of pairs, and cycles of the same tracks.
+        rng = random.Random(2016)
+        tables = [tie_heavy_table(rng) for _ in range(8000)]
+        tables += [build_table(preprocess_sequence(snap_to_grid(random_instance(rng, 5, 6))))
+                   for _ in range(2000)]
+        differ = 0
+        for table in tables:
+            scores, ref = solve_identity(table), solve_identity_dummy_graph(table)
+            assert (scores.idtp, scores.idfp, scores.idfn) == (ref.idtp, ref.idfp, ref.idfn)
+            if scores.matches != ref.matches:
+                differ += 1
+                assert rank_sum(table, scores.matches) == rank_sum(table, ref.matches)
+        assert differ > 0
 
     def test_harmonic_mean_property(self, rng):
         for _ in range(40):
