@@ -19,15 +19,16 @@ parsing accepts 7 to 10 columns, downgrades unknown class codes to
 repair.
 
 :func:`parse_file` returns a file's rows as columns
-(:class:`~motbench.model.Rows`) along one of two paths.  A columnar pass
-converts each needed column in one go and checks every rule of the format over
-whole columns; it accepts only files on which every line has the same valid
-column count and nothing is malformed, out of range, duplicated or in need of
-a repair.  Every other file goes to the row loop, which checks one line at a
-time, names the 1-based line of each error and logs each lenient repair.  The
-row loop is the format's reference: the columnar pass may hand it a file the
-row loop accepts, but never accepts a file the row loop rejects or repairs, and
-on any file it accepts it returns the same columns, value for value.
+(:class:`~motbench.model.Rows`) along one of two paths.  A columnar pass reads
+the file with one call to numpy's C text reader and checks every rule of the
+format over whole columns; it accepts only files of one valid column count in
+which nothing is malformed, out of range, duplicated or in need of a repair.
+Every other file, including one holding a token that ``float()`` reads and the
+C reader refuses (``1_0``, non-ASCII digits), goes to the row loop, which checks
+one line at a time, names the 1-based line of each error and logs each lenient
+repair.  The row loop is the format's reference: the columnar pass may hand it
+a file the row loop accepts, but never accepts a file the row loop rejects or
+repairs, and on any file it accepts it returns the same columns, value for value.
 """
 
 from __future__ import annotations
@@ -178,27 +179,25 @@ def _parse_columns(
 ) -> Rows | None:
     """The rows of ``text`` in one columnar pass, or None to leave it to the row loop.
 
-    Returns None unless every line has the same valid column count, every
-    number parses, and no row breaks a check of :func:`_parse_rows` or needs
-    one of its lenient repairs.
+    One ``np.loadtxt`` call reads every column of the stripped, non-blank lines
+    (``comments=None``: no cut at ``#``).  Returns None if it raises (ragged
+    lines, a token it refuses), on an invalid column count, or when a row breaks
+    a check of :func:`_parse_rows` or needs one of its lenient repairs.
     """
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         return Rows()
-    n, k = len(lines), lines[0].count(",") + 1
-    valid = k == variant.columns if strict else 7 <= k <= 10
-    if not valid or {line.count(",") for line in lines} != {k - 1}:
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    n, k = table.shape
+    if not (k == variant.columns if strict else 7 <= k <= 10):
         return None
     # The row loop reads class and visibility of MOT16/17 ground truth only.
     labelled = kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17
     read = min(k, 9) if labelled else 7
-    flat = ",".join(lines).split(",")
-    try:
-        columns = np.array([
-            np.fromiter(map(float, flat[c::k]), np.float64, n) for c in range(read)
-        ])
-    except ValueError:
-        return None
+    columns = table[:, :read].T
     if not np.isfinite(columns).all():
         return None
     integers = columns[[0, 1, 7] if read > 7 else [0, 1]]

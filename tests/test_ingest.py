@@ -245,8 +245,12 @@ class TestParse:
 # Tokens on which a columnar conversion could disagree with the row loop.
 EDGE_TOKENS = ("nan", "-inf", "Infinity", "x", "", "1e19", "-1e19", "9.3e18",
                "9223372036854775807", "-9223372036854775808", "1e300", "1e308", "1e154",
-               "-8.9e307", "1e-200", "5e-324", "1_0",
-               " 4 ", "\x1f1", "-0", "0.5", "1.5", "13", "99", "-1", "0")
+               "-8.9e307", "1e-200", "5e-324", "1_0", "\u0661", "\uff11", "#", "1#2",
+               "'1'", '"1"', "0x10", "1d5", " 4 ", "\xa04\xa0", "\x1f1", "-0", "0.5",
+               "1.5", "13", "99", "-1", "0")
+
+# Every line boundary of str.splitlines besides "\n" and "\r\n".
+LINE_SEPARATORS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def _random_line(rng: random.Random, columns: int) -> str:
@@ -270,7 +274,10 @@ def _random_file(rng: random.Random, variant: FormatVariant) -> str:
             continue
         ragged = rng.random() < 0.1
         lines.append(_random_line(rng, rng.randint(6, 11) if ragged else columns))
-    return "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+    text = lines[0] if lines else ""
+    for line in lines[1:]:
+        text += rng.choice(("\n",) * 9 + LINE_SEPARATORS) + line
+    return text + rng.choice(["", "\n", "\r\n"])
 
 
 def _columns(rows) -> list:
@@ -296,6 +303,39 @@ WELL_FORMED = {
 }
 
 
+def _long_file(rng: random.Random, kind: FileKind, columns: int) -> list[str]:
+    """2,000 well-formed lines: ten boxes in each of 200 frames."""
+    lines = []
+    for frame in range(1, 201):
+        for track_id in range(1, 11):
+            values = [frame, -1 if kind is FileKind.DETECTION else track_id,
+                      round(rng.uniform(-50, 1800), 2), round(rng.uniform(-50, 1000), 2),
+                      round(rng.uniform(5, 200), 2), round(rng.uniform(10, 400), 2),
+                      round(rng.uniform(-1, 3), 4) if kind is FileKind.DETECTION
+                      else rng.choice([0, 1]),
+                      rng.choice([1, 1, 2, 7, 12]), round(rng.random(), 3), -1]
+            lines.append(",".join(map(str, values[:columns])))
+    return lines
+
+
+def _with_defect(rng: random.Random, lines: list[str], defect: str) -> int:
+    """Break one line of ``lines`` in place; returns its 0-based index."""
+    at = rng.randrange(1, len(lines))
+    tokens = lines[at].split(",")
+    if defect == "ragged":
+        tokens = (tokens + ["-1"] * 4)[:rng.choice([6, 11])]
+    elif defect == "token":
+        tokens[rng.randrange(7)] = rng.choice(["x", "", "1#2", "0x10"])
+    elif defect == "duplicate":
+        tokens[:2] = lines[at - 1].split(",")[:2]
+    elif defect == "frame":
+        tokens[0] = "201"
+    elif defect == "area":
+        tokens[2], tokens[4] = "1", "1e-17"  # 1 + 1e-17 rounds to 1
+    lines[at] = ",".join(tokens)
+    return at
+
+
 class TestColumnarPath:
     def test_matches_the_row_loop(self):
         # Each file gives the same columns, dtypes included, or the same error.
@@ -317,14 +357,55 @@ class TestColumnarPath:
     @pytest.mark.parametrize("kind", list(FileKind))
     def test_well_formed_files_never_reach_the_row_loop(self, variant, kind):
         # A silent fallback would keep every result and lose the speed.
-        lines = WELL_FORMED[kind]
+        lines = base = WELL_FORMED[kind]
         if variant is FormatVariant.MOT15:
-            lines = [line.rsplit(",", 2)[0] + ",-1,-1,-1" for line in lines]
+            lines = [line.rsplit(",", 2)[0] + world for line, world in
+                     zip(lines, (",12.5,-3.25,0", ",-7,0.5,1e3", ",-1,-1,-1"))]
+        files = [("\n".join(lines) + "\n", True), ("\r\n".join(lines) + "\r\n", True),
+                 ("\n".join(line.replace(",", ", ") for line in lines), True)]
+        if kind is FileKind.GROUND_TRUTH:
+            files += [("\n".join(",".join(line.split(",")[:width]) for line in base), False)
+                      for width in (7, 8)]
+            files.append(("\n".join(line + ",-1" for line in base), False))
+        for text, strict in files:
+            expected = _columns(ingest._parse_rows(text, variant, kind, strict))
+            with mock.patch.object(ingest, "_parse_rows",
+                                   side_effect=AssertionError("row loop used")):
+                assert _columns(parse_file(text, variant, kind, strict, 2)) == expected, text
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("kind", list(FileKind))
+    @pytest.mark.parametrize("variant", list(FormatVariant))
+    @pytest.mark.parametrize("lines", [
+        ("1,1,10,10,5,5,1,1", "2,1,10,10,5,5,1,1,0.5,-1"),
+        ("1,1,10,10,5,5,1,1,0.5,-1", "2,1,10,10,5,5,1,1"),
+        ("1,1,10,10,5,5,1,1,0.5,-1", "2,1,10,10,5,5,1,1,0.5,"),
+    ], ids=["8-then-10", "10-then-8", "trailing-comma"])
+    def test_ragged_lines_keeping_the_comma_total_reach_the_row_loop(
+            self, lines, variant, kind, strict):
+        # Each file has as many commas as lines of one width would have.
         text = "\n".join(lines) + "\n"
-        expected = _columns(ingest._parse_rows(text, variant, kind))
-        with mock.patch.object(ingest, "_parse_rows",
-                               side_effect=AssertionError("row loop used")):
-            assert _columns(parse_file(text, variant, kind, num_frames=2)) == expected
+        assert ingest._parse_columns(text, variant, kind, strict, None) is None
+        assert _outcome(parse_file, text, variant, kind, strict) == _outcome(
+            ingest._parse_rows, text, variant, kind, strict)
+
+    @pytest.mark.parametrize("defect", ["ragged", "token", "duplicate", "frame", "area"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_one_defect_in_a_long_file_names_its_line(self, defect, strict):
+        rng = random.Random(f"{defect}-{strict}")
+        for variant in FormatVariant:
+            for kind in FileKind:
+                columns = variant.columns if strict else rng.randint(7, 10)
+                lines = _long_file(rng, kind, columns)
+                text = "\n".join(lines) + "\n"
+                assert ingest._parse_columns(text, variant, kind, strict, 200) is not None
+                at = _with_defect(rng, lines, defect)
+                text = "\n".join(lines) + "\n"
+                expected = _outcome(ingest._parse_rows, text, variant, kind, strict, 200)
+                assert _outcome(parse_file, text, variant, kind, strict, 200) == expected, (
+                    variant, kind, lines[at])
+                if defect != "duplicate" or kind is not FileKind.DETECTION:
+                    assert expected[1].startswith(f"line {at + 1}: "), expected
 
 
 class TestWrite:
