@@ -10,10 +10,7 @@ pooling and leaderboard reporting.
 from .assignment import (
     EdgeTable,
     EventLog,
-    FrameEvents,
     MatchingConfig,
-    match_frame,
-    preprocess_frame,
     preprocess_sequence,
     run_sequence,
 )
@@ -60,7 +57,6 @@ from .model import (
     ObjectClass,
     Rows,
     SequenceData,
-    iou,
     pairwise_iou,
 )
 
@@ -76,7 +72,6 @@ __all__ = [
     "EventLog",
     "FileKind",
     "FormatVariant",
-    "FrameEvents",
     "IdentityScores",
     "IngestError",
     "MatchingConfig",
@@ -98,9 +93,7 @@ __all__ = [
     "derived_rates",
     "evaluate_identity",
     "export_curve",
-    "iou",
     "load_sequence_set",
-    "match_frame",
     "mota",
     "motp",
     "pairwise_iou",
@@ -108,7 +101,6 @@ __all__ = [
     "pool",
     "pool_identity",
     "pr_curve",
-    "preprocess_frame",
     "preprocess_sequence",
     "read_seqmap",
     "run_sequence",

@@ -37,18 +37,16 @@ into connected components with one numpy labelling and solves each on its
 own, so a target without any feasible pair cannot disturb the others' ties.
 
 Evaluation runs the protocol on a whole sequence at once.
-:func:`preprocess_sequence` computes the IoU of every same-frame pair in a
-few vectorised passes and keeps the pairs at or above the threshold, with
-the boxes that survive the neutral-class filter, as one :class:`EdgeTable`.
-:func:`run_sequence` decides every pair that shares no box with another pair
-by array operations and loops only over the frames that hold a conflict.
-Its :class:`EventLog` is two masks over the table's pairs, matched and
-identity switch; the frame-level counts are read off those columns and the
-identity metrics count co-detections on the same table.  No step does work
-per declared frame: a sequence costs what its rows cost.
-:func:`preprocess_frame` and :func:`match_frame` run the protocol on one
-frame's dense IoU matrix; they are the reference the sequence pass is tested
-against.
+:func:`preprocess_sequence` (step 1) computes the IoU of every same-frame
+pair in a few vectorised passes and keeps the pairs at or above the
+threshold, with the boxes that survive the neutral-class filter, as one
+:class:`EdgeTable`.  :func:`run_sequence` (steps 2 and 3, then the identity
+switches) decides every pair that shares no box with another pair by array
+operations and loops only over the frames that hold a conflict.  Its
+:class:`EventLog` is two masks over the table's pairs, matched and identity
+switch; the frame-level counts are read off those columns and the identity
+metrics count co-detections on the same table.  No step does work per
+declared frame: a sequence costs what its rows cost.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NEUTRAL_CLASSES, ObjectClass, Rows, SequenceData, pairwise_iou
+from .model import NEUTRAL_CLASSES, ObjectClass, Rows, SequenceData
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,6 @@ class MatchingConfig:
 
 #: ``_NEUTRAL[code]``: whether class code ``code`` is a neutral class.
 _NEUTRAL = np.isin(np.arange(max(ObjectClass) + 1), list(NEUTRAL_CLASSES))
-
-
-@dataclass(frozen=True)
-class FrameEvents:
-    """Assignment outcome of a single frame."""
-
-    frame: int
-    matches: tuple[tuple[int, int, float], ...]  # (gt_id, pred_id, overlap)
-    fp_ids: tuple[int, ...]
-    fn_ids: tuple[int, ...]
-    idsw_ids: tuple[int, ...]
 
 
 def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) -> list[int]:
@@ -282,108 +269,6 @@ def solve_assignment(
     return chosen
 
 
-def _min_cost_matching(
-    overlaps: np.ndarray, threshold: float
-) -> list[tuple[int, int, float]]:
-    """Max-cardinality, then min-cost matching over pairs with IoU >= threshold.
-
-    ``overlaps`` holds the IoU of every (target, hypothesis) pair, both sides
-    in track-id order; pair ``(i, j)`` ranks ``i * m + j``, so earlier pairs
-    win equal-cost optima.  Returns ``(row, col, overlap)`` of the chosen
-    pairs in row order.
-    """
-    rows, cols = np.nonzero(overlaps >= threshold)
-    feasible = overlaps[rows, cols]
-    pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
-    chosen = solve_assignment(rows, cols, 1.0 - feasible, rows * overlaps.shape[1] + cols)
-    return [pairs[e] for e in chosen]
-
-
-def preprocess_frame(
-    gt: Rows, res: Rows, cfg: MatchingConfig = MatchingConfig()
-) -> tuple[list[int], list[int], list[int], np.ndarray]:
-    """Apply the neutral-class filter to one frame.
-
-    ``gt`` and ``res`` hold the rows of one frame in track-id order, as
-    :class:`SequenceData` stores them.  Returns ``(gt_ids, res_ids,
-    removed_ids, overlaps)``: the ids of the scoreable ground truth (active
-    pedestrians) and of the surviving result boxes, both ascending; the ids
-    of the result boxes dropped for following a neutral-class annotation;
-    and the IoU of every kept (target, hypothesis) pair, ``overlaps[i, j]``
-    for ``gt_ids[i]`` and ``res_ids[j]``, which every later step reads.
-    Pedestrian matches made here are discarded; scoring re-derives them with
-    carryover applied.
-    """
-    threshold, scoreable = cfg.iou_threshold, gt.scoreable
-    overlaps = pairwise_iou(gt.ltwh, res.ltwh)
-    neutral = _NEUTRAL[gt.object_class]
-    res_list = res.track_id.tolist()
-    removed = {
-        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
-        if neutral[i] and overlap > threshold
-    } if neutral.any() else set()
-    keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
-    return (
-        gt.track_id[scoreable].tolist(),
-        [res_list[j] for j in keep_res],
-        sorted(removed),
-        overlaps[scoreable][:, keep_res],
-    )
-
-
-def match_frame(
-    gt_ids: list[int],
-    res_ids: list[int],
-    overlaps: np.ndarray,
-    prev_assignment: dict[int, int],
-    last_assignment: dict[int, int],
-    cfg: MatchingConfig = MatchingConfig(),
-    frame: int = 0,
-) -> tuple[FrameEvents, dict[int, int]]:
-    """Match one preprocessed frame; returns its events and the new assignment.
-
-    ``gt_ids``, ``res_ids`` and ``overlaps`` are one frame of
-    :func:`preprocess_frame`: ascending ids and the IoU of every pair.
-    ``prev_assignment`` holds the previous frame's matches (carryover source);
-    ``last_assignment`` holds each target's last known hypothesis anywhere in
-    the sequence (identity-switch reference).  Neither dict is mutated.
-    """
-    gt_at = {gt_id: i for i, gt_id in enumerate(gt_ids)}
-    res_at = {pred_id: j for j, pred_id in enumerate(res_ids)}
-
-    matches: list[tuple[int, int, float]] = []
-    for gt_id, pred_id in sorted(prev_assignment.items()):
-        if gt_id in gt_at and pred_id in res_at:
-            overlap = float(overlaps[gt_at[gt_id], res_at[pred_id]])
-            if overlap >= cfg.iou_threshold:
-                matches.append((gt_id, pred_id, overlap))
-
-    taken_gt = {gt_id for gt_id, _, _ in matches}
-    taken_res = {pred_id for _, pred_id, _ in matches}
-    rem_i = [i for i, gt_id in enumerate(gt_ids) if gt_id not in taken_gt]
-    rem_j = [j for j, pred_id in enumerate(res_ids) if pred_id not in taken_res]
-    for a, b, overlap in _min_cost_matching(overlaps[rem_i][:, rem_j], cfg.iou_threshold):
-        matches.append((gt_ids[rem_i[a]], res_ids[rem_j[b]], overlap))
-    matches.sort()
-
-    matched_gt = {gt_id for gt_id, _, _ in matches}
-    matched_res = {pred_id for _, pred_id, _ in matches}
-    fn_ids = tuple(gt_id for gt_id in gt_ids if gt_id not in matched_gt)
-    fp_ids = tuple(pred_id for pred_id in res_ids if pred_id not in matched_res)
-    idsw_ids = tuple(
-        gt_id for gt_id, pred_id, _ in matches
-        if last_assignment.get(gt_id, pred_id) != pred_id
-    )
-    events = FrameEvents(
-        frame=frame,
-        matches=tuple(matches),
-        fp_ids=fp_ids,
-        fn_ids=fn_ids,
-        idsw_ids=idsw_ids,
-    )
-    return events, {gt_id: pred_id for gt_id, pred_id, _ in matches}
-
-
 #: Same-frame (GT row, result row) pairs whose IoU one vectorised pass
 #: computes; a constant, so preprocessing memory does not grow with crowding.
 _PAIR_BUDGET = 1 << 12
@@ -465,14 +350,14 @@ def preprocess_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
 ) -> EdgeTable:
-    """Apply the neutral-class filter to a whole sequence; its :class:`EdgeTable`.
+    """Step 1 of the protocol on a whole sequence; its :class:`EdgeTable`.
 
     The IoU of every same-frame (GT, result) pair is computed in a few
     vectorised passes and only pairs at or above the threshold are kept.
-    The neutral-class filter of :func:`preprocess_frame` solves only the
-    connected components of those pairs that hold a neutral-class pair above
-    the threshold, with the ranks of the whole frame, so every frame keeps
-    the boxes and overlaps :func:`preprocess_frame` keeps.  Both the
+    The min-cost pass of step 1 is solved only on the connected components
+    of those pairs that hold a neutral-class pair above the threshold; each
+    pair keeps its rank ``i * m + j`` by position in its whole frame, so the
+    pass drops the result boxes a frame-wide solve would.  Both the
     frame-level metrics and the identity metrics score exactly this table.
     """
     gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
@@ -505,14 +390,14 @@ def preprocess_sequence(
 
 
 def _match(table: EdgeTable) -> np.ndarray:
-    """Per edge of ``table``, whether frame-by-frame matching takes it.
+    """Per edge of ``table``, whether steps 2 and 3 of the protocol take it.
 
     An edge that shares neither endpoint with another edge is matched
-    whatever carryover says.  Only frames with a conflicting edge run
-    :func:`match_frame`'s steps, in frame order: carryover from the previous
-    frame's matches, then one :func:`solve_assignment` over the remaining
-    conflicting edges, ranked by position among the ids that no carried
-    edge took, as :func:`match_frame` ranks them.
+    whatever carryover says.  Only frames with a conflicting edge run the
+    two steps, in frame order: carryover (step 2) from the previous frame's
+    matches, then one :func:`solve_assignment` (step 3) over the remaining
+    conflicting edges, ranked ``i * m + j`` by position among the ids that
+    no carried edge took.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
     free = _free(g, r)
@@ -548,12 +433,6 @@ def _match(table: EdgeTable) -> np.ndarray:
     return np.array(matched, dtype=bool)
 
 
-def _by_frame(num_frames: int, frame: np.ndarray, values: list) -> list[tuple]:
-    """``values`` grouped into one tuple per frame 1..num_frames; ``frame`` ascending."""
-    bounds = np.searchsorted(frame, np.arange(1, num_frames + 2)).tolist()
-    return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """Assignment outcome of a whole sequence, as columns over its edge table.
@@ -565,35 +444,9 @@ class EventLog:
     negative or a false positive.
     """
 
-    name: str
     table: EdgeTable
     matched: np.ndarray
     switch: np.ndarray
-
-    @property
-    def num_frames(self) -> int:
-        return self.table.num_frames
-
-    @property
-    def events(self) -> list[FrameEvents]:
-        """The outcome grouped into one :class:`FrameEvents` per frame 1..num_frames.
-
-        Builds a tuple per declared frame; counting never reads it.
-        """
-        table, matched, switch = self.table, self.matched, self.switch
-        g, r = table.gt_row[matched], table.res_row[matched]
-        fn = np.bincount(g, minlength=len(table.gt_id)) == 0
-        fp = np.bincount(r, minlength=len(table.res_id)) == 0
-        n = self.num_frames
-        columns = zip(
-            _by_frame(n, table.frame[matched], list(zip(
-                table.gt_id[g].tolist(), table.res_id[r].tolist(),
-                table.iou[matched].tolist()))),
-            _by_frame(n, table.res_frame[fp], table.res_id[fp].tolist()),
-            _by_frame(n, table.gt_frame[fn], table.gt_id[fn].tolist()),
-            _by_frame(n, table.frame[switch], table.gt_id[table.gt_row[switch]].tolist()),
-        )
-        return [FrameEvents(t, *ev) for t, ev in enumerate(columns, start=1)]
 
 
 def run_sequence(
@@ -601,13 +454,12 @@ def run_sequence(
     cfg: MatchingConfig = MatchingConfig(),
     preprocessed: EdgeTable | None = None,
 ) -> EventLog:
-    """Evaluate a whole sequence, threading carryover and last-known state.
+    """Evaluate a whole sequence: steps 2 and 3 frame by frame, then the switches.
 
-    ``preprocessed`` is the sequence's :func:`preprocess_sequence` table under
-    ``cfg``, computed here when not given.  The events equal those of
-    :func:`preprocess_frame` and :func:`match_frame` run frame by frame; an
-    identity switch is a match whose hypothesis differs from the target's
-    previous match.
+    ``preprocessed`` is the sequence's :func:`preprocess_sequence` table
+    under ``cfg`` (step 1), computed here when not given.  An identity
+    switch is a match whose hypothesis differs from the target's previous
+    match.
     """
     table = preprocess_sequence(seq, cfg) if preprocessed is None else preprocessed
     matched = _match(table)
@@ -616,4 +468,4 @@ def run_sequence(
     gt_id, res_id = table.gt_id[table.gt_row[e]], table.res_id[table.res_row[e]]
     switch = np.zeros(len(matched), dtype=bool)
     switch[e[1:]] = (gt_id[1:] == gt_id[:-1]) & (res_id[1:] != res_id[:-1])
-    return EventLog(seq.name, table, matched, switch)
+    return EventLog(table, matched, switch)

@@ -101,7 +101,7 @@ def accumulate(log: EventLog) -> Counts:
         idsw=int(log.switch.sum()),
         fm=fm,
         gt_total=tp + fn,
-        frames=log.num_frames,
+        frames=table.num_frames,
         overlap_sum=overlap_sum,
         mt=mt,
         pt=len(tracks) - mt - ml,

@@ -13,10 +13,10 @@ the entry is considered by the evaluation.  All coordinates are 1-based; no
 origin shift is applied anywhere downstream.
 
 Whitespace around commas is tolerated (published sample files contain it).
-Strict parsing demands the exact column count of the declared variant; lenient
-parsing accepts 7 to 10 columns, downgrades unknown class codes to
-``ObjectClass.OTHER`` and clamps out-of-range visibility values, logging each
-repair.
+Strict parsing demands the exact column count of the declared variant and a
+number in every column, the discarded ones included; lenient parsing accepts
+7 to 10 columns, downgrades unknown class codes to ``ObjectClass.OTHER`` and
+clamps out-of-range visibility values, logging each repair.
 
 :func:`parse_file` returns a file's rows as columns
 (:class:`~motbench.model.Rows`) along one of two paths.  A columnar pass reads
@@ -125,11 +125,22 @@ _INT64_LIMIT = 2.0**63
 _GEOMETRY_LIMIT = 2.0**1022
 
 
-def _number(token: str, line_no: int, what: str) -> float:
+#: The columns after ``conf`` that a variant's files other than MOT16/17
+#: ground truth carry and evaluation discards; strict parsing checks that
+#: they hold numbers.
+_DISCARDED = {FormatVariant.MOT15: ("x", "y", "z"),
+              FormatVariant.MOT16_17: ("class", "visibility")}
+
+
+def _float(token: str, line_no: int, what: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise ParseError(f"malformed number {token!r} in {what} field", line_no) from None
+
+
+def _number(token: str, line_no: int, what: str) -> float:
+    value = _float(token, line_no, what)
     if not math.isfinite(value):
         raise ParseError(f"non-finite number {token!r} in {what} field", line_no)
     return value
@@ -315,8 +326,9 @@ def _parse_rows(
                     logger.warning("%sline %d: clamping visibility %g",
                                    origin, line_no, visibility)
                     visibility = min(1.0, max(0.0, visibility))
-        # The 10-column layout's world coordinates and the class/visibility
-        # columns of non-GT files are read and discarded.
+        elif strict:  # discarded, but still numbers; finite or not
+            for token, what in zip(tokens[7:], _DISCARDED[variant]):
+                _float(token, line_no, what)
 
         if kind is not FileKind.DETECTION and track_id >= 0:
             key = (frame, track_id)

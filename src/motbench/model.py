@@ -5,6 +5,9 @@ y grows downward).  Coordinates may be negative or exceed the frame size:
 annotations routinely extend past the image borders for cropped targets.
 Width and height must be strictly positive, and so must the area between the
 rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
+Overlaps are computed on arrays only: :func:`pairwise_iou`, and the same
+arithmetic, bit for bit, in the pair table of
+:func:`~motbench.assignment.preprocess_sequence`.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -83,30 +86,14 @@ class Box:
         return (self.right - self.left) * (self.bottom - self.top)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, on continuous areas.
-
-    Every length is a difference of rounded edges, so the intersection never
-    exceeds either area.  Returns a value in [0, 1]; exactly 1.0 for
-    identical boxes, 0.0 when the boxes do not overlap.  Symmetric in its
-    arguments.
-    """
-    inter_w = min(a.right, b.right) - max(a.left, b.left)
-    if inter_w <= 0:
-        return 0.0
-    inter_h = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if inter_h <= 0:
-        return 0.0
-    inter = inter_w * inter_h
-    return inter / (a.area + b.area - inter)
-
-
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box pair of two ``n x 4`` left/top/width/height arrays.
 
-    Returns a ``len(a) x len(b)`` array.  Same arithmetic as :func:`iou`,
-    area included (between the rounded edges), so every entry is bit-equal
-    to the scalar value of its pair.
+    Returns a ``len(a) x len(b)`` array.  Every length is a difference of
+    rounded edges, area included, so the intersection never exceeds either
+    area: each entry lies in [0, 1], is exactly 1.0 for identical boxes and
+    0.0 for boxes that do not overlap, and does not depend on the order of
+    the two sides.
     """
     al, at, aw, ah = a.T
     bl, bt, bw, bh = b.T

@@ -18,11 +18,17 @@ import pytest
 
 from motbench.identity import TrackMatchTable
 from motbench.ingest import Benchmark
-from motbench.model import Box, BoxEntry, ObjectClass, SequenceData
+from motbench.model import Box, BoxEntry, ObjectClass, SequenceData, pairwise_iou
 
 
 def box(left, top, width=10.0, height=10.0) -> Box:
     return Box(left, top, width, height)
+
+
+def pair_iou(a: Box, b: Box) -> float:
+    """The IoU of one box pair, by ``pairwise_iou`` on 1 x 1 arrays."""
+    return float(pairwise_iou(np.array([[a.left, a.top, a.width, a.height]]),
+                              np.array([[b.left, b.top, b.width, b.height]]))[0, 0])
 
 
 def gt(frame, track_id, left, top, width=10.0, height=10.0,

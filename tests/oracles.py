@@ -6,7 +6,19 @@ between the two routes is meaningful.  They are only practical for a handful
 of tracks and frames.  :func:`per_frame_counts` is the frame-by-frame reading
 of the count definitions that ``accumulate`` computes from columns.
 :func:`pr_curve_rescored` is the threshold-by-threshold PR sweep, with its
-own copy of the greedy frame matcher.
+own copy of the greedy frame matcher.  :func:`iou` is the scalar overlap of
+two boxes, which ``pairwise_iou`` must equal bit for bit.
+
+:func:`preprocess_frame` and :func:`match_frame` are the matching protocol
+run one frame at a time on a dense IoU matrix per frame, and
+:func:`per_frame_reference` threads them through a sequence; the sequence
+pass (``preprocess_sequence``, ``run_sequence``) must give the same events,
+which :func:`frame_events` reads off its columns.  The per-frame route
+shares the production solver: :func:`_min_cost_matching` looks up
+``motbench.assignment.solve_assignment`` at call time, so a test that
+replaces it sees the solves of both routes.  It therefore checks the
+sequence pass's bookkeeping (carryover, ranks, the neutral-class filter,
+switches); the scipy cross-check of ``solve_assignment`` covers the solver.
 
 :func:`solve_identity_dummy_graph` is the identity solve as it was before it
 paired only the co-detecting tracks: a perfect matching on a graph where
@@ -17,17 +29,204 @@ checks only the graph construction; the scipy cross-check of
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from motbench.assignment import FrameEvents, solve_assignment
+import motbench.assignment as assignment
+from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
-from motbench.model import BoxEntry, ObjectClass, Rows, SequenceData, iou, pairwise_iou
+from motbench.model import Box, BoxEntry, ObjectClass, Rows, SequenceData, pairwise_iou
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes, on continuous areas.
+
+    Every length is a difference of rounded edges, so the intersection never
+    exceeds either area.  Returns a value in [0, 1]; exactly 1.0 for
+    identical boxes, 0.0 when the boxes do not overlap.  Symmetric in its
+    arguments.
+    """
+    inter_w = min(a.right, b.right) - max(a.left, b.left)
+    if inter_w <= 0:
+        return 0.0
+    inter_h = min(a.bottom, b.bottom) - max(a.top, b.top)
+    if inter_h <= 0:
+        return 0.0
+    inter = inter_w * inter_h
+    return inter / (a.area + b.area - inter)
+
+
+@dataclass(frozen=True)
+class FrameEvents:
+    """Assignment outcome of a single frame."""
+
+    frame: int
+    matches: tuple[tuple[int, int, float], ...]  # (gt_id, pred_id, overlap)
+    fp_ids: tuple[int, ...]
+    fn_ids: tuple[int, ...]
+    idsw_ids: tuple[int, ...]
+
+
+def _min_cost_matching(
+    overlaps: np.ndarray, threshold: float
+) -> list[tuple[int, int, float]]:
+    """Max-cardinality, then min-cost matching over pairs with IoU >= threshold.
+
+    ``overlaps`` holds the IoU of every (target, hypothesis) pair, both sides
+    in track-id order; pair ``(i, j)`` ranks ``i * m + j``, so earlier pairs
+    win equal-cost optima.  Returns ``(row, col, overlap)`` of the chosen
+    pairs in row order.
+    """
+    rows, cols = np.nonzero(overlaps >= threshold)
+    feasible = overlaps[rows, cols]
+    pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
+    chosen = assignment.solve_assignment(
+        rows, cols, 1.0 - feasible, rows * overlaps.shape[1] + cols)
+    return [pairs[e] for e in chosen]
+
+
+def preprocess_frame(
+    gt: Rows, res: Rows, cfg: MatchingConfig = MatchingConfig()
+) -> tuple[list[int], list[int], list[int], np.ndarray]:
+    """Apply the neutral-class filter to one frame.
+
+    ``gt`` and ``res`` hold the rows of one frame in track-id order, as
+    :class:`SequenceData` stores them.  Returns ``(gt_ids, res_ids,
+    removed_ids, overlaps)``: the ids of the scoreable ground truth (active
+    pedestrians) and of the surviving result boxes, both ascending; the ids
+    of the result boxes dropped for following a neutral-class annotation;
+    and the IoU of every kept (target, hypothesis) pair, ``overlaps[i, j]``
+    for ``gt_ids[i]`` and ``res_ids[j]``, which every later step reads.
+    Pedestrian matches made here are discarded; scoring re-derives them with
+    carryover applied.
+    """
+    threshold, scoreable = cfg.iou_threshold, gt.scoreable
+    overlaps = pairwise_iou(gt.ltwh, res.ltwh)
+    neutral = _NEUTRAL[gt.object_class]
+    res_list = res.track_id.tolist()
+    removed = {
+        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
+        if neutral[i] and overlap > threshold
+    } if neutral.any() else set()
+    keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
+    return (
+        gt.track_id[scoreable].tolist(),
+        [res_list[j] for j in keep_res],
+        sorted(removed),
+        overlaps[scoreable][:, keep_res],
+    )
+
+
+def match_frame(
+    gt_ids: list[int],
+    res_ids: list[int],
+    overlaps: np.ndarray,
+    prev_assignment: dict[int, int],
+    last_assignment: dict[int, int],
+    cfg: MatchingConfig = MatchingConfig(),
+    frame: int = 0,
+) -> tuple[FrameEvents, dict[int, int]]:
+    """Match one preprocessed frame; returns its events and the new assignment.
+
+    ``gt_ids``, ``res_ids`` and ``overlaps`` are one frame of
+    :func:`preprocess_frame`: ascending ids and the IoU of every pair.
+    ``prev_assignment`` holds the previous frame's matches (carryover source);
+    ``last_assignment`` holds each target's last known hypothesis anywhere in
+    the sequence (identity-switch reference).  Neither dict is mutated.
+    """
+    gt_at = {gt_id: i for i, gt_id in enumerate(gt_ids)}
+    res_at = {pred_id: j for j, pred_id in enumerate(res_ids)}
+
+    matches: list[tuple[int, int, float]] = []
+    for gt_id, pred_id in sorted(prev_assignment.items()):
+        if gt_id in gt_at and pred_id in res_at:
+            overlap = float(overlaps[gt_at[gt_id], res_at[pred_id]])
+            if overlap >= cfg.iou_threshold:
+                matches.append((gt_id, pred_id, overlap))
+
+    taken_gt = {gt_id for gt_id, _, _ in matches}
+    taken_res = {pred_id for _, pred_id, _ in matches}
+    rem_i = [i for i, gt_id in enumerate(gt_ids) if gt_id not in taken_gt]
+    rem_j = [j for j, pred_id in enumerate(res_ids) if pred_id not in taken_res]
+    for a, b, overlap in _min_cost_matching(overlaps[rem_i][:, rem_j], cfg.iou_threshold):
+        matches.append((gt_ids[rem_i[a]], res_ids[rem_j[b]], overlap))
+    matches.sort()
+
+    matched_gt = {gt_id for gt_id, _, _ in matches}
+    matched_res = {pred_id for _, pred_id, _ in matches}
+    fn_ids = tuple(gt_id for gt_id in gt_ids if gt_id not in matched_gt)
+    fp_ids = tuple(pred_id for pred_id in res_ids if pred_id not in matched_res)
+    idsw_ids = tuple(
+        gt_id for gt_id, pred_id, _ in matches
+        if last_assignment.get(gt_id, pred_id) != pred_id
+    )
+    events = FrameEvents(
+        frame=frame,
+        matches=tuple(matches),
+        fp_ids=fp_ids,
+        fn_ids=fn_ids,
+        idsw_ids=idsw_ids,
+    )
+    return events, {gt_id: pred_id for gt_id, pred_id, _ in matches}
+
+
+def _frame_rows(rows: Rows, t: int) -> Rows:
+    at = rows.frame == t
+    return Rows(*(column[at] for column in vars(rows).values()))
+
+
+def per_frame_reference(
+    instance: SequenceData, cfg: MatchingConfig = MatchingConfig()
+) -> tuple[list[FrameEvents], tuple[dict, ...]]:
+    """Events and identity table counts of the protocol run one frame at a time."""
+    events: list[FrameEvents] = []
+    gt_len: Counter = Counter()
+    pred_len: Counter = Counter()
+    co: Counter = Counter()
+    prev: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for t in range(1, instance.num_frames + 1):
+        gt_ids, res_ids, _, overlaps = preprocess_frame(
+            _frame_rows(instance.gt, t), _frame_rows(instance.results, t), cfg
+        )
+        frame_events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, cfg, frame=t)
+        events.append(frame_events)
+        last.update(prev)
+        gt_len.update(gt_ids)
+        pred_len.update(res_ids)
+        for i, j in zip(*np.nonzero(overlaps >= cfg.iou_threshold)):
+            co[gt_ids[i], res_ids[j]] += 1
+    return events, (dict(gt_len), dict(pred_len), dict(co))
+
+
+def _by_frame(num_frames: int, frame: np.ndarray, values: list) -> list[tuple]:
+    """``values`` grouped into one tuple per frame 1..num_frames; ``frame`` ascending."""
+    bounds = np.searchsorted(frame, np.arange(1, num_frames + 2)).tolist()
+    return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def frame_events(log: EventLog) -> list[FrameEvents]:
+    """The columns of ``log`` grouped into one :class:`FrameEvents` per frame 1..num_frames."""
+    table, matched, switch = log.table, log.matched, log.switch
+    g, r = table.gt_row[matched], table.res_row[matched]
+    fn = np.bincount(g, minlength=len(table.gt_id)) == 0
+    fp = np.bincount(r, minlength=len(table.res_id)) == 0
+    n = table.num_frames
+    columns = zip(
+        _by_frame(n, table.frame[matched], list(zip(
+            table.gt_id[g].tolist(), table.res_id[r].tolist(),
+            table.iou[matched].tolist()))),
+        _by_frame(n, table.res_frame[fp], table.res_id[fp].tolist()),
+        _by_frame(n, table.gt_frame[fn], table.gt_id[fn].tolist()),
+        _by_frame(n, table.frame[switch], table.gt_id[table.gt_row[switch]].tolist()),
+    )
+    return [FrameEvents(t, *ev) for t, ev in enumerate(columns, start=1)]
 
 
 def _frames(seq: SequenceData):

@@ -1,4 +1,10 @@
-"""Matching-protocol tests: preprocessing, carryover, switches, oracles."""
+"""Matching-protocol tests: preprocessing, carryover, switches, oracles.
+
+The named cases of preprocessing and frame matching run on the sequence
+pass (``preprocess_sequence``, ``run_sequence``) and on the per-frame
+reference of ``oracles``, and both must agree; a case that needs a
+hand-set carryover or last-known state runs on the reference alone.
+"""
 
 import random
 import time
@@ -10,55 +16,83 @@ import pytest
 from motbench.assignment import (
     MatchingConfig,
     _edge_components,
-    match_frame,
-    preprocess_frame,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
 )
 from motbench.clearmot import accumulate
-from motbench.model import ObjectClass, Rows, iou
+from motbench.model import ObjectClass, Rows
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
     gt,
     hyp,
+    pair_iou,
     random_instance,
     seq,
 )
-from oracles import oracle_clear_counts
+from oracles import (
+    frame_events,
+    match_frame,
+    oracle_clear_counts,
+    per_frame_reference,
+    preprocess_frame,
+)
 
 CFG = MatchingConfig()
 
 
 def totals(log):
-    tp = sum(len(ev.matches) for ev in log.events)
-    fp = sum(len(ev.fp_ids) for ev in log.events)
-    fn = sum(len(ev.fn_ids) for ev in log.events)
-    idsw = sum(len(ev.idsw_ids) for ev in log.events)
+    events = frame_events(log)
+    tp = sum(len(ev.matches) for ev in events)
+    fp = sum(len(ev.fp_ids) for ev in events)
+    fn = sum(len(ev.fn_ids) for ev in events)
+    idsw = sum(len(ev.idsw_ids) for ev in events)
     return tp, fp, fn, idsw
 
 
 def matched_frames(log) -> dict[int, set[int]]:
     """Frames in which each ground-truth track was matched."""
     out: dict[int, set[int]] = {}
-    for ev in log.events:
+    for ev in frame_events(log):
         for gt_id, _, _ in ev.matches:
             out.setdefault(gt_id, set()).add(ev.frame)
     return out
 
 
 def kept(gt_frame, res_frame):
-    """``(gt_ids, res_ids, overlaps)`` of one preprocessed frame."""
+    """``(gt_ids, res_ids, overlaps)`` of one frame preprocessed by the reference."""
     gt_ids, res_ids, _, overlaps = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
     return gt_ids, res_ids, overlaps
+
+
+def preprocessed(gt_frame, res_frame):
+    """``(gt_ids, res_ids, removed_ids)`` of frame 1 by ``preprocess_sequence``.
+
+    The removed ids are the result ids the edge table does not keep; the
+    reference must give the same three lists.
+    """
+    table = preprocess_sequence(seq("frame", 1, gt_frame, res_frame), CFG)
+    res_ids = table.res_id.tolist()
+    out = (table.gt_id.tolist(), res_ids,
+           sorted({e.track_id for e in res_frame} - set(res_ids)))
+    assert preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)[:3] == out
+    return out
+
+
+def last_frame_events(gts, preds):
+    """The last frame's events by ``run_sequence``; the reference must agree."""
+    instance = seq("frames", max(e.frame for e in [*gts, *preds]), gts, preds)
+    events = frame_events(run_sequence(instance, CFG))
+    assert events == per_frame_reference(instance, CFG)[0]
+    return events[-1]
 
 
 class TestPreprocessFrame:
     def test_result_on_static_person_removed(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.STATIC_PERSON)]
         res_frame = [hyp(1, 9, 0, 1)]  # IoU 0.818 with the static person
-        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        gt_ids, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert gt_ids == []
         assert res_ids == []
         assert removed == [9]
@@ -66,7 +100,7 @@ class TestPreprocessFrame:
     def test_pedestrian_only_frame_is_a_no_op(self):
         gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 50, 50)]
         res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 200, 200)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        gt_ids, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert len(gt_ids) == 2
         assert res_ids == [8, 9]
         assert removed == []
@@ -79,7 +113,7 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 10, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 4)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        gt_ids, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert gt_ids == [1]
         assert res_ids == [9]
         assert removed == []
@@ -93,7 +127,7 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 3.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        _, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        _, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert res_ids == [9]
         assert removed == []
 
@@ -105,14 +139,14 @@ class TestPreprocessFrame:
             gt(1, 2, 0, 0.0, object_class=ObjectClass.DISTRACTOR),
         ]
         res_frame = [hyp(1, 9, 0, 0.5)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        gt_ids, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert res_ids == []
         assert removed == [9]
         assert gt_ids == [1]  # the pedestrian still scores
 
     def test_inactive_entries_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, conf=0.0), gt(1, 2, 30, 30)]
-        gt_ids, _, _, _ = preprocess_frame(Rows.of(gt_frame), Rows.of([]), CFG)
+        gt_ids, _, _ = preprocessed(gt_frame, [])
         assert gt_ids == [2]
 
     def test_inactive_neutral_entry_still_absorbs_followers(self):
@@ -120,20 +154,20 @@ class TestPreprocessFrame:
         # the hypothesis glued to it
         gt_frame = [gt(1, 1, 0, 0, conf=0.0, object_class=ObjectClass.REFLECTION)]
         res_frame = [hyp(1, 9, 0, 1)]
-        _, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+        _, res_ids, removed = preprocessed(gt_frame, res_frame)
         assert res_ids == []
         assert removed == [9]
 
     def test_non_pedestrian_classes_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.CAR)]
-        gt_ids, res_ids, removed, _ = preprocess_frame(Rows.of(gt_frame), Rows.of([hyp(1, 9, 0, 0)]), CFG)
+        gt_ids, res_ids, removed = preprocessed(gt_frame, [hyp(1, 9, 0, 0)])
         assert gt_ids == []
         # cars are not neutral: the follower is kept and will be a false positive
         assert res_ids == [9]
 
     def test_overlaps_are_the_iou_of_the_kept_boxes(self):
         # the one edge table every later stage reads, on the criterion 4
-        # stream: each stored overlap is bit-equal to the scalar IoU of its
+        # stream: each stored overlap is bit-equal to pairwise_iou of its
         # two boxes, and each kept same-frame pair left out is below threshold
         rng = random.Random(500500)
         for _ in range(200):
@@ -148,34 +182,40 @@ class TestPreprocessFrame:
                                         table.res_row.tolist(), table.iou.tolist()):
                 (gt_t, gt_id), (res_t, pred_id) = gt_rows[i], res_rows[j]
                 assert gt_t == res_t == t
-                assert overlap == iou(gt_box[t, gt_id], res_box[t, pred_id])
+                assert overlap == pair_iou(gt_box[t, gt_id], res_box[t, pred_id])
                 assert overlap >= CFG.iou_threshold
                 stored[t, gt_id, pred_id] = overlap
             assert list(stored) == sorted(stored)
             for t, gt_id in gt_rows:
                 for res_t, pred_id in res_rows:
                     if res_t == t and (t, gt_id, pred_id) not in stored:
-                        assert iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
+                        assert pair_iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
 
 
 class TestMatchFrame:
     def test_perfect_one_to_one(self):
         gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 30, 0)]
         res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 30, 0)]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG, frame=1)
         assert {(g, p) for g, p, _ in events.matches} == {(1, 8), (2, 9)}
         assert events.fp_ids == () and events.fn_ids == () and events.idsw_ids == ()
         assert assignment == {1: 8, 2: 9}
+        assert last_frame_events(gt_frame, res_frame) == events
 
     def test_carryover_beats_closer_hypothesis(self):
         gt_frame = [gt(2, 1, 0, 0)]
         res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]  # 9 is closer
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG,
+                                         frame=2)
         assert assignment == {1: 8}
         assert events.fp_ids == (9,)
         assert events.idsw_ids == ()
+        # frame 1 matches 1 to 8 alone
+        assert last_frame_events([gt(1, 1, 0, 0), *gt_frame],
+                                 [hyp(1, 8, 0, 3), *res_frame]) == events
 
     def test_without_carryover_the_closer_hypothesis_wins(self):
+        # reference alone: no previous match but a last known one
         gt_frame = [gt(2, 1, 0, 0)]
         res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]
         events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {1: 8}, CFG)
@@ -183,23 +223,29 @@ class TestMatchFrame:
         assert events.idsw_ids == (1,)
 
     def test_broken_carryover_frees_both_sides(self):
-        gt_frame = [gt(3, 1, 0, 0)]
-        res_frame = [hyp(3, 8, 0, 40), hyp(3, 9, 0, 2)]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG)
+        gt_frame = [gt(2, 1, 0, 0)]
+        res_frame = [hyp(2, 8, 0, 40), hyp(2, 9, 0, 2)]
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG,
+                                         frame=2)
         assert assignment == {1: 9}
         assert events.fp_ids == (8,)
         assert events.idsw_ids == (1,)
+        # frame 1 matches 1 to 8 alone
+        assert last_frame_events([gt(1, 1, 0, 0), *gt_frame],
+                                 [hyp(1, 8, 0, 0), *res_frame]) == events
 
     def test_switch_requires_a_previous_assignment(self):
         gt_frame = [gt(1, 1, 0, 0)]
         res_frame = [hyp(1, 9, 0, 0)]
-        events, _ = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG)
+        events, _ = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG, frame=1)
         assert events.idsw_ids == ()
+        assert last_frame_events(gt_frame, res_frame) == events
 
     def test_exact_tie_beside_an_unmatchable_target_keeps_the_earlier_pair(self):
         # frame 4 of the 4-px grid instance of seed 1913: GT 1 has no
         # feasible pair, GT 2 overlaps 101 and 103 at exactly 2/3; the earlier
-        # pair (2, 101) continues the identity, so nothing switches
+        # pair (2, 101) continues the identity, so nothing switches.
+        # Reference alone: no previous match but a last known one.
         gt_frame = [gt(4, 1, 0, 8, 8, 12), gt(4, 2, 4, 24, 12, 8)]
         res_frame = [
             hyp(4, 101, 4, 24, 8, 8), hyp(4, 102, 4, 40, 8, 8), hyp(4, 103, 8, 24, 8, 8)
@@ -214,9 +260,7 @@ class TestMatchFrame:
         for _ in range(50):
             instance = random_instance(rng)
             log = run_sequence(instance, CFG)
-            for ev in log.events:
-                for _, _, overlap in ev.matches:
-                    assert overlap >= CFG.iou_threshold
+            assert (log.table.iou[log.matched] >= CFG.iou_threshold).all()
 
 
 class TestRunSequence:
@@ -248,7 +292,7 @@ class TestRunSequence:
         from conftest import scenario_gap_then_new_hypothesis
 
         log = run_sequence(scenario_gap_then_new_hypothesis(), CFG)
-        by_frame = {ev.frame: ev for ev in log.events}
+        by_frame = {ev.frame: ev for ev in frame_events(log)}
         assert by_frame[3].fn_ids == (1,)
         assert by_frame[4].idsw_ids == (1,)
         matched = matched_frames(log)[1]

@@ -23,6 +23,7 @@ from motbench.clearmot import (
     summarize,
 )
 from conftest import gt, hyp, random_instance, seq
+from oracles import frame_events
 
 # benchmark-wide constants of the two public test splits used in fixtures
 GT_TOTAL_15 = 61440
@@ -112,7 +113,7 @@ class TestMotp:
             instance = random_instance(rng)
             log = run_sequence(instance, MatchingConfig())
             counts = accumulate(log)
-            overlaps = [o for ev in log.events for _, _, o in ev.matches]
+            overlaps = [o for ev in frame_events(log) for _, _, o in ev.matches]
             if not overlaps:
                 continue
             assert motp(counts) == pytest.approx(

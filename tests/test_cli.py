@@ -15,7 +15,6 @@ from unittest import mock
 import pytest
 
 import motbench
-import motbench.assignment
 from motbench.cli import main
 from motbench.deteval import export_curve, pr_curve
 from motbench.ingest import Benchmark, load_sequence_set
@@ -483,18 +482,6 @@ def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):
             for mode in ("tracking_gt", "visible_only"):
                 curve = pr_curve(unit.data.detections, unit.data.gt, mode=mode)
                 assert curve.points and export_curve(curve)
-    refuse.assert_not_called()
-
-
-def test_evaluate_never_builds_per_frame_events(tmp_path, rng):
-    # the counts are read off the edge table's columns: evaluate runs
-    # without building one FrameEvents tuple
-    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=3))
-    refuse = mock.Mock(side_effect=AssertionError("per-frame events built"))
-    with mock.patch.object(motbench.assignment, "FrameEvents", refuse):
-        assert main(["evaluate", "--benchmark", "MOT16", "--gt", str(root),
-                     "--res", str(root / "res"), "--format", "json",
-                     "--out", str(tmp_path / "report.json")]) == 0
     refuse.assert_not_called()
 
 

@@ -7,7 +7,7 @@ import pytest
 import motbench.deteval as deteval
 from motbench.deteval import PRCurve, PRPoint, _eleven_point_ap, export_curve, pr_curve
 from conftest import det, gt
-from oracles import pr_curve_rescored
+from oracles import iou, pr_curve_rescored
 
 
 def _tie_heavy(rng: random.Random, frames: int = 8):
@@ -68,8 +68,6 @@ class TestPrCurve:
 
     def test_against_independent_matching_oracle(self):
         from itertools import permutations
-
-        from motbench.model import iou
 
         rng = random.Random(17)
         for _ in range(40):

@@ -86,6 +86,30 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_file("1, -1, 1, 1, 5, 5, 1, -1, -1\n1, -1, x, 1, 5, 5, 1, -1, -1", *DET_16)
 
+    @pytest.mark.parametrize("line, fmt, field", [
+        ("1,1,10,10,5,5,1,1,0.5,", GT_15, "z"),
+        ("1,2,10,10,5,5,1,x,0,0", (FormatVariant.MOT15, FileKind.RESULT), "x"),
+        ("1,2,10,10,5,5,1,abc,", RES_16, "class"),
+        ("1,-1,10,10,5,5,0.9,-1,vis", DET_16, "visibility"),
+    ])
+    def test_strict_discarded_columns_must_hold_numbers(self, line, fmt, field):
+        # world coordinates, and class and visibility outside MOT16/17 GT
+        text = "1,9,10,10,5,5,1," + ("-1,-1,-1" if fmt[0] is FormatVariant.MOT15 else "-1,-1")
+        text += "\n" + line + "\n"
+        with pytest.raises(ParseError, match=f"^line 2: malformed number .* in {field} field$"):
+            parse_file(text, *fmt)
+        assert len(parse_file(text, *fmt, strict=False)) == 2
+
+    @pytest.mark.parametrize("line, fmt", [
+        ("1,1,10,10,5,5,1,-1,-1,-1", GT_15),
+        ("1,1,10,10,5,5,1,nan,inf,-inf", GT_15),
+        ("1,1,10,10,5,5,1,nan,-1", RES_16),
+        ("1,-1,10,10,5,5,0.9,-1,nan", DET_16),
+    ])
+    def test_strict_discarded_columns_take_any_number(self, line, fmt):
+        # finite or not: the columns are read and dropped
+        assert len(parse_file(line, *fmt)) == 1
+
     def test_non_finite_numbers_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 1.*non-finite"):
             parse_file("1, -1, 1, 1, nan, 5, 1, -1, -1", *DET_16)

@@ -14,10 +14,10 @@ from motbench.model import (
     ObjectClass,
     Rows,
     SequenceData,
-    iou,
     pairwise_iou,
 )
-from conftest import box, gt, hyp
+from conftest import box, gt, hyp, pair_iou
+from oracles import iou
 
 
 def ltwh(boxes) -> np.ndarray:
@@ -71,38 +71,38 @@ class TestBox:
 class TestIou:
     def test_identical_boxes(self):
         b = box(3, 4, 7, 9)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(box(0, 0), box(100, 100)) == 0.0
+        assert pair_iou(box(0, 0), box(100, 100)) == 0.0
 
     def test_touching_edges_do_not_overlap(self):
-        assert iou(box(0, 0, 10, 10), box(10, 0, 10, 10)) == 0.0
+        assert pair_iou(box(0, 0, 10, 10), box(10, 0, 10, 10)) == 0.0
 
     def test_half_shifted_boxes(self):
         # overlap 50, union 150
-        value = iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        value = pair_iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
         assert value == pytest.approx(50 / 150)
 
     @given(int_boxes(), int_boxes())
     def test_matches_pixel_counting_on_integer_grid(self, a, b):
-        assert iou(a, b) == pytest.approx(pixel_iou(a, b), abs=1e-12)
+        assert pair_iou(a, b) == pytest.approx(pixel_iou(a, b), abs=1e-12)
 
     @given(int_boxes(), int_boxes())
     def test_symmetry(self, a, b):
-        assert iou(a, b) == iou(b, a)
+        assert pair_iou(a, b) == pair_iou(b, a)
 
     @given(int_boxes(), int_boxes(),
            st.integers(-50, 50), st.integers(-50, 50))
     def test_translation_invariance(self, a, b, dx, dy):
         a2 = Box(a.left + dx, a.top + dy, a.width, a.height)
         b2 = Box(b.left + dx, b.top + dy, b.width, b.height)
-        assert iou(a2, b2) == pytest.approx(iou(a, b), abs=1e-12)
+        assert pair_iou(a2, b2) == pytest.approx(pair_iou(a, b), abs=1e-12)
 
     @given(int_boxes(), int_boxes())
     def test_half_overlap_implies_big_intersection(self, a, b):
         """IoU >= 0.5 forces the intersection above a third of either area."""
-        if iou(a, b) >= 0.5:
+        if pair_iou(a, b) >= 0.5:
             inter_w = max(0.0, min(a.right, b.right) - max(a.left, b.left))
             inter_h = max(0.0, min(a.bottom, b.bottom) - max(a.top, b.top))
             inter = inter_w * inter_h
@@ -116,7 +116,7 @@ class TestIou:
                     rng.uniform(0.1, 9), rng.uniform(0.1, 9))
             b = box(rng.uniform(-5, 5), rng.uniform(-5, 5),
                     rng.uniform(0.1, 9), rng.uniform(0.1, 9))
-            assert 0.0 <= iou(a, b) <= 1.0
+            assert 0.0 <= pair_iou(a, b) <= 1.0
 
     def test_bounded_for_extents_near_one_ulp(self):
         # widths and heights of a fraction of an ulp up to a few ulps of
@@ -129,13 +129,12 @@ class TestIou:
             boxes = [box(edge + rng.randint(0, 3) * ulp, edge,
                          rng.uniform(0.6, 3.0) * ulp, rng.uniform(0.6, 3.0) * ulp)
                      for _ in range(2)]
-            a, b = boxes
-            assert 0.0 <= iou(a, b) <= 1.0
-            assert iou(a, a) == 1.0
-            assert pairwise_iou(ltwh(boxes), ltwh(boxes)).tolist() == [
-                [iou(p, q) for q in boxes] for p in boxes]
+            matrix = pairwise_iou(ltwh(boxes), ltwh(boxes))
+            assert ((0.0 <= matrix) & (matrix <= 1.0)).all()
+            assert matrix.diagonal().tolist() == [1.0, 1.0]
+            assert matrix.tolist() == [[pair_iou(p, q) for q in boxes] for p in boxes]
 
-    def test_pairwise_matches_scalar(self):
+    def test_matrix_entries_equal_single_pair_calls(self):
         rng = random.Random(13)
         lhs = [box(rng.uniform(-5, 40), rng.uniform(-5, 40),
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(9)]
@@ -143,9 +142,7 @@ class TestIou:
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(7)]
         matrix = pairwise_iou(ltwh(lhs), ltwh(rhs))
         assert matrix.shape == (9, 7)
-        for i, a in enumerate(lhs):
-            for j, b in enumerate(rhs):
-                assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-14)
+        assert matrix.tolist() == [[pair_iou(a, b) for b in rhs] for a in lhs]
 
     def test_pairwise_is_bit_equal_to_scalar(self):
         # continuous coordinates, boxes near each other: the vectorized and
@@ -156,7 +153,7 @@ class TestIou:
                     rng.uniform(0.5, 120), rng.uniform(0.5, 120))
             b = box(a.left + rng.uniform(-40, 40), a.top + rng.uniform(-40, 40),
                     rng.uniform(0.5, 120), rng.uniform(0.5, 120))
-            assert pairwise_iou(ltwh([a]), ltwh([b]))[0, 0] == iou(a, b)
+            assert pair_iou(a, b) == iou(a, b)
 
     def test_pairwise_empty_sides(self):
         assert pairwise_iou(ltwh([]), ltwh([box(0, 0)])).shape == (0, 1)

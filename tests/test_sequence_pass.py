@@ -1,64 +1,39 @@
 """The sequence pass pinned to the per-frame reference.
 
 ``preprocess_sequence`` and ``run_sequence`` score a whole sequence from one
-edge table; ``preprocess_frame`` and ``match_frame`` are the protocol frame
-by frame.  On every stream here both routes must give the same events,
-counts, identity table, identity scores and identity pairing; the counts of
-the sequence pass, read from columns, must equal the per-frame counting of
-the reference events.
+edge table; ``oracles.preprocess_frame`` and ``oracles.match_frame`` are the
+protocol frame by frame.  On every stream here both routes must give the same
+events, counts, identity table, identity scores and identity pairing; the
+counts of the sequence pass, read from columns, must equal the per-frame
+counting of the reference events.
 """
 
 import dataclasses
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import motbench.assignment as assignment
 from motbench.assignment import (
-    FrameEvents,
     MatchingConfig,
-    match_frame,
-    preprocess_frame,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
 )
 from motbench.clearmot import accumulate
 from motbench.identity import build_table, solve_identity
-from motbench.model import ObjectClass, Rows
+from motbench.model import ObjectClass
 from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
-from oracles import per_frame_counts
+from oracles import (
+    _frame_rows,
+    frame_events,
+    per_frame_counts,
+    per_frame_reference,
+    preprocess_frame,
+)
 
 CFG = MatchingConfig()
-
-
-def _frame_rows(rows: Rows, t: int) -> Rows:
-    at = rows.frame == t
-    return Rows(*(column[at] for column in vars(rows).values()))
-
-
-def per_frame_reference(instance, cfg=CFG) -> tuple[list[FrameEvents], tuple[dict, ...]]:
-    """Events and identity table counts of the protocol run one frame at a time."""
-    events: list[FrameEvents] = []
-    gt_len: Counter = Counter()
-    pred_len: Counter = Counter()
-    co: Counter = Counter()
-    prev: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for t in range(1, instance.num_frames + 1):
-        gt_ids, res_ids, _, overlaps = preprocess_frame(
-            _frame_rows(instance.gt, t), _frame_rows(instance.results, t), cfg
-        )
-        frame_events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, cfg, frame=t)
-        events.append(frame_events)
-        last.update(prev)
-        gt_len.update(gt_ids)
-        pred_len.update(res_ids)
-        for i, j in zip(*np.nonzero(overlaps >= cfg.iou_threshold)):
-            co[gt_ids[i], res_ids[j]] += 1
-    return events, (dict(gt_len), dict(pred_len), dict(co))
 
 
 def assert_pinned(instance, cfg=CFG):
@@ -66,7 +41,7 @@ def assert_pinned(instance, cfg=CFG):
     assert len(table) == instance.num_frames
     log = run_sequence(instance, cfg, preprocessed=table)
     ref_events, ref_counts = per_frame_reference(instance, cfg)
-    assert log.events == ref_events
+    assert frame_events(log) == ref_events
     assert accumulate(log) == per_frame_counts(ref_events, instance.num_frames)
     identity_table = build_table(table)
     assert table_counts(identity_table) == ref_counts
@@ -213,7 +188,7 @@ def test_frame_with_only_neutral_ground_truth():
     preds = [hyp(1, 8, 0, 1), hyp(2, 8, 36, 1), hyp(2, 9, 3, 3), hyp(2, 10, 500, 0)]
     instance = seq("neutral-only", 2, gts, preds)
     assert_pinned(instance)
-    events = run_sequence(instance, CFG).events[1]
+    events = frame_events(run_sequence(instance, CFG))[1]
     assert events.fn_ids == () and events.matches == () and events.fp_ids == (10,)
 
 
