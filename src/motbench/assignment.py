@@ -308,18 +308,30 @@ def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
     return left, top, right, bottom, (right - left) * (bottom - top)
 
 
-def _edges(gt: Rows, res: Rows, threshold: float):
+def _edges(
+    gt_frame: np.ndarray,
+    gt_ltwh: np.ndarray,
+    res_frame: np.ndarray,
+    res_ltwh: np.ndarray,
+    threshold: float,
+):
     """``(gt_row, res_row, iou)`` of every same-frame pair with IoU >= threshold.
 
-    Rows are positions in ``gt`` and ``res``.  GT rows are taken in blocks
-    of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed it), and
-    each IoU is bit-equal to :func:`pairwise_iou` of its pair.
+    Each side is given as its frame column and its ``n x 4`` box array;
+    ``res_frame`` must be sorted.  Rows are positions on each side, and the
+    pairs come out ordered by GT row, then result row.  GT rows are taken in
+    blocks of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed
+    it), and each IoU is bit-equal to :func:`pairwise_iou` of its pair.
+    Pairs that do not overlap are never stored, so a threshold must be
+    positive.  :func:`preprocess_sequence` pairs every GT box with the
+    result boxes; ``deteval.pr_curve`` pairs the scored GT with the
+    detections.
     """
-    first = np.searchsorted(res.frame, gt.frame)  # the result rows of each GT row's frame
-    count = np.searchsorted(res.frame, gt.frame, "right") - first
+    first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame
+    count = np.searchsorted(res_frame, gt_frame, "right") - first
     end = np.cumsum(count)
-    gx0, gy0, gx1, gy1, g_area = _geometry(gt.ltwh)
-    rx0, ry0, rx1, ry1, r_area = _geometry(res.ltwh)
+    gx0, gy0, gx1, gy1, g_area = _geometry(gt_ltwh)
+    rx0, ry0, rx1, ry1, r_area = _geometry(res_ltwh)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     a, done = 0, 0
     while a < len(end) and done < end[-1]:
@@ -361,7 +373,7 @@ def preprocess_sequence(
     frame-level metrics and the identity metrics score exactly this table.
     """
     gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
-    g, r, overlap = _edges(gt, res, threshold)
+    g, r, overlap = _edges(gt.frame, gt.ltwh, res.frame, res.ltwh, threshold)
     kept = np.ones(len(res), dtype=bool)
     neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
     if neutral.any():

@@ -2,7 +2,10 @@
 
 Detections are scored frame by frame with greedy descending-IoU matching, the
 standard convention for detector benchmarks; the tracker evaluation keeps its
-own matcher and is unaffected by anything here.
+own matcher and is unaffected by anything here.  A sweep finds the feasible
+(detection, GT) pairs of all frames in one overlap pass and reaches the
+greedy matching of every score threshold by deferred acceptance, adding one
+detection at a time, so it costs O(P log P) in the P feasible pairs.
 
 Two ground-truth modes exist.  ``tracking_gt`` scores against every box the
 tracking evaluation considers, including heavily occluded ones, so recall
@@ -20,7 +23,8 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .model import BoxEntry, Rows, pairwise_iou
+from .assignment import MatchingConfig, _edges
+from .model import BoxEntry, Rows
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -46,25 +50,6 @@ class PRCurve:
     operating_point: PRPoint | None
 
 
-def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:
-    """Matches of greedy descending-IoU matching, earlier rows and columns first on ties.
-
-    :func:`pr_curve` calls it once per distinct score in a frame, with rows
-    the frame's detections scored at or above that score, in sweep order,
-    and columns the frame's ground truth by track id.
-    """
-    rows, cols = np.nonzero(overlaps >= thr)
-    pairs = sorted(zip((-overlaps[rows, cols]).tolist(), rows.tolist(), cols.tolist()))
-    used_d: set[int] = set()
-    used_g: set[int] = set()
-    for _, di, gi in pairs:
-        if di in used_d or gi in used_g:
-            continue
-        used_d.add(di)
-        used_g.add(gi)
-    return len(used_d)
-
-
 def pr_curve(
     detections: Rows | Iterable[BoxEntry],
     gt: Rows | Iterable[BoxEntry],
@@ -77,12 +62,16 @@ def pr_curve(
     Within a frame, greedy matching ties go to the higher-scored detection,
     then to the lower detection track id, then to the detection that comes
     first in the input (the sort is stable), and among ground truth to the
-    lower track id.  A frame's kept detections change only at its own
-    scores, so each frame is matched once per distinct score in it, and the
-    change in its match count is added at that threshold; a cumulative sum
-    gives the true positives at every threshold.  With no scored detections
-    the curve is empty and its AP is zero.
+    lower track id.  Greedy matching under that strict edge order is the
+    order's unique stable matching, which deferred acceptance reaches from
+    any stable matching of fewer detections: so detections are added in
+    sweep order, each proposing down its edges best first and displacing
+    worse-ranked holders, and a chain that ends on a free GT box adds one
+    true positive at the added detection's score.  A cumulative sum gives
+    the true positives at every threshold.  With no scored detections the
+    curve is empty and its AP is zero.
     """
+    MatchingConfig(iou_threshold)  # ValueError outside (0, 1]
     dets, gts = Rows.of(detections), Rows.of(gt).sorted()
     scored = gts.scoreable
     if mode == "visible_only":
@@ -95,19 +84,31 @@ def pr_curve(
     scores, counts = np.unique(det_conf, return_counts=True)
     # Per detection, the index of its score among the thresholds, highest first.
     level = (len(scores) - 1 - np.searchsorted(scores, det_conf)).tolist()
-    frames, starts = np.unique(det_frame, return_index=True)
-    ends = np.append(starts[1:], len(det_frame))
-    spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))
+    g, d, overlap = _edges(gt_frame, gt_ltwh, det_frame, det_ltwh, iou_threshold)
+    # An edge's id is its rank in (frame, -IoU, detection, GT) order, the
+    # greedy order; each detection's edges, best first, are one run of ``best``.
+    ranked = np.lexsort((g, d, -overlap, det_frame[d]))
+    g, d = g[ranked], d[ranked]
+    best = np.argsort(d, kind="stable")
+    start = np.searchsorted(d[best], np.arange(len(det_frame) + 1)).tolist()
+    gt_of, det_of, best = g.tolist(), d.tolist(), best.tolist()
+
     gain = [0] * len(scores)
-    for a, b, (c, d) in zip(starts.tolist(), ends.tolist(), spans):
-        overlaps = pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d])
-        conf = det_conf[a:b]
-        tp = 0
-        # The prefix ends: the last detection of each run of one score.
-        for k in [*(np.flatnonzero(conf[1:] != conf[:-1]) + 1).tolist(), b - a]:
-            now = _greedy_frame_tp(overlaps[:k], iou_threshold)
-            gain[level[a + k - 1]] += now - tp
-            tp = now
+    holder = [-1] * len(gt_frame)  # per GT box, the edge that holds it
+    nxt, end = start[:-1], start[1:]
+    for added in range(len(det_frame)):
+        k = added
+        while nxt[k] < end[k]:
+            e = best[nxt[k]]
+            nxt[k] += 1
+            held = holder[gt_of[e]]
+            if held < 0:
+                holder[gt_of[e]] = e
+                gain[level[added]] += 1
+                break
+            if e < held:
+                holder[gt_of[e]] = e
+                k = det_of[held]
     points = []
     for thr, tp, kept_total in zip(
         scores[::-1].tolist(), accumulate(gain), accumulate(counts[::-1].tolist())

@@ -1,12 +1,14 @@
 """Detector PR-curve and average-precision tests."""
 
+import inspect
 import random
+import time
 
 import pytest
 
 import motbench.deteval as deteval
 from motbench.deteval import PRCurve, PRPoint, _eleven_point_ap, export_curve, pr_curve
-from conftest import det, gt
+from conftest import det, gt, hyp
 from oracles import iou, pr_curve_rescored
 
 
@@ -27,6 +29,55 @@ def _tie_heavy(rng: random.Random, frames: int = 8):
             dets += [det(t, 5 * rng.randint(0, 9), 5 * rng.randint(0, 5),
                          rng.choice([10, 15]), 10, conf=rng.choice([0.25, 0.5, 0.75, 1.0]))
                      for _ in range(rng.randint(1, 7))]
+    return gts, dets
+
+
+def _chain_heavy(rng: random.Random):
+    """Up to 3 crowded frames of at most 80 detections and 40 GT boxes.
+
+    Boxes of two sizes sit on a 5-pixel grid over a small area, so most
+    boxes overlap several others at tied IoUs and added detections displace
+    earlier matches.  A frame's scores are continuous or drawn from three
+    values; detection ids are -1 or small repeated ids.  Some GT boxes are
+    not scoreable and visibilities straddle the ``visible_only`` cut.
+    """
+    gts, dets = [], []
+    for t in range(1, rng.randint(1, 3) + 1):
+        gts += [gt(t, i, 5 * rng.randint(0, 8), 5 * rng.randint(0, 6),
+                   rng.choice([10, 15]), rng.choice([10, 15]), conf=rng.choice([1.0] * 9 + [0.0]),
+                   visibility=rng.choice([0.0, 0.4, 0.5, 1.0]))
+                for i in rng.sample(range(1, 60), rng.randint(0, 40))]
+        levels = rng.choice([None, (0.3, 0.6, 0.9)])
+        dets += [hyp(t, rng.choice([-1, -1, 1, 2, 3]), 5 * rng.randint(0, 8), 5 * rng.randint(0, 6),
+                     rng.choice([10, 15]), rng.choice([10, 15]),
+                     conf=rng.random() if levels is None else rng.choice(levels))
+                 for _ in range(rng.randint(0, 80))]
+    return gts, dets
+
+
+def _ladder(rng: random.Random, n: int = 40, clutter: int = 80):
+    """One frame where a single late detection sets off a chain of ``n - 1`` displacements.
+
+    GT box ``i`` spans x in [100 i, 100 i + 100].  Detection ``i < n - 1``
+    covers the right part of GT ``i`` and the left part of GT ``i + 1``,
+    and the IoUs step down along the row, IoU(d_i, g_i) > IoU(d_i, g_i+1) >
+    IoU(d_i+1, g_i+1), all above 0.2.  Every detection first takes its own
+    GT box and the last box stays free.  Then an exact copy of GT 0, scored
+    below them, takes GT 0, each displaced detection takes the next box and
+    the chain ends on the free one.  Random lower-scored clutter follows.
+    """
+    gts = [gt(1, i + 1, 100.0 * i, 0.0, 100.0, 10.0) for i in range(n)]
+    steps = [0.48 - 0.0035 * k for k in range(2 * n)]
+    dets = []
+    for i in range(n - 1):
+        a, b = steps[2 * i], steps[2 * i + 1]  # the IoUs with GT i and GT i + 1
+        reach = 100 * b * (1 + a) / (1 - a * b)
+        inset = 100 - a * (100 + reach)
+        dets.append(det(1, 100.0 * i + inset, 0.0, 100 - inset + reach, 10.0,
+                        conf=0.9 - 0.001 * i))
+    dets.append(det(1, 0.0, 0.0, 100.0, 10.0, conf=0.05))
+    dets += [det(1, rng.uniform(0, 100 * n), 0.0, rng.uniform(60, 140), 10.0,
+                 conf=rng.uniform(0.0, 0.05)) for _ in range(clutter)]
     return gts, dets
 
 
@@ -179,18 +230,68 @@ class TestPrCurve:
                 assert curve == expected
                 assert export_curve(curve) == export_curve(expected)
 
-    def test_matches_each_frame_once_per_distinct_score(self, monkeypatch):
+    @pytest.mark.parametrize("iou_threshold", [0.2, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("mode", ["tracking_gt", "visible_only"])
+    def test_equals_the_rescoring_sweep_on_displacement_chains(self, mode, iou_threshold):
+        rng = random.Random(4242)
+        for _ in range(20):
+            gts, dets = _chain_heavy(rng)
+            curve = pr_curve(dets, gts, iou_threshold, mode)
+            expected = pr_curve_rescored(dets, gts, iou_threshold, mode)
+            assert curve == expected
+            assert export_curve(curve) == export_curve(expected)
+
+    def test_equals_the_rescoring_sweep_on_a_long_chain(self):
+        gts, dets = _ladder(random.Random(3))
+        curve = pr_curve(dets, gts, iou_threshold=0.2)
+        expected = pr_curve_rescored(dets, gts, iou_threshold=0.2)
+        assert curve == expected
+        assert export_curve(curve) == export_curve(expected)
+
+    def test_one_overlap_pass_per_curve(self, monkeypatch):
         calls = []
-        greedy = deteval._greedy_frame_tp
+        edges = deteval._edges
 
-        def counted(overlaps, thr):
-            calls.append(len(overlaps))
-            return greedy(overlaps, thr)
+        def counted(*args):
+            calls.append(len(args[2]))
+            return edges(*args)
 
-        monkeypatch.setattr(deteval, "_greedy_frame_tp", counted)
-        gts, dets = _tie_heavy(random.Random(77), frames=20)
-        pr_curve(dets, gts)
-        assert len(calls) == len({(d.frame, d.confidence) for d in dets})
+        monkeypatch.setattr(deteval, "_edges", counted)
+        for frames in (1, 5, 20):
+            gts, dets = _tie_heavy(random.Random(frames), frames=frames)
+            for detections in (dets, []):
+                calls.clear()
+                pr_curve(detections, gts)
+                assert calls == [len(detections)]
+        assert "pairwise_iou" not in inspect.getsource(deteval)
+
+    def test_crowded_frame_is_not_quadratic(self):
+        # 1000 distinct scores against 200 GT boxes in one frame: matching
+        # every score's prefix afresh took 0.5-0.65 s on a 2-vCPU x86_64 VM,
+        # the deferred-acceptance sweep about 0.01 s.
+        rng = random.Random(5)
+        gts = [gt(1, i, 8 * rng.randint(0, 20), 8 * rng.randint(0, 10)) for i in range(1, 201)]
+        dets = [det(1, 4 * rng.randint(0, 40), 4 * rng.randint(0, 20), conf=rng.random())
+                for _ in range(1000)]
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            curve = pr_curve(dets, gts)
+            elapsed.append(time.perf_counter() - start)
+        assert len(curve.points) == 1000
+        assert min(elapsed) < 0.25
+
+    @pytest.mark.parametrize("iou_threshold", [0.0, -1.0, 1.5, float("nan")])
+    def test_rejects_thresholds_outside_the_unit_interval(self, iou_threshold):
+        gts, dets = [gt(1, 1, 0, 0)], [det(1, 100, 100, conf=0.9)]
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+            pr_curve(dets, gts, iou_threshold=iou_threshold)
+
+    def test_threshold_one_takes_identical_boxes_only(self):
+        gts = [gt(1, 1, 0, 0), gt(1, 2, 40, 0)]
+        dets = [det(1, 0, 0, conf=0.9), det(1, 41, 0, conf=0.8)]
+        curve = pr_curve(dets, gts, iou_threshold=1.0)
+        assert [(p.recall, p.precision) for p in curve.points] == [(50.0, 100.0), (50.0, 50.0)]
 
 
 class TestAveragePrecision:
