@@ -57,7 +57,6 @@ from .model import (
     ObjectClass,
     Rows,
     SequenceData,
-    pairwise_iou,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "load_sequence_set",
     "mota",
     "motp",
-    "pairwise_iou",
     "parse_file",
     "pool",
     "pool_identity",

@@ -37,9 +37,9 @@ into connected components with one numpy labelling and solves each on its
 own, so a target without any feasible pair cannot disturb the others' ties.
 
 Evaluation runs the protocol on a whole sequence at once.
-:func:`preprocess_sequence` (step 1) computes the IoU of every same-frame
-pair in a few vectorised passes and keeps the pairs at or above the
-threshold, with the boxes that survive the neutral-class filter, as one
+:func:`preprocess_sequence` (step 1) takes the pairs at or above the
+threshold from the package's one overlap pass, :func:`~motbench.model._edges`,
+and keeps them, with the boxes that survive the neutral-class filter, as one
 :class:`EdgeTable`.  :func:`run_sequence` (steps 2 and 3, then the identity
 switches) decides every pair that shares no box with another pair by array
 operations and loops only over the frames that hold a conflict.  Its
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NEUTRAL_CLASSES, ObjectClass, Rows, SequenceData
+from .model import NEUTRAL_CLASSES, ObjectClass, SequenceData, _edges
 
 
 @dataclass(frozen=True)
@@ -269,11 +269,6 @@ def solve_assignment(
     return chosen
 
 
-#: Same-frame (GT row, result row) pairs whose IoU one vectorised pass
-#: computes; a constant, so preprocessing memory does not grow with crowding.
-_PAIR_BUDGET = 1 << 12
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
     """The scoring box set of one sequence and its feasible pairs.
@@ -301,71 +296,14 @@ class EdgeTable:
         return self.num_frames
 
 
-def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Left, top, right, bottom and area per row, as :func:`pairwise_iou` forms them."""
-    left, top, width, height = ltwh.T
-    right, bottom = left + width, top + height
-    return left, top, right, bottom, (right - left) * (bottom - top)
-
-
-def _edges(
-    gt_frame: np.ndarray,
-    gt_ltwh: np.ndarray,
-    res_frame: np.ndarray,
-    res_ltwh: np.ndarray,
-    threshold: float,
-):
-    """``(gt_row, res_row, iou)`` of every same-frame pair with IoU >= threshold.
-
-    Each side is given as its frame column and its ``n x 4`` box array;
-    ``res_frame`` must be sorted.  Rows are positions on each side, and the
-    pairs come out ordered by GT row, then result row.  GT rows are taken in
-    blocks of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed
-    it), and each IoU is bit-equal to :func:`pairwise_iou` of its pair.
-    Pairs that do not overlap are never stored, so a threshold must be
-    positive.  :func:`preprocess_sequence` pairs every GT box with the
-    result boxes; ``deteval.pr_curve`` pairs the scored GT with the
-    detections.
-    """
-    first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame
-    count = np.searchsorted(res_frame, gt_frame, "right") - first
-    end = np.cumsum(count)
-    gx0, gy0, gx1, gy1, g_area = _geometry(gt_ltwh)
-    rx0, ry0, rx1, ry1, r_area = _geometry(res_ltwh)
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    a, done = 0, 0
-    while a < len(end) and done < end[-1]:
-        b = max(int(np.searchsorted(end, done + _PAIR_BUDGET, "right")), a + 1)
-        n = count[a:b]
-        stop = end[a:b] - done  # where each GT row's pairs end in the block
-        ri = np.arange(stop[-1]) + np.repeat(first[a:b] - (stop - n), n)
-        inter_w = np.repeat(gx1[a:b], n)
-        np.minimum(inter_w, rx1[ri], out=inter_w)
-        left = np.repeat(gx0[a:b], n)
-        inter_w -= np.maximum(left, rx0[ri], out=left)
-        del left  # freed now, not once the next block has made its arrays
-        across = np.flatnonzero(inter_w > 0)  # the other pairs have IoU 0
-        gi = a + np.searchsorted(stop, across, "right")
-        ri, inter_w = ri[across], inter_w[across]
-        inter_h = np.minimum(gy1[gi], ry1[ri]) - np.maximum(gy0[gi], ry0[ri])
-        inter = inter_w * np.maximum(inter_h, 0.0)
-        overlap = inter / ((g_area[gi] + r_area[ri]) - inter)
-        hit = overlap >= threshold
-        found.append((gi[hit], ri[hit], overlap[hit]))
-        a, done = b, int(end[b - 1])
-    if not found:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    return tuple(np.concatenate(column) for column in zip(*found))
-
-
 def preprocess_sequence(
     seq: SequenceData,
     cfg: MatchingConfig = MatchingConfig(),
 ) -> EdgeTable:
     """Step 1 of the protocol on a whole sequence; its :class:`EdgeTable`.
 
-    The IoU of every same-frame (GT, result) pair is computed in a few
-    vectorised passes and only pairs at or above the threshold are kept.
+    :func:`~motbench.model._edges` computes the IoU of every same-frame
+    (GT, result) pair, and only pairs at or above the threshold are kept.
     The min-cost pass of step 1 is solved only on the connected components
     of those pairs that hold a neutral-class pair above the threshold; each
     pair keeps its rank ``i * m + j`` by position in its whole frame, so the
@@ -431,8 +369,9 @@ def _match(table: EdgeTable) -> np.ndarray:
         carried = [e for e in edges if prev.get(gt_id[e]) == res_id[e]]
         taken_g = sorted(g_pos[e] for e in carried)
         taken_r = sorted(r_pos[e] for e in carried)
+        held_g, held_r = set(taken_g), set(taken_r)
         rest = [e for e in edges if not matched[e]
-                and g_pos[e] not in taken_g and r_pos[e] not in taken_r]
+                and g_pos[e] not in held_g and r_pos[e] not in held_r]
         for e in carried:
             matched[e] = True
         if not rest:

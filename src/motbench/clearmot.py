@@ -84,12 +84,8 @@ def accumulate(log: EventLog) -> Counts:
     track = track_of_row[table.gt_row[matched]]
     by_track = np.lexsort((frame, track))
     track, frame = track[by_track], frame[by_track]
-    same = track[1:] == track[:-1]
-    step = np.diff(frame)
-    fm = int((same & (step > 1)).sum())
-    new = np.ones(tp, dtype=bool)  # the first match of each (track, frame)
-    new[1:] = ~same | (step != 0)
-    ratio = np.bincount(track[new], minlength=len(tracks)) / span
+    fm = int(((track[1:] == track[:-1]) & (np.diff(frame) > 1)).sum())
+    ratio = np.bincount(track, minlength=len(tracks)) / span
     mt = int((ratio >= MOSTLY_TRACKED_MIN).sum())
     ml = int((ratio < MOSTLY_LOST_MAX).sum())
 

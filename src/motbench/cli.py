@@ -94,11 +94,11 @@ def evaluate_benchmark(seq_set: SequenceSet, cfg: RunConfig) -> list[MetricsRepo
     return reports
 
 
-def _cell(value, decimals: int = 2) -> str:
+def _cell(value) -> str:
     if value is None:
         return "N/A"
     if isinstance(value, float):
-        return f"{value:.{decimals}f}"
+        return f"{value:.2f}"
     return str(value)
 
 

@@ -2,10 +2,11 @@
 
 Detections are scored frame by frame with greedy descending-IoU matching, the
 standard convention for detector benchmarks; the tracker evaluation keeps its
-own matcher and is unaffected by anything here.  A sweep finds the feasible
-(detection, GT) pairs of all frames in one overlap pass and reaches the
-greedy matching of every score threshold by deferred acceptance, adding one
-detection at a time, so it costs O(P log P) in the P feasible pairs.
+own matcher.  A sweep finds the feasible (detection, GT) pairs of all frames
+in one call of :func:`~motbench.model._edges`, the overlap pass of the tracker
+matching too, and reaches the greedy matching of every score threshold by
+deferred acceptance, adding one detection at a time, so it costs O(P log P)
+in the P feasible pairs.
 
 Two ground-truth modes exist.  ``tracking_gt`` scores against every box the
 tracking evaluation considers, including heavily occluded ones, so recall
@@ -23,8 +24,8 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .assignment import MatchingConfig, _edges
-from .model import BoxEntry, Rows
+from .assignment import MatchingConfig
+from .model import BoxEntry, Rows, _edges
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 

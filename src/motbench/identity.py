@@ -82,7 +82,8 @@ def build_table(table: EdgeTable) -> TrackMatchTable:
     ``table`` is the :class:`~motbench.assignment.EdgeTable` of
     :func:`~motbench.assignment.preprocess_sequence`; a pair co-detects on a
     frame when it has an edge in that frame, that is, an overlap at or above
-    the table's matching threshold.
+    the table's matching threshold.  A sequence holds one box per (frame,
+    id) on each side, so a pair's edge count is its co-detected frames.
     """
     gt_ids, gt_track, gt_len = np.unique(table.gt_id, return_inverse=True, return_counts=True)
     pred_ids, pred_track, pred_len = np.unique(

@@ -45,7 +45,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .model import BoxEntry, ObjectClass, Rows, SequenceData
+from .model import BoxEntry, ObjectClass, Rows, SequenceData, _geometry
 
 logger = logging.getLogger(__name__)
 
@@ -222,13 +222,11 @@ def _parse_columns(
         return None
     # Positive extents put each left and top at or below its right and
     # bottom, so the least left or top and the greatest right or bottom
-    # bound every edge.
+    # bound every edge.  The area is the one every IoU divides by.
     with np.errstate(over="ignore", invalid="ignore"):
-        corner = ltwh[:, :2] + ltwh[:, 2:]
-        extent = corner - ltwh[:, :2]
-        area = extent[:, 0] * extent[:, 1]
-        if not (ltwh[:, :2].min() >= -_GEOMETRY_LIMIT
-                and corner.max() <= _GEOMETRY_LIMIT
+        left, top, right, bottom, area = _geometry(ltwh)
+        if not (min(left.min(), top.min()) >= -_GEOMETRY_LIMIT
+                and max(right.max(), bottom.max()) <= _GEOMETRY_LIMIT
                 and area.max() <= _GEOMETRY_LIMIT and area.min() > 0):
             return None
     code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
@@ -242,10 +240,8 @@ def _parse_columns(
         if not ((visibility >= 0.0) & (visibility <= 1.0)).all():
             return None
     if kind is not FileKind.DETECTION:
-        keyed = track_id >= 0
-        f, i = frame[keyed], track_id[keyed]
-        order = np.lexsort((i, f))
-        f, i = f[order], i[order]
+        order = np.lexsort((track_id, frame))
+        f, i = frame[order], track_id[order]
         if ((f[1:] == f[:-1]) & (i[1:] == i[:-1])).any():
             return None
     return Rows(frame, track_id, ltwh, columns[6], code, visibility)
@@ -330,7 +326,7 @@ def _parse_rows(
             for token, what in zip(tokens[7:], _DISCARDED[variant]):
                 _float(token, line_no, what)
 
-        if kind is not FileKind.DETECTION and track_id >= 0:
+        if kind is not FileKind.DETECTION:
             key = (frame, track_id)
             if key in seen:
                 raise ParseError(f"duplicate (frame, id) pair {key}", line_no)

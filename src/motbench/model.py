@@ -5,9 +5,9 @@ y grows downward).  Coordinates may be negative or exceed the frame size:
 annotations routinely extend past the image borders for cropped targets.
 Width and height must be strictly positive, and so must the area between the
 rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
-Overlaps are computed on arrays only: :func:`pairwise_iou`, and the same
-arithmetic, bit for bit, in the pair table of
-:func:`~motbench.assignment.preprocess_sequence`.
+Overlaps are computed in one place, :func:`_edges` over the edges and areas
+of :func:`_geometry`: tracker matching, the detector sweep and the parser's
+area check all use them, so every metric judges the same overlap.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -86,22 +86,67 @@ class Box:
         return (self.right - self.left) * (self.bottom - self.top)
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every box pair of two ``n x 4`` left/top/width/height arrays.
+#: Same-frame (GT row, result row) pairs whose IoU one vectorised pass
+#: computes; a constant, so preprocessing memory does not grow with crowding.
+_PAIR_BUDGET = 1 << 12
 
-    Returns a ``len(a) x len(b)`` array.  Every length is a difference of
-    rounded edges, area included, so the intersection never exceeds either
-    area: each entry lies in [0, 1], is exactly 1.0 for identical boxes and
-    0.0 for boxes that do not overlap, and does not depend on the order of
-    the two sides.
+
+def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Left, top, right, bottom and area per ``n x 4`` row, the area between the edges."""
+    left, top, width, height = ltwh.T
+    right, bottom = left + width, top + height
+    return left, top, right, bottom, (right - left) * (bottom - top)
+
+
+def _edges(
+    gt_frame: np.ndarray,
+    gt_ltwh: np.ndarray,
+    res_frame: np.ndarray,
+    res_ltwh: np.ndarray,
+    threshold: float,
+):
+    """``(gt_row, res_row, iou)`` of every same-frame pair with IoU >= threshold.
+
+    Each side is given as its frame column and its ``n x 4`` box array;
+    ``res_frame`` must be sorted.  Rows are positions on each side, and the
+    pairs come out ordered by GT row, then result row.  GT rows are taken in
+    blocks of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed
+    it).  Every length is a difference of rounded edges, so each IoU lies in
+    (0, 1] and is 1.0 for identical boxes.  Pairs that do not overlap are
+    never stored, so a threshold must be positive.  ``preprocess_sequence``
+    pairs every GT box with the result boxes, ``pr_curve`` the scored GT
+    with the detections; ``ingest._parse_columns`` checks areas by
+    :func:`_geometry`.
     """
-    al, at, aw, ah = a.T
-    bl, bt, bw, bh = b.T
-    ar, ab, br, bb = al + aw, at + ah, bl + bw, bt + bh
-    inter_w = np.minimum.outer(ar, br) - np.maximum.outer(al, bl)
-    inter_h = np.minimum.outer(ab, bb) - np.maximum.outer(at, bt)
-    inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    return inter / (np.add.outer((ar - al) * (ab - at), (br - bl) * (bb - bt)) - inter)
+    first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame
+    count = np.searchsorted(res_frame, gt_frame, "right") - first
+    end = np.cumsum(count)
+    gx0, gy0, gx1, gy1, g_area = _geometry(gt_ltwh)
+    rx0, ry0, rx1, ry1, r_area = _geometry(res_ltwh)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    a, done = 0, 0
+    while a < len(end) and done < end[-1]:
+        b = max(int(np.searchsorted(end, done + _PAIR_BUDGET, "right")), a + 1)
+        n = count[a:b]
+        stop = end[a:b] - done  # where each GT row's pairs end in the block
+        ri = np.arange(stop[-1]) + np.repeat(first[a:b] - (stop - n), n)
+        inter_w = np.repeat(gx1[a:b], n)
+        np.minimum(inter_w, rx1[ri], out=inter_w)
+        left = np.repeat(gx0[a:b], n)
+        inter_w -= np.maximum(left, rx0[ri], out=left)
+        del left  # freed now, not once the next block has made its arrays
+        across = np.flatnonzero(inter_w > 0)  # the other pairs have IoU 0
+        gi = a + np.searchsorted(stop, across, "right")
+        ri, inter_w = ri[across], inter_w[across]
+        inter_h = np.minimum(gy1[gi], ry1[ri]) - np.maximum(gy0[gi], ry0[ri])
+        inter = inter_w * np.maximum(inter_h, 0.0)
+        overlap = inter / ((g_area[gi] + r_area[ri]) - inter)
+        hit = overlap >= threshold
+        found.append((gi[hit], ri[hit], overlap[hit]))
+        a, done = b, int(end[b - 1])
+    if not found:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 @dataclass(frozen=True)
@@ -196,8 +241,9 @@ class SequenceData:
     """All rows of one sequence plus its frame-count metadata.
 
     ``gt``, ``results`` and ``detections`` take :class:`Rows` or any iterable
-    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`.  ``fps`` is
-    reporting metadata only; it never influences any metric.
+    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`, and only
+    detections may repeat a (frame, id) key.  ``fps`` is reporting metadata
+    only; it never influences any metric.
     """
 
     name: str
@@ -219,3 +265,8 @@ class SequenceData:
                     f"sequence {self.name!r}: {kind} entry at frame {outside[0]} "
                     f"outside [1, {self.num_frames}]"
                 )
+            same = (np.diff(rows.frame) == 0) & (np.diff(rows.track_id) == 0)
+            if kind != "detections" and same.any():  # detections share the id -1
+                k = same.argmax()
+                raise ValueError(f"sequence {self.name!r}: two {kind} rows share (frame, id) "
+                                 f"({rows.frame[k]}, {rows.track_id[k]})")

@@ -18,17 +18,31 @@ import pytest
 
 from motbench.identity import TrackMatchTable
 from motbench.ingest import Benchmark
-from motbench.model import Box, BoxEntry, ObjectClass, SequenceData, pairwise_iou
+from motbench.model import Box, BoxEntry, ObjectClass, SequenceData, _edges
 
 
 def box(left, top, width=10.0, height=10.0) -> Box:
     return Box(left, top, width, height)
 
 
+def iou_matrix(a, b) -> np.ndarray:
+    """The ``len(a) x len(b)`` IoU of two ``n x 4`` left/top/width/height arrays.
+
+    Both sides are put in one frame and scattered from ``_edges``, which
+    stores every pair whose IoU is positive; the other entries are 0.
+    """
+    a, b = np.asarray(a, dtype=float).reshape(-1, 4), np.asarray(b, dtype=float).reshape(-1, 4)
+    rows, cols, overlap = _edges(np.ones(len(a), np.int64), a, np.ones(len(b), np.int64), b,
+                                 threshold=np.nextafter(0, 1))
+    matrix = np.zeros((len(a), len(b)))
+    matrix[rows, cols] = overlap
+    return matrix
+
+
 def pair_iou(a: Box, b: Box) -> float:
-    """The IoU of one box pair, by ``pairwise_iou`` on 1 x 1 arrays."""
-    return float(pairwise_iou(np.array([[a.left, a.top, a.width, a.height]]),
-                              np.array([[b.left, b.top, b.width, b.height]]))[0, 0])
+    """The IoU of one box pair: the 1 x 1 case of :func:`iou_matrix`."""
+    return float(iou_matrix([a.left, a.top, a.width, a.height],
+                            [b.left, b.top, b.width, b.height])[0, 0])
 
 
 def gt(frame, track_id, left, top, width=10.0, height=10.0,

@@ -7,7 +7,8 @@ of tracks and frames.  :func:`per_frame_counts` is the frame-by-frame reading
 of the count definitions that ``accumulate`` computes from columns.
 :func:`pr_curve_rescored` is the threshold-by-threshold PR sweep, with its
 own copy of the greedy frame matcher.  :func:`iou` is the scalar overlap of
-two boxes, which ``pairwise_iou`` must equal bit for bit.
+two boxes, which ``model._edges`` must equal bit for bit; the dense matrices
+of the per-frame routes come from that pass (``conftest.iou_matrix``).
 
 :func:`preprocess_frame` and :func:`match_frame` are the matching protocol
 run one frame at a time on a dense IoU matrix per frame, and
@@ -41,7 +42,8 @@ from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assign
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
-from motbench.model import Box, BoxEntry, ObjectClass, Rows, SequenceData, pairwise_iou
+from motbench.model import Box, BoxEntry, ObjectClass, Rows, SequenceData
+from conftest import iou_matrix
 
 
 def iou(a: Box, b: Box) -> float:
@@ -107,7 +109,7 @@ def preprocess_frame(
     carryover applied.
     """
     threshold, scoreable = cfg.iou_threshold, gt.scoreable
-    overlaps = pairwise_iou(gt.ltwh, res.ltwh)
+    overlaps = iou_matrix(gt.ltwh, res.ltwh)
     neutral = _NEUTRAL[gt.object_class]
     res_list = res.track_id.tolist()
     removed = {
@@ -481,7 +483,7 @@ def pr_curve_rescored(
     spans = zip(np.searchsorted(gt_frame, frames), np.searchsorted(gt_frame, frames, "right"))
     # Per frame: the IoU of each (detection, GT) pair, and the count each threshold keeps.
     per_frame = [
-        (pairwise_iou(det_ltwh[a:b], gt_ltwh[c:d]),
+        (iou_matrix(det_ltwh[a:b], gt_ltwh[c:d]),
          np.searchsorted(-det_conf[a:b], -thresholds, side="right").tolist())
         for a, b, (c, d) in zip(starts, ends, spans)
     ]

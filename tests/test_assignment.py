@@ -27,12 +27,12 @@ from conftest import (
     SCENARIO_EXPECTATIONS,
     gt,
     hyp,
-    pair_iou,
     random_instance,
     seq,
 )
 from oracles import (
     frame_events,
+    iou,
     match_frame,
     oracle_clear_counts,
     per_frame_reference,
@@ -167,7 +167,7 @@ class TestPreprocessFrame:
 
     def test_overlaps_are_the_iou_of_the_kept_boxes(self):
         # the one edge table every later stage reads, on the criterion 4
-        # stream: each stored overlap is bit-equal to pairwise_iou of its
+        # stream: each stored overlap is bit-equal to the scalar iou of its
         # two boxes, and each kept same-frame pair left out is below threshold
         rng = random.Random(500500)
         for _ in range(200):
@@ -182,14 +182,14 @@ class TestPreprocessFrame:
                                         table.res_row.tolist(), table.iou.tolist()):
                 (gt_t, gt_id), (res_t, pred_id) = gt_rows[i], res_rows[j]
                 assert gt_t == res_t == t
-                assert overlap == pair_iou(gt_box[t, gt_id], res_box[t, pred_id])
+                assert overlap == iou(gt_box[t, gt_id], res_box[t, pred_id])
                 assert overlap >= CFG.iou_threshold
                 stored[t, gt_id, pred_id] = overlap
             assert list(stored) == sorted(stored)
             for t, gt_id in gt_rows:
                 for res_t, pred_id in res_rows:
                     if res_t == t and (t, gt_id, pred_id) not in stored:
-                        assert pair_iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
+                        assert iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
 
 
 class TestMatchFrame:
@@ -308,6 +308,27 @@ class TestRunSequence:
             assert tp + fn == instance.gt.scoreable.sum()
             # without neutral classes in the fixture nothing is removed
             assert tp + fp == len(instance.results)
+
+    def test_carried_pairs_are_looked_up_in_constant_time(self):
+        # 1600 targets in each of 5 frames, each with its identical carried
+        # hypothesis and a conflicting one 1 px off: 16,000 edges.  Scanning
+        # the carried pairs once per edge took 0.17-0.24 s on a 2-vCPU
+        # x86_64 VM, set lookups about 0.05 s.
+        n = 1600
+        gts = [gt(t, k, 30 * k, 0) for t in range(1, 6) for k in range(1, n + 1)]
+        preds = [hyp(t, k + shift * n, 30 * k + shift, 0)
+                 for t in range(1, 6) for k in range(1, n + 1) for shift in (0, 1)]
+        instance = seq("crowd", 5, gts, preds)
+        table = preprocess_sequence(instance, CFG)
+        assert len(table.iou) == 16_000
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            log = run_sequence(instance, CFG, preprocessed=table)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.12
+        assert (table.res_id[table.res_row[log.matched]] <= n).all()
+        assert log.matched.sum() == 5 * n and not log.switch.any()
 
 
 class TestOracleAgreement:

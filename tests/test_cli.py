@@ -346,6 +346,19 @@ class TestValidate:
             "SEQ-01.txt: line 2: id out of range, got '1e19'\nFAIL\n"
         )
 
+    def test_repeated_unassigned_id_fails(self, tmp_path, capsys):
+        seqmap = self.write_seqmap(tmp_path, ["SEQ-01"])
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "SEQ-01.txt").write_text("1,-1,0,0,10,10,1,-1,-1\n1,-1,1,0,10,10,1,-1,-1\n")
+        code = main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "SEQ-01.txt: line 2: duplicate (frame, id) pair (1, -1)\nFAIL\n"
+        )
+
 
 class TestErrorAnalysis:
     def test_detections_as_tracker_give_unit_ratios(self, tmp_path, capsys):
@@ -515,6 +528,18 @@ def test_work_scales_with_rows_not_declared_frames(tmp_path, capsys):
                                 "mota", "motp", "far", "idf1")} == {
         "frames": 10**6, "gt_total": 2, "fp": 0, "fn": 1, "idsw": 0, "fm": 0, "mt": 0,
         "ml": 1, "mota": 50.0, "motp": 100.0, "far": 0.0, "idf1": 200.0 / 3}
+
+
+def test_repeated_unassigned_result_id_is_an_input_error(tmp_path, capsys):
+    # two boxes of hypothesis -1 in one frame would count as two co-detected
+    # frames of one pair: IDF1 133.33 and IDR 200 for one GT box
+    args = _write_tree(tmp_path, "S-01 1\n", "1,1,0,0,10,10,1,1,1\n",
+                       "1,-1,0,0,10,10,1,-1,-1\n1,-1,1,0,10,10,1,-1,-1\n")
+    assert main(args) == 1
+    res_path = tmp_path / "res" / "S-01.txt"
+    assert capsys.readouterr().err == (
+        f"error: {res_path}: line 2: duplicate (frame, id) pair (1, -1)\n"
+    )
 
 
 def test_extents_below_one_ulp_score_at_most_100(tmp_path, capsys):

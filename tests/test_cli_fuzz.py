@@ -3,11 +3,12 @@
 Two sequences; in each example one of three files is mutated, the first
 sequence's result file, its ground-truth file or ``seqmap.txt``, while the
 second sequence's files stay as written.  Mutations: truncation, byte flips,
-extra columns, huge, denormal, ``nan`` and ``inf`` numbers, CRLF line
-endings, a byte-order mark, an empty file, and a directory in place of the
-file.  ``evaluate`` runs in-process with every warning raised as an error.
-It must exit 1 with one ``error:`` line, or 0 with a report whose pooled
-row adds up its units and whose scores lie in their ranges; never 2.
+extra columns, huge, denormal, ``nan`` and ``inf`` numbers, two copies of a
+line with the id -1 appended, CRLF line endings, a byte-order mark, an empty
+file, and a directory in place of the file.  ``evaluate`` runs in-process
+with every warning raised as an error.  It must exit 1 with one ``error:``
+line, or 0 with a report whose pooled row adds up its units and whose scores
+and ratios lie in their ranges; never 2.
 
 ``validate`` gets the same mutations on a zip of both result files, applied
 to the archive bytes or to one entry's content.  It must exit 0 with a
@@ -32,7 +33,8 @@ from conftest import gt, hyp, seq, write_benchmark_tree
 
 NUMBERS = ("1e308", "-1.7e308", "1e154", "4.5e307", "9.3e18", "5e-324", "1e-310",
            "1e-200", "1.6653345369377348e-16", "nan", "inf", "-inf", "-0", "0", "1000000")
-MUTATIONS = ("truncate", "flip", "column", "number", "crlf", "bom", "empty", "directory")
+MUTATIONS = ("truncate", "flip", "column", "number", "repeat", "crlf", "bom", "empty",
+             "directory")
 TARGETS = ("res/FUZZ-01.txt", "gt/FUZZ-01.txt", "seqmap.txt")
 
 
@@ -82,6 +84,11 @@ def _mutate(raw: bytes, data, sep: bytes) -> bytes | None:
                     data.draw(st.sampled_from(NUMBERS)).encode())
             lines[at] = sep.join(fields)
             raw = b"\n".join(lines)
+        elif mutation == "repeat":  # two copies of a line, their id set to -1
+            lines = raw.split(b"\n")
+            fields = lines[data.draw(st.integers(0, len(lines) - 1))].split(sep)
+            line = sep.join([*fields[:1], b"-1", *fields[2:]])
+            raw = b"\n".join([*lines, line, line])
         elif mutation == "crlf":
             raw = raw.replace(b"\n", b"\r\n")
         elif mutation == "bom":
@@ -101,8 +108,10 @@ def _check_report(rows: list[dict]) -> None:
     for row in rows:
         assert row["mt"] + row["pt"] + row["ml"] == row["gt_tracks"]
         assert 0 <= row["fn"] <= row["gt_total"]
-        for key in ("motp", "idp", "idr", "idf1"):
+        for key in ("motp", "recall", "precision", "idp", "idr", "idf1"):
             assert row[key] is None or 0.0 <= row[key] <= 100.0, (key, row[key])
+        for key in ("mt_ratio", "ml_ratio"):
+            assert row[key] is None or 0.0 <= row[key] <= 1.0, (key, row[key])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None,

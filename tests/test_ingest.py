@@ -193,6 +193,15 @@ class TestParse:
         with pytest.raises(ParseError, match=r"line 2.*duplicate"):
             parse_file(text, *GT_16)
 
+    @pytest.mark.parametrize("kind", [FileKind.GROUND_TRUTH, FileKind.RESULT])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_duplicate_unassigned_ids_rejected_on_both_paths(self, kind, strict):
+        text = "1, -1, 0, 0, 5, 5, 1, 1, 1\n1, 2, 0, 0, 5, 5, 1, 1, 1\n1, -1, 9, 9, 5, 5, 1, 1, 1\n"
+        assert ingest._parse_columns(text, FormatVariant.MOT16_17, kind, strict, None) is None
+        for parse in (parse_file, ingest._parse_rows):
+            with pytest.raises(ParseError, match=r"line 3: duplicate \(frame, id\) pair \(1, -1\)"):
+                parse(text, FormatVariant.MOT16_17, kind, strict)
+
     def test_duplicate_detection_ids_allowed(self):
         text = "1, -1, 0, 0, 5, 5, 1, -1, -1\n1, -1, 10, 10, 5, 5, 1, -1, -1"
         assert len(parse_file(text, *DET_16)) == 2

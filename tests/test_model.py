@@ -8,20 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import motbench
+import motbench.assignment as assignment
+import motbench.deteval as deteval
+import motbench.ingest as ingest
+import motbench.model as model
+from motbench.ingest import FileKind, FormatVariant, parse_file
 from motbench.model import (
     Box,
     BoxEntry,
     ObjectClass,
     Rows,
     SequenceData,
-    pairwise_iou,
+    _edges,
 )
-from conftest import box, gt, hyp, pair_iou
+from conftest import box, det, gt, hyp, iou_matrix, pair_iou
 from oracles import iou
 
 
 def ltwh(boxes) -> np.ndarray:
-    """The ``n x 4`` left/top/width/height array that ``pairwise_iou`` takes."""
+    """The ``n x 4`` left/top/width/height array that ``iou_matrix`` takes."""
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes]).reshape(-1, 4)
 
 
@@ -129,7 +135,7 @@ class TestIou:
             boxes = [box(edge + rng.randint(0, 3) * ulp, edge,
                          rng.uniform(0.6, 3.0) * ulp, rng.uniform(0.6, 3.0) * ulp)
                      for _ in range(2)]
-            matrix = pairwise_iou(ltwh(boxes), ltwh(boxes))
+            matrix = iou_matrix(ltwh(boxes), ltwh(boxes))
             assert ((0.0 <= matrix) & (matrix <= 1.0)).all()
             assert matrix.diagonal().tolist() == [1.0, 1.0]
             assert matrix.tolist() == [[pair_iou(p, q) for q in boxes] for p in boxes]
@@ -140,7 +146,7 @@ class TestIou:
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(9)]
         rhs = [box(rng.uniform(-5, 40), rng.uniform(-5, 40),
                    rng.uniform(0.5, 15), rng.uniform(0.5, 15)) for _ in range(7)]
-        matrix = pairwise_iou(ltwh(lhs), ltwh(rhs))
+        matrix = iou_matrix(ltwh(lhs), ltwh(rhs))
         assert matrix.shape == (9, 7)
         assert matrix.tolist() == [[pair_iou(a, b) for b in rhs] for a in lhs]
 
@@ -156,8 +162,30 @@ class TestIou:
             assert pair_iou(a, b) == iou(a, b)
 
     def test_pairwise_empty_sides(self):
-        assert pairwise_iou(ltwh([]), ltwh([box(0, 0)])).shape == (0, 1)
-        assert pairwise_iou(ltwh([box(0, 0)]), ltwh([])).shape == (1, 0)
+        one, none = ltwh([box(0, 0)]), ltwh([])
+        for a, b in ((none, one), (one, none)):
+            columns = _edges(np.ones(len(a), np.int64), a, np.ones(len(b), np.int64), b, 0.5)
+            assert [column.tolist() for column in columns] == [[], [], []]
+        assert iou_matrix(none, one).shape == (0, 1)
+        assert iou_matrix(one, none).shape == (1, 0)
+
+
+def test_one_overlap_implementation(monkeypatch):
+    # every overlap is computed by model's pass, and the parser's area
+    # check goes through the same geometry
+    assert assignment._edges is deteval._edges is model._edges
+    assert not hasattr(motbench, "pairwise_iou") and not hasattr(model, "pairwise_iou")
+    calls = []
+    geometry = ingest._geometry
+
+    def spy(ltwh):
+        calls.append(len(ltwh))
+        return geometry(ltwh)
+
+    monkeypatch.setattr(ingest, "_geometry", spy)
+    text = "1,1,0,0,10,10,1,1,1\n1,2,5,0,10,10,1,1,1\n2,1,1,0,10,10,1,1,1\n"
+    assert len(parse_file(text, FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)) == 3
+    assert calls == [3]
 
 
 class TestRows:
@@ -193,16 +221,17 @@ class TestRows:
         assert list(Rows.of(())) == [] and Rows.of(()).ltwh.shape == (0, 4)
 
     def test_sequence_orders_rows_by_frame_then_id_stably(self):
-        # equal (frame, id) keys are legal for unassigned ids: they keep
-        # their input order
-        results = [hyp(3, 2, 0, 0), hyp(1, -1, 5, 0), hyp(1, 4, 0, 0),
-                   hyp(1, -1, 6, 0), hyp(3, 1, 0, 0), hyp(1, -1, 7, 0)]
-        data = SequenceData(name="s", num_frames=3, results=results)
+        # equal (frame, id) keys are legal among detections, whose ids are
+        # unassigned: they keep their input order
+        results = [hyp(3, 2, 0, 0), hyp(1, 4, 0, 0), hyp(3, 1, 0, 0)]
+        detections = [det(3, 0, 0), det(1, 5, 0), det(2, 0, 0), det(1, 6, 0), det(1, 7, 0)]
+        data = SequenceData(name="s", num_frames=3, results=results, detections=detections)
         assert isinstance(data.results, Rows)
         assert list(zip(data.results.frame.tolist(), data.results.track_id.tolist())) == [
-            (1, -1), (1, -1), (1, -1), (1, 4), (3, 1), (3, 2)
+            (1, 4), (3, 1), (3, 2)
         ]
-        assert data.results.ltwh[:3, 0].tolist() == [5.0, 6.0, 7.0]
+        assert data.detections.frame.tolist() == [1, 1, 1, 2, 3]
+        assert data.detections.ltwh[:3, 0].tolist() == [5.0, 6.0, 7.0]
 
     def test_sorted_rows_are_kept_as_they_are(self):
         rows = Rows.of([gt(1, 1, 0, 0), gt(1, 2, 0, 0), gt(2, 1, 0, 0)])
@@ -226,3 +255,12 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_zero_frames(self):
         with pytest.raises(ValueError):
             SequenceData(name="s", num_frames=0)
+
+    @pytest.mark.parametrize("kind", ["gt", "results"])
+    @pytest.mark.parametrize("track_id", [1, -1])
+    def test_sequence_rejects_a_repeated_frame_and_id(self, kind, track_id):
+        # two boxes of one track in one frame would count as two co-detected
+        # frames of one pair and push IDP or IDR above 100
+        rows = [gt(2, 3, 0, 0), hyp(1, track_id, 0, 0), hyp(1, track_id, 1, 0)]
+        with pytest.raises(ValueError, match=rf"{kind} rows share \(frame, id\) \(1, {track_id}\)"):
+            SequenceData(name="s", num_frames=2, **{kind: rows})

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 import motbench.assignment as assignment
+import motbench.model as model
 from motbench.assignment import (
     MatchingConfig,
     preprocess_sequence,
@@ -202,7 +203,7 @@ def test_frame_spans_pair_blocks():
     gts += [gt(2, k + 1, x + 1, y, 12, 12) for k, (x, y) in enumerate(cells)]
     preds = [hyp(t, 500 + k, x + rng.choice([0, 2, 3]), y + rng.choice([0, 2]), 12, 12)
              for t in (1, 2) for k, (x, y) in enumerate(rng.sample(cells, len(cells)))]
-    assert len(cells) ** 2 > assignment._PAIR_BUDGET
+    assert len(cells) ** 2 > model._PAIR_BUDGET
     assert_pinned(seq("crowd", 2, gts, preds))
 
 
@@ -211,6 +212,6 @@ def test_tiny_pair_budget(monkeypatch):
     # more pairs than the budget form their own block
     rng = random.Random(77)
     for budget in (1, 2, 3, 7):
-        monkeypatch.setattr(assignment, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(model, "_PAIR_BUDGET", budget)
         for _ in range(40):
             assert_pinned(with_classes(random_instance(rng, 6, 6), rng))
