@@ -19,29 +19,33 @@ number in every column, the discarded ones included; lenient parsing accepts
 clamps out-of-range visibility values, logging each repair.
 
 :func:`parse_file` returns a file's rows as columns
-(:class:`~motbench.model.Rows`) along one of two paths.  A columnar pass reads
-the file with one call to numpy's C text reader and checks every rule of the
-format over whole columns; it accepts only files of one valid column count in
-which nothing is malformed, out of range, duplicated or in need of a repair.
-Every other file, including one holding a token that ``float()`` reads and the
-C reader refuses (``1_0``, non-ASCII digits), goes to the row loop, which checks
-one line at a time, names the 1-based line of each error and logs each lenient
-repair.  The row loop is the format's reference: the columnar pass may hand it
-a file the row loop accepts, but never accepts a file the row loop rejects or
-repairs, and on any file it accepts it returns the same columns, value for value.
+(:class:`~motbench.model.Rows`), and one columnar pass checks every rule of
+the format.  Numpy's C text reader reads most files with one call into a
+table of floats.  When it refuses a file (ragged lines, fewer than 7
+columns, a token that ``float()`` reads and it does not, such as ``1_0`` or
+non-ASCII digits), a per-token reader fills the same table from ``float()``
+of each stripped token and marks the tokens it refuses.  Each rule is then
+a mask over the lines.  A line meets the rules in a fixed order: its column
+count, then field by field (malformed, not finite, not an integer, beyond
+int64, then the field's own rules such as frame bounds or box geometry),
+and last the duplicate (frame, id) rule.  The error names the first line
+that breaks a rule, by its 1-based number, with the first rule it breaks
+there.  Lenient repairs on the lines before it, and on that line before
+that rule, are logged first, in line order.  ``tests/oracles.py`` keeps a
+line-at-a-time row loop as the format's reference; the two agree on every
+file, error text and repair warnings included.
 """
 
 from __future__ import annotations
 
 import codecs
 import logging
-import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -125,34 +129,34 @@ _INT64_LIMIT = 2.0**63
 _GEOMETRY_LIMIT = 2.0**1022
 
 
-#: The columns after ``conf`` that a variant's files other than MOT16/17
-#: ground truth carry and evaluation discards; strict parsing checks that
-#: they hold numbers.
-_DISCARDED = {FormatVariant.MOT15: ("x", "y", "z"),
-              FormatVariant.MOT16_17: ("class", "visibility")}
+#: The fields of a line, in column order: seven in every variant, then the
+#: variant's own.  Evaluation reads class and visibility of MOT16/17 ground
+#: truth only; strict parsing checks that the trailing columns it discards
+#: hold numbers.
+_FIELDS = ("frame", "id", "left", "top", "width", "height", "confidence")
+_TRAILING = {FormatVariant.MOT15: ("x", "y", "z"),
+             FormatVariant.MOT16_17: ("class", "visibility")}
 
 
-def _float(token: str, line_no: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"malformed number {token!r} in {what} field", line_no) from None
+def _read_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first 10 fields of the lines as columns, each line's width, and the cells read.
 
-
-def _number(token: str, line_no: int, what: str) -> float:
-    value = _float(token, line_no, what)
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite number {token!r} in {what} field", line_no)
-    return value
-
-
-def _integer(token: str, line_no: int, what: str) -> int:
-    value = _number(token, line_no, what)
-    if value != int(value):
-        raise ParseError(f"{what} must be an integer, got {token!r}", line_no)
-    if abs(value) >= _INT64_LIMIT:
-        raise ParseError(f"{what} out of range, got {token!r}", line_no)
-    return int(value)
+    A cell holds ``float()`` of its stripped token, or NaN where ``float()``
+    refuses it.  A cell past the end of its line reads 1: the class and the
+    visibility of a line without them (a pedestrian in full view).
+    """
+    columns = np.ones((10, len(lines)))
+    readable = np.ones(columns.shape, bool)
+    width = np.empty(len(lines), np.int64)
+    for i, line in enumerate(lines):
+        tokens = line.split(",")
+        width[i] = len(tokens)
+        for j, token in enumerate(tokens[:10]):
+            try:
+                columns[j, i] = float(token.strip())
+            except ValueError:
+                columns[j, i], readable[j, i] = np.nan, False
+    return columns, width, readable
 
 
 def parse_file(
@@ -174,167 +178,129 @@ def parse_file(
     Lenient repair warnings name ``source`` when it is a :class:`Path`.
     """
     text = _as_text(source)
-    rows = _parse_columns(text, variant, kind, strict, num_frames)
-    if rows is None:
-        origin = f"{source}: " if isinstance(source, Path) else ""
-        rows = _parse_rows(text, variant, kind, strict, num_frames, origin)
-    return rows
-
-
-def _parse_columns(
-    text: str,
-    variant: FormatVariant,
-    kind: FileKind,
-    strict: bool,
-    num_frames: int | None,
-) -> Rows | None:
-    """The rows of ``text`` in one columnar pass, or None to leave it to the row loop.
-
-    One ``np.loadtxt`` call reads every column of the stripped, non-blank lines
-    (``comments=None``: no cut at ``#``).  Returns None if it raises (ragged
-    lines, a token it refuses), on an invalid column count, or when a row breaks
-    a check of :func:`_parse_rows` or needs one of its lenient repairs.
-    """
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         return Rows()
+    n = len(lines)
+    labelled = kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17
+    read = 9 if labelled else 7  # the columns read into rows
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return None
-    n, k = table.shape
-    if not (k == variant.columns if strict else 7 <= k <= 10):
-        return None
-    # The row loop reads class and visibility of MOT16/17 ground truth only.
-    labelled = kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17
-    read = min(k, 9) if labelled else 7
-    columns = table[:, :read].T
-    if not np.isfinite(columns).all():
-        return None
-    integers = columns[[0, 1, 7] if read > 7 else [0, 1]]
-    if not ((np.trunc(integers) == integers).all()
-            and (np.abs(integers) < _INT64_LIMIT).all()):
-        return None
-    frame, track_id = columns[:2].astype(np.int64)
-    ltwh = np.ascontiguousarray(columns[2:6].T)  # row-major, as the row loop builds it
-    if (frame.min() < 1 or (num_frames is not None and int(frame.max()) > num_frames)
-            or not (ltwh[:, 2:] > 0).all()):
-        return None
-    # Positive extents put each left and top at or below its right and
-    # bottom, so the least left or top and the greatest right or bottom
-    # bound every edge.  The area is the one every IoU divides by.
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, top, right, bottom, area = _geometry(ltwh)
-        if not (min(left.min(), top.min()) >= -_GEOMETRY_LIMIT
-                and max(right.max(), bottom.max()) <= _GEOMETRY_LIMIT
-                and area.max() <= _GEOMETRY_LIMIT and area.min() > 0):
-            return None
-    code = np.full(n, ObjectClass.PEDESTRIAN, dtype=np.int64)
-    visibility = np.ones(n)
-    if read > 7:
-        code = integers[2].astype(np.int64)
-        if not ((code > ObjectClass.OTHER) & (code <= ObjectClass.REFLECTION)).all():
-            return None
-    if read > 8:
-        visibility = columns[8]
-        if not ((visibility >= 0.0) & (visibility <= 1.0)).all():
-            return None
-    if kind is not FileKind.DETECTION:
-        order = np.lexsort((track_id, frame))
-        f, i = frame[order], track_id[order]
-        if ((f[1:] == f[:-1]) & (i[1:] == i[:-1])).any():
-            return None
-    return Rows(frame, track_id, ltwh, columns[6], code, visibility)
+        table = None
+    if table is not None and table.shape[1] >= 7:
+        width, readable = np.full(n, table.shape[1]), None  # every cell read
+        columns = np.ones((read, n))  # as the token reader pads a line
+        columns[:table.shape[1]] = table[:, :read].T
+    else:
+        columns, width, readable = _read_tokens(lines)
+    del table  # freed before the rules allocate: it sets the peak memory of a large file
+    fields = _FIELDS + _TRAILING[variant]
 
+    # A rule is the mask of the lines that break it, or a block of masks for
+    # the run of fields from ``column`` on.  A line meets the rules by
+    # field, its column count before them all and the duplicate rule after;
+    # on one field, by ``step``: 0 malformed, 1 not finite, 2 not an integer,
+    # 3 beyond int64, then the field's own rules.  ``repair`` marks a rule
+    # that lenient parsing repairs instead of rejecting the line.
+    rules: list[tuple[int, int, np.ndarray, Callable[[int, int], str], bool]] = []
 
-def _parse_rows(
-    text: str,
-    variant: FormatVariant,
-    kind: FileKind,
-    strict: bool = True,
-    num_frames: int | None = None,
-    origin: str = "",
-) -> Rows:
-    """Parse ``text`` one line at a time: the reference for :func:`parse_file`.
+    def check(column: int, step: int, failing: np.ndarray,
+              message: Callable[[int, int], str], repair: bool = False) -> None:
+        rules.append((column, step, failing, message, repair))
 
-    Every error names its 1-based line; ``origin`` prefixes each lenient
-    repair warning.
-    """
-    records: list[tuple] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = [t.strip() for t in line.split(",")]
+    def check_fields(column: int, step: int, failing: np.ndarray, message: str) -> None:
+        check(column, step, failing, lambda i, j: message.format(
+            token=lines[i].split(",")[j].strip(), what=fields[j]))
+
+    def check_integers(column: int, values: np.ndarray) -> None:
+        check_fields(column, 2, np.trunc(values) != values,
+                     "{what} must be an integer, got {token!r}")
+        check_fields(column, 3, np.abs(values) >= _INT64_LIMIT,
+                     "{what} out of range, got {token!r}")
+
+    # Each rule need only hold on the lines that pass every rule before it,
+    # so values on the others may be NaN, overflow or cast to garbage.
+    with np.errstate(all="ignore"):
         if strict:
-            if len(tokens) != variant.columns:
-                raise ParseError(
-                    f"expected {variant.columns} columns for {variant.value}, "
-                    f"got {len(tokens)}",
-                    line_no,
-                )
-        elif not 7 <= len(tokens) <= 10:
-            raise ParseError(f"expected 7 to 10 columns, got {len(tokens)}", line_no)
+            check(-1, 0, width != variant.columns, lambda i, j: f"expected {variant.columns} "
+                  f"columns for {variant.value}, got {width[i]}")
+        else:
+            check(-1, 0, (width < 7) | (width > 10),
+                  lambda i, j: f"expected 7 to 10 columns, got {width[i]}")
+        if readable is not None:  # in strict mode, numbers in the columns discarded too
+            check_fields(0, 0, ~readable[:variant.columns if strict else read],
+                         "malformed number {token!r} in {what} field")
+        check_fields(0, 1, ~np.isfinite(columns[:read]),
+                     "non-finite number {token!r} in {what} field")
+        check_integers(0, columns[:2])
+        frame, track_id = columns[:2].astype(np.int64)
+        check(0, 4, frame < 1, lambda i, j: f"frame index must be >= 1, got {frame[i]}")
+        if num_frames is not None:
+            check(0, 5, frame > num_frames,
+                  lambda i, j: f"frame {frame[i]} outside [1, {num_frames}]")
+        ltwh = columns[2:6].T
+        check(5, 4, (columns[4] <= 0) | (columns[5] <= 0),
+              lambda i, j: "non-positive box extent "
+                           f"width={float(columns[4, i])} height={float(columns[5, i])}")
+        # The area is the one every IoU divides by.  Positive extents put each
+        # left and top at or below its right and bottom, so a right or bottom
+        # edge that is not finite makes the area not finite, and an edge
+        # beyond the limit shows in the least left or top or the greatest
+        # right or bottom.
+        left, top, right, bottom, area = _geometry(ltwh)
+        check(5, 5, ~np.isfinite(area),
+              lambda i, j: "box right edge, bottom edge or area is not finite")
+        check(5, 6, (np.minimum(left, top) < -_GEOMETRY_LIMIT)
+              | (np.maximum(right, bottom) > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT),
+              lambda i, j: "box edge or area beyond 2**1022")
+        check(5, 7, area == 0, lambda i, j: "box area (right - left) * (bottom - top) is 0")
 
-        frame = _integer(tokens[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame index must be >= 1, got {frame}", line_no)
-        if num_frames is not None and frame > num_frames:
-            raise ParseError(f"frame {frame} outside [1, {num_frames}]", line_no)
-        track_id = _integer(tokens[1], line_no, "id")
-        left = _number(tokens[2], line_no, "left")
-        top = _number(tokens[3], line_no, "top")
-        width = _number(tokens[4], line_no, "width")
-        height = _number(tokens[5], line_no, "height")
-        if width <= 0 or height <= 0:
-            raise ParseError(
-                f"non-positive box extent width={width} height={height}", line_no
-            )
-        right, bottom = left + width, top + height
-        area = (right - left) * (bottom - top)
-        if not all(map(math.isfinite, (right, bottom, area))):
-            raise ParseError("box right edge, bottom edge or area is not finite", line_no)
-        if max(*map(abs, (left, top, right, bottom)), area) > _GEOMETRY_LIMIT:
-            raise ParseError("box edge or area beyond 2**1022", line_no)
-        if area == 0:
-            raise ParseError("box area (right - left) * (bottom - top) is 0", line_no)
-        confidence = _number(tokens[6], line_no, "confidence")
-
-        code = ObjectClass.PEDESTRIAN
-        visibility = 1.0
-        if kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17:
-            if len(tokens) >= 8:
-                code = _integer(tokens[7], line_no, "class")
-                if not ObjectClass.OTHER < code <= ObjectClass.REFLECTION:
-                    if strict:
-                        raise ParseError(f"unknown class code {code}", line_no)
-                    logger.warning("%sline %d: unknown class code %d, using OTHER",
-                                   origin, line_no, code)
-                    code = ObjectClass.OTHER
-            if len(tokens) >= 9:
-                visibility = _number(tokens[8], line_no, "visibility")
-                if not 0.0 <= visibility <= 1.0:
-                    if strict:
-                        raise ParseError(
-                            f"visibility {visibility} outside [0, 1]", line_no
-                        )
-                    logger.warning("%sline %d: clamping visibility %g",
-                                   origin, line_no, visibility)
-                    visibility = min(1.0, max(0.0, visibility))
-        elif strict:  # discarded, but still numbers; finite or not
-            for token, what in zip(tokens[7:], _DISCARDED[variant]):
-                _float(token, line_no, what)
+        code, visibility = np.full(n, ObjectClass.PEDESTRIAN), np.ones(n)
+        if labelled:
+            label, shown = columns[7:9]
+            check_integers(7, label)
+            unknown = (label <= ObjectClass.OTHER) | (label > ObjectClass.REFLECTION)
+            check(7, 4, unknown, lambda i, j: f"unknown class code {int(label[i])}"
+                                              + ("" if strict else ", using OTHER"), not strict)
+            outside = (shown < 0.0) | (shown > 1.0)
+            check(8, 4, outside, (lambda i, j: f"visibility {float(shown[i])} outside [0, 1]")
+                  if strict else lambda i, j: f"clamping visibility {float(shown[i]):g}",
+                  not strict)
+            code = np.where(unknown, ObjectClass.OTHER, label)
+            visibility = np.clip(shown, 0.0, 1.0)  # values in [0, 1], -0.0 too, stay as read
 
         if kind is not FileKind.DETECTION:
-            key = (frame, track_id)
-            if key in seen:
-                raise ParseError(f"duplicate (frame, id) pair {key}", line_no)
-            seen.add(key)
+            order = np.lexsort((track_id, frame))
+            f, t = frame[order], track_id[order]
+            repeat = np.zeros(n, bool)
+            repeat[order[1:]] = (f[1:] == f[:-1]) & (t[1:] == t[:-1])  # all but the first
+            check(len(fields), 0, repeat, lambda i, j: "duplicate (frame, id) pair "
+                                                       f"{(int(frame[i]), int(track_id[i]))}")
 
-        records.append((frame, track_id, (left, top, width, height), confidence, code,
-                        visibility))
-    return Rows(*zip(*records))
+    # The first line that breaks a rule and the first rule it breaks; the
+    # repairs on the lines before it, and on that line before that rule.
+    errors, repairs = [], []
+    for column, step, failing, message, repair in rules:
+        if not failing.any():
+            continue
+        if repair:
+            repairs += [(i, column, step, message) for i in np.flatnonzero(failing).tolist()]
+        else:
+            by_column = failing.reshape(-1, n)
+            i = int(by_column.any(axis=0).argmax())
+            errors.append((i, column + int(by_column[:, i].argmax()), step, message))
+    first = min(errors, key=lambda e: e[:3], default=(n,))
+    if errors or repairs:
+        line_no = [no for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        origin = f"{source}: " if isinstance(source, Path) else ""
+        for i, column, step, message in sorted(repairs, key=lambda r: r[:3]):
+            if (i, column, step) < first[:3]:
+                logger.warning("%sline %d: %s", origin, line_no[i], message(i, column))
+        if errors:
+            i, column, _, message = first
+            raise ParseError(message(i, column), line_no[i])
+    return Rows(frame, track_id, ltwh, columns[6], code, visibility)
 
 
 def _fmt(value: float) -> str:

@@ -115,7 +115,7 @@ def _edges(
     (0, 1] and is 1.0 for identical boxes.  Pairs that do not overlap are
     never stored, so a threshold must be positive.  ``preprocess_sequence``
     pairs every GT box with the result boxes, ``pr_curve`` the scored GT
-    with the detections; ``ingest._parse_columns`` checks areas by
+    with the detections; ``ingest.parse_file`` checks areas by
     :func:`_geometry`.
     """
     first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame

@@ -26,10 +26,17 @@ paired only the co-detecting tracks: a perfect matching on a graph where
 dummy nodes absorb unpaired tracks.  It shares the production solver, so it
 checks only the graph construction; the scipy cross-check of
 ``solve_assignment`` covers the solver.
+
+:func:`parse_rows` is the file format's reference: the parser as a loop
+over lines, which checks one field at a time, raises at the first rule a
+line breaks and logs each lenient repair as it makes it.
+``ingest.parse_file`` checks the same rules over whole columns and must
+give the same rows, or the same error after the same repair warnings.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import product
@@ -42,6 +49,9 @@ from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assign
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
+from motbench.ingest import (
+    _GEOMETRY_LIMIT, _INT64_LIMIT, FileKind, FormatVariant, ParseError, logger,
+)
 from motbench.model import Box, BoxEntry, ObjectClass, Rows, SequenceData
 from conftest import iou_matrix
 
@@ -504,3 +514,123 @@ def pr_curve_rescored(
         ap=_eleven_point_ap(curve_points),
         operating_point=curve_points[-1] if curve_points else None,
     )
+
+
+#: The columns after ``conf`` that a variant's files other than MOT16/17
+#: ground truth carry and evaluation discards; strict parsing checks that
+#: they hold numbers.
+_DISCARDED = {FormatVariant.MOT15: ("x", "y", "z"),
+              FormatVariant.MOT16_17: ("class", "visibility")}
+
+
+def _float(token: str, line_no: int, what: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"malformed number {token!r} in {what} field", line_no) from None
+
+
+def _number(token: str, line_no: int, what: str) -> float:
+    value = _float(token, line_no, what)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {token!r} in {what} field", line_no)
+    return value
+
+
+def _integer(token: str, line_no: int, what: str) -> int:
+    value = _number(token, line_no, what)
+    if value != int(value):
+        raise ParseError(f"{what} must be an integer, got {token!r}", line_no)
+    if abs(value) >= _INT64_LIMIT:
+        raise ParseError(f"{what} out of range, got {token!r}", line_no)
+    return int(value)
+
+
+def parse_rows(
+    text: str,
+    variant: FormatVariant,
+    kind: FileKind,
+    strict: bool = True,
+    num_frames: int | None = None,
+    origin: str = "",
+) -> Rows:
+    """Parse ``text`` one line at a time: the reference for ``ingest.parse_file``.
+
+    Every error names its 1-based line; ``origin`` prefixes each lenient
+    repair warning.
+    """
+    records: list[tuple] = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(",")]
+        if strict:
+            if len(tokens) != variant.columns:
+                raise ParseError(
+                    f"expected {variant.columns} columns for {variant.value}, "
+                    f"got {len(tokens)}",
+                    line_no,
+                )
+        elif not 7 <= len(tokens) <= 10:
+            raise ParseError(f"expected 7 to 10 columns, got {len(tokens)}", line_no)
+
+        frame = _integer(tokens[0], line_no, "frame")
+        if frame < 1:
+            raise ParseError(f"frame index must be >= 1, got {frame}", line_no)
+        if num_frames is not None and frame > num_frames:
+            raise ParseError(f"frame {frame} outside [1, {num_frames}]", line_no)
+        track_id = _integer(tokens[1], line_no, "id")
+        left = _number(tokens[2], line_no, "left")
+        top = _number(tokens[3], line_no, "top")
+        width = _number(tokens[4], line_no, "width")
+        height = _number(tokens[5], line_no, "height")
+        if width <= 0 or height <= 0:
+            raise ParseError(
+                f"non-positive box extent width={width} height={height}", line_no
+            )
+        right, bottom = left + width, top + height
+        area = (right - left) * (bottom - top)
+        if not all(map(math.isfinite, (right, bottom, area))):
+            raise ParseError("box right edge, bottom edge or area is not finite", line_no)
+        if max(*map(abs, (left, top, right, bottom)), area) > _GEOMETRY_LIMIT:
+            raise ParseError("box edge or area beyond 2**1022", line_no)
+        if area == 0:
+            raise ParseError("box area (right - left) * (bottom - top) is 0", line_no)
+        confidence = _number(tokens[6], line_no, "confidence")
+
+        code = ObjectClass.PEDESTRIAN
+        visibility = 1.0
+        if kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17:
+            if len(tokens) >= 8:
+                code = _integer(tokens[7], line_no, "class")
+                if not ObjectClass.OTHER < code <= ObjectClass.REFLECTION:
+                    if strict:
+                        raise ParseError(f"unknown class code {code}", line_no)
+                    logger.warning("%sline %d: unknown class code %d, using OTHER",
+                                   origin, line_no, code)
+                    code = ObjectClass.OTHER
+            if len(tokens) >= 9:
+                visibility = _number(tokens[8], line_no, "visibility")
+                if not 0.0 <= visibility <= 1.0:
+                    if strict:
+                        raise ParseError(
+                            f"visibility {visibility} outside [0, 1]", line_no
+                        )
+                    logger.warning("%sline %d: clamping visibility %g",
+                                   origin, line_no, visibility)
+                    visibility = min(1.0, max(0.0, visibility))
+        elif strict:  # discarded, but still numbers; finite or not
+            for token, what in zip(tokens[7:], _DISCARDED[variant]):
+                _float(token, line_no, what)
+
+        if kind is not FileKind.DETECTION:
+            key = (frame, track_id)
+            if key in seen:
+                raise ParseError(f"duplicate (frame, id) pair {key}", line_no)
+            seen.add(key)
+
+        records.append((frame, track_id, (left, top, width, height), confidence, code,
+                        visibility))
+    return Rows(*zip(*records))
