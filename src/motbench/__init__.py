@@ -32,7 +32,6 @@ from .identity import (
     TrackMatchTable,
     build_table,
     evaluate_identity,
-    pool_identity,
     solve_identity,
 )
 from .ingest import (
@@ -97,7 +96,6 @@ __all__ = [
     "motp",
     "parse_file",
     "pool",
-    "pool_identity",
     "pr_curve",
     "preprocess_sequence",
     "read_seqmap",

@@ -1,11 +1,14 @@
-"""Frame-level accuracy, precision, and track-coverage metrics.
+"""Frame-level accuracy, precision, and track-coverage metrics, and the report row.
 
 :func:`accumulate` counts a sequence straight off the columns of its
-:class:`~motbench.assignment.EventLog`.  Counts accumulate per sequence and
-pool by plain summation, which is exactly the evaluation of all sequences
-concatenated into one.  Benchmark scores are always computed from pooled
-counts, never by averaging per-sequence scores: sequences differ wildly in
-target count, and pooling is the count-weighted average.
+:class:`~motbench.assignment.EventLog`.  One :class:`Counts` record carries
+every count of a report row: the frame-level ones and the identity counts
+IDTP/IDFP/IDFN, which the caller merges in from
+:func:`~motbench.identity.evaluate_identity`.  Counts accumulate per
+sequence and pool by plain summation, which is exactly the evaluation of all
+sequences concatenated into one.  Benchmark scores are always computed from
+pooled counts, never by averaging per-sequence scores: sequences differ
+wildly in target count, and pooling is the count-weighted average.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .assignment import EventLog
+from .identity import _scores_from_counts
 
 
 class UndefinedMetricError(ZeroDivisionError):
@@ -39,6 +43,9 @@ class Counts:
     pt: int = 0
     ml: int = 0
     gt_tracks: int = 0
+    idtp: int = 0  # identity true positives, false positives, false negatives
+    idfp: int = 0
+    idfn: int = 0
 
     def __add__(self, other: "Counts") -> "Counts":
         return Counts(**{
@@ -170,8 +177,8 @@ class MetricsReport:
     """Full scalar metric set for one sequence or a pooled benchmark.
 
     ``None`` values are metrics that are undefined for the input; reports
-    render them as ``N/A``.  Identity scores are merged in by the caller that
-    ran the identity evaluation.
+    render them as ``N/A``.  The identity scores are ``None`` too when the
+    counts hold no identity counts.
     """
 
     name: str
@@ -216,6 +223,7 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         motp_value = motp(c)
     except UndefinedMetricError:
         motp_value = None
+    identity = _scores_from_counts(c.idtp, c.idfp, c.idfn)
     return MetricsReport(
         name=name,
         mota=mota_value,
@@ -235,4 +243,7 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         fmr=rates.fmr,
         frames=c.frames,
         gt_total=c.gt_total,
+        idf1=identity.idf1,
+        idp=identity.idp,
+        idr=identity.idr,
     )

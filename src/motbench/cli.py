@@ -1,9 +1,12 @@
 """Command-line front end: evaluate, validate, and error-analysis.
 
-Reports carry one row per evaluated (sequence, detector) unit plus a pooled
-OVERALL row computed from summed counts.  Rows are ordered by tracking
-accuracy, best first, mirroring leaderboard tables.  Undefined metrics render
-as ``N/A``; text and CSV print two decimals, JSON keeps full precision.
+:func:`main` is the whole front end: it checks the matching threshold before
+any file is read, loads the sequence set once, renders the report and writes
+it to stdout or ``--out``.  Reports carry one row per evaluated (sequence,
+detector) unit plus a pooled OVERALL row computed from summed counts, the
+identity counts included.  Rows are ordered by tracking accuracy, best
+first, mirroring leaderboard tables.  Undefined metrics render as ``N/A``;
+text and CSV print two decimals, JSON keeps full precision.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Poor scores are
 never an error.
@@ -15,12 +18,11 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .assignment import MatchingConfig, preprocess_sequence, run_sequence
 from .clearmot import Counts, MetricsReport, accumulate, pool, summarize
-from .identity import IdentityScores, evaluate_identity, pool_identity
+from .identity import evaluate_identity
 from .ingest import (
     Benchmark,
     EvalUnit,
@@ -43,54 +45,21 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one evaluation run needs."""
-
-    benchmark: Benchmark
-    gt_root: Path
-    results_root: Path
-    output: Path | None = None
-    out_format: str = "text"
-    matching: MatchingConfig = MatchingConfig()
-    strict: bool = True
-
-    def __post_init__(self) -> None:
-        if self.out_format not in ("text", "csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
-
-
-def _evaluate_unit(
-    unit: EvalUnit, cfg: MatchingConfig
-) -> tuple[str, Counts, IdentityScores]:
+def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
+    """The counts of one unit, its identity counts merged in."""
     table = preprocess_sequence(unit.data, cfg)
-    log = run_sequence(unit.data, cfg, preprocessed=table)
-    counts = accumulate(log)
-    ident = evaluate_identity(table)
-    return unit.label, counts, ident
+    counts = accumulate(run_sequence(unit.data, cfg, preprocessed=table))
+    identity = evaluate_identity(table)
+    return dataclasses.replace(counts, idtp=identity.idtp, idfp=identity.idfp,
+                               idfn=identity.idfn)
 
 
-def _with_identity(report: MetricsReport, ident: IdentityScores) -> MetricsReport:
-    return dataclasses.replace(
-        report, idf1=ident.idf1, idp=ident.idp, idr=ident.idr
-    )
-
-
-def evaluate_benchmark(seq_set: SequenceSet, cfg: RunConfig) -> list[MetricsReport]:
-    """Evaluate every unit of a loaded benchmark and append the pooled row.
-
-    Units are evaluated in order and reduced with an ordered fold.
-    """
-    results = [_evaluate_unit(unit, cfg.matching) for unit in seq_set.units]
-    reports = [
-        _with_identity(summarize(label, counts), ident)
-        for label, counts, ident in results
-    ]
+def evaluate_benchmark(seq_set: SequenceSet, cfg: MatchingConfig) -> list[MetricsReport]:
+    """Rows per unit, best MOTA first, then the pooled OVERALL row; needs a unit."""
+    counts = [_evaluate_unit(unit, cfg) for unit in seq_set.units]
+    reports = [summarize(unit.label, c) for unit, c in zip(seq_set.units, counts)]
     reports.sort(key=lambda r: (r.mota is None, -(r.mota or 0.0), r.name))
-    if results:
-        pooled_counts = pool(counts for _, counts, _ in results)
-        pooled_ident = pool_identity(ident for _, _, ident in results)
-        reports.append(_with_identity(summarize("OVERALL", pooled_counts), pooled_ident))
+    reports.append(summarize("OVERALL", pool(counts)))
     return reports
 
 
@@ -146,38 +115,6 @@ def render_json(reports: list[MetricsReport]) -> str:
 _RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text, encoding="utf-8")
-
-
-def _load(cfg: RunConfig, read_detections: bool) -> SequenceSet:
-    seq_set = load_sequence_set(
-        cfg.gt_root, cfg.benchmark, results_root=cfg.results_root, strict=cfg.strict,
-        read_detections=read_detections,
-    )
-    if not seq_set.units:
-        raise IngestError(f"{cfg.gt_root / 'seqmap.txt'}: lists no sequence")
-    return seq_set
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
-    reports = evaluate_benchmark(_load(cfg, read_detections=False), cfg)
-    _emit(_RENDERERS[cfg.out_format](reports), cfg.output)
-    return EXIT_OK
-
-
-def cmd_validate(
-    path: Path, benchmark: Benchmark, expected_sequences: list[str]
-) -> int:
-    report = validate_submission(path, expected_sequences, benchmark.variant)
-    sys.stdout.write(report.summary() + "\n")
-    return EXIT_OK if report.passed else EXIT_INPUT
-
-
 def _detections_as_tracker(data: SequenceData) -> SequenceData:
     """Rebrand raw detections as a degenerate tracker, one id per box."""
     dets = data.detections
@@ -185,7 +122,7 @@ def _detections_as_tracker(data: SequenceData) -> SequenceData:
     return dataclasses.replace(data, results=pseudo, detections=())
 
 
-def error_analysis(seq_set: SequenceSet, cfg: RunConfig) -> list[dict]:
+def error_analysis(seq_set: SequenceSet, cfg: MatchingConfig) -> list[dict]:
     """Tracker-versus-detector error ratios, per unit plus pooled totals.
 
     Detector errors come from evaluating the provided detections as if they
@@ -197,8 +134,8 @@ def error_analysis(seq_set: SequenceSet, cfg: RunConfig) -> list[dict]:
         raise IngestError(f"no detections available for: {', '.join(missing)}")
 
     def one(unit: EvalUnit) -> dict:
-        tracker = accumulate(run_sequence(unit.data, cfg.matching))
-        detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg.matching))
+        tracker = accumulate(run_sequence(unit.data, cfg))
+        detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg))
         return {
             "sequence": unit.label,
             "fp_tracker": tracker.fp,
@@ -233,12 +170,6 @@ def render_error_analysis(rows: list[dict], out_format: str) -> str:
     if out_format == "csv":
         return "\n".join([",".join(header)] + [",".join(r) for r in table]) + "\n"
     return _text_table(header, table)
-
-
-def cmd_error_analysis(cfg: RunConfig) -> int:
-    rows = error_analysis(_load(cfg, read_detections=True), cfg)
-    _emit(render_error_analysis(rows, cfg.out_format), cfg.output)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,23 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        benchmark=Benchmark(args.benchmark),
-        gt_root=args.gt,
-        results_root=args.res,
-        output=args.out,
-        out_format=args.format,
-        matching=MatchingConfig(iou_threshold=args.iou),
-        strict=not args.lenient,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "evaluate":
-            return cmd_evaluate(_run_config(args))
+        benchmark = Benchmark(args.benchmark)
         if args.command == "validate":
             if args.seqmap.suffix != ".txt" or not args.seqmap.is_file():
                 raise IngestError(f"cannot read sequence map {args.seqmap}")
@@ -309,13 +227,27 @@ def main(argv: list[str] | None = None) -> int:
                 raise IngestError(f"{args.seqmap}: {err}") from err
             if not expected:
                 raise IngestError(f"{args.seqmap}: lists no sequence")
-            detectors = Benchmark(args.benchmark).detectors
-            if detectors:
-                expected = [f"{n}-{d}" for n in expected for d in detectors]
-            return cmd_validate(args.submission, Benchmark(args.benchmark), expected)
-        if args.command == "error-analysis":
-            return cmd_error_analysis(_run_config(args))
-        raise AssertionError(f"unhandled command {args.command}")
+            if benchmark.detectors:
+                expected = [f"{n}-{d}" for n in expected for d in benchmark.detectors]
+            report = validate_submission(args.submission, expected, benchmark.variant)
+            sys.stdout.write(report.summary() + "\n")
+            return EXIT_OK if report.passed else EXIT_INPUT
+        cfg = MatchingConfig(iou_threshold=args.iou)
+        analysis = args.command == "error-analysis"
+        seq_set = load_sequence_set(args.gt, benchmark, results_root=args.res,
+                                    strict=not args.lenient, read_detections=analysis)
+        if not seq_set.units:
+            raise IngestError(f"{args.gt / 'seqmap.txt'}: lists no sequence")
+        if analysis:
+            text = render_error_analysis(error_analysis(seq_set, cfg), args.format)
+        else:
+            text = _RENDERERS[args.format](evaluate_benchmark(seq_set, cfg))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(text, encoding="utf-8")
+        return EXIT_OK
     except (IngestError, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

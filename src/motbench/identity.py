@@ -12,7 +12,10 @@ them alone, and any track may stay unpaired.
 From the optimal matching, identity true positives (IDTP) are the co-detected
 frames of matched pairs; every other ground-truth box is an identity false
 negative (IDFN) and every other predicted box an identity false positive
-(IDFP).  Precision, recall, and their harmonic mean follow.
+(IDFP).  Precision, recall, and their harmonic mean follow.  Benchmark
+scores pool these three counts, never the ratios: they ride in
+:class:`~motbench.clearmot.Counts` with the frame-level counts and sum with
+them, so this module has no pooling of its own.
 
 Co-detections are counted on the edge table the frame-level metrics score
 (the kept boxes of each frame and their pairs at or above the matching
@@ -24,7 +27,6 @@ that :func:`solve_identity` reads as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -125,12 +127,3 @@ def evaluate_identity(preprocessed: EdgeTable) -> IdentityScores:
     """Identity scores of one sequence from its :class:`EdgeTable`."""
     return solve_identity(build_table(preprocessed))
 
-
-def pool_identity(scores: Iterable[IdentityScores]) -> IdentityScores:
-    """Benchmark-level identity scores: sum the counts, then take ratios."""
-    idtp = idfp = idfn = 0
-    for s in scores:
-        idtp += s.idtp
-        idfp += s.idfp
-        idfn += s.idfn
-    return _scores_from_counts(idtp, idfp, idfn)

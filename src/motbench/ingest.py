@@ -24,7 +24,8 @@ the format.  Numpy's C text reader reads most files with one call into a
 table of floats.  When it refuses a file (ragged lines, fewer than 7
 columns, a token that ``float()`` reads and it does not, such as ``1_0`` or
 non-ASCII digits), a per-token reader fills the same table from ``float()``
-of each stripped token and marks the tokens it refuses.  Each rule is then
+of each stripped token and marks the tokens it refuses; it stops after the
+first line whose column count or tokens the rules reject.  Each rule is then
 a mask over the lines.  A line meets the rules in a fixed order: its column
 count, then field by field (malformed, not finite, not an integer, beyond
 int64, then the field's own rules such as frame bounds or box geometry),
@@ -39,6 +40,7 @@ file, error text and repair warnings included.
 from __future__ import annotations
 
 import codecs
+import itertools
 import logging
 import zipfile
 import zlib
@@ -138,16 +140,21 @@ _TRAILING = {FormatVariant.MOT15: ("x", "y", "z"),
              FormatVariant.MOT16_17: ("class", "visibility")}
 
 
-def _read_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_tokens(lines: list[str], widths: tuple[int, int],
+                 checked: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first 10 fields of the lines as columns, each line's width, and the cells read.
 
     A cell holds ``float()`` of its stripped token, or NaN where ``float()``
     refuses it.  A cell past the end of its line reads 1: the class and the
-    visibility of a line without them (a pedestrian in full view).
+    visibility of a line without them (a pedestrian in full view).  Reading
+    stops after the first line with a width outside ``widths`` or a token
+    ``float()`` refuses among its first ``checked``: the rules reject that
+    line, so no line after it can hold the first error.
     """
     columns = np.ones((10, len(lines)))
     readable = np.ones(columns.shape, bool)
     width = np.empty(len(lines), np.int64)
+    low, high = widths
     for i, line in enumerate(lines):
         tokens = line.split(",")
         width[i] = len(tokens)
@@ -156,6 +163,8 @@ def _read_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 columns[j, i] = float(token.strip())
             except ValueError:
                 columns[j, i], readable[j, i] = np.nan, False
+        if not low <= width[i] <= high or not readable[:checked, i].all():
+            return columns[:, :i + 1], width[:i + 1], readable[:, :i + 1]
     return columns, width, readable
 
 
@@ -184,6 +193,13 @@ def parse_file(
     n = len(lines)
     labelled = kind is FileKind.GROUND_TRUTH and variant is FormatVariant.MOT16_17
     read = 9 if labelled else 7  # the columns read into rows
+    # The column counts the mode accepts, and the columns that must hold
+    # numbers: in strict mode, the columns discarded too.
+    if strict:
+        widths, checked = (variant.columns,) * 2, variant.columns
+        accepted = f"{variant.columns} columns for {variant.value}"
+    else:
+        widths, checked, accepted = (7, 10), read, "7 to 10 columns"
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -193,7 +209,9 @@ def parse_file(
         columns = np.ones((read, n))  # as the token reader pads a line
         columns[:table.shape[1]] = table[:, :read].T
     else:
-        columns, width, readable = _read_tokens(lines)
+        columns, width, readable = _read_tokens(lines, widths, checked)
+        n = len(width)
+        lines = lines[:n]
     del table  # freed before the rules allocate: it sets the peak memory of a large file
     fields = _FIELDS + _TRAILING[variant]
 
@@ -222,14 +240,10 @@ def parse_file(
     # Each rule need only hold on the lines that pass every rule before it,
     # so values on the others may be NaN, overflow or cast to garbage.
     with np.errstate(all="ignore"):
-        if strict:
-            check(-1, 0, width != variant.columns, lambda i, j: f"expected {variant.columns} "
-                  f"columns for {variant.value}, got {width[i]}")
-        else:
-            check(-1, 0, (width < 7) | (width > 10),
-                  lambda i, j: f"expected 7 to 10 columns, got {width[i]}")
-        if readable is not None:  # in strict mode, numbers in the columns discarded too
-            check_fields(0, 0, ~readable[:variant.columns if strict else read],
+        check(-1, 0, (width < widths[0]) | (width > widths[1]),
+              lambda i, j: f"expected {accepted}, got {width[i]}")
+        if readable is not None:
+            check_fields(0, 0, ~readable[:checked],
                          "malformed number {token!r} in {what} field")
         check_fields(0, 1, ~np.isfinite(columns[:read]),
                      "non-finite number {token!r} in {what} field")
@@ -292,7 +306,8 @@ def parse_file(
             errors.append((i, column + int(by_column[:, i].argmax()), step, message))
     first = min(errors, key=lambda e: e[:3], default=(n,))
     if errors or repairs:
-        line_no = [no for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        numbered = (no for no, line in enumerate(text.splitlines(), start=1) if line.strip())
+        line_no = list(itertools.islice(numbered, first[0] + 1))  # up to the error line
         origin = f"{source}: " if isinstance(source, Path) else ""
         for i, column, step, message in sorted(repairs, key=lambda r: r[:3]):
             if (i, column, step) < first[:3]:

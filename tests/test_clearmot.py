@@ -269,6 +269,20 @@ class TestPool:
         assert pooled_score == pytest.approx(0.0)
         assert pooled_score != pytest.approx(mean_score)
 
+    def test_identity_counts_sum_then_ratios(self):
+        # one unit's tracker covers half of a 10-frame track; the other's
+        # covers all of it and adds two stray boxes
+        half = Counts(frames=10, idtp=5, idfp=0, idfn=5)
+        full = Counts(frames=10, idtp=10, idfp=2, idfn=0)
+        pooled = pool([half, full])
+        assert (pooled.idtp, pooled.idfp, pooled.idfn) == (15, 2, 5)
+        report = summarize("OVERALL", pooled)
+        assert report.idf1 == pytest.approx(100.0 * 2 * 15 / (2 * 15 + 2 + 5))
+        assert report.idp == pytest.approx(100.0 * 15 / 17)
+        assert report.idr == pytest.approx(100.0 * 15 / 20)
+        mean = (summarize("a", half).idf1 + summarize("b", full).idf1) / 2
+        assert report.idf1 != pytest.approx(mean)
+
     def test_additivity_against_concatenated_log(self, rng):
         # the second sequence follows the first in time, with its own ids;
         # evaluating both as one sequence gives the pooled counts
@@ -299,4 +313,4 @@ class TestSummarize:
         report = summarize("row", c)
         assert report.fp == 7620 and report.fn == 21780
         assert report.mota == pytest.approx(51.54, abs=0.02)
-        assert report.idf1 is None  # identity joins later
+        assert report.idf1 is None  # no identity counts, so no identity scores

@@ -1,6 +1,8 @@
 """End-to-end command-line tests on synthetic benchmarks."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -15,6 +17,9 @@ from unittest import mock
 import pytest
 
 import motbench
+import motbench.cli as cli
+import motbench.identity as identity
+from motbench.clearmot import Counts
 from motbench.cli import main
 from motbench.deteval import export_curve, pr_curve
 from motbench.ingest import Benchmark, load_sequence_set
@@ -217,6 +222,26 @@ class TestEvaluate:
         assert "SEQ-01-DPM" in names and "SEQ-02-SDP" in names
         overall = rows[-1]
         assert overall["gt_total"] == sum(r["gt_total"] for r in rows[:-1])
+
+    def test_identity_scores_pool_the_summed_counts(self, tmp_path):
+        # HALF: 10 frames, the tracker covers the first 5 (IDTP 5, IDFN 5).
+        # FULL: 4 frames, covered whole, plus a stray 2-box track (IDTP 4, IDFP 2).
+        half = seq("HALF", 10, [gt(t, 1, 0, 0) for t in range(1, 11)],
+                   [hyp(t, 8, 0, 0) for t in range(1, 6)])
+        full = seq("FULL", 4, [gt(t, 1, 0, 0) for t in range(1, 5)],
+                   [hyp(t, 8, 0, 0) for t in range(1, 5)]
+                   + [hyp(t, 9, 500, 500) for t in (1, 2)])
+        root = write_benchmark_tree(tmp_path, [half, full])
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+                     "--res", str(root / "res"), "--out", str(out), "--format", "json"]) == 0
+        rows = {row["name"]: row for row in json.loads(out.read_text())}
+        idtp, idfp, idfn = 5 + 4, 0 + 2, 5 + 0
+        expected = {"idf1": 100.0 * 2 * idtp / (2 * idtp + idfp + idfn),
+                    "idp": 100.0 * idtp / (idtp + idfp), "idr": 100.0 * idtp / (idtp + idfn)}
+        for key, value in expected.items():
+            assert rows["OVERALL"][key] == pytest.approx(value)
+            assert value != pytest.approx((rows["HALF"][key] + rows["FULL"][key]) / 2)
 
 
 class TestValidate:
@@ -449,14 +474,31 @@ class TestErrorAnalysis:
         assert captured.err == f"error: {root / 'seqmap.txt'}: lists no sequence\n"
 
 
-class TestRunConfigValidation:
-    def test_bad_threshold_rejected(self, tmp_path):
-        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+class TestArgumentChecks:
+    def test_bad_threshold_rejected(self, tmp_path, capsys):
+        # the threshold is checked before any file is read
         code = main([
             "evaluate", "--benchmark", "MOT16",
-            "--gt", str(root), "--res", str(root / "res"), "--iou", "1.5",
+            "--gt", str(tmp_path / "missing"), "--res", str(tmp_path / "res"),
+            "--iou", "1.5",
         ])
-        assert code == 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: iou_threshold must be in (0, 1], got 1.5\n"
+
+    def test_output_under_a_regular_file_is_an_input_error(self, tmp_path, capsys):
+        root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for command in ("evaluate", "error-analysis"):
+            code = main([
+                command, "--benchmark", "MOT16",
+                "--gt", str(root), "--res", str(root / "res"),
+                "--out", str(blocker / "report.txt"),
+            ])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_lenient_mode_accepts_ten_column_results(self, tmp_path):
         root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
@@ -475,6 +517,20 @@ class TestRunConfigValidation:
             "--out", str(tmp_path / "r.txt"), "--lenient",
         ])
         assert lenient_code == 0
+
+
+def test_one_pooled_record_and_a_flat_front_end():
+    # identity counts pool with the frame-level ones in Counts, and main
+    # reads the arguments itself
+    source = inspect.getsource(cli)
+    for name in ("RunConfig", "_run_config", "_load", "_emit", "cmd_evaluate",
+                 "cmd_validate", "cmd_error_analysis", "_with_identity"):
+        assert f"def {name}(" not in source and f"class {name}" not in source
+        assert not hasattr(cli, name), name
+    for module in (motbench, identity):
+        assert not hasattr(module, "pool_identity"), module.__name__
+    assert "pool_identity" not in motbench.__all__
+    assert {"idtp", "idfp", "idfn"} <= {f.name for f in dataclasses.fields(Counts)}
 
 
 def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):

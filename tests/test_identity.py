@@ -6,12 +6,7 @@ import pytest
 
 import motbench.identity as identity
 from motbench.assignment import MatchingConfig, preprocess_sequence, solve_assignment
-from motbench.identity import (
-    build_table,
-    evaluate_identity,
-    pool_identity,
-    solve_identity,
-)
+from motbench.identity import build_table, evaluate_identity, solve_identity
 from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
 from oracles import oracle_identity_counts, solve_identity_dummy_graph
 
@@ -229,17 +224,3 @@ class TestSolveIdentity:
             if scores.idf1 == pytest.approx(100.0):
                 assert scores.idfp == 0 and scores.idfn == 0
 
-
-class TestPoolIdentity:
-    def test_counts_sum_then_ratios(self):
-        gts = [gt(t, 1, 0, 0) for t in range(1, 11)]
-        half = [hyp(t, 8, 0, 0) for t in range(1, 6)]
-        a = solve_identity(build_table(frames_of(gts, half)))
-        full = [hyp(e.frame, 8, 0, 0) for e in gts]
-        b = solve_identity(build_table(frames_of(gts, full)))
-        pooled = pool_identity([a, b])
-        assert pooled.idtp == a.idtp + b.idtp
-        assert pooled.idfn == a.idfn + b.idfn
-        assert pooled.idf1 == pytest.approx(
-            100.0 * 2 * pooled.idtp / (2 * pooled.idtp + pooled.idfp + pooled.idfn)
-        )

@@ -487,6 +487,27 @@ class TestColumnarPath:
                 oracles.parse_rows, text, variant, kind, strict)
         assert reader.called
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("defect", ["token", "ragged"])
+    def test_token_reader_stops_at_the_line_that_decides_the_error(self, defect, strict):
+        # line 2 of a 2,000-line file holds 'x' as its left edge, or 6 columns
+        lines = _long_file(random.Random(defect), FileKind.RESULT, 9)
+        tokens = lines[1].split(",")
+        lines[1] = ",".join(tokens[:2] + ["x"] + tokens[3:] if defect == "token" else tokens[:6])
+        text = "\n".join(lines) + "\n"
+        read, returned = ingest._read_tokens, []
+
+        def recorded(*args):
+            returned.append(read(*args))
+            return returned[-1]
+
+        with mock.patch.object(ingest, "_read_tokens", wraps=recorded) as reader:
+            outcome = _outcome(parse_file, text, *RES_16, strict)
+        assert outcome == _outcome(oracles.parse_rows, text, *RES_16, strict)
+        assert outcome[1].startswith("line 2: ")
+        assert reader.call_count == 1
+        assert all(len(part.T) <= 2 for part in returned[0])
+
     @pytest.mark.parametrize("defect", ["ragged", "token", "duplicate", "frame", "area"])
     @pytest.mark.parametrize("strict", [True, False])
     def test_one_defect_in_a_long_file_names_its_line(self, defect, strict):
