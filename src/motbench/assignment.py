@@ -46,7 +46,8 @@ operations and loops only over the frames that hold a conflict.  Its
 :class:`EventLog` is two masks over the table's pairs, matched and identity
 switch; the frame-level counts are read off those columns and the identity
 metrics count co-detections on the same table.  No step does work per
-declared frame: a sequence costs what its rows cost.
+declared frame or per far-apart pair of boxes: a sequence costs what its
+rows and their nearby pairs cost.
 """
 
 from __future__ import annotations
@@ -302,13 +303,14 @@ def preprocess_sequence(
 ) -> EdgeTable:
     """Step 1 of the protocol on a whole sequence; its :class:`EdgeTable`.
 
-    :func:`~motbench.model._edges` computes the IoU of every same-frame
-    (GT, result) pair, and only pairs at or above the threshold are kept.
-    The min-cost pass of step 1 is solved only on the connected components
-    of those pairs that hold a neutral-class pair above the threshold; each
-    pair keeps its rank ``i * m + j`` by position in its whole frame, so the
-    pass drops the result boxes a frame-wide solve would.  Both the
-    frame-level metrics and the identity metrics score exactly this table.
+    :func:`~motbench.model._edges` finds every same-frame (GT, result) pair
+    at or above the threshold, scoring each GT box only against the result
+    boxes near it, and only those pairs are kept.  The min-cost pass of
+    step 1 is solved only on the connected components of those pairs that
+    hold a neutral-class pair above the threshold; each pair keeps its rank
+    ``i * m + j`` by position in its whole frame, so the pass drops the
+    result boxes a frame-wide solve would.  Both the frame-level metrics and
+    the identity metrics score exactly this table.
     """
     gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
     g, r, overlap = _edges(gt.frame, gt.ltwh, res.frame, res.ltwh, threshold)

@@ -4,9 +4,10 @@ Detections are scored frame by frame with greedy descending-IoU matching, the
 standard convention for detector benchmarks; the tracker evaluation keeps its
 own matcher.  A sweep finds the feasible (detection, GT) pairs of all frames
 in one call of :func:`~motbench.model._edges`, the overlap pass of the tracker
-matching too, and reaches the greedy matching of every score threshold by
-deferred acceptance, adding one detection at a time, so it costs O(P log P)
-in the P feasible pairs.
+matching too, which scores each GT box only against the detections near it.
+It reaches the greedy matching of every score threshold by deferred
+acceptance, adding one detection at a time, so it costs O(P log P) in the P
+feasible pairs.
 
 Two ground-truth modes exist.  ``tracking_gt`` scores against every box the
 tracking evaluation considers, including heavily occluded ones, so recall

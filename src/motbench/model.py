@@ -7,7 +7,10 @@ Width and height must be strictly positive, and so must the area between the
 rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
 Overlaps are computed in one place, :func:`_edges` over the edges and areas
 of :func:`_geometry`: tracker matching, the detector sweep and the parser's
-area check all use them, so every metric judges the same overlap.
+area check all use them, so every metric judges the same overlap.  The pass
+scores each GT box only against the same-frame result boxes whose left edge
+lies in a window that every pair at the threshold falls in, in blocks of a
+bounded number of such candidates.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -86,9 +89,9 @@ class Box:
         return (self.right - self.left) * (self.bottom - self.top)
 
 
-#: Same-frame (GT row, result row) pairs whose IoU one vectorised pass
-#: computes; a constant, so preprocessing memory does not grow with crowding.
-_PAIR_BUDGET = 1 << 12
+#: Candidate (GT row, result row) pairs whose IoU one vectorised pass
+#: computes; a constant, so the pass's memory does not grow with crowding.
+_PAIR_BUDGET = 1 << 11
 
 
 def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -109,35 +112,109 @@ def _edges(
 
     Each side is given as its frame column and its ``n x 4`` box array;
     ``res_frame`` must be sorted.  Rows are positions on each side, and the
-    pairs come out ordered by GT row, then result row.  GT rows are taken in
-    blocks of at most :data:`_PAIR_BUDGET` pairs (one row alone may exceed
-    it).  Every length is a difference of rounded edges, so each IoU lies in
-    (0, 1] and is 1.0 for identical boxes.  Pairs that do not overlap are
-    never stored, so a threshold must be positive.  ``preprocess_sequence``
-    pairs every GT box with the result boxes, ``pr_curve`` the scored GT
-    with the detections; ``ingest.parse_file`` checks areas by
-    :func:`_geometry`.
+    pairs come out ordered by GT row, then result row.  Every length is a
+    difference of rounded edges, so each IoU lies in (0, 1] and is 1.0 for
+    identical boxes.  Pairs that do not overlap are never stored, so a
+    threshold must be positive.  ``preprocess_sequence`` pairs every GT box with the result
+    boxes, ``pr_curve`` the scored GT with the detections;
+    ``ingest.parse_file`` checks areas by :func:`_geometry`.
+
+    A GT box is scored only against the result boxes of its frame whose
+    left edge lies in its window, so a frame costs what its nearby pairs
+    cost, not the product of its box counts.
+
+    *The bound.*  Take two boxes with widths ``w_g`` and ``w_r`` and overlaps
+    ``iw`` and ``ih`` of their widths and heights.  Their union holds a slab
+    as wide as either box and ``ih`` tall, so an exact IoU of at least ``s``
+    forces ``iw >= s * max(w_g, w_r)``.  As ``iw`` is at most ``w_g``, at
+    most ``gt_right - res_left`` and at most ``res_right - gt_left``, the
+    result's left edge lies in ``[gt_left - w_g * (1 - s) / s, gt_right -
+    s * w_g]``.
+
+    *The slack.*  The rounded IoU of the rounded edges exceeds their exact
+    IoU by a factor under ``1 + 2**-48``, plus under ``2**-70`` from
+    products that underflow when the GT area is at least ``2**-1000``.  So
+    a pair that reaches the threshold ``t`` has an exact IoU of at least
+    ``s = t * (1 - 2**-40) - 2**-60``, and the bound is taken at ``s``.  A GT
+    box with a smaller area has no window: its area and the intersection
+    may round to a few subnormals, which can lift the computed IoU far
+    above the exact one (to 1.0 from an exact 0.43), so it is scored
+    against every result box of its frame, as it is when ``s <= 0``.  Each
+    end of the other windows is then moved out by ``2**-39 * (max(|gt_left|, |gt_right|) + 2**-960) *
+    (1 + (1 - s) / s)``.  The ends' own roundings stay under ``2**-49`` of
+    that scale without the ``2**-960``, which covers an underflow, so every
+    result box the threshold keeps lies strictly inside its window.  The
+    candidates' IoU is the arithmetic any pair gets, bit for bit, so the
+    output is that of scoring every same-frame pair.  At ``t = 1`` a window
+    is a few ``2**-39`` of the edge magnitude around ``gt_left``.  With
+    edges and areas within ``2**1022``, the parser's limit, every IoU term
+    stays finite; a window end that overflows is infinite, which is still
+    a superset.
+
+    *The work.*  The result rows are sorted once by (frame, left edge), as
+    complex keys whose real part is the sorted position of the frame's
+    first row, exact in a float, and two ``searchsorted`` calls find the
+    window ends of all GT rows.  GT rows are scored in blocks of at most
+    :data:`_PAIR_BUDGET` candidates (one row alone may exceed it), and the
+    pairs kept are sorted by (GT row, result row) at the end.  Beyond a few
+    arrays of one entry per row, the memory holds one block's candidates
+    and the pairs kept.
     """
-    first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame
-    count = np.searchsorted(res_frame, gt_frame, "right") - first
-    end = np.cumsum(count)
     gx0, gy0, gx1, gy1, g_area = _geometry(gt_ltwh)
     rx0, ry0, rx1, ry1, r_area = _geometry(res_ltwh)
+    # the result rows by (frame, left edge); a key's real part is where its frame starts
+    key = np.empty(len(res_frame), complex)
+    key.real = np.searchsorted(res_frame, res_frame)
+    key.imag = rx0
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    s = threshold * (1 - 2.0**-40) - 2.0**-60  # the slack and margin of the docstring
+    reach = (1 - s) / s if s > 0 else np.inf
+    needle = np.empty(len(gt_frame), complex)  # a GT row's frame and window end
+    needle.real = np.searchsorted(res_frame, gt_frame)
+    last = np.searchsorted(res_frame, gt_frame, "right")
+    tiny = g_area < 2.0**-1000  # its whole frame is its window
+    bound = needle.imag
+    with np.errstate(over="ignore"):  # a window end beyond the floats is infinite
+        margin = np.negative(gx0)
+        np.maximum(margin, gx1, out=margin)
+        margin += 2.0**-960
+        margin *= 2.0**-39 * (1 + reach)
+        width = np.subtract(gx1, gx0)
+        np.multiply(width, reach, out=bound)
+        np.subtract(gx0, bound, out=bound)
+        bound -= margin
+        bound[tiny] = -np.inf
+        start = np.searchsorted(key, needle)
+        np.multiply(width, max(s, 0.0), out=bound)
+        np.subtract(gx1, bound, out=bound)
+        bound += margin
+        bound[tiny] = np.inf
+    del margin, width, tiny
+    count = np.searchsorted(key, needle)
+    del key, needle, bound
+    # the window of a GT row whose frame has no results lies in the next frame
+    np.minimum(count, last, out=count)
+    del last
+    count -= start
+    np.maximum(count, 0, out=count)
+    end = np.cumsum(count)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     a, done = 0, 0
     while a < len(end) and done < end[-1]:
         b = max(int(np.searchsorted(end, done + _PAIR_BUDGET, "right")), a + 1)
         n = count[a:b]
-        stop = end[a:b] - done  # where each GT row's pairs end in the block
-        ri = np.arange(stop[-1]) + np.repeat(first[a:b] - (stop - n), n)
-        inter_w = np.repeat(gx1[a:b], n)
+        gi = np.repeat(np.arange(a, b), n)
+        ri = np.repeat(start[a:b] - (end[a:b] - done - n), n)
+        ri += np.arange(len(ri))  # each candidate's position in ``order``
+        ri = order[ri]
+        inter_w = gx1[gi]
         np.minimum(inter_w, rx1[ri], out=inter_w)
-        left = np.repeat(gx0[a:b], n)
+        left = gx0[gi]
         inter_w -= np.maximum(left, rx0[ri], out=left)
         del left  # freed now, not once the next block has made its arrays
-        across = np.flatnonzero(inter_w > 0)  # the other pairs have IoU 0
-        gi = a + np.searchsorted(stop, across, "right")
-        ri, inter_w = ri[across], inter_w[across]
+        across = inter_w > 0  # the other pairs have IoU 0
+        gi, ri, inter_w = gi[across], ri[across], inter_w[across]
         inter_h = np.minimum(gy1[gi], ry1[ri]) - np.maximum(gy0[gi], ry0[ri])
         inter = inter_w * np.maximum(inter_h, 0.0)
         overlap = inter / ((g_area[gi] + r_area[ri]) - inter)
@@ -146,7 +223,12 @@ def _edges(
         a, done = b, int(end[b - 1])
     if not found:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    return tuple(np.concatenate(column) for column in zip(*found))
+    del order, start, count, end
+    g, r, overlap = (np.concatenate(column) for column in zip(*found))
+    del found
+    # each GT row's pairs came in left-edge order
+    ranked = np.argsort(g * len(res_frame) + r, kind="stable")
+    return g[ranked], r[ranked], overlap[ranked]
 
 
 @dataclass(frozen=True)
@@ -229,10 +311,15 @@ class Rows:
         return (self.object_class == ObjectClass.PEDESTRIAN) & (self.confidence != 0)
 
     def sorted(self) -> Rows:
-        """The rows ordered by (frame, track id), input order kept among equal keys."""
-        order = np.lexsort((self.track_id, self.frame))
-        if (order == np.arange(len(order))).all():
+        """The rows ordered by (frame, track id), input order kept among equal keys.
+
+        Rows already in that order are returned as they are, after one
+        linear check.
+        """
+        f, i = self.frame, self.track_id  # compared, not subtracted: ids may span 2**64
+        if ((f[:-1] < f[1:]) | ((f[:-1] == f[1:]) & (i[:-1] <= i[1:]))).all():
             return self
+        order = np.lexsort((i, f))
         return Rows(*(column[order] for column in vars(self).values()))
 
 

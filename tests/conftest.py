@@ -68,6 +68,22 @@ def det(frame, left, top, width=10.0, height=10.0, conf=1.0) -> BoxEntry:
                     confidence=conf)
 
 
+def crowd(frames: int, n: int, seed: int) -> list[tuple[int, int, int, int, int, float]]:
+    """``(frame, id, left, top, width, height)`` of ``n`` upright people per frame.
+
+    Boxes 16-40 px wide and 2.5 times as tall lie anywhere in a 1920 x 1080
+    image, as in a dense crowd seen from above: most same-frame pairs are far
+    apart.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for t in range(1, frames + 1):
+        for k in range(1, n + 1):
+            w = rng.randint(16, 40)
+            rows.append((t, k, rng.randint(0, 1880), rng.randint(0, 980), w, 2.5 * w))
+    return rows
+
+
 def seq(name, num_frames, gt_entries=(), results=(), detections=()) -> SequenceData:
     return SequenceData(
         name=name,

@@ -9,6 +9,9 @@ of the count definitions that ``accumulate`` computes from columns.
 own copy of the greedy frame matcher.  :func:`iou` is the scalar overlap of
 two boxes, which ``model._edges`` must equal bit for bit; the dense matrices
 of the per-frame routes come from that pass (``conftest.iou_matrix``).
+:func:`edges_all_pairs` is that pass as it was before it scored only the
+result boxes in a window around each GT box: every same-frame pair, in the
+same arithmetic, so the two must agree bit for bit.
 
 :func:`preprocess_frame` and :func:`match_frame` are the matching protocol
 run one frame at a time on a dense IoU matrix per frame, and
@@ -52,7 +55,9 @@ from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_coun
 from motbench.ingest import (
     _GEOMETRY_LIMIT, _INT64_LIMIT, FileKind, FormatVariant, ParseError, logger,
 )
-from motbench.model import Box, BoxEntry, ObjectClass, Rows, SequenceData
+from motbench.model import (
+    _PAIR_BUDGET, Box, BoxEntry, ObjectClass, Rows, SequenceData, _geometry,
+)
 from conftest import iou_matrix
 
 
@@ -72,6 +77,51 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = inter_w * inter_h
     return inter / (a.area + b.area - inter)
+
+
+def edges_all_pairs(
+    gt_frame: np.ndarray,
+    gt_ltwh: np.ndarray,
+    res_frame: np.ndarray,
+    res_ltwh: np.ndarray,
+    threshold: float,
+):
+    """``model._edges`` scoring every same-frame pair: its reference.
+
+    The same ``(gt_row, res_row, iou)`` columns in the same order, from the
+    same IoU arithmetic, computed for every same-frame (GT, result) pair;
+    ``res_frame`` must be sorted.  GT rows are taken in blocks of at most
+    :data:`_PAIR_BUDGET` pairs (one row alone may exceed it).
+    """
+    first = np.searchsorted(res_frame, gt_frame)  # the result rows of each GT row's frame
+    count = np.searchsorted(res_frame, gt_frame, "right") - first
+    end = np.cumsum(count)
+    gx0, gy0, gx1, gy1, g_area = _geometry(gt_ltwh)
+    rx0, ry0, rx1, ry1, r_area = _geometry(res_ltwh)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    a, done = 0, 0
+    while a < len(end) and done < end[-1]:
+        b = max(int(np.searchsorted(end, done + _PAIR_BUDGET, "right")), a + 1)
+        n = count[a:b]
+        stop = end[a:b] - done  # where each GT row's pairs end in the block
+        ri = np.arange(stop[-1]) + np.repeat(first[a:b] - (stop - n), n)
+        inter_w = np.repeat(gx1[a:b], n)
+        np.minimum(inter_w, rx1[ri], out=inter_w)
+        left = np.repeat(gx0[a:b], n)
+        inter_w -= np.maximum(left, rx0[ri], out=left)
+        del left  # freed now, not once the next block has made its arrays
+        across = np.flatnonzero(inter_w > 0)  # the other pairs have IoU 0
+        gi = a + np.searchsorted(stop, across, "right")
+        ri, inter_w = ri[across], inter_w[across]
+        inter_h = np.minimum(gy1[gi], ry1[ri]) - np.maximum(gy0[gi], ry0[ri])
+        inter = inter_w * np.maximum(inter_h, 0.0)
+        overlap = inter / ((g_area[gi] + r_area[ri]) - inter)
+        hit = overlap >= threshold
+        found.append((gi[hit], ri[hit], overlap[hit]))
+        a, done = b, int(end[b - 1])
+    if not found:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from motbench.model import ObjectClass, Rows
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
+    crowd,
     gt,
     hyp,
     random_instance,
@@ -326,9 +327,28 @@ class TestRunSequence:
             start = time.perf_counter()
             log = run_sequence(instance, CFG, preprocessed=table)
             elapsed.append(time.perf_counter() - start)
-        assert min(elapsed) < 0.12
+        assert min(elapsed) < 0.12, elapsed
         assert (table.res_id[table.res_row[log.matched]] <= n).all()
         assert log.matched.sum() == 5 * n and not log.switch.any()
+
+    def test_crowded_frames_cost_their_nearby_pairs(self):
+        # 1600 people in each of 5 frames, each with a hypothesis a few px
+        # off: 12.8 M same-frame pairs, 9879 of them at IoU 0.5 or more.
+        # Scoring every pair took 0.29-0.41 s on a 2-vCPU x86_64 VM, the
+        # windowed pass 0.026 s.
+        rng = random.Random(8)
+        rows = crowd(5, 1600, seed=3)
+        gts = [gt(t, k, x, y, w, h) for t, k, x, y, w, h in rows]
+        preds = [hyp(t, k + 1600, x + rng.randint(-3, 3), y + rng.randint(-3, 3), w, h)
+                 for t, k, x, y, w, h in rows]
+        instance = seq("crowd", 5, gts, preds)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            table = preprocess_sequence(instance, CFG)
+            elapsed.append(time.perf_counter() - start)
+        assert len(table.iou) == 9879
+        assert min(elapsed) < 0.15, elapsed
 
 
 class TestOracleAgreement:

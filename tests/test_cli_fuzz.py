@@ -158,13 +158,15 @@ def test_mutated_zip_submission_exits_0_or_1(tree, data):
     archive = root / "sub.zip"
     if archive.is_dir():
         archive.rmdir()
-    with zipfile.ZipFile(archive, "w", data.draw(st.sampled_from(
-            [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]))) as zf:
+    compression = data.draw(st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]))
+    with zipfile.ZipFile(archive, "w") as zf:
         for entry, content in entries.items():
             if content is None:  # a directory in place of the file
-                zf.writestr(entry + "/", b"")
-            else:
-                zf.writestr(entry, content)
+                entry, content = entry + "/", b""
+            # a fixed date: the archive bytes, and so the draws of a
+            # mutation that splits them, must not depend on the clock
+            zf.writestr(zipfile.ZipInfo(entry, date_time=(1980, 1, 1, 0, 0, 0)), content,
+                        compression)
     if name is None:
         mutated = _mutate(archive.read_bytes(), data, b",")
         archive.unlink()

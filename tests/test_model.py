@@ -23,7 +23,7 @@ from motbench.model import (
     _edges,
 )
 from conftest import box, det, gt, hyp, iou_matrix, pair_iou
-from oracles import iou
+from oracles import edges_all_pairs, iou
 
 
 def ltwh(boxes) -> np.ndarray:
@@ -170,6 +170,140 @@ class TestIou:
         assert iou_matrix(one, none).shape == (1, 0)
 
 
+def assert_all_pairs_edges(gt_frame, gt_ltwh, res_frame, res_ltwh, threshold) -> np.ndarray:
+    """``_edges`` equals the all-pairs reference bit for bit; the IoUs it keeps."""
+    args = (np.asarray(gt_frame, np.int64), np.asarray(gt_ltwh, float).reshape(-1, 4),
+            np.asarray(res_frame, np.int64), np.asarray(res_ltwh, float).reshape(-1, 4),
+            threshold)
+    got, want = _edges(*args), edges_all_pairs(*args)
+    for column, reference in zip(got, want):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
+    return got[2]
+
+
+#: The thresholds of the equality tests: the least positive float, which
+#: ``iou_matrix`` uses, up to 1.
+THRESHOLDS = (np.nextafter(0.0, 1.0), 0.3, 0.5, 0.9, 1.0)
+
+
+class TestWindowedEdges:
+    """The windowed overlap pass against the all-pairs reference."""
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_tie_heavy_integer_grids(self, threshold, monkeypatch):
+        # GT rows in any frame order, results sorted by frame only, frames
+        # with one side only, and every block boundary inside a frame
+        rng = np.random.default_rng(4242)
+        hits = 0
+        for budget in (1, 7, model._PAIR_BUDGET):
+            monkeypatch.setattr(model, "_PAIR_BUDGET", budget)
+            for _ in range(80):
+                frames, step = int(rng.integers(1, 6)), float(rng.choice([1, 2, 4]))
+                n_gt, n_res = rng.integers(0, 30, 2)
+                gt_ltwh = step * rng.integers([0, 0, 1, 1], [8, 8, 5, 5], (n_gt, 4))
+                res_ltwh = step * rng.integers([0, 0, 1, 1], [8, 8, 5, 5], (n_res, 4))
+                copied = rng.random(n_res) < 0.5  # exact copies and 1-step shifts of GT
+                if n_gt:
+                    res_ltwh[copied] = gt_ltwh[rng.integers(0, n_gt, copied.sum())]
+                    res_ltwh[copied, 0] += step * rng.integers(-1, 2, copied.sum())
+                hits += len(assert_all_pairs_edges(
+                    rng.integers(1, frames + 1, n_gt), gt_ltwh,
+                    np.sort(rng.integers(1, frames + 1, n_res)), res_ltwh, threshold))
+        assert hits > 300
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
+    def test_left_edges_on_a_window_end_and_one_ulp_past(self, threshold):
+        # IoU >= t bounds a result's left edge to [gt_left - w * (1 - t) / t,
+        # gt_right - t * w]: a box reaching gt_right from either end has IoU
+        # t there, and one ulp outside it falls below
+        rng = random.Random(int(threshold * 1000))
+        gt_rows, res_rows = [], []
+        for scale in (0.0, 1.0, 1e3, 1e6, 2.0**40, 2.0**900):
+            for _ in range(12):
+                left, width = scale * rng.uniform(-1, 1), rng.choice([8.0, rng.uniform(0.5, 50)])
+                width *= max(1.0, scale * 1e-6)
+                right = left + width
+                gt_rows.append((left, 0.0, width, 10.0))
+                w = right - left
+                for end in (right - threshold * w, left - w * (1 - threshold) / threshold):
+                    ulps = (math.nextafter(end, -math.inf), math.nextafter(end, math.inf))
+                    for edge in (end, *ulps):
+                        if edge < right:
+                            res_rows.append((len(gt_rows), (edge, 0.0, right - edge, 10.0)))
+        res_frame, res_ltwh = zip(*res_rows)
+        overlaps = assert_all_pairs_edges(np.arange(1, len(gt_rows) + 1), gt_rows,
+                                          res_frame, res_ltwh, threshold)
+        assert (overlaps == threshold).any()
+
+    def test_one_huge_box_over_many_small_ones(self):
+        rng = np.random.default_rng(9)
+        small = rng.integers([0, 0, 1, 1], [990, 990, 10, 10], (400, 4)).astype(float)
+        huge = np.array([[0.0, 0.0, 1000.0, 1000.0]])
+        both = np.vstack([small[:200], huge, small[200:]])
+        for threshold in (np.nextafter(0.0, 1.0), 1e-6, 5e-5, 0.5):
+            for gt_ltwh, res_ltwh in ((huge, small), (small, huge), (both, both)):
+                overlaps = assert_all_pairs_edges(np.ones(len(gt_ltwh)), gt_ltwh,
+                                                  np.ones(len(res_ltwh)), res_ltwh, threshold)
+                if threshold <= 1e-6:  # the huge box overlaps every small one by 1e-6 or more
+                    assert len(overlaps) >= 400
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS + (0.25,))
+    def test_coordinates_and_extents_near_the_parser_limit(self, threshold):
+        # edges and areas up to 2**1022 keep the IoU terms finite; the window
+        # ends may overflow, and must do so without a warning
+        big = 2.0**1022
+        boxes = [(-big, 0.0, 2 * big, 0.5), (-big, 0.0, big, 1.0), (0.0, 0.0, big, 1.0),
+                 (big / 2, 0.0, big / 2, 2.0), (-big, 0.0, 2.0**970, 1.0),
+                 (big - 2.0**970, 0.0, 2.0**970, 4.0),
+                 (math.nextafter(-big, 0.0), 0.0, big, 1.0), (0.0, 0.0, 10.0, 10.0),
+                 (-big / 3, -1.0, big / 3, 3.0), (0.0, big - 1.0e300, 2.0, 1.0e300)]
+        for shift in (0.0, 2.0**1000):
+            res = [(left - shift, top, width, height) for left, top, width, height in boxes
+                   if left - shift >= -big]
+            assert_all_pairs_edges(np.ones(len(boxes)), boxes, np.ones(len(res)), res, threshold)
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_areas_below_the_normal_floats(self, threshold):
+        # extents of 1e-160 make areas that underflow to subnormals
+        rng = np.random.default_rng(17)
+        for scale in (1e-160, 1e-155, 1.0):
+            ltwh = scale * rng.integers([0, 0, 1, 1], [6, 6, 4, 4], (40, 4))
+            for res_ltwh in (ltwh[20:], ltwh[:20] * 1e150):
+                assert_all_pairs_edges(np.ones(20), ltwh[:20], np.ones(20), res_ltwh, threshold)
+
+    @pytest.mark.parametrize("gt_width, res_left, res_width, threshold, computed", [
+        # areas of 1.5 and 2.875 times the least subnormal round to 2 and 3
+        # of it: an exact IoU of 0.52 is computed as 2/3
+        (1.5, -1.375, 2.875, 0.6, 2 / 3),
+        # areas of 2.5 and an intersection of 1.5 times it all round to 2 of
+        # it: an exact IoU of 0.43 is computed as 1.0
+        (2.5, 1.0, 2.5, 0.9, 1.0), (2.5, 1.0, 2.5, 1.0, 1.0),
+        (2.5, -1.0, 2.5, 0.9, 1.0), (2.5, -1.0, 2.5, 1.0, 1.0),
+    ])
+    def test_rounded_subnormal_areas_can_reach_the_threshold(
+            self, gt_width, res_left, res_width, threshold, computed):
+        # each result's left edge lies past an end of the window a normal
+        # area would get
+        e = 2.0**-537
+        gt_ltwh, res_ltwh = [(0.0, 0.0, gt_width * e, e)], [(res_left * e, 0.0, res_width * e, e)]
+        overlaps = assert_all_pairs_edges([1], gt_ltwh, [1], res_ltwh, threshold)
+        assert overlaps.tolist() == [computed]
+
+    def test_empty_sides_and_frames_without_results(self):
+        one, none = [(0.0, 0.0, 10.0, 10.0)], np.zeros((0, 4))
+        for gt_frame, gt_ltwh, res_frame, res_ltwh in (
+                ([], none, [1], one), ([1], one, [], none), ([], none, [], none)):
+            assert len(assert_all_pairs_edges(gt_frame, gt_ltwh, res_frame, res_ltwh, 0.5)) == 0
+        # a GT frame with no results sits just before the next frame's rows:
+        # identical boxes there are no pairs, only frame 2's are
+        boxes = one * 6
+        g, r, _ = _edges(np.array([1, 3, 5, 3, 7, 2]), np.array(boxes),
+                         np.array([2, 2, 4, 6, 6, 6]), np.array(boxes), 0.5)
+        assert (g.tolist(), r.tolist()) == ([5, 5], [0, 1])
+        assert_all_pairs_edges([1, 3, 5, 3, 7, 2], boxes, [2, 2, 4, 6, 6, 6], boxes, 0.5)
+
+
 def test_one_overlap_implementation(monkeypatch):
     # every overlap is computed by model's pass, and the parser's area
     # check goes through the same geometry
@@ -237,6 +371,21 @@ class TestRows:
         rows = Rows.of([gt(1, 1, 0, 0), gt(1, 2, 0, 0), gt(2, 1, 0, 0)])
         assert rows.sorted() is rows
         assert SequenceData(name="s", num_frames=2, gt=rows).gt is rows
+        # detections share the id -1, so equal keys follow each other
+        detections = Rows.of([det(1, 0, 0), det(1, 5, 0), det(2, 0, 0), det(2, 9, 0)])
+        assert detections.sorted() is detections
+        extreme = Rows.of([hyp(1, -2**62, 0, 0), hyp(1, 2**62, 0, 0), hyp(2, -2**62, 0, 0)])
+        assert extreme.sorted() is extreme
+        assert Rows.of(()).sorted().frame.shape == (0,)
+
+    def test_unordered_rows_are_sorted_stably(self):
+        detections = Rows.of([det(2, 0, 0), det(1, 5, 0), det(2, 1, 0), det(1, 6, 0)])
+        ordered = detections.sorted()
+        assert ordered.frame.tolist() == [1, 1, 2, 2]
+        assert ordered.ltwh[:, 0].tolist() == [5.0, 6.0, 0.0, 1.0]
+        # the ids' difference does not fit in an int64
+        rows = Rows.of([hyp(1, 2**62, 0, 0), hyp(1, -2**62 - 1, 0, 0)])
+        assert rows.sorted().track_id.tolist() == [-2**62 - 1, 2**62]
 
 
 class TestEntriesAndSequences:
