@@ -1,22 +1,34 @@
 """Command-line front end: evaluate, validate, and error-analysis.
 
-:func:`main` is the whole front end: it checks the matching threshold before
-any file is read, loads the sequence set once, renders the report and writes
-it to stdout or ``--out``.  Reports carry one row per evaluated (sequence,
-detector) unit plus a pooled OVERALL row computed from summed counts, the
-identity counts included.  Rows are ordered by tracking accuracy, best
-first, mirroring leaderboard tables.  Undefined metrics render as ``N/A``;
-text and CSV print two decimals, JSON keeps full precision.
+:func:`main` is the whole front end: it checks the matching threshold and
+``--jobs`` before any file is read, runs one task per sequence-map row,
+renders the report and writes it to stdout or ``--out``.  A task loads one
+row's files and evaluates every unit of that sequence.  With ``--jobs 1``
+the tasks run one after another in this process; with ``--jobs N`` they run
+in up to ``min(N, rows)`` forked worker processes (in process where the
+platform cannot fork), largest input first, and each worker holds one
+sequence in memory at a time.  Workers send back only counts, the repair
+warnings they logged and the error they met; these are replayed in
+sequence-map order, up to the first error, so stdout and stderr are the same
+bytes for any ``--jobs`` value.
 
-Exit codes: 0 success, 1 input error, 2 internal error.  Poor scores are
-never an error.
+Reports carry one row per evaluated (sequence, detector) unit plus a pooled
+OVERALL row computed from summed counts, the identity counts included.  Rows
+are ordered by tracking accuracy, best first, mirroring leaderboard tables.
+Undefined metrics render as ``N/A``; text and CSV print two decimals, JSON
+keeps full precision.
+
+Exit codes: 0 success, 1 input error, 2 internal error (a worker process
+that dies included).  Poor scores are never an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -28,7 +40,7 @@ from .ingest import (
     EvalUnit,
     IngestError,
     ParseError,
-    SequenceSet,
+    input_bytes,
     load_sequence_set,
     read_seqmap,
     validate_submission,
@@ -54,12 +66,11 @@ def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
                                idfn=identity.idfn)
 
 
-def evaluate_benchmark(seq_set: SequenceSet, cfg: MatchingConfig) -> list[MetricsReport]:
+def _leaderboard(units: list[tuple[str, Counts]]) -> list[MetricsReport]:
     """Rows per unit, best MOTA first, then the pooled OVERALL row; needs a unit."""
-    counts = [_evaluate_unit(unit, cfg) for unit in seq_set.units]
-    reports = [summarize(unit.label, c) for unit, c in zip(seq_set.units, counts)]
+    reports = [summarize(label, counts) for label, counts in units]
     reports.sort(key=lambda r: (r.mota is None, -(r.mota or 0.0), r.name))
-    reports.append(summarize("OVERALL", pool(counts)))
+    reports.append(summarize("OVERALL", pool([counts for _, counts in units])))
     return reports
 
 
@@ -122,29 +133,35 @@ def _detections_as_tracker(data: SequenceData) -> SequenceData:
     return dataclasses.replace(data, results=pseudo, detections=())
 
 
-def error_analysis(seq_set: SequenceSet, cfg: MatchingConfig) -> list[dict]:
-    """Tracker-versus-detector error ratios, per unit plus pooled totals.
+def _error_counts(unit: EvalUnit, cfg: MatchingConfig) -> dict | None:
+    """The FP and FN of the tracker and of the detector; None without detections.
 
     Detector errors come from evaluating the provided detections as if they
-    were a tracker, all of them, with no confidence gating.  Ratios above one
-    mean the tracker makes more of that error than its detector.
+    were a tracker, all of them, with no confidence gating.
     """
-    missing = [unit.label for unit in seq_set.units if not unit.data.detections]
+    if not unit.data.detections:
+        return None
+    tracker = accumulate(run_sequence(unit.data, cfg))
+    detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg))
+    return {
+        "sequence": unit.label,
+        "fp_tracker": tracker.fp,
+        "fp_detector": detector.fp,
+        "fn_tracker": tracker.fn,
+        "fn_detector": detector.fn,
+    }
+
+
+def _error_table(units: list[tuple[str, dict | None]]) -> list[dict]:
+    """Tracker-versus-detector error ratios, per unit plus pooled totals.
+
+    Ratios above one mean the tracker makes more of that error than its
+    detector.  A unit without detections is an input error.
+    """
+    missing = [label for label, row in units if row is None]
     if missing:
         raise IngestError(f"no detections available for: {', '.join(missing)}")
-
-    def one(unit: EvalUnit) -> dict:
-        tracker = accumulate(run_sequence(unit.data, cfg))
-        detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg))
-        return {
-            "sequence": unit.label,
-            "fp_tracker": tracker.fp,
-            "fp_detector": detector.fp,
-            "fn_tracker": tracker.fn,
-            "fn_detector": detector.fn,
-        }
-
-    rows = [one(unit) for unit in seq_set.units]
+    rows = [row for _, row in units]
     rows.append({"sequence": "TOTAL", **{
         key: sum(r[key] for r in rows)
         for key in ("fp_tracker", "fp_detector", "fn_tracker", "fn_detector")}})
@@ -153,6 +170,73 @@ def error_analysis(seq_set: SequenceSet, cfg: MatchingConfig) -> list[dict]:
             detector = row[f"{kind}_detector"]
             row[f"{kind}_ratio"] = row[f"{kind}_tracker"] / detector if detector else None
     return rows
+
+
+def _sequence_task(gt: Path, res: Path, benchmark: Benchmark, strict: bool,
+                   analysis: bool, cfg: MatchingConfig, row: int) -> tuple[list, object]:
+    """Load seqmap row ``row`` and evaluate its units, for error analysis or not.
+
+    Returns the repair warnings the loading logged and either the units'
+    ``(label, outcome)`` pairs or the error raised; the caller replays the
+    one and raises the other.
+    """
+    records: list[logging.LogRecord] = []
+    logger = logging.getLogger("motbench.ingest")
+    logger.addFilter(records.append)  # a filter's false result stops the record
+    try:
+        seq_set = load_sequence_set(gt, benchmark, results_root=res, strict=strict,
+                                    read_detections=analysis, rows=slice(row, row + 1))
+        evaluate = _error_counts if analysis else _evaluate_unit
+        outcome = [(unit.label, evaluate(unit, cfg)) for unit in seq_set.units]
+    except Exception as err:  # raised by the caller, in seqmap order
+        outcome = err
+    finally:
+        logger.removeFilter(records.append)
+    return records, outcome
+
+
+def _forked_map(task, sizes: list[int], workers: int):
+    """``task`` of every row in ``workers`` forked processes, largest row first.
+
+    Results come back in row order, after every worker has exited.  Without
+    fork, the rows run in process.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return map(task, range(len(sizes)))
+    order = sorted(range(len(sizes)), key=lambda row: -sizes[row])
+    # fork, not spawn: a spawned worker would import numpy and the package
+    # again, which costs more than most sequences take to evaluate
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as executor:
+        done = list(executor.map(task, order))
+    results = [None] * len(sizes)
+    for row, result in zip(order, done):
+        results[row] = result
+    return results
+
+
+def _run_sequences(task, sizes: list[int], jobs: int) -> list[tuple[str, object]]:
+    """Every unit's ``(label, outcome)`` in seqmap order, one ``task`` per row.
+
+    Each row's repair warnings are replayed before its outcome is read, and
+    the first row's error in seqmap order is raised, after its warnings.
+    """
+    workers = min(jobs, len(sizes))
+    if workers > 1:
+        results = _forked_map(task, sizes, workers)
+    else:
+        results = map(task, range(len(sizes)))
+    units = []
+    for records, outcome in results:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if isinstance(outcome, Exception):
+            raise outcome
+        units += outcome
+    return units
 
 
 def render_error_analysis(rows: list[dict], out_format: str) -> str:
@@ -192,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iou", type=float, default=0.5,
                        help="matching overlap threshold (default 0.5)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect, sequences "
-                            "are evaluated one after another")
+                       help="evaluate sequences in up to N forked worker processes, "
+                            "one sequence each at a time (default 1: in process); "
+                            "output is the same for any N")
         p.add_argument("--lenient", action="store_true",
                        help="tolerate recoverable format deviations")
 
@@ -233,15 +318,20 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(report.summary() + "\n")
             return EXIT_OK if report.passed else EXIT_INPUT
         cfg = MatchingConfig(iou_threshold=args.iou)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         analysis = args.command == "error-analysis"
-        seq_set = load_sequence_set(args.gt, benchmark, results_root=args.res,
-                                    strict=not args.lenient, read_detections=analysis)
-        if not seq_set.units:
+        sizes = input_bytes(args.gt, benchmark, results_root=args.res,
+                            read_detections=analysis)
+        if not sizes:
             raise IngestError(f"{args.gt / 'seqmap.txt'}: lists no sequence")
+        task = functools.partial(_sequence_task, args.gt, args.res, benchmark,
+                                 not args.lenient, analysis, cfg)
+        units = _run_sequences(task, sizes, args.jobs)
         if analysis:
-            text = render_error_analysis(error_analysis(seq_set, cfg), args.format)
+            text = render_error_analysis(_error_table(units), args.format)
         else:
-            text = _RENDERERS[args.format](evaluate_benchmark(seq_set, cfg))
+            text = _RENDERERS[args.format](_leaderboard(units))
         if args.out is None:
             sys.stdout.write(text)
         else:

@@ -509,12 +509,72 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
     return rows
 
 
+def _sequence_files(
+    root: Path,
+    benchmark: Benchmark,
+    results_root: str | Path | None,
+    read_detections: bool,
+    rows: slice,
+) -> list[tuple[str, int, float | None, Path, list[tuple[str | None, Path | None, Path]]]]:
+    """The seqmap rows in ``rows`` with their files.
+
+    Each row is ``(name, num_frames, fps, gt_path, units)``, and a unit is
+    ``(detector, det_path, res_path)``; ``det_path`` is None where no
+    detection file is read.  Only the sequence map is read and checked.
+    """
+    results_dir = Path(results_root) if results_root is not None else root / "res"
+    seqmap_path = root / "seqmap.txt"
+    if not seqmap_path.is_file():
+        raise IngestError(f"missing sequence map {seqmap_path}")
+    try:
+        seqmap = read_seqmap(seqmap_path)
+    except ParseError as err:
+        raise IngestError(f"{seqmap_path}: {err}") from err
+    out = []
+    for name, num_frames, fps in seqmap[rows]:
+        units = []
+        for detector in benchmark.detectors or (None,):
+            suffix = f"-{detector}" if detector else ""
+            det_path = root / "det" / f"{name}{suffix}.txt"
+            if not det_path.is_file() and detector:
+                det_path = root / "det" / f"{name}.txt"
+            read = read_detections and det_path.is_file()
+            units.append((detector, det_path if read else None,
+                          results_dir / f"{name}{suffix}.txt"))
+        out.append((name, num_frames, fps, root / "gt" / f"{name}.txt", units))
+    return out
+
+
+def input_bytes(
+    root: str | Path,
+    benchmark: Benchmark,
+    results_root: str | Path | None = None,
+    read_detections: bool = True,
+) -> list[int]:
+    """The size of each seqmap row's input files, in seqmap order.
+
+    The files are those :func:`load_sequence_set` reads with the same
+    arguments; a missing file counts 0 bytes.  Errors in the sequence map
+    raise as they do there.
+    """
+    def size(path: Path | None) -> int:
+        try:
+            return path.stat().st_size if path else 0
+        except OSError:
+            return 0
+
+    return [size(gt_path) + sum(size(det) + size(res) for _, det, res in units)
+            for _, _, _, gt_path, units in _sequence_files(
+                Path(root), benchmark, results_root, read_detections, slice(None))]
+
+
 def load_sequence_set(
     root: str | Path,
     benchmark: Benchmark,
     results_root: str | Path | None = None,
     strict: bool = True,
     read_detections: bool = True,
+    rows: slice = slice(None),
 ) -> SequenceSet:
     """Load a full benchmark directory into a :class:`SequenceSet`.
 
@@ -528,18 +588,10 @@ def load_sequence_set(
     Result files live under ``results_root`` (default ``root/res``) as
     ``<Seq>.txt``, or ``<Seq>-<DET>.txt`` for each detector partition.
     With ``read_detections`` false, ``det/`` is not read and every unit has
-    no detections.
+    no detections.  ``rows`` slices the seqmap rows to load; the others'
+    files are not read.
     """
-    root = Path(root)
-    results_dir = Path(results_root) if results_root is not None else root / "res"
-    seqmap_path = root / "seqmap.txt"
-    if not seqmap_path.is_file():
-        raise IngestError(f"missing sequence map {seqmap_path}")
     variant = benchmark.variant
-    try:
-        seqmap = read_seqmap(seqmap_path)
-    except ParseError as err:
-        raise IngestError(f"{seqmap_path}: {err}") from err
 
     def parse(path: Path, kind: FileKind, num_frames: int) -> Rows:
         try:
@@ -548,24 +600,19 @@ def load_sequence_set(
             raise IngestError(f"{path}: {err}") from err
 
     units: list[EvalUnit] = []
-    for name, num_frames, fps in seqmap:
-        gt_path = root / "gt" / f"{name}.txt"
+    for name, num_frames, fps, gt_path, files in _sequence_files(
+            Path(root), benchmark, results_root, read_detections, rows):
         if not gt_path.is_file():
             raise IngestError(f"missing ground truth for sequence {name!r}: {gt_path}")
         gt = parse(gt_path, FileKind.GROUND_TRUTH, num_frames).sorted()
 
-        for detector in benchmark.detectors or (None,):
-            suffix = f"-{detector}" if detector else ""
+        for detector, det_path, res_path in files:
             detections: Rows | tuple = ()
-            det_path = root / "det" / f"{name}{suffix}.txt"
-            if not det_path.is_file() and detector:
-                det_path = root / "det" / f"{name}.txt"
-            if read_detections and det_path.is_file():
+            if det_path:
                 detections = parse(det_path, FileKind.DETECTION, num_frames)
-
-            res_path = results_dir / f"{name}{suffix}.txt"
             if not res_path.is_file():
-                raise IngestError(f"missing result file for {name + suffix!r}: {res_path}")
+                label = f"{name}-{detector}" if detector else name
+                raise IngestError(f"missing result file for {label!r}: {res_path}")
             results = parse(res_path, FileKind.RESULT, num_frames)
 
             data = SequenceData(name, num_frames, gt, results, detections, fps)

@@ -1,10 +1,13 @@
 """End-to-end command-line tests on synthetic benchmarks."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import inspect
 import io
 import json
+import logging
+import multiprocessing
 import os
 import random
 import subprocess
@@ -500,6 +503,18 @@ class TestArgumentChecks:
             assert (code, captured.out) == (1, "")
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        # checked before any file is read, as the threshold is
+        code = main([
+            "evaluate", "--benchmark", "MOT16",
+            "--gt", str(tmp_path / "missing"), "--res", str(tmp_path / "res"),
+            "--jobs", jobs,
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
     def test_lenient_mode_accepts_ten_column_results(self, tmp_path):
         root = write_benchmark_tree(tmp_path, [perfect_sequence("SEQ-01")])
         res = root / "res" / "SEQ-01.txt"
@@ -642,3 +657,148 @@ def test_runtime_needs_no_scipy(tmp_path, rng):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (root / "report.txt").read_text().startswith("Sequence")
+
+
+class TestWorkers:
+    """``--jobs N`` runs one task per sequence in forked workers."""
+
+    def run(self, capfd, argv):
+        # pytest's handlers on the root logger stand in for Python's
+        # last-resort handler; this one writes warnings to stderr as it does
+        handler = logging.StreamHandler(sys.stderr)
+        logger = logging.getLogger("motbench")
+        logger.addHandler(handler)
+        try:
+            code = main(argv)
+        finally:
+            logger.removeHandler(handler)
+        out, err = capfd.readouterr()
+        return code, out, err
+
+    def tree(self, tmp_path, with_detections=(True, True, True)):
+        sequences = [perfect_sequence(f"SEQ-{k}", offset=k) for k in (1, 2, 3)]
+        sequences = [s if keep else dataclasses.replace(s, detections=())
+                     for s, keep in zip(sequences, with_detections)]
+        return write_benchmark_tree(tmp_path / "tree", sequences)
+
+    def same_for_any_jobs(self, capfd, argv):
+        outputs = [self.run(capfd, [*argv, "--jobs", jobs]) for jobs in ("1", "3")]
+        assert outputs[0] == outputs[1]
+        return outputs[0]
+
+    def test_lenient_repairs_in_every_sequence(self, tmp_path, capfd):
+        root = self.tree(tmp_path)
+        for k in (1, 2, 3):
+            with (root / "gt" / f"SEQ-{k}.txt").open("a") as f:
+                f.write("1,99,500,500,10,10,1,77,1.5\n")
+        code, out, err = self.same_for_any_jobs(capfd, [
+            "evaluate", "--benchmark", "MOT16", "--lenient",
+            "--gt", str(root), "--res", str(root / "res")])
+        assert code == 0 and "OVERALL" in out
+        assert err == "".join(
+            f"{root / 'gt' / f'SEQ-{k}.txt'}: line 19: {message}\n"
+            for k in (1, 2, 3)
+            for message in ("unknown class code 77, using OTHER", "clamping visibility 1.5"))
+
+    def test_first_error_in_seqmap_order(self, tmp_path, capfd):
+        # sequences 2 and 3 fail; the warnings of sequences 1 and 2 come
+        # before sequence 2's error, and sequence 3 shows nothing
+        root = self.tree(tmp_path)
+        for k in (1, 2, 3):
+            with (root / "gt" / f"SEQ-{k}.txt").open("a") as f:
+                f.write("1,99,500,500,10,10,1,77,1\n")
+        for k in (2, 3):
+            with (root / "res" / f"SEQ-{k}.txt").open("a") as f:
+                f.write("1,5,x,10,10,40,1,-1,-1\n")
+        code, out, err = self.same_for_any_jobs(capfd, [
+            "evaluate", "--benchmark", "MOT16", "--lenient",
+            "--gt", str(root), "--res", str(root / "res")])
+        assert (code, out) == (1, "")
+        assert err == "".join(
+            f"{root / 'gt' / f'SEQ-{k}.txt'}: line 19: unknown class code 77, using OTHER\n"
+            for k in (1, 2)) + (
+            f"error: {root / 'res' / 'SEQ-2.txt'}: line 19: malformed number 'x' in left field\n")
+
+    def test_every_unit_without_detections_is_named(self, tmp_path, capfd):
+        root = self.tree(tmp_path, with_detections=(False, True, False))
+        code, out, err = self.same_for_any_jobs(capfd, [
+            "error-analysis", "--benchmark", "MOT16",
+            "--gt", str(root), "--res", str(root / "res")])
+        assert (code, out) == (1, "")
+        assert err == "error: no detections available for: SEQ-1, SEQ-3\n"
+
+    @pytest.fixture
+    def pool_sizes(self):
+        """The worker count of each pool started; the pools stay referenced.
+
+        A pool of more than two workers is refused before it starts one.
+        """
+        real = concurrent.futures.ProcessPoolExecutor
+        sizes, started = [], []
+
+        def spy(max_workers, mp_context):
+            sizes.append(max_workers)
+            assert max_workers <= 2
+            started.append(real(max_workers, mp_context=mp_context))
+            return started[-1]
+
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", spy):
+            yield sizes
+        for executor in started:
+            executor.shutdown(cancel_futures=True)
+
+    def test_no_worker_outlives_main(self, tmp_path, capfd, pool_sizes):
+        # the pools stay referenced, so only main can have stopped their workers
+        root = write_benchmark_tree(
+            tmp_path / "tree", [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
+        args = ["--benchmark", "MOT16", "--gt", str(root), "--res", str(root / "res"),
+                "--jobs", "2"]
+        assert self.run(capfd, ["evaluate", *args])[0] == 0
+        assert multiprocessing.active_children() == []
+        (root / "res" / "SEQ-2.txt").unlink()
+        assert self.run(capfd, ["evaluate", *args])[0] == 1
+        assert multiprocessing.active_children() == []
+        assert pool_sizes == [2, 2]
+
+    def test_at_most_one_worker_per_sequence(self, tmp_path, capfd, pool_sizes):
+        # two sequences: a larger --jobs value starts two workers
+        root = write_benchmark_tree(
+            tmp_path / "tree", [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
+        argv = ["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+                "--res", str(root / "res")]
+        parallel = self.run(capfd, [*argv, "--jobs", "16"])
+        assert pool_sizes == [2]
+        assert parallel == self.run(capfd, [*argv, "--jobs", "1"])
+
+
+# Evaluates the tree given as the first argument with --jobs 2 while every
+# worker process exits at its first unit, as one the kernel killed would.
+_DYING_WORKERS = """
+import os
+import sys
+
+import motbench.cli as cli
+
+parent, evaluate = os.getpid(), cli._evaluate_unit
+
+def dying(unit, cfg):
+    if os.getpid() != parent:
+        os._exit(3)
+    return evaluate(unit, cfg)
+
+cli._evaluate_unit = dying
+root = sys.argv[1]
+sys.exit(cli.main(["evaluate", "--benchmark", "MOT16", "--gt", root,
+                   "--res", root + "/res", "--jobs", "2"]))
+"""
+
+
+def test_a_dead_worker_ends_the_run(tmp_path):
+    # an internal error, not a wait for results that never come
+    root = write_benchmark_tree(
+        tmp_path, [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
+    env = {**os.environ, "PYTHONPATH": str(Path(motbench.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKERS, str(root)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1

@@ -684,6 +684,33 @@ class TestLoadSequenceSet:
             load_sequence_set(tmp_path, bench)
         assert str(err.value) == f"missing result file for {label!r}: {path}"
 
+    def test_rows_load_only_their_files(self, tmp_path):
+        sequences = [small_sequence(f"SEQ-{i:02d}") for i in (1, 2, 3)]
+        write_benchmark_tree(tmp_path, sequences, Benchmark.MOT17)
+        (tmp_path / "gt" / "SEQ-01.txt").unlink()
+        (tmp_path / "res" / "SEQ-03-DPM.txt").unlink()
+        loaded = load_sequence_set(tmp_path, Benchmark.MOT17, rows=slice(1, 2))
+        assert [u.label for u in loaded.units] == ["SEQ-02-DPM", "SEQ-02-FRCNN", "SEQ-02-SDP"]
+        with pytest.raises(IngestError, match="SEQ-03-DPM"):
+            load_sequence_set(tmp_path, Benchmark.MOT17, rows=slice(2, 3))
+
+    @pytest.mark.parametrize("read_detections", [True, False])
+    def test_input_bytes_count_the_files_loaded(self, tmp_path, read_detections):
+        sequences = [small_sequence("SEQ-01"), small_sequence("SEQ-02", frames=6)]
+        write_benchmark_tree(tmp_path, sequences, Benchmark.MOT17)
+        (tmp_path / "res" / "SEQ-02-SDP.txt").unlink()  # counts 0 bytes
+
+        def size(*parts):
+            return (tmp_path.joinpath(*parts)).stat().st_size
+
+        det = {name: size("det", f"{name}.txt") if read_detections else 0
+               for name in ("SEQ-01", "SEQ-02")}
+        assert ingest.input_bytes(tmp_path, Benchmark.MOT17,
+                                  read_detections=read_detections) == [
+            size("gt", "SEQ-01.txt") + 3 * (det["SEQ-01"] + size("res", "SEQ-01-DPM.txt")),
+            size("gt", "SEQ-02.txt") + 3 * det["SEQ-02"] + 2 * size("res", "SEQ-02-DPM.txt"),
+        ]
+
     def test_missing_gt_is_an_error(self, tmp_path):
         write_benchmark_tree(tmp_path, [small_sequence("SEQ-01")])
         (tmp_path / "gt" / "SEQ-01.txt").unlink()

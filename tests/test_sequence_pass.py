@@ -12,6 +12,7 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import motbench.assignment as assignment
@@ -193,18 +194,38 @@ def test_frame_with_only_neutral_ground_truth():
     assert events.fn_ids == () and events.matches == () and events.fp_ids == (10,)
 
 
-def test_frame_spans_pair_blocks():
-    # 190 x 190 boxes in one frame, more pairs than one block holds; a
-    # 10 px grid with 12 px boxes gives every box four feasible neighbours
-    # at IoU 0.5 or more and ties throughout
+def test_frame_spans_pair_blocks(monkeypatch):
+    # 190 x 190 boxes in one frame, more window candidates than one block
+    # holds; a 10 px grid with 12 px boxes gives every box four feasible
+    # neighbours at IoU 0.5 or more and ties throughout
     rng = random.Random(31)
     cells = [(12 * (k % 19), 12 * (k // 19)) for k in range(190)]
     gts = [gt(1, k + 1, x, y, 12, 12) for k, (x, y) in enumerate(cells)]
     gts += [gt(2, k + 1, x + 1, y, 12, 12) for k, (x, y) in enumerate(cells)]
     preds = [hyp(t, 500 + k, x + rng.choice([0, 2, 3]), y + rng.choice([0, 2]), 12, 12)
              for t in (1, 2) for k, (x, y) in enumerate(rng.sample(cells, len(cells)))]
-    assert len(cells) ** 2 > model._PAIR_BUDGET
-    assert_pinned(seq("crowd", 2, gts, preds))
+    instance = seq("crowd", 2, gts, preds)
+
+    # ``_edges`` takes the running total of the candidates it scores per GT
+    # row, in frame order, from one ``np.cumsum``
+    totals = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cumsum(self, a):
+            totals.append(np.cumsum(a))
+            return totals[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "np", Numpy())
+        preprocess_sequence(instance, CFG)
+    (total,) = totals
+    per_frame = int(total[len(cells) - 1]), int(total[-1] - total[len(cells) - 1])
+    assert per_frame == (3700, 3180)
+    assert min(per_frame) > model._PAIR_BUDGET
+    assert_pinned(instance)
 
 
 def test_tiny_pair_budget(monkeypatch):
