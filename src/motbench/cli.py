@@ -39,10 +39,9 @@ from .ingest import (
     Benchmark,
     EvalUnit,
     IngestError,
-    ParseError,
     input_bytes,
     load_sequence_set,
-    read_seqmap,
+    unit_frames,
     validate_submission,
 )
 from .model import SequenceData
@@ -195,40 +194,30 @@ def _sequence_task(gt: Path, res: Path, benchmark: Benchmark, strict: bool,
     return records, outcome
 
 
-def _forked_map(task, sizes: list[int], workers: int):
-    """``task`` of every row in ``workers`` forked processes, largest row first.
-
-    Results come back in row order, after every worker has exited.  Without
-    fork, the rows run in process.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return map(task, range(len(sizes)))
-    order = sorted(range(len(sizes)), key=lambda row: -sizes[row])
-    # fork, not spawn: a spawned worker would import numpy and the package
-    # again, which costs more than most sequences take to evaluate
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as executor:
-        done = list(executor.map(task, order))
-    results = [None] * len(sizes)
-    for row, result in zip(order, done):
-        results[row] = result
-    return results
-
-
 def _run_sequences(task, sizes: list[int], jobs: int) -> list[tuple[str, object]]:
     """Every unit's ``(label, outcome)`` in seqmap order, one ``task`` per row.
 
-    Each row's repair warnings are replayed before its outcome is read, and
-    the first row's error in seqmap order is raised, after its warnings.
+    With ``jobs`` above 1 and more than one row, the rows run in up to
+    ``min(jobs, rows)`` forked processes, largest row first, and their
+    results are read in row order once every worker has exited; without
+    fork, they run in process.  Each row's repair warnings are replayed
+    before its outcome is read, and the first row's error in seqmap order
+    is raised, after its warnings.
     """
     workers = min(jobs, len(sizes))
+    results = map(task, range(len(sizes)))
     if workers > 1:
-        results = _forked_map(task, sizes, workers)
-    else:
-        results = map(task, range(len(sizes)))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            order = sorted(range(len(sizes)), key=lambda row: -sizes[row])
+            # fork, not spawn: a spawned worker would import numpy and the
+            # package again, which costs more than most sequences take to
+            # evaluate
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as executor:
+                results = [result for _, result in sorted(zip(order, executor.map(task, order)))]
     units = []
     for records, outcome in results:
         for record in records:
@@ -304,17 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         benchmark = Benchmark(args.benchmark)
         if args.command == "validate":
-            if args.seqmap.suffix != ".txt" or not args.seqmap.is_file():
-                raise IngestError(f"cannot read sequence map {args.seqmap}")
-            try:
-                expected = [name for name, _, _ in read_seqmap(args.seqmap)]
-            except ParseError as err:
-                raise IngestError(f"{args.seqmap}: {err}") from err
-            if not expected:
-                raise IngestError(f"{args.seqmap}: lists no sequence")
-            if benchmark.detectors:
-                expected = [f"{n}-{d}" for n in expected for d in benchmark.detectors]
-            report = validate_submission(args.submission, expected, benchmark.variant)
+            report = validate_submission(args.submission, unit_frames(args.seqmap, benchmark),
+                                         benchmark.variant)
             sys.stdout.write(report.summary() + "\n")
             return EXIT_OK if report.passed else EXIT_INPUT
         cfg = MatchingConfig(iou_threshold=args.iou)
@@ -323,8 +303,6 @@ def main(argv: list[str] | None = None) -> int:
         analysis = args.command == "error-analysis"
         sizes = input_bytes(args.gt, benchmark, results_root=args.res,
                             read_detections=analysis)
-        if not sizes:
-            raise IngestError(f"{args.gt / 'seqmap.txt'}: lists no sequence")
         task = functools.partial(_sequence_task, args.gt, args.res, benchmark,
                                  not args.lenient, analysis, cfg)
         units = _run_sequences(task, sizes, args.jobs)
@@ -338,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out.parent.mkdir(parents=True, exist_ok=True)
             args.out.write_text(text, encoding="utf-8")
         return EXIT_OK
-    except (IngestError, ParseError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # IngestError and ParseError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # pragma: no cover - defensive

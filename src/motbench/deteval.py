@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
 from .assignment import MatchingConfig
-from .model import BoxEntry, Rows, _edges
+from .model import BoxEntry, Rows, _check_geometry, _edges
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -72,9 +72,17 @@ def pr_curve(
     true positive at the added detection's score.  A cumulative sum gives
     the true positives at every threshold.  With no scored detections the
     curve is empty and its AP is zero.
+
+    Raises ``ValueError`` for a ``mode`` other than ``"tracking_gt"`` or
+    ``"visible_only"``, and at the first row of either input whose box
+    breaks the geometry rules of the file format.
     """
     MatchingConfig(iou_threshold)  # ValueError outside (0, 1]
+    if mode not in get_args(GroundTruthMode):
+        raise ValueError(f"mode must be one of {get_args(GroundTruthMode)}, got {mode!r}")
     dets, gts = Rows.of(detections), Rows.of(gt).sorted()
+    _check_geometry(dets, "detections")
+    _check_geometry(gts, "gt")
     scored = gts.scoreable
     if mode == "visible_only":
         scored &= gts.visibility >= min_visibility

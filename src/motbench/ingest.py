@@ -47,11 +47,11 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .model import BoxEntry, ObjectClass, Rows, SequenceData, _geometry
+from .model import BoxEntry, ObjectClass, Rows, SequenceData, _geometry_rules
 
 logger = logging.getLogger(__name__)
 
@@ -125,10 +125,6 @@ def _as_text(source: str | bytes | IO | Path) -> str:
 
 #: Integer columns are stored as int64; a magnitude at or above this is an error.
 _INT64_LIMIT = 2.0**63
-
-#: Largest magnitude of a box edge or area: up to it, the sums and
-#: differences of the IoU arithmetic stay finite.
-_GEOMETRY_LIMIT = 2.0**1022
 
 
 #: The fields of a line, in column order: seven in every variant, then the
@@ -254,21 +250,8 @@ def parse_file(
             check(0, 5, frame > num_frames,
                   lambda i, j: f"frame {frame[i]} outside [1, {num_frames}]")
         ltwh = columns[2:6].T
-        check(5, 4, (columns[4] <= 0) | (columns[5] <= 0),
-              lambda i, j: "non-positive box extent "
-                           f"width={float(columns[4, i])} height={float(columns[5, i])}")
-        # The area is the one every IoU divides by.  Positive extents put each
-        # left and top at or below its right and bottom, so a right or bottom
-        # edge that is not finite makes the area not finite, and an edge
-        # beyond the limit shows in the least left or top or the greatest
-        # right or bottom.
-        left, top, right, bottom, area = _geometry(ltwh)
-        check(5, 5, ~np.isfinite(area),
-              lambda i, j: "box right edge, bottom edge or area is not finite")
-        check(5, 6, (np.minimum(left, top) < -_GEOMETRY_LIMIT)
-              | (np.maximum(right, bottom) > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT),
-              lambda i, j: "box edge or area beyond 2**1022")
-        check(5, 7, area == 0, lambda i, j: "box area (right - left) * (bottom - top) is 0")
+        for step, (failing, message) in enumerate(_geometry_rules(ltwh), start=4):
+            check(5, step, failing, lambda i, j, message=message: message(i))
 
         code, visibility = np.full(n, ObjectClass.PEDESTRIAN), np.ones(n)
         if labelled:
@@ -413,37 +396,43 @@ def _submission_files(path: Path) -> tuple[dict[str, bytes], list[str]]:
 
 def validate_submission(
     archive_or_dir: str | Path,
-    expected_sequences: Sequence[str],
+    expected_sequences: Mapping[str, int],
     variant: FormatVariant = FormatVariant.MOT16_17,
 ) -> ValidationReport:
-    """Check packaging rules: one well-formed '<Sequence-Name>.txt' per sequence.
+    """Check a submission by the rules ``evaluate`` reads its result files with.
 
-    Content problems never raise; they are recorded in the report.  Only an
-    unreadable path raises.
+    ``expected_sequences`` maps each expected unit name, '<Seq>' or
+    '<Seq>-<DET>' as :func:`unit_frames` gives them, to its sequence's
+    frame count.  The submission must hold one '<name>.txt' per unit and no
+    other '.txt' file, and each must parse as a strict result file whose
+    frames lie in ``[1, frame count]``.  Content problems never raise; they
+    are recorded in the report.  Only an unreadable path raises.
     """
     path = Path(archive_or_dir)
     if not path.exists():
         raise IngestError(f"submission path does not exist: {path}")
     files, duplicates = _submission_files(path)
-    report = ValidationReport(expected=list(expected_sequences))
-    for name in duplicates:
-        report.file_errors.setdefault(name, []).append(
-            "file name appears more than once in the archive"
-        )
-    expected_names = {f"{seq}.txt" for seq in expected_sequences}
-    report.missing = sorted(
-        seq for seq in expected_sequences if f"{seq}.txt" not in files
+    report = ValidationReport(
+        expected=list(expected_sequences),
+        missing=sorted(seq for seq in expected_sequences if f"{seq}.txt" not in files),
+        extra=sorted(files.keys() - {f"{seq}.txt" for seq in expected_sequences}),
+        file_errors={name: ["file name appears more than once in the archive"]
+                     for name in duplicates},
     )
-    report.extra = sorted(name for name in files if name not in expected_names)
-    for seq in expected_sequences:
+    for seq, num_frames in expected_sequences.items():
         name = f"{seq}.txt"
-        if name not in files:
-            continue
-        try:
-            parse_file(files[name], variant, FileKind.RESULT, strict=True)
-        except ParseError as err:
-            report.file_errors.setdefault(name, []).append(str(err))
+        if name in files:
+            try:
+                parse_file(files[name], variant, FileKind.RESULT, strict=True,
+                           num_frames=num_frames)
+            except ParseError as err:
+                report.file_errors.setdefault(name, []).append(str(err))
     return report
+
+
+def _unit_name(sequence: str, detector: str | None) -> str:
+    """The name of a (sequence, detector) unit, also its result file's stem."""
+    return f"{sequence}-{detector}" if detector else sequence
 
 
 @dataclass(frozen=True)
@@ -455,7 +444,7 @@ class EvalUnit:
 
     @property
     def label(self) -> str:
-        return f"{self.data.name}-{self.detector}" if self.detector else self.data.name
+        return _unit_name(self.data.name, self.detector)
 
 
 @dataclass(frozen=True)
@@ -481,32 +470,51 @@ class SequenceSet:
 
 
 def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
-    """Parse the sequence-map file: one 'name num_frames [fps]' row per line.
+    """Read a sequence-map file: one 'name num_frames [fps]' row per line.
 
-    Blank lines and lines starting with '#' are skipped.  A frame count
-    below 1 and a name listed before are errors at their line.
+    Blank lines and lines starting with '#' are skipped.  Every fault of the
+    map raises :class:`IngestError` naming ``path``: a path that is not a
+    file, and, at their 1-based line, a byte that is not UTF-8, a malformed
+    row, a frame count below 1 and a name listed before.
     """
-    rows: list[tuple[str, int, float | None]] = []
-    names: set[str] = set()
-    for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError("expected 'name num_frames [fps]'", line_no)
-        try:
-            num_frames = int(tokens[1])
-            fps = float(tokens[2]) if len(tokens) == 3 else None
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line_no) from None
-        if num_frames < 1:
-            raise ParseError(f"sequence {tokens[0]!r}: num_frames must be > 0", line_no)
-        if tokens[0] in names:
-            raise ParseError(f"duplicate sequence {tokens[0]!r}", line_no)
-        names.add(tokens[0])
-        rows.append((tokens[0], num_frames, fps))
-    return rows
+    if not path.is_file():
+        raise IngestError(f"missing sequence map {path}")
+    rows: dict[str, tuple[int, float | None]] = {}
+    try:
+        for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) not in (2, 3):
+                raise ParseError("expected 'name num_frames [fps]'", line_no)
+            try:
+                num_frames = int(tokens[1])
+                fps = float(tokens[2]) if len(tokens) == 3 else None
+            except ValueError:
+                raise ParseError(f"malformed number in {line!r}", line_no) from None
+            if num_frames < 1:
+                raise ParseError(f"sequence {tokens[0]!r}: num_frames must be > 0", line_no)
+            if tokens[0] in rows:
+                raise ParseError(f"duplicate sequence {tokens[0]!r}", line_no)
+            rows[tokens[0]] = num_frames, fps
+    except ParseError as err:
+        raise IngestError(f"{path}: {err}") from err
+    return [(name, *row) for name, row in rows.items()]
+
+
+def unit_frames(seqmap: Path, benchmark: Benchmark) -> dict[str, int]:
+    """The frame count of every unit the map lists, by unit name, in map order.
+
+    A map that lists no sequence is an error, as are the faults
+    :func:`read_seqmap` raises.
+    """
+    units = {_unit_name(name, detector): num_frames
+             for name, num_frames, _ in read_seqmap(seqmap)
+             for detector in benchmark.detectors or (None,)}
+    if not units:
+        raise IngestError(f"{seqmap}: lists no sequence")
+    return units
 
 
 def _sequence_files(
@@ -523,24 +531,16 @@ def _sequence_files(
     detection file is read.  Only the sequence map is read and checked.
     """
     results_dir = Path(results_root) if results_root is not None else root / "res"
-    seqmap_path = root / "seqmap.txt"
-    if not seqmap_path.is_file():
-        raise IngestError(f"missing sequence map {seqmap_path}")
-    try:
-        seqmap = read_seqmap(seqmap_path)
-    except ParseError as err:
-        raise IngestError(f"{seqmap_path}: {err}") from err
     out = []
-    for name, num_frames, fps in seqmap[rows]:
+    for name, num_frames, fps in read_seqmap(root / "seqmap.txt")[rows]:
         units = []
         for detector in benchmark.detectors or (None,):
-            suffix = f"-{detector}" if detector else ""
-            det_path = root / "det" / f"{name}{suffix}.txt"
+            unit = _unit_name(name, detector)
+            det_path = root / "det" / f"{unit}.txt"
             if not det_path.is_file() and detector:
                 det_path = root / "det" / f"{name}.txt"
             read = read_detections and det_path.is_file()
-            units.append((detector, det_path if read else None,
-                          results_dir / f"{name}{suffix}.txt"))
+            units.append((detector, det_path if read else None, results_dir / f"{unit}.txt"))
         out.append((name, num_frames, fps, root / "gt" / f"{name}.txt", units))
     return out
 
@@ -555,7 +555,7 @@ def input_bytes(
 
     The files are those :func:`load_sequence_set` reads with the same
     arguments; a missing file counts 0 bytes.  Errors in the sequence map
-    raise as they do there.
+    raise as they do there, and a map that lists no sequence is an error.
     """
     def size(path: Path | None) -> int:
         try:
@@ -563,9 +563,12 @@ def input_bytes(
         except OSError:
             return 0
 
+    root = Path(root)
+    rows = _sequence_files(root, benchmark, results_root, read_detections, slice(None))
+    if not rows:
+        raise IngestError(f"{root / 'seqmap.txt'}: lists no sequence")
     return [size(gt_path) + sum(size(det) + size(res) for _, det, res in units)
-            for _, _, _, gt_path, units in _sequence_files(
-                Path(root), benchmark, results_root, read_detections, slice(None))]
+            for _, _, _, gt_path, units in rows]
 
 
 def load_sequence_set(
@@ -610,9 +613,8 @@ def load_sequence_set(
             detections: Rows | tuple = ()
             if det_path:
                 detections = parse(det_path, FileKind.DETECTION, num_frames)
-            if not res_path.is_file():
-                label = f"{name}-{detector}" if detector else name
-                raise IngestError(f"missing result file for {label!r}: {res_path}")
+            if not res_path.is_file():  # its stem is the unit's name
+                raise IngestError(f"missing result file for {res_path.stem!r}: {res_path}")
             results = parse(res_path, FileKind.RESULT, num_frames)
 
             data = SequenceData(name, num_frames, gt, results, detections, fps)

@@ -6,8 +6,10 @@ annotations routinely extend past the image borders for cropped targets.
 Width and height must be strictly positive, and so must the area between the
 rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
 Overlaps are computed in one place, :func:`_edges` over the edges and areas
-of :func:`_geometry`: tracker matching, the detector sweep and the parser's
-area check all use them, so every metric judges the same overlap.  The pass
+of :func:`_geometry`: tracker matching, the detector sweep and the geometry
+rules (:func:`_geometry_rules`) all use them, so every metric judges the same
+overlap.  The parser, :class:`SequenceData` and the detector sweep hold every
+box to those rules, whether it comes from a file or from code.  The pass
 scores each GT box only against the same-frame result boxes whose left edge
 lies in a window that every pair at the threshold falls in, in blocks of a
 bounded number of such candidates.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -94,11 +96,56 @@ class Box:
 _PAIR_BUDGET = 1 << 11
 
 
+#: Largest magnitude of a box edge or area: up to it, the sums and
+#: differences of the IoU arithmetic stay finite.
+_GEOMETRY_LIMIT = 2.0**1022
+
+
 def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
     """Left, top, right, bottom and area per ``n x 4`` row, the area between the edges."""
     left, top, width, height = ltwh.T
     right, bottom = left + width, top + height
     return left, top, right, bottom, (right - left) * (bottom - top)
+
+
+def _geometry_rules(ltwh: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], str]]]:
+    """The box rules of every overlap, in the order a row meets them.
+
+    Per rule, the mask of the ``n x 4`` rows that break it and its message
+    for a row: extents positive, the area finite, every edge and the area
+    within 2**1022, and the area not 0.  A row that breaks a rule may hold
+    any value in the later ones.
+    """
+    with np.errstate(all="ignore"):
+        # The area is the one every IoU divides by.  Positive extents put
+        # each left and top at or below its right and bottom, so a right or
+        # bottom edge that is not finite makes the area not finite, and an
+        # edge beyond the limit shows in the least left or top or the
+        # greatest right or bottom.
+        left, top, right, bottom, area = _geometry(ltwh)
+        return [
+            ((ltwh[:, 2:] <= 0).any(axis=1), lambda i: "non-positive box extent "
+                                                       f"width={ltwh[i, 2]} height={ltwh[i, 3]}"),
+            (~np.isfinite(area), lambda i: "box right edge, bottom edge or area is not finite"),
+            ((np.minimum(left, top) < -_GEOMETRY_LIMIT)
+             | (np.maximum(right, bottom) > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT),
+             lambda i: "box edge or area beyond 2**1022"),
+            (area == 0, lambda i: "box area (right - left) * (bottom - top) is 0"),
+        ]
+
+
+def _check_geometry(rows: Rows, what: str) -> None:
+    """Raise ``ValueError`` at the first row that breaks a rule of :func:`_geometry_rules`.
+
+    The message names ``what``, the row's frame and id, and the first rule
+    the row breaks.
+    """
+    faults = [(int(failing.argmax()), message)
+              for failing, message in _geometry_rules(rows.ltwh) if failing.any()]
+    if faults:
+        i, message = min(faults, key=lambda fault: fault[0])  # the first rule among ties
+        raise ValueError(f"{what} entry at frame {rows.frame[i]}, id {rows.track_id[i]}: "
+                         f"{message(i)}")
 
 
 def _edges(
@@ -116,8 +163,8 @@ def _edges(
     difference of rounded edges, so each IoU lies in (0, 1] and is 1.0 for
     identical boxes.  Pairs that do not overlap are never stored, so a
     threshold must be positive.  ``preprocess_sequence`` pairs every GT box with the result
-    boxes, ``pr_curve`` the scored GT with the detections;
-    ``ingest.parse_file`` checks areas by :func:`_geometry`.
+    boxes, ``pr_curve`` the scored GT with the detections; every box has
+    met :func:`_geometry_rules`, which use :func:`_geometry`.
 
     A GT box is scored only against the result boxes of its frame whose
     left edge lies in its window, so a frame costs what its nearby pairs
@@ -147,7 +194,7 @@ def _edges(
     candidates' IoU is the arithmetic any pair gets, bit for bit, so the
     output is that of scoring every same-frame pair.  At ``t = 1`` a window
     is a few ``2**-39`` of the edge magnitude around ``gt_left``.  With
-    edges and areas within ``2**1022``, the parser's limit, every IoU term
+    edges and areas within ``2**1022``, the limit of the rules, every IoU term
     stays finite; a window end that overflows is infinite, which is still
     a superset.
 
@@ -329,7 +376,9 @@ class SequenceData:
 
     ``gt``, ``results`` and ``detections`` take :class:`Rows` or any iterable
     of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`, and only
-    detections may repeat a (frame, id) key.  ``fps`` is reporting metadata
+    detections may repeat a (frame, id) key.  Every box must meet the
+    geometry rules the parser enforces (:func:`_geometry_rules`); the first
+    that does not raises ``ValueError``.  ``fps`` is reporting metadata
     only; it never influences any metric.
     """
 
@@ -357,3 +406,4 @@ class SequenceData:
                 k = same.argmax()
                 raise ValueError(f"sequence {self.name!r}: two {kind} rows share (frame, id) "
                                  f"({rows.frame[k]}, {rows.track_id[k]})")
+            _check_geometry(rows, f"sequence {self.name!r}: {kind}")

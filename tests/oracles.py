@@ -52,11 +52,9 @@ from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assign
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
-from motbench.ingest import (
-    _GEOMETRY_LIMIT, _INT64_LIMIT, FileKind, FormatVariant, ParseError, logger,
-)
+from motbench.ingest import _INT64_LIMIT, FileKind, FormatVariant, ParseError, logger
 from motbench.model import (
-    _PAIR_BUDGET, Box, BoxEntry, ObjectClass, Rows, SequenceData, _geometry,
+    _GEOMETRY_LIMIT, _PAIR_BUDGET, Box, BoxEntry, ObjectClass, Rows, SequenceData, _geometry,
 )
 from conftest import iou_matrix
 

@@ -10,6 +10,7 @@ import logging
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -374,6 +375,50 @@ class TestValidate:
             "SEQ-01.txt: line 2: id out of range, got '1e19'\nFAIL\n"
         )
 
+    def test_frame_beyond_the_map_fails_as_evaluate_reports_it(self, tmp_path, capsys):
+        # validate reads each file with its sequence's frame count, as evaluate does
+        (tmp_path / "seqmap.txt").write_text("S1 3 30\n")
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "gt" / "S1.txt").write_text("1,1,0,0,5,5,1,1,1\n")
+        (tmp_path / "res").mkdir()
+        res = tmp_path / "res" / "S1.txt"
+        res.write_text("1,1,0,0,5,5,1,-1,-1\n9,1,0,0,5,5,1,-1,-1\n")
+        code = main(["validate", str(tmp_path / "res"), "--benchmark", "MOT16",
+                     "--seqmap", str(tmp_path / "seqmap.txt")])
+        assert (code, capsys.readouterr().out) == (
+            1, "S1.txt: line 2: frame 9 outside [1, 3]\nFAIL\n")
+        code = main(["evaluate", "--benchmark", "MOT16", "--gt", str(tmp_path),
+                     "--res", str(tmp_path / "res")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {res}: line 2: frame 9 outside [1, 3]\n")
+
+    def test_seqmap_may_have_any_file_name(self, tmp_path, capsys):
+        seqmap = tmp_path / "sequences.map"
+        seqmap.write_text("SEQ-01 10\n")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "SEQ-01.txt").write_text("10,1,0,0,5,5,1,-1,-1\n")
+        assert main([
+            "validate", str(sub), "--benchmark", "MOT16", "--seqmap", str(seqmap)
+        ]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "error-analysis"])
+    def test_a_directory_for_the_map_is_one_error_for_every_command(
+            self, tmp_path, capsys, command):
+        root = write_benchmark_tree(tmp_path / "tree", [perfect_sequence("SEQ-01")])
+        seqmap = root / "seqmap.txt"
+        seqmap.unlink()
+        seqmap.mkdir()
+        if command == "validate":
+            argv = [command, str(root / "res"), "--benchmark", "MOT16", "--seqmap", str(seqmap)]
+        else:
+            argv = [command, "--benchmark", "MOT16", "--gt", str(root),
+                    "--res", str(root / "res")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: missing sequence map {seqmap}\n")
+
     def test_repeated_unassigned_id_fails(self, tmp_path, capsys):
         seqmap = self.write_seqmap(tmp_path, ["SEQ-01"])
         sub = tmp_path / "sub"
@@ -546,6 +591,15 @@ def test_one_pooled_record_and_a_flat_front_end():
         assert not hasattr(module, "pool_identity"), module.__name__
     assert "pool_identity" not in motbench.__all__
     assert {"idtp", "idfp", "idfn"} <= {f.name for f in dataclasses.fields(Counts)}
+
+
+def test_one_sequence_map_path():
+    # ingest reads the map and names the units; main only calls it, and one
+    # function runs the sequences for every --jobs value
+    assert not hasattr(cli, "read_seqmap") and not hasattr(cli, "_forked_map")
+    package = Path(motbench.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    assert len(re.findall(r'f"\{\w+\}-\{\w+\}"', source)) == 1
 
 
 def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):

@@ -12,7 +12,9 @@ and ratios lie in their ranges; never 2.
 
 ``validate`` gets the same mutations on a zip of both result files, applied
 to the archive bytes or to one entry's content.  It must exit 0 with a
-``PASS`` summary, or 1 with a ``FAIL`` summary or one ``error:`` line.
+``PASS`` summary, or 1 with a ``FAIL`` summary or one ``error:`` line.  On
+the result directory, with number edits in the first result file, it passes
+exactly when ``evaluate`` exits 0.
 """
 
 import codecs
@@ -65,9 +67,9 @@ def _restore(root, originals) -> None:
         (root / target).write_bytes(original)
 
 
-def _mutate(raw: bytes, data, sep: bytes) -> bytes | None:
-    """``raw`` mutated; None for a directory in place of the file."""
-    for mutation in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=4)):
+def _mutate(raw: bytes, data, sep: bytes, mutations=MUTATIONS) -> bytes | None:
+    """``raw`` mutated by up to four of ``mutations``; None for a directory in place of the file."""
+    for mutation in data.draw(st.lists(st.sampled_from(mutations), max_size=4)):
         if mutation == "truncate":
             raw = raw[:data.draw(st.integers(0, len(raw)))]
         elif mutation == "flip" and raw:
@@ -186,6 +188,32 @@ def test_mutated_zip_submission_exits_0_or_1(tree, data):
         assert err.getvalue().count("\n") == 1
     else:
         assert out.getvalue().endswith("PASS\n" if code == 0 else "FAIL\n")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_validate_passes_exactly_the_results_evaluate_reads(tree, data):
+    root, originals = tree
+    _restore(root, originals)
+    # number edits, in either line ending, with or without a byte-order
+    # mark: the mutations that often leave a file well formed, so that the
+    # frame range decides; the others break the format, which both commands
+    # reject alike
+    (root / TARGETS[0]).write_bytes(_mutate(originals[TARGETS[0]], data, b",",
+                                            ("number", "crlf", "bom")))
+    runs = []
+    for argv in (["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+                  "--res", str(root / "res"), "--format", "json"],
+                 ["validate", str(root / "res"), "--benchmark", "MOT16",
+                  "--seqmap", str(root / "seqmap.txt")]):
+        out = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            runs.append((main(argv), out.getvalue()))
+    (evaluated, _), (validated, summary) = runs
+    assert (validated == 0) == summary.endswith("PASS\n")
+    assert (evaluated == 0) == (validated == 0), summary
 
 
 def test_the_unmutated_tree_scores_every_box(tree):

@@ -192,6 +192,25 @@ class TestPrCurve:
         assert tracking.points[0].recall == pytest.approx(50.0)
         assert visible.points[0].recall == pytest.approx(100.0)
 
+    def test_unknown_mode_rejected(self):
+        # "visible" once scored as tracking_gt: recall 100 where visible_only gives 0
+        gts, dets = [gt(1, 1, 0, 0, visibility=0.1)], [det(1, 0, 0, conf=0.9)]
+        assert pr_curve(dets, gts, mode="visible_only").points[0].recall == 0.0
+        with pytest.raises(ValueError, match="got 'visible'"):
+            pr_curve(dets, gts, mode="visible")
+
+    @pytest.mark.parametrize("side", ["detections", "gt"])
+    @pytest.mark.parametrize("ltwh", [(float("nan"), 0, 10, 10), (0, 0, 1e308, 10)])
+    def test_boxes_the_parser_rejects_raise(self, side, ltwh):
+        # a NaN left edge was scored as a false positive, an overflowing
+        # area warned in the overlap pass
+        bad = Rows([1], [-1 if side == "detections" else 1], [ltwh], [0.9], [1], [1])
+        inputs = {"detections": [det(1, 0, 0, conf=0.9)], "gt": [gt(1, 1, 0, 0)], side: bad}
+        with pytest.raises(ValueError, match=(
+                rf"^{side} entry at frame 1, id -?1: box right edge, bottom edge or area "
+                "is not finite$")):
+            pr_curve(**inputs)
+
     def test_score_rescaling_invariance(self):
         rng = random.Random(31)
         gts = [gt(t, i, 30 * i, 0) for t in range(1, 4) for i in (1, 2, 3)]

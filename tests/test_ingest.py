@@ -583,34 +583,34 @@ class TestValidateSubmission:
         return archive
 
     def test_conforming_directory_passes(self, tmp_path):
-        expected = [f"SEQ-{i:02d}" for i in range(1, 8)]
+        expected = {f"SEQ-{i:02d}": 10 for i in range(1, 8)}
         path = self.make_submission(tmp_path, expected)
         report = validate_submission(path, expected)
         assert report.passed
         assert "PASS" in report.summary()
 
     def test_conforming_zip_passes(self, tmp_path):
-        expected = ["SEQ-01", "SEQ-02"]
+        expected = {"SEQ-01": 10, "SEQ-02": 10}
         path = self.make_submission(tmp_path, expected, as_zip=True)
         assert validate_submission(path, expected).passed
 
     def test_missing_sequence(self, tmp_path):
         path = self.make_submission(tmp_path, ["SEQ-01"])
-        report = validate_submission(path, ["SEQ-01", "SEQ-07"])
+        report = validate_submission(path, {"SEQ-01": 10, "SEQ-07": 10})
         assert not report.passed
         assert report.missing == ["SEQ-07"]
         assert "missing sequence: SEQ-07" in report.summary()
 
     def test_extra_file_flagged(self, tmp_path):
         path = self.make_submission(tmp_path, ["SEQ-01", "SEQ-99"])
-        report = validate_submission(path, ["SEQ-01"])
+        report = validate_submission(path, {"SEQ-01": 10})
         assert not report.passed
         assert report.extra == ["SEQ-99.txt"]
 
     def test_duplicate_row_diagnosed_with_line_number(self, tmp_path):
         rows = "1,1,10,10,5,5,1,-1,-1\n1,1,12,12,5,5,1,-1,-1\n"
         path = self.make_submission(tmp_path, ["SEQ-01"], rows=rows)
-        report = validate_submission(path, ["SEQ-01"])
+        report = validate_submission(path, {"SEQ-01": 10})
         assert not report.passed
         (message,) = report.file_errors["SEQ-01.txt"]
         assert "line 2" in message and "duplicate" in message
@@ -620,18 +620,18 @@ class TestValidateSubmission:
         with zipfile.ZipFile(archive, "w") as zf:
             zf.writestr("a/SEQ-01.txt", "1,1,0,0,5,5,1,-1,-1\n")
             zf.writestr("b/SEQ-01.txt", "1,1,0,0,5,5,1,-1,-1\n")
-        report = validate_submission(archive, ["SEQ-01"])
+        report = validate_submission(archive, {"SEQ-01": 10})
         assert not report.passed
         assert any("more than once" in e for e in report.file_errors["SEQ-01.txt"])
 
     def test_nonexistent_path(self, tmp_path):
         with pytest.raises(IngestError):
-            validate_submission(tmp_path / "nope", ["SEQ-01"])
+            validate_submission(tmp_path / "nope", {"SEQ-01": 10})
 
     def test_non_utf8_byte_recorded_not_raised(self, tmp_path):
         path = self.make_submission(tmp_path, ["SEQ-01", "SEQ-02"])
         (path / "SEQ-02.txt").write_bytes(b"1,1,10,10,5,5,1,-1,-1\n2,1,1\xff,10,5,5,1,-1,-1\n")
-        report = validate_submission(path, ["SEQ-01", "SEQ-02"])
+        report = validate_submission(path, {"SEQ-01": 10, "SEQ-02": 10})
         assert not report.passed
         (message,) = report.file_errors["SEQ-02.txt"]
         assert "line 2" in message and "0xff" in message

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 import motbench
 import motbench.assignment as assignment
 import motbench.deteval as deteval
-import motbench.ingest as ingest
 import motbench.model as model
 from motbench.ingest import FileKind, FormatVariant, parse_file
 from motbench.model import (
@@ -310,13 +309,13 @@ def test_one_overlap_implementation(monkeypatch):
     assert assignment._edges is deteval._edges is model._edges
     assert not hasattr(motbench, "pairwise_iou") and not hasattr(model, "pairwise_iou")
     calls = []
-    geometry = ingest._geometry
+    geometry = model._geometry
 
     def spy(ltwh):
         calls.append(len(ltwh))
         return geometry(ltwh)
 
-    monkeypatch.setattr(ingest, "_geometry", spy)
+    monkeypatch.setattr(model, "_geometry", spy)
     text = "1,1,0,0,10,10,1,1,1\n1,2,5,0,10,10,1,1,1\n2,1,1,0,10,10,1,1,1\n"
     assert len(parse_file(text, FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)) == 3
     assert calls == [3]
@@ -404,6 +403,31 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_zero_frames(self):
         with pytest.raises(ValueError):
             SequenceData(name="s", num_frames=0)
+
+    @pytest.mark.parametrize("left, top, width, height, rule", [
+        (10, 10, 0, 5, "non-positive box extent width=0.0 height=5.0"),
+        (0, 0, 1e308, 10, "box right edge, bottom edge or area is not finite"),
+        (float("nan"), 0, 10, 10, "box right edge, bottom edge or area is not finite"),
+        (0, 0, 1e154, 1e154, "box edge or area beyond 2**1022"),
+        (-8.9e307, 0, 10, 10, "box edge or area beyond 2**1022"),
+        (1, 1, 1e-17, 1, "box area (right - left) * (bottom - top) is 0"),
+    ])
+    @pytest.mark.parametrize("kind", ["gt", "results", "detections"])
+    def test_sequence_rejects_the_boxes_the_parser_rejects(self, kind, left, top, width,
+                                                           height, rule):
+        # rows built in code meet the parser's geometry rules: an area that
+        # overflows warned in the overlap pass, and a NaN edge scored as a
+        # false positive
+        rows = Rows([1, 2], [1, 1], [(1, 1, 10, 10), (left, top, width, height)],
+                    [1, 1], [1, 1], [1, 1])
+        with pytest.raises(ValueError) as err:
+            SequenceData(name="s", num_frames=2, **{kind: rows})
+        assert str(err.value) == f"sequence 's': {kind} entry at frame 2, id 1: {rule}"
+        if not math.isnan(left):  # the parser rejects a NaN token before its geometry
+            with pytest.raises(ValueError) as err:
+                parse_file(f"2,1,{left},{top},{width},{height},1,-1,-1",
+                           FormatVariant.MOT16_17, FileKind.RESULT)
+            assert str(err.value) == f"line 1: {rule}"
 
     @pytest.mark.parametrize("kind", ["gt", "results"])
     @pytest.mark.parametrize("track_id", [1, -1])
