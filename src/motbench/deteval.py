@@ -26,7 +26,7 @@ from typing import Iterable, Literal, Sequence, get_args
 import numpy as np
 
 from .assignment import MatchingConfig
-from .model import BoxEntry, Rows, _check_geometry, _edges
+from .model import BoxEntry, Rows, _check_rows, _edges
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -74,15 +74,16 @@ def pr_curve(
     curve is empty and its AP is zero.
 
     Raises ``ValueError`` for a ``mode`` other than ``"tracking_gt"`` or
-    ``"visible_only"``, and at the first row of either input whose box
-    breaks the geometry rules of the file format.
+    ``"visible_only"``, and at the first row of either input that breaks the
+    row rules of the file format: a frame below 1, the box geometry or a
+    class code outside ``ObjectClass``.
     """
     MatchingConfig(iou_threshold)  # ValueError outside (0, 1]
     if mode not in get_args(GroundTruthMode):
         raise ValueError(f"mode must be one of {get_args(GroundTruthMode)}, got {mode!r}")
     dets, gts = Rows.of(detections), Rows.of(gt).sorted()
-    _check_geometry(dets, "detections")
-    _check_geometry(gts, "gt")
+    _check_rows(dets, "detections")
+    _check_rows(gts, "gt")
     scored = gts.scoreable
     if mode == "visible_only":
         scored &= gts.visibility >= min_visibility

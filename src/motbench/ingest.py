@@ -51,7 +51,7 @@ from typing import IO, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .model import BoxEntry, ObjectClass, Rows, SequenceData, _geometry_rules
+from .model import BoxEntry, ObjectClass, Rows, SequenceData, _check_rows, _row_rules
 
 logger = logging.getLogger(__name__)
 
@@ -245,13 +245,7 @@ def parse_file(
                      "non-finite number {token!r} in {what} field")
         check_integers(0, columns[:2])
         frame, track_id = columns[:2].astype(np.int64)
-        check(0, 4, frame < 1, lambda i, j: f"frame index must be >= 1, got {frame[i]}")
-        if num_frames is not None:
-            check(0, 5, frame > num_frames,
-                  lambda i, j: f"frame {frame[i]} outside [1, {num_frames}]")
         ltwh = columns[2:6].T
-        for step, (failing, message) in enumerate(_geometry_rules(ltwh), start=4):
-            check(5, step, failing, lambda i, j, message=message: message(i))
 
         code, visibility = np.full(n, ObjectClass.PEDESTRIAN), np.ones(n)
         if labelled:
@@ -267,13 +261,13 @@ def parse_file(
             code = np.where(unknown, ObjectClass.OTHER, label)
             visibility = np.clip(shown, 0.0, 1.0)  # values in [0, 1], -0.0 too, stay as read
 
-        if kind is not FileKind.DETECTION:
-            order = np.lexsort((track_id, frame))
-            f, t = frame[order], track_id[order]
-            repeat = np.zeros(n, bool)
-            repeat[order[1:]] = (f[1:] == f[:-1]) & (t[1:] == t[:-1])  # all but the first
-            check(len(fields), 0, repeat, lambda i, j: "duplicate (frame, id) pair "
-                                                       f"{(int(frame[i]), int(track_id[i]))}")
+        # The shared row rules, at their fields; the class rule above is the
+        # files' own, stricter one.  Detection files share the id -1.
+        at = {"frame": 0, "box": 5, "key": len(fields)}
+        for step, (name, failing, message) in enumerate(_row_rules(
+                frame, track_id, ltwh, code, num_frames, kind is not FileKind.DETECTION), start=4):
+            if name in at:
+                check(at[name], step, failing, lambda i, j, message=message: message(i))
 
     # The first line that breaks a rule and the first rule it breaks; the
     # repairs on the lines before it, and on that line before that rule.
@@ -314,19 +308,27 @@ def write_result_file(
 ) -> str:
     """Serialize result rows, sorted by (frame, id), one line per row.
 
-    Unknown trailing fields are written as -1.  Rows with a negative track
-    id are rejected: writers must supply assigned identities.
+    Unknown trailing fields are written as -1.  Only rows that
+    :func:`parse_file` reads back as they are get written: ``ValueError``
+    names the first row that breaks a rule of a result file's rows
+    (:func:`~motbench.model._row_rules`: frame at least 1, box geometry,
+    class code, a (frame, id) key of its own), then the first with a
+    negative track id (writers must supply assigned identities), a frame or
+    id beyond 2**53 (the reader's floats do not hold it) or a confidence
+    that is not finite.
     """
     rows = Rows.of(entries).sorted()
+    _check_rows(rows, "result", unique=True)
     lines = []
     for frame, track_id, ltwh, confidence in zip(
         rows.frame.tolist(), rows.track_id.tolist(), rows.ltwh.tolist(),
         rows.confidence.tolist(),
     ):
         if track_id < 0:
-            raise ValueError(
-                f"result entry at frame {frame} has unassigned track id {track_id}"
-            )
+            raise ValueError(f"result entry at frame {frame} has unassigned track id {track_id}")
+        if max(frame, track_id) > 2**53 or confidence - confidence != 0:
+            raise ValueError(f"result entry at frame {frame}, id {track_id}: frame or id "
+                             f"beyond 2**53, or confidence {confidence} not finite")
         fields = [str(frame), str(track_id), *map(_fmt, ltwh), _fmt(confidence)]
         fields += ["-1", "-1", "-1"] if variant is FormatVariant.MOT15 else ["-1", "-1"]
         lines.append(",".join(fields))
@@ -523,16 +525,16 @@ def _sequence_files(
     results_root: str | Path | None,
     read_detections: bool,
     rows: slice,
-) -> list[tuple[str, int, float | None, Path, list[tuple[str | None, Path | None, Path]]]]:
+) -> list[tuple[str, int, Path, list[tuple[str | None, Path | None, Path]]]]:
     """The seqmap rows in ``rows`` with their files.
 
-    Each row is ``(name, num_frames, fps, gt_path, units)``, and a unit is
+    Each row is ``(name, num_frames, gt_path, units)``, and a unit is
     ``(detector, det_path, res_path)``; ``det_path`` is None where no
     detection file is read.  Only the sequence map is read and checked.
     """
     results_dir = Path(results_root) if results_root is not None else root / "res"
     out = []
-    for name, num_frames, fps in read_seqmap(root / "seqmap.txt")[rows]:
+    for name, num_frames, _ in read_seqmap(root / "seqmap.txt")[rows]:
         units = []
         for detector in benchmark.detectors or (None,):
             unit = _unit_name(name, detector)
@@ -541,7 +543,7 @@ def _sequence_files(
                 det_path = root / "det" / f"{name}.txt"
             read = read_detections and det_path.is_file()
             units.append((detector, det_path if read else None, results_dir / f"{unit}.txt"))
-        out.append((name, num_frames, fps, root / "gt" / f"{name}.txt", units))
+        out.append((name, num_frames, root / "gt" / f"{name}.txt", units))
     return out
 
 
@@ -568,7 +570,7 @@ def input_bytes(
     if not rows:
         raise IngestError(f"{root / 'seqmap.txt'}: lists no sequence")
     return [size(gt_path) + sum(size(det) + size(res) for _, det, res in units)
-            for _, _, _, gt_path, units in rows]
+            for _, _, gt_path, units in rows]
 
 
 def load_sequence_set(
@@ -603,7 +605,7 @@ def load_sequence_set(
             raise IngestError(f"{path}: {err}") from err
 
     units: list[EvalUnit] = []
-    for name, num_frames, fps, gt_path, files in _sequence_files(
+    for name, num_frames, gt_path, files in _sequence_files(
             Path(root), benchmark, results_root, read_detections, rows):
         if not gt_path.is_file():
             raise IngestError(f"missing ground truth for sequence {name!r}: {gt_path}")
@@ -617,7 +619,6 @@ def load_sequence_set(
                 raise IngestError(f"missing result file for {res_path.stem!r}: {res_path}")
             results = parse(res_path, FileKind.RESULT, num_frames)
 
-            data = SequenceData(name, num_frames, gt, results, detections, fps)
-            units.append(EvalUnit(detector=detector, data=data))
+            units += [EvalUnit(detector, SequenceData(name, num_frames, gt, results, detections))]
 
     return SequenceSet(benchmark=benchmark, units=tuple(units))

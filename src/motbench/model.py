@@ -6,13 +6,18 @@ annotations routinely extend past the image borders for cropped targets.
 Width and height must be strictly positive, and so must the area between the
 rounded edges, ``(right - left) * (bottom - top)``, which every overlap uses.
 Overlaps are computed in one place, :func:`_edges` over the edges and areas
-of :func:`_geometry`: tracker matching, the detector sweep and the geometry
-rules (:func:`_geometry_rules`) all use them, so every metric judges the same
-overlap.  The parser, :class:`SequenceData` and the detector sweep hold every
-box to those rules, whether it comes from a file or from code.  The pass
+of :func:`_geometry`, so every metric judges the same overlap.  The pass
 scores each GT box only against the same-frame result boxes whose left edge
 lies in a window that every pair at the threshold falls in, in blocks of a
 bounded number of such candidates.
+
+A row's values meet one rule set, :func:`_row_rules`: a frame of at least 1
+and within the sequence, the box geometry of :func:`_geometry_rules`, a class
+code of :class:`ObjectClass`, and a (frame, id) key of its own where keys
+must be unique.  The parser takes its frame, geometry and key rules from it;
+:class:`SequenceData`, the detector sweep and the result writer check rows
+built in code with :func:`_check_rows`; :class:`Box` checks its own floats
+with the geometry rules.  So a box that one of them accepts, all accept.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -70,11 +75,12 @@ class Box:
     def __post_init__(self) -> None:
         for name in ("left", "top", "width", "height"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.width > 0 and self.height > 0 and self.area > 0):
-            raise ValueError(
-                f"box extent must be positive, also between the rounded edges, got "
-                f"left={self.left} top={self.top} width={self.width} height={self.height}"
-            )
+        for failing, message in _geometry_rules(self.width, self.height, self.left, self.top,
+                                                self.right, self.bottom, self.area):
+            if failing:
+                raise ValueError("box extent must be positive, also between the rounded edges, "
+                                 f"got left={self.left} top={self.top} width={self.width} "
+                                 f"height={self.height}: {message.format(self.width, self.height)}")
 
     @property
     def right(self) -> float:
@@ -108,44 +114,83 @@ def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
     return left, top, right, bottom, (right - left) * (bottom - top)
 
 
-def _geometry_rules(ltwh: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], str]]]:
-    """The box rules of every overlap, in the order a row meets them.
+def _geometry_rules(width, height, left, top, right, bottom, area) -> list[tuple[object, str]]:
+    """The four box rules of every overlap, in the order a box meets them.
 
-    Per rule, the mask of the ``n x 4`` rows that break it and its message
-    for a row: extents positive, the area finite, every edge and the area
-    within 2**1022, and the area not 0.  A row that breaks a rule may hold
-    any value in the later ones.
+    The edges and the area are those of :func:`_geometry`.  Per rule, whether
+    the box breaks it, and its message as a format string of the width and
+    the height: extents positive, the area finite, every edge and the area
+    within 2**1022, and the area not 0.  A box that breaks a rule may hold
+    any value in the later ones.  The rules are plain comparisons joined by
+    ``|``, so the values may be the floats of one :class:`Box` or columns:
+    a numpy call on one box costs several times the box itself.
+    """
+    # The area is the one every IoU divides by; ``area - area`` is NaN, not
+    # 0, when it is infinite or NaN.  Positive extents put each left and top
+    # at or below its right and bottom, so a right or bottom edge that is
+    # not finite makes the area not finite, and an edge beyond the limit
+    # shows in a left or top below it or a right or bottom above it.
+    return [
+        ((width <= 0) | (height <= 0), "non-positive box extent width={} height={}"),
+        ((area - area) != 0, "box right edge, bottom edge or area is not finite"),
+        ((left < -_GEOMETRY_LIMIT) | (top < -_GEOMETRY_LIMIT) | (right > _GEOMETRY_LIMIT)
+         | (bottom > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT), "box edge or area beyond 2**1022"),
+        (area == 0, "box area (right - left) * (bottom - top) is 0"),
+    ]
+
+
+def _in_order(f: np.ndarray, i: np.ndarray) -> bool:
+    """Whether rows with frames ``f`` and ids ``i`` are in (frame, id) order: one linear check."""
+    # compared, not subtracted: ids may span 2**64
+    return bool(((f[:-1] < f[1:]) | ((f[:-1] == f[1:]) & (i[:-1] <= i[1:]))).all())
+
+
+def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray, code: np.ndarray,
+               num_frames: int | None = None, unique: bool = False,
+               ) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
+    """The rules of a row's values, in the order the parser applies them on a line.
+
+    The rows are given as the :class:`Rows` columns ``frame``, ``track_id``,
+    ``ltwh`` and ``object_class`` (``code``).  Per rule, the field it checks
+    (``"frame"``, ``"box"``, ``"class"`` or ``"key"``), the mask of the rows
+    that break it and its message for a row: the frame at least 1, and at
+    most ``num_frames`` when it is given; the four rules of
+    :func:`_geometry_rules`; a class code inside :class:`ObjectClass`; and,
+    when ``unique`` is set, no (frame, id) key that an earlier row holds.  A
+    row that breaks a rule may hold any value in the later ones.  Rows
+    already in (frame, id) order cost a linear pass; others are sorted once
+    for the key rule.
     """
     with np.errstate(all="ignore"):
-        # The area is the one every IoU divides by.  Positive extents put
-        # each left and top at or below its right and bottom, so a right or
-        # bottom edge that is not finite makes the area not finite, and an
-        # edge beyond the limit shows in the least left or top or the
-        # greatest right or bottom.
-        left, top, right, bottom, area = _geometry(ltwh)
-        return [
-            ((ltwh[:, 2:] <= 0).any(axis=1), lambda i: "non-positive box extent "
-                                                       f"width={ltwh[i, 2]} height={ltwh[i, 3]}"),
-            (~np.isfinite(area), lambda i: "box right edge, bottom edge or area is not finite"),
-            ((np.minimum(left, top) < -_GEOMETRY_LIMIT)
-             | (np.maximum(right, bottom) > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT),
-             lambda i: "box edge or area beyond 2**1022"),
-            (area == 0, lambda i: "box area (right - left) * (bottom - top) is 0"),
-        ]
+        rules = [("frame", frame < 1, lambda i: f"frame index must be >= 1, got {frame[i]}")]
+        if num_frames is not None:
+            rules.append(("frame", frame > num_frames,
+                          lambda i: f"frame {frame[i]} outside [1, {num_frames}]"))
+        rules += [("box", failing, lambda i, message=message: message.format(*ltwh[i, 2:]))
+                  for failing, message in _geometry_rules(*ltwh.T[2:], *_geometry(ltwh))]
+    rules.append(("class", (code < ObjectClass.OTHER) | (code > ObjectClass.REFLECTION),
+                  lambda i: f"unknown class code {code[i]}"))
+    if unique:
+        order = slice(None) if _in_order(frame, track_id) else np.lexsort((track_id, frame))
+        f, t = frame[order], track_id[order]
+        repeat = np.empty(len(frame), bool)  # all rows of a key but the first
+        repeat[order] = np.append(False, (f[1:] == f[:-1]) & (t[1:] == t[:-1]))
+        rules.append(("key", repeat,
+                      lambda i: f"duplicate (frame, id) pair ({frame[i]}, {track_id[i]})"))
+    return rules
 
 
-def _check_geometry(rows: Rows, what: str) -> None:
-    """Raise ``ValueError`` at the first row that breaks a rule of :func:`_geometry_rules`.
+def _check_rows(rows: Rows, what: str, num_frames: int | None = None, unique: bool = False) -> None:
+    """Raise ``ValueError`` at the first row that breaks a rule of :func:`_row_rules`.
 
     The message names ``what``, the row's frame and id, and the first rule
     the row breaks.
     """
-    faults = [(int(failing.argmax()), message)
-              for failing, message in _geometry_rules(rows.ltwh) if failing.any()]
+    faults = [(int(f.argmax()), m) for _, f, m in _row_rules(
+        rows.frame, rows.track_id, rows.ltwh, rows.object_class, num_frames, unique) if f.any()]
     if faults:
-        i, message = min(faults, key=lambda fault: fault[0])  # the first rule among ties
-        raise ValueError(f"{what} entry at frame {rows.frame[i]}, id {rows.track_id[i]}: "
-                         f"{message(i)}")
+        i, rule = min(faults, key=lambda fault: fault[0])  # the first rule among ties
+        raise ValueError(f"{what} entry at frame {rows.frame[i]}, id {rows.track_id[i]}: {rule(i)}")
 
 
 def _edges(
@@ -363,10 +408,9 @@ class Rows:
         Rows already in that order are returned as they are, after one
         linear check.
         """
-        f, i = self.frame, self.track_id  # compared, not subtracted: ids may span 2**64
-        if ((f[:-1] < f[1:]) | ((f[:-1] == f[1:]) & (i[:-1] <= i[1:]))).all():
+        if _in_order(self.frame, self.track_id):
             return self
-        order = np.lexsort((i, f))
+        order = np.lexsort((self.track_id, self.frame))
         return Rows(*(column[order] for column in vars(self).values()))
 
 
@@ -375,11 +419,12 @@ class SequenceData:
     """All rows of one sequence plus its frame-count metadata.
 
     ``gt``, ``results`` and ``detections`` take :class:`Rows` or any iterable
-    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`, and only
-    detections may repeat a (frame, id) key.  Every box must meet the
-    geometry rules the parser enforces (:func:`_geometry_rules`); the first
-    that does not raises ``ValueError``.  ``fps`` is reporting metadata
-    only; it never influences any metric.
+    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`.  Every row
+    must meet the rules the parser holds a file's rows to
+    (:func:`_row_rules`): a frame in ``[1, num_frames]``, the box geometry, a
+    class code of :class:`ObjectClass`, and, outside detections, a
+    (frame, id) key of its own.  The first row in (frame, id) order that
+    breaks one raises ``ValueError`` with the first rule it breaks.
     """
 
     name: str
@@ -387,7 +432,6 @@ class SequenceData:
     gt: Rows = ()
     results: Rows = ()
     detections: Rows = ()
-    fps: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_frames <= 0:
@@ -395,15 +439,6 @@ class SequenceData:
         for kind in ("gt", "results", "detections"):
             rows = Rows.of(getattr(self, kind)).sorted()
             object.__setattr__(self, kind, rows)
-            outside = rows.frame[(rows.frame < 1) | (rows.frame > self.num_frames)]
-            if outside.size:
-                raise ValueError(
-                    f"sequence {self.name!r}: {kind} entry at frame {outside[0]} "
-                    f"outside [1, {self.num_frames}]"
-                )
-            same = (np.diff(rows.frame) == 0) & (np.diff(rows.track_id) == 0)
-            if kind != "detections" and same.any():  # detections share the id -1
-                k = same.argmax()
-                raise ValueError(f"sequence {self.name!r}: two {kind} rows share (frame, id) "
-                                 f"({rows.frame[k]}, {rows.track_id[k]})")
-            _check_geometry(rows, f"sequence {self.name!r}: {kind}")
+            # detections share the id -1
+            _check_rows(rows, f"sequence {self.name!r}: {kind}", self.num_frames,
+                        unique=kind != "detections")

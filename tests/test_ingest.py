@@ -4,13 +4,16 @@ import codecs
 import inspect
 import logging
 import random
+import re
 import time
 import zipfile
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motbench import ingest
 from motbench.ingest import (
@@ -25,7 +28,7 @@ from motbench.ingest import (
     validate_submission,
     write_result_file,
 )
-from motbench.model import ObjectClass
+from motbench.model import ObjectClass, Rows
 import oracles
 from conftest import gt, hyp, seq, write_benchmark_tree
 
@@ -529,6 +532,18 @@ class TestColumnarPath:
                     assert expected[1].startswith(f"line {at + 1}: "), expected
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: ``(frame, id, ltwh, confidence)`` rows: small keys and boxes; any key the
+#: writer may accept with any finite edges and positive extents; anything.
+USUAL_ROWS = st.tuples(st.integers(1, 3), st.integers(0, 3), st.tuples(
+    *[st.one_of(st.integers(-5, 20), st.floats(-1e6, 1e6))] * 2,
+    *[st.one_of(st.integers(1, 20), st.floats(1e-6, 1e6))] * 2), st.sampled_from([0, 1]))
+ODD_ROWS = st.tuples(st.integers(1, 2**53), st.integers(0, 2**53), st.tuples(
+    *[_FINITE] * 2, *[st.floats(0, exclude_min=True)] * 2), _FINITE)
+ANY_ROWS = st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 2, st.tuples(*[st.floats()] * 4),
+                     st.floats())
+
+
 class TestWrite:
     def test_empty(self):
         assert write_result_file([]) == ""
@@ -544,6 +559,44 @@ class TestWrite:
     def test_rejects_unassigned_ids(self):
         with pytest.raises(ValueError, match="unassigned"):
             write_result_file([hyp(1, -1, 0, 0)])
+
+    @pytest.mark.parametrize("frame, track_id, ltwh, conf, error", [
+        (0, 1, (0, 0, 10, 10), 1, "frame index must be >= 1, got 0"),
+        (1, 1, (0, 0, 1e308, 10), 1, "box right edge, bottom edge or area is not finite"),
+        (1, 1, (float("inf"), 0, 10, 10), 1, "box right edge, bottom edge or area is not finite"),
+        (1, 1, (0, 0, 1e154, 1e154), 1, "box edge or area beyond 2**1022"),
+        (1, 2**53 + 1, (0, 0, 10, 10), 1, "frame or id beyond 2**53"),
+        (1, 1, (0, 0, 10, 10), float("inf"), "confidence inf not finite"),
+    ])
+    def test_rejects_rows_the_parser_would_not_read_back(self, frame, track_id, ltwh, conf,
+                                                          error):
+        # each was written, and then failed to parse or parsed with another
+        # id; an infinite edge or score raised OverflowError instead
+        rows = Rows([frame], [track_id], [ltwh], [conf], [1], [1])
+        with pytest.raises(ValueError, match=rf"^result entry at frame {frame}, id {track_id}: "
+                                             rf".*{re.escape(error)}"):
+            write_result_file(rows)
+
+    def test_rejects_a_repeated_frame_and_id(self):
+        with pytest.raises(ValueError, match=r"^result entry at frame 1, id 3: "
+                                             r"duplicate \(frame, id\) pair \(1, 3\)$"):
+            write_result_file([hyp(1, 3, 0, 0), hyp(2, 3, 0, 0), hyp(1, 3, 5, 0)])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(rows=st.tuples(*[st.lists(rows, max_size=size, unique_by=lambda row: row[:2])
+                            for rows, size in ((USUAL_ROWS, 3), (ODD_ROWS, 2), (ANY_ROWS, 1))]),
+           variant=st.sampled_from(FormatVariant))
+    def test_every_row_set_written_parses_back_to_the_same_rows(self, rows, variant):
+        rows = sum(rows, [])  # about a third of the row sets are written
+        frame, track_id, ltwh, conf = zip(*rows) if rows else ((),) * 4
+        rows = Rows(frame, track_id, ltwh, conf, [1] * len(frame), [1] * len(frame))
+        try:
+            text = write_result_file(rows, variant)
+        except ValueError:
+            return
+        parsed, expected = parse_file(text, variant, FileKind.RESULT), rows.sorted()
+        for name in ("frame", "track_id", "ltwh", "confidence"):
+            assert np.array_equal(getattr(parsed, name), getattr(expected, name)), name
 
     def test_rows_sorted_by_frame_then_id(self):
         text = write_result_file([hyp(2, 1, 0, 0), hyp(1, 9, 0, 0), hyp(1, 2, 0, 0)])

@@ -52,7 +52,27 @@ def int_boxes(max_pos=20, max_size=10):
     )
 
 
+#: Boxes the parser rejects, each with the rule it breaks first.
+PARSER_REJECTS = [
+    (10, 10, 0, 5, "non-positive box extent width=0.0 height=5.0"),
+    (0, 0, 1e308, 10, "box right edge, bottom edge or area is not finite"),
+    (float("nan"), 0, 10, 10, "box right edge, bottom edge or area is not finite"),
+    (0, 0, 1e154, 1e154, "box edge or area beyond 2**1022"),
+    (-8.9e307, 0, 10, 10, "box edge or area beyond 2**1022"),
+    (1, 1, 1e-17, 1, "box area (right - left) * (bottom - top) is 0"),
+]
+
+
 class TestBox:
+    @pytest.mark.parametrize("left, top, width, height, rule", PARSER_REJECTS)
+    def test_rejects_the_boxes_the_parser_rejects(self, left, top, width, height, rule):
+        # an area that overflows to inf, or beyond what an IoU's sum of two
+        # areas holds, once made a Box
+        with pytest.raises(ValueError) as err:
+            Box(left, top, width, height)
+        assert "rounded edges" in str(err.value)
+        assert str(err.value).endswith(f": {rule}")
+
     def test_rejects_non_positive_extent(self):
         with pytest.raises(ValueError):
             Box(0, 0, 0, 5)
@@ -404,14 +424,7 @@ class TestEntriesAndSequences:
         with pytest.raises(ValueError):
             SequenceData(name="s", num_frames=0)
 
-    @pytest.mark.parametrize("left, top, width, height, rule", [
-        (10, 10, 0, 5, "non-positive box extent width=0.0 height=5.0"),
-        (0, 0, 1e308, 10, "box right edge, bottom edge or area is not finite"),
-        (float("nan"), 0, 10, 10, "box right edge, bottom edge or area is not finite"),
-        (0, 0, 1e154, 1e154, "box edge or area beyond 2**1022"),
-        (-8.9e307, 0, 10, 10, "box edge or area beyond 2**1022"),
-        (1, 1, 1e-17, 1, "box area (right - left) * (bottom - top) is 0"),
-    ])
+    @pytest.mark.parametrize("left, top, width, height, rule", PARSER_REJECTS)
     @pytest.mark.parametrize("kind", ["gt", "results", "detections"])
     def test_sequence_rejects_the_boxes_the_parser_rejects(self, kind, left, top, width,
                                                            height, rule):
@@ -429,11 +442,41 @@ class TestEntriesAndSequences:
                            FormatVariant.MOT16_17, FileKind.RESULT)
             assert str(err.value) == f"line 1: {rule}"
 
+    @pytest.mark.parametrize("code", [-1, 13, 99])
+    def test_sequence_rejects_class_codes_outside_object_class(self, code):
+        # -1 was read as REFLECTION, a neutral class, so the GT box vanished
+        # from every count; 99 raised IndexError in the neutral filter
+        rows = Rows([1, 1], [1, 2], [(0, 0, 10, 10)] * 2, [1, 1], [1, code], [1, 1])
+        with pytest.raises(ValueError) as err:
+            SequenceData(name="s", num_frames=1, gt=rows, results=[hyp(1, 7, 0, 0)])
+        assert str(err.value) == ("sequence 's': gt entry at frame 1, id 2: "
+                                  f"unknown class code {code}")
+        other = Rows([1], [1], [(0, 0, 10, 10)], [1], [ObjectClass.OTHER], [1])
+        assert len(SequenceData(name="s", num_frames=1, gt=other).gt) == 1
+
+    @pytest.mark.parametrize("rows, rule", [
+        # frame 2, id 4 comes first in (frame, id) order, although frame 3,
+        # id 1 breaks an earlier rule and comes first in the input
+        ([(3, 1, 1), (2, 4, 0)], "frame 2, id 4: non-positive box extent width=0.0 height=1.0"),
+        # the frame range comes before the geometry, and both before the key
+        ([(3, 1, 0)], "frame 3, id 1: frame 3 outside [1, 2]"),
+        ([(1, 1, 1), (1, 1, 0)], "frame 1, id 1: non-positive box extent width=0.0 height=1.0"),
+    ])
+    def test_sequence_reports_its_first_row_and_that_rows_first_rule(self, rows, rule):
+        frame, track_id, width = zip(*rows)
+        rows = Rows(frame, track_id, [(0, 0, w, 1) for w in width], [1] * len(rows),
+                    [1] * len(rows), [1] * len(rows))
+        with pytest.raises(ValueError) as err:
+            SequenceData(name="s", num_frames=2, results=rows)
+        assert str(err.value) == f"sequence 's': results entry at {rule}"
+
     @pytest.mark.parametrize("kind", ["gt", "results"])
     @pytest.mark.parametrize("track_id", [1, -1])
     def test_sequence_rejects_a_repeated_frame_and_id(self, kind, track_id):
         # two boxes of one track in one frame would count as two co-detected
         # frames of one pair and push IDP or IDR above 100
         rows = [gt(2, 3, 0, 0), hyp(1, track_id, 0, 0), hyp(1, track_id, 1, 0)]
-        with pytest.raises(ValueError, match=rf"{kind} rows share \(frame, id\) \(1, {track_id}\)"):
+        with pytest.raises(ValueError) as err:
             SequenceData(name="s", num_frames=2, **{kind: rows})
+        assert str(err.value) == (f"sequence 's': {kind} entry at frame 1, id {track_id}: "
+                                  f"duplicate (frame, id) pair (1, {track_id})")
