@@ -31,10 +31,17 @@ with the most pairs and the lowest total cost, the lowest summed rank
 ``i * m + j`` wins, where target ``i`` and hypothesis ``j`` are positions in
 track-id order and ``m`` counts the candidate hypotheses; permutations of the
 same targets and hypotheses, which tie on that sum, pair them in id order.
-Cost differences below 1e-9 count as ties.  :func:`solve_assignment` takes
-each pair that shares no box with another pair directly, splits the rest
-into connected components with one numpy labelling and solves each on its
-own, so a target without any feasible pair cannot disturb the others' ties.
+Cost differences below 1e-9 count as ties.  A matching problem is split
+before it is solved: each pair that shares no box with another pair is
+taken directly, and every other connected component of the pairs is solved
+on its own by :func:`_solve_component`, so a target without any feasible
+pair cannot disturb the others' ties.  The split has two entry points with
+the same result.  :func:`solve_assignment`, the bulk path of the
+neutral-class filter and the identity solve, labels the components of its
+numpy columns in one labelling.  :func:`_solve_lists`, the path of a frame
+with conflicting pairs, splits that frame's few pairs, held in Python
+lists, with a plain-Python union-find, so a frame costs what its pairs cost
+and no numpy set-up.
 
 Evaluation runs the protocol on a whole sequence at once.
 :func:`preprocess_sequence` (step 1) takes the pairs at or above the
@@ -42,7 +49,9 @@ threshold from the package's one overlap pass, :func:`~motbench.model._edges`,
 and keeps them, with the boxes that survive the neutral-class filter, as one
 :class:`EdgeTable`.  :func:`run_sequence` (steps 2 and 3, then the identity
 switches) decides every pair that shares no box with another pair by array
-operations and loops only over the frames that hold a conflict.  Its
+operations and loops only over the frames that hold a conflict.  Before
+that loop it links each pair to the pair of the same target and hypothesis
+in the previous frame, so carryover in the loop is one lookup per pair.  Its
 :class:`EventLog` is two masks over the table's pairs, matched and identity
 switch; the frame-level counts are read off those columns and the identity
 metrics count co-detections on the same table.  No step does work per
@@ -241,6 +250,9 @@ def solve_assignment(
     costs, 1 for integer costs and 1e-9 otherwise, count as ties.  Returns
     the indices of the chosen edges in ascending order.
 
+    This is the bulk entry point of the split, for the large edge lists of
+    the neutral-class filter and the identity solve; :func:`_solve_lists` is
+    the same split over Python lists, for the few edges of a conflict frame.
     An edge that shares neither endpoint with another edge is its own
     matching and is taken directly.  The other edges are split into the
     connected components of their graph by one numpy labelling
@@ -266,6 +278,38 @@ def solve_assignment(
     for edges in components:
         chosen += _solve_component(edges.tolist(), row_list, col_list, cost_list, rank_list,
                                    most_pairs=most_pairs)
+    chosen.sort()
+    return chosen
+
+
+def _solve_lists(rows: list[int], cols: list[int], cost: list[float], rank: list[int],
+                 ) -> list[int]:
+    """:func:`solve_assignment` over Python lists: the split of a conflict frame.
+
+    Picks the same edges as the numpy split, with the same components passed
+    to :func:`_solve_component`, at a cost that follows the edges alone: no
+    numpy call, so a frame of a few edges pays no fixed set-up.  A
+    plain-Python union-find over the rows and the columns (stored as
+    ``~col``, apart from the rows) labels the edges; a component of one edge
+    is taken as it is, and each other component is solved with its edges in
+    ascending order.  Returns the chosen edges in ascending order.
+    """
+    up: dict[int, int] = {}
+    for row, col in zip(rows, cols):
+        a, b = up.setdefault(row, row), up.setdefault(~col, ~col)
+        while a != up[a]:
+            up[a] = a = up[up[a]]
+        while b != up[b]:
+            up[b] = b = up[up[b]]
+        up[a] = b
+    components: dict[int, list[int]] = {}
+    for e, a in enumerate(rows):
+        while a != up[a]:
+            up[a] = a = up[up[a]]
+        components.setdefault(a, []).append(e)
+    chosen: list[int] = []
+    for edges in components.values():
+        chosen += edges if len(edges) == 1 else _solve_component(edges, rows, cols, cost, rank)
     chosen.sort()
     return chosen
 
@@ -341,48 +385,79 @@ def preprocess_sequence(
     )
 
 
+def _carryover_links(table: EdgeTable) -> np.ndarray:
+    """Per edge of ``table``, its carryover link: the edge of its pair in the frame before.
+
+    The pair is the edge's (target, hypothesis) ids; an edge whose pair has
+    no edge in the frame before links to -1.  One lexsort puts each pair's
+    edges next to each other in frame order.  A function of its own, so the
+    sort's temporaries are freed before :func:`_match` builds its lists.
+    """
+    gt_id, res_id, frame = table.gt_id[table.gt_row], table.res_id[table.res_row], table.frame
+    order = np.lexsort((frame, res_id, gt_id))
+    a, b = order[:-1], order[1:]
+    same = (gt_id[a] == gt_id[b]) & (res_id[a] == res_id[b]) & (frame[a] + 1 == frame[b])
+    link = np.full(len(frame), -1)
+    link[b[same]] = a[same]
+    return link
+
+
 def _match(table: EdgeTable) -> np.ndarray:
     """Per edge of ``table``, whether steps 2 and 3 of the protocol take it.
 
     An edge that shares neither endpoint with another edge is matched
     whatever carryover says.  Only frames with a conflicting edge run the
-    two steps, in frame order: carryover (step 2) from the previous frame's
-    matches, then one :func:`solve_assignment` (step 3) over the remaining
-    conflicting edges, ranked ``i * m + j`` by position among the ids that
-    no carried edge took.
+    two steps, in frame order, and no numpy call runs per frame.  Before the
+    loop, numpy computes each edge's carryover link
+    (:func:`_carryover_links`) and each such frame's slices of its
+    conflicting edges and of its linked edges.  Carryover (step 2) takes the
+    linked edges whose link is matched, free edges too, as they move the
+    others' positions.  Step 3 is one
+    :func:`_solve_lists` over the frame's conflicting edges that share no
+    end with a carried edge, ranked ``i * m + j`` by position among the ids
+    that no carried edge took.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
     free = _free(g, r)
     if free.all():
         return free
     matched = free.tolist()
-    gt_id, res_id = table.gt_id[g].tolist(), table.res_id[r].tolist()
-    g_pos = (g - np.searchsorted(table.gt_frame, frame)).tolist()
-    r_pos = (r - np.searchsorted(table.res_frame, frame)).tolist()
-    hot = frame[~free]
-    hot = hot[np.diff(hot, prepend=0) != 0]  # each frame t with a conflict, ascending
-    # Per t: where the edges of frames t - 1, t and t + 1 start; t's result count.
-    starts = np.searchsorted(frame, hot + [[-1], [0], [1]]).tolist()
-    res_count = np.diff(np.searchsorted(table.res_frame, hot + [[0], [1]]), axis=0)[0]
-    for before, lo, hi, n_res in zip(*starts, res_count.tolist()):
-        prev = {gt_id[e]: res_id[e] for e in range(before, lo) if matched[e]}
-        edges = range(lo, hi)
-        # Carried free edges count too: they move the others' positions.
-        carried = [e for e in edges if prev.get(gt_id[e]) == res_id[e]]
-        taken_g = sorted(g_pos[e] for e in carried)
-        taken_r = sorted(r_pos[e] for e in carried)
+    link = _carryover_links(table)
+    conflict = np.flatnonzero(~free)
+    hot = frame[conflict]
+    cut = np.flatnonzero(np.diff(hot)) + 1
+    hot = hot[np.r_[0, cut]]  # each frame t with a conflict, ascending
+    in_hot = np.zeros(table.num_frames + 1, dtype=bool)
+    in_hot[hot] = True
+    linked = np.flatnonzero((link >= 0) & in_hot[frame])  # the carryover candidates
+    # Per t: its conflicting and its linked edges, as slices; t's result count.
+    spans = [np.r_[0, cut], np.r_[cut, len(conflict)],
+             *np.searchsorted(frame[linked], [hot, hot + 1])]
+    res_count = np.diff(np.searchsorted(table.res_frame, [hot, hot + 1]), axis=0)[0]
+    g_pos = g - np.searchsorted(table.gt_frame, frame)
+    r_pos = r - np.searchsorted(table.res_frame, frame)
+    source = link[linked].tolist()
+    linked_g, linked_r = g_pos[linked].tolist(), r_pos[linked].tolist()
+    conflict_g, conflict_r = g_pos[conflict].tolist(), r_pos[conflict].tolist()
+    cost = (1.0 - table.iou[conflict]).tolist()
+    linked, conflict = linked.tolist(), conflict.tolist()
+    for c_lo, c_hi, l_lo, l_hi, n_res in zip(*(s.tolist() for s in spans), res_count.tolist()):
+        carried = [k for k in range(l_lo, l_hi) if matched[source[k]]]
+        taken_g = [linked_g[k] for k in carried]  # ascending, as the edges are
+        taken_r = sorted([linked_r[k] for k in carried])
         held_g, held_r = set(taken_g), set(taken_r)
-        rest = [e for e in edges if not matched[e]
-                and g_pos[e] not in held_g and r_pos[e] not in held_r]
-        for e in carried:
-            matched[e] = True
+        rest = [k for k in range(c_lo, c_hi)
+                if conflict_g[k] not in held_g and conflict_r[k] not in held_r]
+        for k in carried:
+            matched[linked[k]] = True
         if not rest:
             continue
-        rows = np.array([g_pos[e] - bisect_left(taken_g, g_pos[e]) for e in rest])
-        cols = np.array([r_pos[e] - bisect_left(taken_r, r_pos[e]) for e in rest])
-        rank = rows * (n_res - len(carried)) + cols
-        for k in solve_assignment(rows, cols, 1.0 - table.iou[rest], rank):
-            matched[rest[k]] = True
+        rows = [conflict_g[k] - bisect_left(taken_g, conflict_g[k]) for k in rest]
+        cols = [conflict_r[k] - bisect_left(taken_r, conflict_r[k]) for k in rest]
+        m = n_res - len(carried)
+        rank = [i * m + j for i, j in zip(rows, cols)]
+        for k in _solve_lists(rows, cols, [cost[k] for k in rest], rank):
+            matched[conflict[rest[k]]] = True
     return np.array(matched, dtype=bool)
 
 

@@ -123,8 +123,10 @@ def _as_text(source: str | bytes | IO | Path) -> str:
         raise ParseError(f"invalid UTF-8 byte 0x{source[err.start]:02x}", line_no) from None
 
 
-#: Integer columns are stored as int64; a magnitude at or above this is an error.
-_INT64_LIMIT = 2.0**63
+#: Integer fields are read as float64, which holds every integer below this
+#: magnitude and rounds some above it (2**53 + 1 reads as 2**53); a
+#: magnitude at or above it is an error.
+_INT_LIMIT = 2.0**53
 
 
 #: The fields of a line, in column order: seven in every variant, then the
@@ -174,7 +176,8 @@ def parse_file(
     """Parse one annotation, detection, or result file into rows.
 
     Raises :class:`ParseError` with a line number on malformed numbers, wrong
-    column counts (strict mode), integers beyond int64, non-positive box
+    column counts (strict mode), integers of magnitude 2**53 or more (the
+    float64 reader could round them onto another id), non-positive box
     extents, box edges or areas that are not finite or beyond 2**1022, box
     areas that are 0 between the rounded edges (an extent lost to rounding,
     or an underflow), frames outside ``[1, num_frames]`` (if given), or
@@ -215,7 +218,7 @@ def parse_file(
     # the run of fields from ``column`` on.  A line meets the rules by
     # field, its column count before them all and the duplicate rule after;
     # on one field, by ``step``: 0 malformed, 1 not finite, 2 not an integer,
-    # 3 beyond int64, then the field's own rules.  ``repair`` marks a rule
+    # 3 out of range, then the field's own rules.  ``repair`` marks a rule
     # that lenient parsing repairs instead of rejecting the line.
     rules: list[tuple[int, int, np.ndarray, Callable[[int, int], str], bool]] = []
 
@@ -230,7 +233,7 @@ def parse_file(
     def check_integers(column: int, values: np.ndarray) -> None:
         check_fields(column, 2, np.trunc(values) != values,
                      "{what} must be an integer, got {token!r}")
-        check_fields(column, 3, np.abs(values) >= _INT64_LIMIT,
+        check_fields(column, 3, np.abs(values) >= _INT_LIMIT,
                      "{what} out of range, got {token!r}")
 
     # Each rule need only hold on the lines that pass every rule before it,
@@ -314,8 +317,8 @@ def write_result_file(
     (:func:`~motbench.model._row_rules`: frame at least 1, box geometry,
     class code, a (frame, id) key of its own), then the first with a
     negative track id (writers must supply assigned identities), a frame or
-    id beyond 2**53 (the reader's floats do not hold it) or a confidence
-    that is not finite.
+    id of 2**53 or more (the parser rejects it) or a confidence that is not
+    finite.
     """
     rows = Rows.of(entries).sorted()
     _check_rows(rows, "result", unique=True)
@@ -326,9 +329,9 @@ def write_result_file(
     ):
         if track_id < 0:
             raise ValueError(f"result entry at frame {frame} has unassigned track id {track_id}")
-        if max(frame, track_id) > 2**53 or confidence - confidence != 0:
+        if max(frame, track_id) >= _INT_LIMIT or confidence - confidence != 0:
             raise ValueError(f"result entry at frame {frame}, id {track_id}: frame or id "
-                             f"beyond 2**53, or confidence {confidence} not finite")
+                             f"beyond 2**53 - 1, or confidence {confidence} not finite")
         fields = [str(frame), str(track_id), *map(_fmt, ltwh), _fmt(confidence)]
         fields += ["-1", "-1", "-1"] if variant is FormatVariant.MOT15 else ["-1", "-1"]
         lines.append(",".join(fields))

@@ -145,6 +145,11 @@ def _in_order(f: np.ndarray, i: np.ndarray) -> bool:
     return bool(((f[:-1] < f[1:]) | ((f[:-1] == f[1:]) & (i[:-1] <= i[1:]))).all())
 
 
+#: The message of the first rule of :func:`_row_rules`, which
+#: :class:`BoxEntry` checks on its own frame too.
+_FIRST_FRAME = "frame index must be >= 1, got {}"
+
+
 def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray, code: np.ndarray,
                num_frames: int | None = None, unique: bool = False,
                ) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
@@ -162,7 +167,7 @@ def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray, code: 
     for the key rule.
     """
     with np.errstate(all="ignore"):
-        rules = [("frame", frame < 1, lambda i: f"frame index must be >= 1, got {frame[i]}")]
+        rules = [("frame", frame < 1, lambda i: _FIRST_FRAME.format(frame[i]))]
         if num_frames is not None:
             rules.append(("frame", frame > num_frames,
                           lambda i: f"frame {frame[i]} outside [1, {num_frames}]"))
@@ -342,7 +347,7 @@ class BoxEntry:
 
     def __post_init__(self) -> None:
         if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
+            raise ValueError(_FIRST_FRAME.format(self.frame))
 
     @property
     def is_active(self) -> bool:

@@ -52,7 +52,7 @@ from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assign
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
-from motbench.ingest import _INT64_LIMIT, FileKind, FormatVariant, ParseError, logger
+from motbench.ingest import FileKind, FormatVariant, ParseError, logger
 from motbench.model import (
     _GEOMETRY_LIMIT, _PAIR_BUDGET, Box, BoxEntry, ObjectClass, Rows, SequenceData, _geometry,
 )
@@ -585,11 +585,16 @@ def _number(token: str, line_no: int, what: str) -> float:
     return value
 
 
+# float64, the parser's number type, holds every integer below 2**53 exactly
+# and rounds some above it, so a frame, id or class token must stay below it.
+_INT_LIMIT = 2.0**53
+
+
 def _integer(token: str, line_no: int, what: str) -> int:
     value = _number(token, line_no, what)
     if value != int(value):
         raise ParseError(f"{what} must be an integer, got {token!r}", line_no)
-    if abs(value) >= _INT64_LIMIT:
+    if abs(value) >= _INT_LIMIT:
         raise ParseError(f"{what} out of range, got {token!r}", line_no)
     return int(value)
 

@@ -16,6 +16,7 @@ import pytest
 from motbench.assignment import (
     MatchingConfig,
     _edge_components,
+    _solve_lists,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
@@ -527,6 +528,80 @@ class TestSolveAssignment:
         row_id, col_id = rng.sample(range(1000), 1000), rng.sample(range(1000), 1000)
         step = np.arange(1000)
         check(np.take(row_id, np.r_[step, step[1:]]), np.take(col_id, np.r_[step, step[:-1]]))
+
+
+#: Overlaps of integer-pixel boxes at or above 0.5, few enough that equal
+#: costs are everywhere.
+_GRID_IOUS = (1 / 2, 4 / 7, 3 / 5, 2 / 3, 3 / 4, 1.0)
+
+
+def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float]], list[int]]:
+    """One frame's conflicting edges as ``(row, col, iou)``, and its component sizes.
+
+    Each component has rows and columns of its own: a star on a row or a
+    column, 2 x 2 mirrored twins (each pair's overlap equals its mirror's),
+    a chain alternating row and column, a random block or one edge; each
+    holds 1 to 12 edges.  Ids are shuffled across the components and the
+    edges come in (row, col) order, as a conflict frame has them, or shuffled.
+    """
+    edges, sizes, n_rows, n_cols = [], [], 0, 0
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["row star", "col star", "twins", "chain", "block", "single"])
+        iou = lambda: rng.choice(_GRID_IOUS)  # noqa: E731
+        if kind in ("row star", "col star"):
+            k = rng.randint(2, 12)
+            part = [(0, c, iou()) for c in range(k)]
+            if kind == "col star":
+                part = [(c, 0, o) for _, c, o in part]
+        elif kind == "twins":
+            a, b = iou(), iou()
+            part = [(0, 0, a), (0, 1, b), (1, 0, b), (1, 1, a)]
+        elif kind == "chain":
+            k = rng.randint(1, 12)
+            part = [((e + 1) // 2, e // 2, iou()) for e in range(k)]
+        elif kind == "block":
+            h, w = rng.randint(1, 3), rng.randint(1, 3)
+            cells = [(i, j) for i in range(h) for j in range(w)]
+            # a spanning path keeps the block one component
+            path = [(i, i) for i in range(min(h, w))] + [(i, 0) for i in range(w, h)]
+            path += [(0, j) for j in range(h, w)] + [(i, i - 1) for i in range(1, min(h, w))]
+            extra = [c for c in cells if c not in path and rng.random() < 0.5]
+            part = [(i, j, iou()) for i, j in sorted(set(path + extra))]
+        else:
+            part = [(0, 0, iou())]
+        edges += [(n_rows + i, n_cols + j, o) for i, j, o in part]
+        n_rows += max(i for i, _, _ in part) + 1
+        n_cols += max(j for _, j, _ in part) + 1
+        sizes.append(len(part))
+    row_id, col_id = rng.sample(range(n_rows), n_rows), rng.sample(range(n_cols), n_cols)
+    edges = [(row_id[i], col_id[j], o) for i, j, o in edges]
+    if rng.random() < 0.5:
+        edges.sort()
+    else:
+        rng.shuffle(edges)
+    return edges, sizes
+
+
+class TestSolveLists:
+    def test_picks_the_edges_of_solve_assignment(self):
+        # The split of conflict frames, over Python lists, must take exactly
+        # the edges of the numpy split on tie-heavy frames, ranks i * m + j
+        # as match ranks them.
+        rng = random.Random(2222)
+        sizes = set()
+        for _ in range(2400):
+            edges, frame_sizes = _conflict_frame(rng)
+            sizes.update(frame_sizes)
+            rows = [i for i, _, _ in edges]
+            cols = [j for _, j, _ in edges]
+            cost = [1.0 - o for _, _, o in edges]
+            m = max(cols) + 1
+            rank = [i * m + j for i, j in zip(rows, cols)]
+            expected = solve_assignment(np.array(rows), np.array(cols), np.array(cost),
+                                        np.array(rank))
+            assert _solve_lists(rows, cols, cost, rank) == expected, edges
+        assert sizes == set(range(1, 13))
+        assert _solve_lists([], [], [], []) == []
 
 
 class TestEdgeComponents:

@@ -230,13 +230,28 @@ class TestParse:
         ("1, 1e19, 1, 1, 5, 5, 1, -1, -1", "id"),
         ("1, -9223372036854775808, 1, 1, 5, 5, 1, -1, -1", "id"),
         ("9.3e18, 1, 1, 1, 5, 5, 1, -1, -1", "frame"),
+        # float64 holds every integer below 2**53 and rounds some above it
+        ("1, 9007199254740993, 0, 0, 10, 10, 1, -1, -1", "id"),
+        ("1, -9007199254740992, 1, 1, 5, 5, 1, -1, -1", "id"),
+        ("9007199254740992, 1, 1, 1, 5, 5, 1, -1, -1", "frame"),
     ])
-    def test_integer_beyond_int64_names_its_line(self, line, field):
+    def test_integer_of_magnitude_2_53_or_more_names_its_line(self, line, field):
         text = "1, 1, 1, 1, 5, 5, 1, -1, -1\n" + line
         token = line.split(", ")[0 if field == "frame" else 1]
         with pytest.raises(ParseError) as err:
             parse_file(text, *RES_16)
         assert str(err.value) == f"line 2: {field} out of range, got {token!r}"
+
+    def test_ids_that_round_to_one_float_are_out_of_range_not_duplicates(self):
+        # read as float64, both ids became 2**53: "line 3: duplicate (frame,
+        # id) pair", and the first alone parsed as id 2**53 without an error
+        text = ("1,9007199254740991,0,0,10,10,1,-1,-1\n1,9007199254740993,0,0,10,10,1,-1,-1\n"
+                "1,9007199254740992,0,0,10,10,1,-1,-1\n")
+        with pytest.raises(ParseError) as err:
+            parse_file(text, *RES_16)
+        assert str(err.value) == "line 2: id out of range, got '9007199254740993'"
+        (e,) = parse_file(text.splitlines()[0], *RES_16)
+        assert (e.frame, e.track_id) == (1, 2**53 - 1)  # the largest id float64 holds exactly
 
     def test_lenient_repair_warnings_name_the_file(self, tmp_path, caplog):
         text = "1, 1, 0, 0, 5, 5, 1, 77, 1\n2, 1, 0, 0, 5, 5, 1, 1, 1.5\n"
@@ -324,7 +339,8 @@ class TestParse:
 
 # Tokens on which a columnar conversion could disagree with the row loop.
 EDGE_TOKENS = ("nan", "-inf", "Infinity", "x", "", "1e19", "-1e19", "9.3e18",
-               "9223372036854775807", "-9223372036854775808", "1e300", "1e308", "1e154",
+               "9223372036854775807", "-9223372036854775808", "9007199254740991",
+               "9007199254740992", "-9007199254740993", "1e300", "1e308", "1e154",
                "-8.9e307", "1e-200", "5e-324", "1_0", "\u0661", "\uff11", "#", "1#2",
                "'1'", '"1"', "0x10", "1d5", " 4 ", "\xa04\xa0", "\x1f1", "-0", "0.5",
                "1.5", "13", "99", "-1", "0")
@@ -566,6 +582,8 @@ class TestWrite:
         (1, 1, (float("inf"), 0, 10, 10), 1, "box right edge, bottom edge or area is not finite"),
         (1, 1, (0, 0, 1e154, 1e154), 1, "box edge or area beyond 2**1022"),
         (1, 2**53 + 1, (0, 0, 10, 10), 1, "frame or id beyond 2**53"),
+        (1, 2**53, (0, 0, 10, 10), 1, "frame or id beyond 2**53 - 1"),
+        (2**53, 1, (0, 0, 10, 10), 1, "frame or id beyond 2**53 - 1"),
         (1, 1, (0, 0, 10, 10), float("inf"), "confidence inf not finite"),
     ])
     def test_rejects_rows_the_parser_would_not_read_back(self, frame, track_id, ltwh, conf,
