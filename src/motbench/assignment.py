@@ -31,17 +31,15 @@ with the most pairs and the lowest total cost, the lowest summed rank
 ``i * m + j`` wins, where target ``i`` and hypothesis ``j`` are positions in
 track-id order and ``m`` counts the candidate hypotheses; permutations of the
 same targets and hypotheses, which tie on that sum, pair them in id order.
-Cost differences below 1e-9 count as ties.  A matching problem is split
-before it is solved: each pair that shares no box with another pair is
-taken directly, and every other connected component of the pairs is solved
-on its own by :func:`_solve_component`, so a target without any feasible
-pair cannot disturb the others' ties.  The split has two entry points with
-the same result.  :func:`solve_assignment`, the bulk path of the
-neutral-class filter and the identity solve, labels the components of its
-numpy columns in one labelling.  :func:`_solve_lists`, the path of a frame
-with conflicting pairs, splits that frame's few pairs, held in Python
-lists, with a plain-Python union-find, so a frame costs what its pairs cost
-and no numpy set-up.
+A cost difference of 1e-9 or more always decides before rank; a smaller
+one may decide or tie.  A matching problem is split before it is solved:
+:func:`solve_assignment`, the one splitter of the neutral-class filter, the
+frames with conflicting pairs and the identity solve, labels the pairs'
+connected components with a plain-Python union-find over Python lists.
+Each pair that shares no box with another pair is taken directly, and every
+other component is solved on its own by :func:`_solve_component`, so a
+target without any feasible pair cannot disturb the others' ties, and a
+frame of a few pairs costs what its pairs cost.
 
 Evaluation runs the protocol on a whole sequence at once.
 :func:`preprocess_sequence` (step 1) takes the pairs at or above the
@@ -233,70 +231,49 @@ def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_assignment(
-    rows: np.ndarray, cols: np.ndarray, cost: np.ndarray, rank: np.ndarray,
+    rows: list[int], cols: list[int], cost: list[float], rank: list[int],
     *, most_pairs: bool = True,
 ) -> list[int]:
     """Optimal matching over a sparse list of feasible edges.
 
     Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (non-negative
-    integer ids, one id space per side) at ``cost[e]``.  The chosen matching
-    uses only these edges and has the most pairs, then the lowest total cost,
-    then the lowest summed ``rank``; among permutations of the same rows and
-    columns, which tie on summed rank, it pairs them in order.  With
-    ``most_pairs=False`` the number of pairs does not count: any node may stay
-    unmatched at cost 0 and rank 0, so the lowest total cost comes first.
-    Every cost must then be negative, so that a pair always beats leaving
-    both its ends unmatched.  Cost differences below the resolution of the
-    costs, 1 for integer costs and 1e-9 otherwise, count as ties.  Returns
-    the indices of the chosen edges in ascending order.
+    integer ids, one id space per side) at ``cost[e]``; all four are Python
+    lists.  The chosen matching uses only these edges and has the most
+    pairs, then the lowest total cost, then the lowest summed ``rank``;
+    among permutations of the same rows and columns, which tie on summed
+    rank, it pairs them in order.  With ``most_pairs=False`` the number of
+    pairs does not count: any node may stay unmatched at cost 0 and rank 0,
+    so the lowest total cost comes first.  Every cost must then be
+    negative, so that a pair always beats leaving both its ends unmatched.
+    A cost difference of at least the resolution of the costs, 1 for
+    integer costs and 1e-9 otherwise, always decides before rank; a smaller
+    one may decide or tie.  Returns the indices of the chosen edges in
+    ascending order.
 
-    This is the bulk entry point of the split, for the large edge lists of
-    the neutral-class filter and the identity solve; :func:`_solve_lists` is
-    the same split over Python lists, for the few edges of a conflict frame.
-    An edge that shares neither endpoint with another edge is its own
-    matching and is taken directly.  The other edges are split into the
-    connected components of their graph by one numpy labelling
-    (:func:`_edge_components`), and each component is solved on its own by
-    shortest augmenting paths over its edge lists
-    (:func:`_shortest_augmenting_paths`); no dense matrix is built.  Each
-    node of the searching side has a slack column of its own, taken when the
-    node stays unmatched.  Its key is the penalty for a missing pair, sized
-    from that component, small enough that every tie-break level stays above
-    rounding error; with ``most_pairs=False`` it is the key of a cost-0,
-    rank-0 edge.
+    The edges are split into the connected components of their graph by a
+    plain-Python union-find with path halving (Tarjan & van Leeuwen 1984),
+    so the split costs what the edges cost and makes no numpy call.  Its
+    parent pointers are one list indexed by node id, column ``c`` stored at
+    ``max(rows) + 1 + c``, and only the edges' ends are set.  So memory
+    grows by one pointer per id up to the largest: callers pass positions,
+    not raw track ids.  A component of one edge is its own
+    matching and is taken as it is.  Every other component is solved on its
+    own, with its edges in ascending order, by shortest augmenting paths
+    over its edge lists (:func:`_solve_component`); no dense matrix is
+    built.  Each node of the searching side has a slack column of its own,
+    taken when the node stays unmatched.  Its key is the penalty for a
+    missing pair, sized from that component, small enough that every
+    tie-break level stays above rounding error; with ``most_pairs=False``
+    it is the key of a cost-0, rank-0 edge.
     """
-    free = _free(rows, cols)
-    if free.all():
-        return list(range(len(rows)))  # the edges already form a matching
-    rest = np.flatnonzero(~free)
-    label = _edge_components(rows[rest], cols[rest])
-    order = np.argsort(label, kind="stable")  # each component's edges stay ascending
-    components = np.split(rest[order], np.flatnonzero(np.diff(label[order])) + 1)
-    row_list, col_list = rows.tolist(), cols.tolist()
-    cost_list, rank_list = cost.tolist(), rank.tolist()
-    chosen = np.flatnonzero(free).tolist()
-    for edges in components:
-        chosen += _solve_component(edges.tolist(), row_list, col_list, cost_list, rank_list,
-                                   most_pairs=most_pairs)
-    chosen.sort()
-    return chosen
-
-
-def _solve_lists(rows: list[int], cols: list[int], cost: list[float], rank: list[int],
-                 ) -> list[int]:
-    """:func:`solve_assignment` over Python lists: the split of a conflict frame.
-
-    Picks the same edges as the numpy split, with the same components passed
-    to :func:`_solve_component`, at a cost that follows the edges alone: no
-    numpy call, so a frame of a few edges pays no fixed set-up.  A
-    plain-Python union-find over the rows and the columns (stored as
-    ``~col``, apart from the rows) labels the edges; a component of one edge
-    is taken as it is, and each other component is solved with its edges in
-    ascending order.  Returns the chosen edges in ascending order.
-    """
-    up: dict[int, int] = {}
-    for row, col in zip(rows, cols):
-        a, b = up.setdefault(row, row), up.setdefault(~col, ~col)
+    if not rows:
+        return []
+    shift = max(rows) + 1
+    ends = [c + shift for c in cols]
+    up = [0] * (shift + max(cols) + 1)  # only the slots of the edges' ends are read
+    for a, b in zip(rows, ends):
+        up[a], up[b] = a, b
+    for a, b in zip(rows, ends):
         while a != up[a]:
             up[a] = a = up[up[a]]
         while b != up[b]:
@@ -309,7 +286,8 @@ def _solve_lists(rows: list[int], cols: list[int], cost: list[float], rank: list
         components.setdefault(a, []).append(e)
     chosen: list[int] = []
     for edges in components.values():
-        chosen += edges if len(edges) == 1 else _solve_component(edges, rows, cols, cost, rank)
+        chosen += edges if len(edges) == 1 else _solve_component(
+            edges, rows, cols, cost, rank, most_pairs=most_pairs)
     chosen.sort()
     return chosen
 
@@ -367,7 +345,8 @@ def preprocess_sequence(
         r_lo = np.searchsorted(res.frame, frame)
         i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
         m = np.searchsorted(res.frame, frame, "right") - r_lo
-        chosen = hot[solve_assignment(g[hot], r[hot], 1.0 - overlap[hot], i * m + j)]
+        chosen = hot[solve_assignment(g[hot].tolist(), r[hot].tolist(),
+                                      (1.0 - overlap[hot]).tolist(), (i * m + j).tolist())]
         kept[r[chosen[neutral[chosen]]]] = False
     scoreable = gt.scoreable
     scoring = scoreable[g] & kept[r]
@@ -412,10 +391,11 @@ def _match(table: EdgeTable) -> np.ndarray:
     (:func:`_carryover_links`) and each such frame's slices of its
     conflicting edges and of its linked edges.  Carryover (step 2) takes the
     linked edges whose link is matched, free edges too, as they move the
-    others' positions.  Step 3 is one
-    :func:`_solve_lists` over the frame's conflicting edges that share no
-    end with a carried edge, ranked ``i * m + j`` by position among the ids
-    that no carried edge took.
+    others' positions.  Step 3 is one :func:`solve_assignment` over the
+    frame's conflicting edges that share no end with a carried edge, ranked
+    ``i * m + j`` by position among the ids that no carried edge took.
+    Those positions are its rows and columns, so the splitter's id-indexed
+    list is as short as the frame's boxes.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
     free = _free(g, r)
@@ -456,7 +436,7 @@ def _match(table: EdgeTable) -> np.ndarray:
         cols = [conflict_r[k] - bisect_left(taken_r, conflict_r[k]) for k in rest]
         m = n_res - len(carried)
         rank = [i * m + j for i, j in zip(rows, cols)]
-        for k in _solve_lists(rows, cols, [cost[k] for k in rest], rank):
+        for k in solve_assignment(rows, cols, [cost[k] for k in rest], rank):
             matched[conflict[rest[k]]] = True
     return np.array(matched, dtype=bool)
 

@@ -111,7 +111,8 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     co = table.co_detections
     _, i = np.unique(table.pair_gt, return_inverse=True)
     pred_used, j = np.unique(table.pair_pred, return_inverse=True)
-    chosen = solve_assignment(i, j, -co, i * len(pred_used) + j, most_pairs=False)
+    chosen = solve_assignment(i.tolist(), j.tolist(), (-co).tolist(),
+                              (i * len(pred_used) + j).tolist(), most_pairs=False)
     idtp = int(co[chosen].sum())
     matches = tuple(zip(table.gt_ids[table.pair_gt[chosen]].tolist(),
                         table.pred_ids[table.pair_pred[chosen]].tolist()))

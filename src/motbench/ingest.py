@@ -106,7 +106,7 @@ def _as_text(source: str | bytes | IO | Path) -> str:
     """The text of a file, path, stream or buffer, without a leading byte-order mark.
 
     Raises :class:`ParseError` with the 1-based line of the first byte that
-    is not UTF-8.
+    is not UTF-8, numbered by ``str.splitlines`` as every other error is.
     """
     if isinstance(source, Path):
         source = source.read_bytes()
@@ -119,7 +119,9 @@ def _as_text(source: str | bytes | IO | Path) -> str:
     try:
         return source.decode("utf-8")
     except UnicodeDecodeError as err:
-        line_no = source.count(b"\n", 0, err.start) + 1
+        # The bytes before the bad one decode; a placeholder for it makes
+        # its line the last one.
+        line_no = len((source[:err.start].decode("utf-8") + "?").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{source[err.start]:02x}", line_no) from None
 
 

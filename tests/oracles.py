@@ -147,7 +147,8 @@ def _min_cost_matching(
     feasible = overlaps[rows, cols]
     pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
     chosen = assignment.solve_assignment(
-        rows, cols, 1.0 - feasible, rows * overlaps.shape[1] + cols)
+        rows.tolist(), cols.tolist(), (1.0 - feasible).tolist(),
+        (rows * overlaps.shape[1] + cols).tolist())
     return [pairs[e] for e in chosen]
 
 
@@ -420,11 +421,11 @@ def solve_identity_dummy_graph(table: TrackMatchTable) -> IdentityScores:
     # tracks 0..m-1, then gt dummies m..m+n-1.  Real pairs come first.
     gt_nodes, pred_nodes = np.arange(n), np.arange(m)
     chosen = solve_assignment(
-        rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]),
-        cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]),
+        rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]).tolist(),
+        cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]).tolist(),
         cost=np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
-                             np.zeros(n_pairs, dtype=np.int64)]),
-        rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]),
+                             np.zeros(n_pairs, dtype=np.int64)]).tolist(),
+        rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]).tolist(),
     )
     real = np.array([e for e in chosen if e < n_pairs], dtype=np.int64)
     idtp = int(co[real].sum())

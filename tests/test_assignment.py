@@ -16,7 +16,7 @@ import pytest
 from motbench.assignment import (
     MatchingConfig,
     _edge_components,
-    _solve_lists,
+    _solve_component,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
@@ -442,13 +442,12 @@ class TestSolveAssignment:
         # the optimum is unique: every other matching of that size drops an
         # edge of it, so it is unique when banning each chosen edge in turn
         # leaves fewer pairs or a higher cost.
-        empty = np.zeros(0, dtype=np.int64)
-        assert solve_assignment(empty, empty, empty, empty) == []
+        assert solve_assignment([], [], [], []) == []
         rng = random.Random(606)
         unique = short = 0
         for _ in range(2400):
             rows, cols, cost, rank = _random_edges(rng)
-            chosen = solve_assignment(rows, cols, cost, rank)
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist())
             assert chosen == sorted(set(chosen))
             pairs = {(int(rows[e]), int(cols[e])) for e in chosen}
             assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
@@ -465,6 +464,13 @@ class TestSolveAssignment:
                 unique += 1
                 assert pairs == expected
         assert unique > 1000 and short > 300
+
+    def test_a_cost_difference_of_the_resolution_decides_before_rank(self):
+        # Costs 0.3 + d and 0.3: at d of 1e-9 or more the cheaper edge wins
+        # even 10**6 ranks behind, on a shared row and on a shared column.
+        for d in (2e-9, 1e-8):
+            assert solve_assignment([0, 0], [0, 1], [0.3 + d, 0.3], [0, 10**6]) == [1]
+            assert solve_assignment([0, 1], [0, 0], [0.3 + d, 0.3], [0, 10**6]) == [1]
 
     def test_without_most_pairs_agrees_with_enumeration(self):
         # Any node may stay unmatched: the chosen edges must form a matching
@@ -485,7 +491,8 @@ class TestSolveAssignment:
             heavy = rng.choice([1, 2, 3, 5])
             cost = -np.array([rng.choice([1, 1, heavy]) for _ in pairs], dtype=np.int64)
             rank = (i * len(col_ids) + j) * rng.choice([1, 1, 10**4])
-            chosen = solve_assignment(rows, cols, cost, rank, most_pairs=False)
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist(),
+                                      most_pairs=False)
             assert chosen == sorted(set(chosen))
             assert len(set(rows[chosen].tolist())) == len(set(cols[chosen].tolist())) == len(chosen)
 
@@ -505,7 +512,8 @@ class TestSolveAssignment:
                 return min(options)
 
             assert (int(cost[chosen].sum()), int(rank[chosen].sum())) == best(sorted(by_row), set())
-            fewer += len(chosen) < len(solve_assignment(rows, cols, cost, rank))
+            fewer += len(chosen) < len(solve_assignment(rows.tolist(), cols.tolist(),
+                                                        cost.tolist(), rank.tolist()))
         assert fewer > 50
 
     def test_large_sparse_components_agree_with_scipy(self):
@@ -517,7 +525,8 @@ class TestSolveAssignment:
 
         def check(rows, cols):
             cost = np.array([rng.randint(0, 300) for _ in rows], dtype=np.int64)
-            chosen = solve_assignment(rows, cols, cost, rows * 4251 + cols)
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(),
+                                      (rows * 4251 + cols).tolist())
             size, total, _ = _scipy_optimum(rows, cols, cost)
             assert (len(chosen), int(cost[chosen].sum())) == (size, total)
 
@@ -535,14 +544,15 @@ class TestSolveAssignment:
 _GRID_IOUS = (1 / 2, 4 / 7, 3 / 5, 2 / 3, 3 / 4, 1.0)
 
 
-def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float]], list[int]]:
-    """One frame's conflicting edges as ``(row, col, iou)``, and its component sizes.
+def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float, int]], list[int]]:
+    """One frame's conflicting edges as ``(row, col, iou, part)``, and its component sizes.
 
     Each component has rows and columns of its own: a star on a row or a
     column, 2 x 2 mirrored twins (each pair's overlap equals its mirror's),
     a chain alternating row and column, a random block or one edge; each
-    holds 1 to 12 edges.  Ids are shuffled across the components and the
-    edges come in (row, col) order, as a conflict frame has them, or shuffled.
+    holds 1 to 12 edges, and ``part`` numbers the component of an edge.  Ids
+    are shuffled across the components and the edges come in (row, col)
+    order, as a conflict frame has them, or shuffled.
     """
     edges, sizes, n_rows, n_cols = [], [], 0, 0
     for _ in range(rng.randint(1, 4)):
@@ -569,12 +579,12 @@ def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float]], l
             part = [(i, j, iou()) for i, j in sorted(set(path + extra))]
         else:
             part = [(0, 0, iou())]
-        edges += [(n_rows + i, n_cols + j, o) for i, j, o in part]
+        edges += [(n_rows + i, n_cols + j, o, len(sizes)) for i, j, o in part]
         n_rows += max(i for i, _, _ in part) + 1
         n_cols += max(j for _, j, _ in part) + 1
         sizes.append(len(part))
     row_id, col_id = rng.sample(range(n_rows), n_rows), rng.sample(range(n_cols), n_cols)
-    edges = [(row_id[i], col_id[j], o) for i, j, o in edges]
+    edges = [(row_id[i], col_id[j], o, k) for i, j, o, k in edges]
     if rng.random() < 0.5:
         edges.sort()
     else:
@@ -582,26 +592,38 @@ def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float]], l
     return edges, sizes
 
 
-class TestSolveLists:
-    def test_picks_the_edges_of_solve_assignment(self):
-        # The split of conflict frames, over Python lists, must take exactly
-        # the edges of the numpy split on tie-heavy frames, ranks i * m + j
-        # as match ranks them.
-        rng = random.Random(2222)
+class TestSplit:
+    def test_solves_each_component_alone(self):
+        # The splitter must take exactly the edges of the components that
+        # _conflict_frame built: a part of one edge as it is, every other
+        # part solved alone by _solve_component with its edges ascending,
+        # then the union, sorted.  Tie-heavy frames, ranked i * m + j as
+        # _match ranks them, with overlap costs; then the same frames with
+        # most_pairs=False and negative integer costs, as identity has them.
+        rng, counts = random.Random(2222), random.Random(2223)
         sizes = set()
         for _ in range(2400):
             edges, frame_sizes = _conflict_frame(rng)
             sizes.update(frame_sizes)
-            rows = [i for i, _, _ in edges]
-            cols = [j for _, j, _ in edges]
-            cost = [1.0 - o for _, _, o in edges]
+            rows = [i for i, _, _, _ in edges]
+            cols = [j for _, j, _, _ in edges]
             m = max(cols) + 1
             rank = [i * m + j for i, j in zip(rows, cols)]
-            expected = solve_assignment(np.array(rows), np.array(cols), np.array(cost),
-                                        np.array(rank))
-            assert _solve_lists(rows, cols, cost, rank) == expected, edges
+            parts = defaultdict(list)
+            for e, (_, _, _, part) in enumerate(edges):
+                parts[part].append(e)
+            for most_pairs, cost in (
+                (True, [1.0 - o for _, _, o, _ in edges]),
+                (False, [-counts.randint(1, 3) for _ in edges]),
+            ):
+                expected = []
+                for part in parts.values():
+                    expected += part if len(part) == 1 else _solve_component(
+                        part, rows, cols, cost, rank, most_pairs=most_pairs)
+                chosen = solve_assignment(rows, cols, cost, rank, most_pairs=most_pairs)
+                assert chosen == sorted(expected), (edges, cost)
         assert sizes == set(range(1, 13))
-        assert _solve_lists([], [], [], []) == []
+        assert solve_assignment([], [], [], []) == []
 
 
 class TestEdgeComponents:

@@ -186,6 +186,22 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1: expected 9 columns"):
             parse_file(codecs.BOM_UTF8 + b"1,1,10,10,5,5,1,-1", *RES_16)
 
+    def test_bad_bytes_are_numbered_as_other_errors(self):
+        # a bad byte gets the line number by str.splitlines that a bad
+        # token in its place gets, for every line boundary
+        lines = ["1,1,0,0,10,10,1,-1,-1", "2,1,0,0,10,10,1,-1,-1", "3,1,x,0,10,10,1,-1,-1"]
+        for sep in ("\n", "\r\n", "\r", "\x1c", "\u2028"):
+            text = sep.join(lines)
+            with pytest.raises(ParseError, match="^line 3: malformed number 'x'"):
+                parse_file(text, *RES_16)
+            with pytest.raises(ParseError, match="^line 3: invalid UTF-8 byte 0xff$"):
+                parse_file(text.encode().replace(b"x", b"\xff"), *RES_16)
+        # a bad byte in the middle of a CR-only line, and a "\r\n" file as before
+        with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
+            parse_file(b"1,1,0,0,10,10,1,-1,-1\r2,1\xff,0,0,10,10,1,-1,-1\r", *RES_16)
+        with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
+            parse_file(b"1,1,0,0,10,10,1,-1,-1\r\n2,1\xff,0,0,10,10,1,-1,-1\r\n", *RES_16)
+
     def test_non_positive_extent(self):
         with pytest.raises(ParseError, match="non-positive"):
             parse_file("1, 1, 10, 10, 0, 5, 1, 1, 1", *GT_16)
@@ -830,6 +846,15 @@ class TestLoadSequenceSet:
         res.write_bytes(res.read_bytes().replace(b"\n2,", b"\n2\xff,", 1))
         with pytest.raises(IngestError, match=r"SEQ-01\.txt: line 2: invalid UTF-8 byte 0xff"):
             load_sequence_set(tmp_path, Benchmark.MOT16)
+
+    def test_seqmap_bad_byte_is_numbered_by_splitlines(self, tmp_path):
+        path = tmp_path / "seqmap.txt"
+        path.write_bytes(b"# comment\rSEQ-01 600\rSEQ-\xff 450\r")
+        with pytest.raises(IngestError, match=r"seqmap\.txt: line 3: invalid UTF-8 byte 0xff"):
+            read_seqmap(path)
+        path.write_bytes(b"# comment\rSEQ-01 600\rSEQ-02 abc\r")
+        with pytest.raises(IngestError, match=r"seqmap\.txt: line 3: malformed number"):
+            read_seqmap(path)
 
     def test_seqmap_with_fps_and_comments(self, tmp_path):
         path = tmp_path / "seqmap.txt"

@@ -19,7 +19,6 @@ import motbench.assignment as assignment
 import motbench.model as model
 from motbench.assignment import (
     MatchingConfig,
-    _solve_lists,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
@@ -92,28 +91,26 @@ def _conflicts(edges: list[tuple]) -> list[tuple]:
     return sorted(edge for edge in edges if rows[edge[0]] > 1 or cols[edge[1]] > 1)
 
 
+def _values(*columns) -> list[tuple]:
+    """The edges of ``solve_assignment``'s columns, lists or arrays, as Python values."""
+    return list(zip(*(np.asarray(column).tolist() for column in columns)))
+
+
 def test_conflict_solves_get_the_ranks_of_match_frame(monkeypatch):
-    # every assignment solve of the sequence pass, one _solve_lists call per
-    # conflict frame, gets the rows, columns, costs and ranks that
+    # every assignment solve of the sequence pass, one solve_assignment call
+    # per conflict frame, gets the rows, columns, costs and ranks that
     # match_frame passes to solve_assignment for that frame, positions among
     # the ids carryover left free; pairs that share no box with another pair
     # are left out on both sides, as their solve is trivial
     solves: list[list[tuple]] = []
 
-    def record(edges):
+    def spy(rows, cols, cost, rank):
+        edges = _values(rows, cols, cost, rank)
         if _conflicts(edges):
             solves.append(_conflicts(edges))
-
-    def spy(rows, cols, cost, rank):
-        record(list(zip(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist())))
         return solve_assignment(rows, cols, cost, rank)
 
-    def list_spy(rows, cols, cost, rank):
-        record(list(zip(rows, cols, cost, rank)))
-        return _solve_lists(rows, cols, cost, rank)
-
     monkeypatch.setattr(assignment, "solve_assignment", spy)
-    monkeypatch.setattr(assignment, "_solve_lists", list_spy)
     rng = random.Random(880088)
     checked = 0
     for _ in range(300):
@@ -136,7 +133,7 @@ def test_neutral_filter_solves_with_the_ranks_of_preprocess_frame(monkeypatch):
     solves: list[list[tuple]] = []
 
     def spy(rows, cols, cost, rank):
-        solves.append(list(zip(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist())))
+        solves.append(_values(rows, cols, cost, rank))
         return solve_assignment(rows, cols, cost, rank)
 
     monkeypatch.setattr(assignment, "solve_assignment", spy)
