@@ -407,9 +407,7 @@ def _match(table: EdgeTable) -> np.ndarray:
     hot = frame[conflict]
     cut = np.flatnonzero(np.diff(hot)) + 1
     hot = hot[np.r_[0, cut]]  # each frame t with a conflict, ascending
-    in_hot = np.zeros(table.num_frames + 1, dtype=bool)
-    in_hot[hot] = True
-    linked = np.flatnonzero((link >= 0) & in_hot[frame])  # the carryover candidates
+    linked = np.flatnonzero(link >= 0)  # the carryover candidates, by frame
     # Per t: its conflicting and its linked edges, as slices; t's result count.
     spans = [np.r_[0, cut], np.r_[cut, len(conflict)],
              *np.searchsorted(frame[linked], [hot, hot + 1])]

@@ -15,8 +15,10 @@ bytes for any ``--jobs`` value.
 Reports carry one row per evaluated (sequence, detector) unit plus a pooled
 OVERALL row computed from summed counts, the identity counts included.  Rows
 are ordered by tracking accuracy, best first, mirroring leaderboard tables.
-Undefined metrics render as ``N/A``; text and CSV print two decimals, JSON
-keeps full precision.
+Both reports, the leaderboard and the error analysis, print through one
+formatter: a row is a dict, JSON prints the rows, and text and CSV print
+the columns of a list of ``(heading, key)`` pairs.  Undefined metrics render
+as ``N/A``; text and CSV print two decimals, JSON keeps full precision.
 
 Exit codes: 0 success, 1 input error, 2 internal error (a worker process
 that dies included).  Poor scores are never an error.
@@ -33,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .assignment import MatchingConfig, preprocess_sequence, run_sequence
-from .clearmot import Counts, MetricsReport, accumulate, pool, summarize
+from .clearmot import Counts, accumulate, pool, summarize
 from .identity import evaluate_identity
 from .ingest import (
     Benchmark,
@@ -50,10 +52,17 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
-REPORT_COLUMNS = (
-    "MOTA", "IDF1", "MOTP", "FAR", "MT", "ML",
-    "FP", "FN", "IDSW", "FM", "IDSWR", "FMR",
-)
+# (heading, row key) of each text and CSV column; JSON prints every key
+REPORT_COLUMNS = [
+    ("Sequence", "name"), ("MOTA", "mota"), ("IDF1", "idf1"), ("MOTP", "motp"),
+    ("FAR", "far"), ("MT", "mt"), ("ML", "ml"), ("FP", "fp"), ("FN", "fn"),
+    ("IDSW", "idsw"), ("FM", "fm"), ("IDSWR", "idswr"), ("FMR", "fmr"),
+]
+ERROR_COLUMNS = [
+    ("Sequence", "sequence"), ("FP_trk", "fp_tracker"), ("FP_det", "fp_detector"),
+    ("FP_ratio", "fp_ratio"), ("FN_trk", "fn_tracker"), ("FN_det", "fn_detector"),
+    ("FN_ratio", "fn_ratio"),
+]
 
 
 def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
@@ -65,12 +74,16 @@ def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
                                idfn=identity.idfn)
 
 
-def _leaderboard(units: list[tuple[str, Counts]]) -> list[MetricsReport]:
-    """Rows per unit, best MOTA first, then the pooled OVERALL row; needs a unit."""
+def _leaderboard(units: list[tuple[str, Counts]]) -> list[dict]:
+    """Rows per unit, best MOTA first, then the pooled OVERALL row; needs a unit.
+
+    A row holds the fields of its ``MetricsReport``, in field order,
+    then ``mt_ratio`` and ``ml_ratio``.
+    """
     reports = [summarize(label, counts) for label, counts in units]
     reports.sort(key=lambda r: (r.mota is None, -(r.mota or 0.0), r.name))
     reports.append(summarize("OVERALL", pool([counts for _, counts in units])))
-    return reports
+    return [{**vars(r), "mt_ratio": r.mt_ratio, "ml_ratio": r.ml_ratio} for r in reports]
 
 
 def _cell(value) -> str:
@@ -81,19 +94,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report_row(r: MetricsReport) -> list[str]:
-    return [
-        r.name,
-        _cell(r.mota), _cell(r.idf1), _cell(r.motp), _cell(r.far),
-        _cell(r.mt), _cell(r.ml), _cell(r.fp), _cell(r.fn),
-        _cell(r.idsw), _cell(r.fm), _cell(r.idswr), _cell(r.fmr),
-    ]
-
-
-def _text_table(header: list[str], rows: list[list[str]]) -> str:
+def _text_table(table: list[list[str]]) -> str:
     """Aligned columns: the first left-justified, the rest right-justified."""
-    table = [header, *rows]
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     lines = []
     for row in table:
         cells = [row[0].ljust(widths[0])]
@@ -102,27 +105,20 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_text(reports: list[MetricsReport]) -> str:
-    return _text_table(["Sequence", *REPORT_COLUMNS], [_report_row(r) for r in reports])
+def _render(columns: list[tuple[str, str]], rows: list[dict], out_format: str) -> str:
+    """The rows as JSON, or their ``columns`` as a text or CSV table."""
+    if out_format == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    table = [[heading for heading, _ in columns]]
+    table += [[_cell(row[key]) for _, key in columns] for row in rows]
+    if out_format == "csv":
+        return "".join(",".join(line) + "\n" for line in table)
+    return _text_table(table)
 
 
-def render_csv(reports: list[MetricsReport]) -> str:
-    lines = [",".join(["Sequence", *REPORT_COLUMNS])]
-    lines += [",".join(_report_row(r)) for r in reports]
-    return "\n".join(lines) + "\n"
-
-
-def render_json(reports: list[MetricsReport]) -> str:
-    payload = []
-    for r in reports:
-        row = dataclasses.asdict(r)
-        row["mt_ratio"] = r.mt_ratio
-        row["ml_ratio"] = r.ml_ratio
-        payload.append(row)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-_RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
+_RENDERERS = {fmt: functools.partial(_render, REPORT_COLUMNS, out_format=fmt)
+              for fmt in ("text", "csv", "json")}
+render_error_analysis = functools.partial(_render, ERROR_COLUMNS)
 
 
 def _detections_as_tracker(data: SequenceData) -> SequenceData:
@@ -226,23 +222,6 @@ def _run_sequences(task, sizes: list[int], jobs: int) -> list[tuple[str, object]
             raise outcome
         units += outcome
     return units
-
-
-def render_error_analysis(rows: list[dict], out_format: str) -> str:
-    header = ["Sequence", "FP_trk", "FP_det", "FP_ratio", "FN_trk", "FN_det", "FN_ratio"]
-    if out_format == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    table = [
-        [
-            row["sequence"],
-            str(row["fp_tracker"]), str(row["fp_detector"]), _cell(row["fp_ratio"]),
-            str(row["fn_tracker"]), str(row["fn_detector"]), _cell(row["fn_ratio"]),
-        ]
-        for row in rows
-    ]
-    if out_format == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in table]) + "\n"
-    return _text_table(header, table)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -27,9 +27,9 @@ non-ASCII digits), a per-token reader fills the same table from ``float()``
 of each stripped token and marks the tokens it refuses; it stops after the
 first line whose column count or tokens the rules reject.  Each rule is then
 a mask over the lines.  A line meets the rules in a fixed order: its column
-count, then field by field (malformed, not finite, not an integer, beyond
-int64, then the field's own rules such as frame bounds or box geometry),
-and last the duplicate (frame, id) rule.  The error names the first line
+count, then field by field (malformed, not finite, not an integer, of
+magnitude 2**53 or more, then the field's own rules such as frame bounds or
+box geometry), and last the duplicate (frame, id) rule.  The error names the first line
 that breaks a rule, by its 1-based number, with the first rule it breaks
 there.  Lenient repairs on the lines before it, and on that line before
 that rule, are logged first, in line order.  ``tests/oracles.py`` keeps a
@@ -267,10 +267,12 @@ def parse_file(
             visibility = np.clip(shown, 0.0, 1.0)  # values in [0, 1], -0.0 too, stay as read
 
         # The shared row rules, at their fields; the class rule above is the
-        # files' own, stricter one.  Detection files share the id -1.
+        # files' own, stricter one, and the finiteness rule above covers the
+        # confidence and the visibility.  Detection files share the id -1.
         at = {"frame": 0, "box": 5, "key": len(fields)}
         for step, (name, failing, message) in enumerate(_row_rules(
-                frame, track_id, ltwh, code, num_frames, kind is not FileKind.DETECTION), start=4):
+                frame, track_id, ltwh, columns[6], code, visibility, num_frames,
+                kind is not FileKind.DETECTION), start=4):
             if name in at:
                 check(at[name], step, failing, lambda i, j, message=message: message(i))
 
@@ -317,10 +319,10 @@ def write_result_file(
     :func:`parse_file` reads back as they are get written: ``ValueError``
     names the first row that breaks a rule of a result file's rows
     (:func:`~motbench.model._row_rules`: frame at least 1, box geometry,
-    class code, a (frame, id) key of its own), then the first with a
-    negative track id (writers must supply assigned identities), a frame or
-    id of 2**53 or more (the parser rejects it) or a confidence that is not
-    finite.
+    finite confidence, class code, finite visibility, a (frame, id) key of
+    its own), then the first with a negative track id (writers must supply
+    assigned identities) or a frame or id of 2**53 or more (the parser
+    rejects it).
     """
     rows = Rows.of(entries).sorted()
     _check_rows(rows, "result", unique=True)
@@ -331,9 +333,9 @@ def write_result_file(
     ):
         if track_id < 0:
             raise ValueError(f"result entry at frame {frame} has unassigned track id {track_id}")
-        if max(frame, track_id) >= _INT_LIMIT or confidence - confidence != 0:
+        if max(frame, track_id) >= _INT_LIMIT:
             raise ValueError(f"result entry at frame {frame}, id {track_id}: frame or id "
-                             f"beyond 2**53 - 1, or confidence {confidence} not finite")
+                             "beyond 2**53 - 1")
         fields = [str(frame), str(track_id), *map(_fmt, ltwh), _fmt(confidence)]
         fields += ["-1", "-1", "-1"] if variant is FormatVariant.MOT15 else ["-1", "-1"]
         lines.append(",".join(fields))

@@ -12,12 +12,13 @@ lies in a window that every pair at the threshold falls in, in blocks of a
 bounded number of such candidates.
 
 A row's values meet one rule set, :func:`_row_rules`: a frame of at least 1
-and within the sequence, the box geometry of :func:`_geometry_rules`, a class
-code of :class:`ObjectClass`, and a (frame, id) key of its own where keys
-must be unique.  The parser takes its frame, geometry and key rules from it;
-:class:`SequenceData`, the detector sweep and the result writer check rows
-built in code with :func:`_check_rows`; :class:`Box` checks its own floats
-with the geometry rules.  So a box that one of them accepts, all accept.
+and within the sequence, the box geometry of :func:`_geometry_rules`, a
+finite confidence, a class code of :class:`ObjectClass`, a finite
+visibility, and a (frame, id) key of its own where keys must be unique.  The
+parser takes its frame, geometry and key rules from it; :class:`SequenceData`,
+the detector sweep and the result writer check rows built in code with
+:func:`_check_rows`; :class:`Box` checks its own floats with the geometry
+rules.  So a box that one of them accepts, all accept.
 
 A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
 by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
@@ -150,21 +151,23 @@ def _in_order(f: np.ndarray, i: np.ndarray) -> bool:
 _FIRST_FRAME = "frame index must be >= 1, got {}"
 
 
-def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray, code: np.ndarray,
+def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray,
+               confidence: np.ndarray, code: np.ndarray, visibility: np.ndarray,
                num_frames: int | None = None, unique: bool = False,
                ) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
     """The rules of a row's values, in the order the parser applies them on a line.
 
-    The rows are given as the :class:`Rows` columns ``frame``, ``track_id``,
-    ``ltwh`` and ``object_class`` (``code``).  Per rule, the field it checks
-    (``"frame"``, ``"box"``, ``"class"`` or ``"key"``), the mask of the rows
-    that break it and its message for a row: the frame at least 1, and at
-    most ``num_frames`` when it is given; the four rules of
-    :func:`_geometry_rules`; a class code inside :class:`ObjectClass`; and,
-    when ``unique`` is set, no (frame, id) key that an earlier row holds.  A
-    row that breaks a rule may hold any value in the later ones.  Rows
-    already in (frame, id) order cost a linear pass; others are sorted once
-    for the key rule.
+    The rows are given as the :class:`Rows` columns, in their order, with
+    ``code`` for ``object_class``.  Per rule, the field it checks
+    (``"frame"``, ``"box"``, ``"confidence"``, ``"class"``,
+    ``"visibility"`` or ``"key"``), the mask of the rows that break it and
+    its message for a row: the frame at least 1, and at most ``num_frames``
+    when it is given; the four rules of :func:`_geometry_rules`; a finite
+    confidence; a class code inside :class:`ObjectClass`; a finite
+    visibility; and, when ``unique`` is set, no (frame, id) key that an
+    earlier row holds.  A row that breaks a rule may hold any value in the
+    later ones.  Rows already in (frame, id) order cost a linear pass;
+    others are sorted once for the key rule.
     """
     with np.errstate(all="ignore"):
         rules = [("frame", frame < 1, lambda i: _FIRST_FRAME.format(frame[i]))]
@@ -173,8 +176,12 @@ def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray, code: 
                           lambda i: f"frame {frame[i]} outside [1, {num_frames}]"))
         rules += [("box", failing, lambda i, message=message: message.format(*ltwh[i, 2:]))
                   for failing, message in _geometry_rules(*ltwh.T[2:], *_geometry(ltwh))]
-    rules.append(("class", (code < ObjectClass.OTHER) | (code > ObjectClass.REFLECTION),
-                  lambda i: f"unknown class code {code[i]}"))
+    rules += [("confidence", ~np.isfinite(confidence),
+               lambda i: f"confidence {confidence[i]} not finite"),
+              ("class", (code < ObjectClass.OTHER) | (code > ObjectClass.REFLECTION),
+               lambda i: f"unknown class code {code[i]}"),
+              ("visibility", ~np.isfinite(visibility),
+               lambda i: f"visibility {visibility[i]} not finite")]
     if unique:
         order = slice(None) if _in_order(frame, track_id) else np.lexsort((track_id, frame))
         f, t = frame[order], track_id[order]
@@ -192,7 +199,7 @@ def _check_rows(rows: Rows, what: str, num_frames: int | None = None, unique: bo
     the row breaks.
     """
     faults = [(int(f.argmax()), m) for _, f, m in _row_rules(
-        rows.frame, rows.track_id, rows.ltwh, rows.object_class, num_frames, unique) if f.any()]
+        *vars(rows).values(), num_frames, unique) if f.any()]
     if faults:
         i, rule = min(faults, key=lambda fault: fault[0])  # the first rule among ties
         raise ValueError(f"{what} entry at frame {rows.frame[i]}, id {rows.track_id[i]}: {rule(i)}")
@@ -427,9 +434,10 @@ class SequenceData:
     of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`.  Every row
     must meet the rules the parser holds a file's rows to
     (:func:`_row_rules`): a frame in ``[1, num_frames]``, the box geometry, a
-    class code of :class:`ObjectClass`, and, outside detections, a
-    (frame, id) key of its own.  The first row in (frame, id) order that
-    breaks one raises ``ValueError`` with the first rule it breaks.
+    finite confidence, a class code of :class:`ObjectClass`, a finite
+    visibility, and, outside detections, a (frame, id) key of its own.  The
+    first row in (frame, id) order that breaks one raises ``ValueError`` with
+    the first rule it breaks.
     """
 
     name: str

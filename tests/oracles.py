@@ -6,7 +6,8 @@ between the two routes is meaningful.  They are only practical for a handful
 of tracks and frames.  :func:`per_frame_counts` is the frame-by-frame reading
 of the count definitions that ``accumulate`` computes from columns.
 :func:`pr_curve_rescored` is the threshold-by-threshold PR sweep, with its
-own copy of the greedy frame matcher.  :func:`iou` is the scalar overlap of
+own copies of the greedy frame matcher and of the 11-point AP
+(:func:`eleven_point_ap`).  :func:`iou` is the scalar overlap of
 two boxes, which ``model._edges`` must equal bit for bit; the dense matrices
 of the per-frame routes come from that pass (``conftest.iou_matrix``).
 :func:`edges_all_pairs` is that pass as it was before it scored only the
@@ -50,7 +51,7 @@ import numpy as np
 import motbench.assignment as assignment
 from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
-from motbench.deteval import GroundTruthMode, PRCurve, PRPoint, _eleven_point_ap
+from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
 from motbench.ingest import FileKind, FormatVariant, ParseError, logger
 from motbench.model import (
@@ -511,6 +512,17 @@ def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:
     return len(used_d)
 
 
+def eleven_point_ap(points: Sequence[PRPoint]) -> float:
+    """The 11-point AP of a curve, transcribed from its definition.
+
+    The mean, over recall levels 0, 10, ..., 100, of the best precision at a
+    recall of at least the level less 1e-9; a level the curve never reaches
+    counts 0.
+    """
+    return sum(max((p.precision for p in points if p.recall >= level - 1e-9), default=0.0)
+               for level in range(0, 101, 10)) / 11.0
+
+
 def pr_curve_rescored(
     detections: Rows | Iterable[BoxEntry],
     gt: Rows | Iterable[BoxEntry],
@@ -560,7 +572,7 @@ def pr_curve_rescored(
     curve_points = tuple(points)
     return PRCurve(
         points=curve_points,
-        ap=_eleven_point_ap(curve_points),
+        ap=eleven_point_ap(curve_points),
         operating_point=curve_points[-1] if curve_points else None,
     )
 

@@ -433,6 +433,59 @@ class TestValidate:
         )
 
 
+def two_frame_tree(tmp_path):
+    # frame 1: gt at 0 and 40; detections hit only the first, plus one
+    # garbage box; frame 2: gt at 0, detection misses it entirely.
+    gt_entries = [gt(1, 1, 0, 0), gt(1, 2, 40, 0), gt(2, 1, 0, 0)]
+    detections = [det(1, 0, 0, conf=0.9), det(1, 200, 200, conf=0.8),
+                  det(2, 300, 300, conf=0.7)]
+    # tracker: follows gt 1 in both frames and invents one box in frame 2
+    results = [hyp(1, 5, 0, 0), hyp(2, 5, 0, 0), hyp(2, 6, 250, 250)]
+    return write_benchmark_tree(tmp_path, [seq("SEQ-01", 2, gt_entries, results, detections)])
+
+
+def test_both_reports_print_pinned_bytes(tmp_path):
+    # the leaderboard and the error analysis of the two-frame fixture, in
+    # every format: text and CSV byte for byte, JSON key by key in order
+    root = two_frame_tree(tmp_path)
+
+    def report(command, fmt):
+        out = tmp_path / f"{command}.{fmt}"
+        assert main([command, "--benchmark", "MOT16", "--gt", str(root),
+                     "--res", str(root / "res"), "--format", fmt, "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+    assert report("evaluate", "text") == (
+        "Sequence   MOTA   IDF1    MOTP   FAR  MT  ML  FP  FN  IDSW  FM  IDSWR   FMR\n"
+        "SEQ-01    33.33  66.67  100.00  0.50   1   1   1   1     0   0   0.00  0.00\n"
+        "OVERALL   33.33  66.67  100.00  0.50   1   1   1   1     0   0   0.00  0.00\n")
+    assert report("evaluate", "csv") == (
+        "Sequence,MOTA,IDF1,MOTP,FAR,MT,ML,FP,FN,IDSW,FM,IDSWR,FMR\n"
+        "SEQ-01,33.33,66.67,100.00,0.50,1,1,1,1,0,0,0.00,0.00\n"
+        "OVERALL,33.33,66.67,100.00,0.50,1,1,1,1,0,0,0.00,0.00\n")
+    third, two_thirds = 100 / 3, 200 / 3
+    leaderboard = [
+        ("mota", third), ("motp", 100.0), ("far", 0.5), ("recall", two_thirds),
+        ("precision", two_thirds), ("mt", 1), ("pt", 0), ("ml", 1), ("gt_tracks", 2),
+        ("fp", 1), ("fn", 1), ("idsw", 0), ("fm", 0), ("idswr", 0.0), ("fmr", 0.0),
+        ("frames", 2), ("gt_total", 3), ("idf1", two_thirds), ("idp", two_thirds),
+        ("idr", two_thirds), ("mt_ratio", 0.5), ("ml_ratio", 0.5)]
+    assert [list(row.items()) for row in json.loads(report("evaluate", "json"))] == [
+        [("name", name), *leaderboard] for name in ("SEQ-01", "OVERALL")]
+    assert report("error-analysis", "text") == (
+        "Sequence  FP_trk  FP_det  FP_ratio  FN_trk  FN_det  FN_ratio\n"
+        "SEQ-01         1       2      0.50       1       2      0.50\n"
+        "TOTAL          1       2      0.50       1       2      0.50\n")
+    assert report("error-analysis", "csv") == (
+        "Sequence,FP_trk,FP_det,FP_ratio,FN_trk,FN_det,FN_ratio\n"
+        "SEQ-01,1,2,0.50,1,2,0.50\n"
+        "TOTAL,1,2,0.50,1,2,0.50\n")
+    errors = [("fp_tracker", 1), ("fp_detector", 2), ("fn_tracker", 1), ("fn_detector", 2),
+              ("fp_ratio", 0.5), ("fn_ratio", 0.5)]
+    assert [list(row.items()) for row in json.loads(report("error-analysis", "json"))] == [
+        [("sequence", name), *errors] for name in ("SEQ-01", "TOTAL")]
+
+
 class TestErrorAnalysis:
     def test_detections_as_tracker_give_unit_ratios(self, tmp_path, capsys):
         base = perfect_sequence("SEQ-01")
@@ -476,15 +529,7 @@ class TestErrorAnalysis:
         assert total["fn_tracker"] == len(base.gt)
 
     def test_hand_counted_two_frame_fixture(self, tmp_path):
-        # frame 1: gt at 0 and 40; detections hit only the first, plus one
-        # garbage box; frame 2: gt at 0, detection misses it entirely.
-        gt_entries = [gt(1, 1, 0, 0), gt(1, 2, 40, 0), gt(2, 1, 0, 0)]
-        detections = [det(1, 0, 0, conf=0.9), det(1, 200, 200, conf=0.8),
-                      det(2, 300, 300, conf=0.7)]
-        # tracker: follows gt 1 in both frames and invents one box in frame 2
-        results = [hyp(1, 5, 0, 0), hyp(2, 5, 0, 0), hyp(2, 6, 250, 250)]
-        data = seq("SEQ-01", 2, gt_entries, results, detections)
-        root = write_benchmark_tree(tmp_path, [data])
+        root = two_frame_tree(tmp_path)
         out = tmp_path / "err.json"
         assert main([
             "error-analysis", "--benchmark", "MOT16",
@@ -584,7 +629,8 @@ def test_one_pooled_record_and_a_flat_front_end():
     # reads the arguments itself
     source = inspect.getsource(cli)
     for name in ("RunConfig", "_run_config", "_load", "_emit", "cmd_evaluate",
-                 "cmd_validate", "cmd_error_analysis", "_with_identity"):
+                 "cmd_validate", "cmd_error_analysis", "_with_identity",
+                 "render_text", "render_csv", "render_json", "_report_row"):
         assert f"def {name}(" not in source and f"class {name}" not in source
         assert not hasattr(cli, name), name
     for module in (motbench, identity):
@@ -634,25 +680,33 @@ def _write_tree(root: Path, seqmap: str, gt_rows: str, res_rows: str) -> list[st
             "--res", str(root / "res"), "--format", "json"]
 
 
-def test_work_scales_with_rows_not_declared_frames(tmp_path, capsys):
-    # three rows in a sequence that declares a million frames: a track seen
-    # in the first and the last frame, matched in the last
-    args = _write_tree(tmp_path, "S-01 1000000 30\n",
-                       "1,1,10,20,30,60,1,1,1\n1000000,1,10,20,30,60,1,1,1\n",
-                       "1000000,7,10,20,30,60,1,-1,-1\n")
+@pytest.mark.parametrize("frames, gt_rows, res_rows, expected", [
+    # a track seen in the first and the last frame, matched in the last
+    (10**6, "1,1,10,20,30,60,1,1,1\n1000000,1,10,20,30,60,1,1,1\n",
+     "1000000,7,10,20,30,60,1,-1,-1\n",
+     {"gt_total": 2, "fp": 0, "fn": 1, "idsw": 0, "fm": 0, "mt": 0, "ml": 1,
+      "mota": 50.0, "motp": 100.0, "far": 0.0, "idf1": 200.0 / 3}),
+    # two targets crossing two hypotheses in frame 1, every pair overlapping:
+    # a frame with conflicting edges, which step 3 solves
+    (10**12, "1,1,10,20,30,60,1,1,1\n1,2,12,20,30,60,1,1,1\n",
+     "1,7,10,20,30,60,1,-1,-1\n1,8,12,20,30,60,1,-1,-1\n",
+     {"gt_total": 2, "fp": 0, "fn": 0, "idsw": 0, "fm": 0, "mt": 2, "ml": 0,
+      "mota": 100.0, "motp": 100.0, "far": 0.0, "idf1": 100.0}),
+], ids=["track_across_the_gap", "crossing_frame"])
+def test_work_scales_with_rows_not_declared_frames(tmp_path, capsys, frames, gt_rows,
+                                                   res_rows, expected):
+    # a few rows in a sequence that declares a million frames or more
+    args = _write_tree(tmp_path, f"S-01 {frames} 30\n", gt_rows, res_rows)
     tracemalloc.start()
     try:
         assert main(args) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a tuple or an index entry per declared frame would take over 100 MB
+    # a tuple, an index entry or a flag per declared frame would take over 100 MB
     assert peak < 5_000_000
     row = json.loads(capsys.readouterr().out)[0]
-    assert {k: row[k] for k in ("frames", "gt_total", "fp", "fn", "idsw", "fm", "mt", "ml",
-                                "mota", "motp", "far", "idf1")} == {
-        "frames": 10**6, "gt_total": 2, "fp": 0, "fn": 1, "idsw": 0, "fm": 0, "mt": 0,
-        "ml": 1, "mota": 50.0, "motp": 100.0, "far": 0.0, "idf1": 200.0 / 3}
+    assert {k: row[k] for k in ("frames", *expected)} == {"frames": frames, **expected}
 
 
 def test_repeated_unassigned_result_id_is_an_input_error(tmp_path, capsys):

@@ -211,6 +211,14 @@ class TestPrCurve:
                 "is not finite$")):
             pr_curve(**inputs)
 
+    def test_a_score_that_is_not_finite_raises(self):
+        # scores [0.9, nan] gave nan as the first threshold, out of the
+        # strictly decreasing order
+        dets = [det(1, 0, 0, conf=0.9), det(1, 40, 0, conf=float("nan"))]
+        with pytest.raises(ValueError, match=(
+                r"^detections entry at frame 1, id -1: confidence nan not finite$")):
+            pr_curve(dets, [gt(1, 1, 0, 0)])
+
     def test_score_rescaling_invariance(self):
         rng = random.Random(31)
         gts = [gt(t, i, 30 * i, 0) for t in range(1, 4) for i in (1, 2, 3)]

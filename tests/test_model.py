@@ -442,6 +442,31 @@ class TestEntriesAndSequences:
                            FormatVariant.MOT16_17, FileKind.RESULT)
             assert str(err.value) == f"line 1: {rule}"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["confidence", "visibility"])
+    @pytest.mark.parametrize("kind", ["gt", "results", "detections"])
+    def test_sequence_rejects_the_scores_the_parser_rejects(self, kind, column, value):
+        # a NaN-flagged GT box scored as active; the parser refuses the token
+        conf, vis = (value, 1) if column == "confidence" else (1, value)
+        rows = Rows([1, 2], [1, 1], [(1, 1, 10, 10)] * 2, [1, conf], [1, 1], [1, vis])
+        with pytest.raises(ValueError) as err:
+            SequenceData(name="s", num_frames=2, **{kind: rows})
+        assert str(err.value) == (f"sequence 's': {kind} entry at frame 2, id 1: "
+                                  f"{column} {value} not finite")
+        with pytest.raises(ValueError) as err:
+            parse_file(f"2,1,1,1,10,10,{conf},1,{vis}", FormatVariant.MOT16_17,
+                       FileKind.GROUND_TRUTH)
+        assert str(err.value) == f"line 1: non-finite number '{value}' in {column} field"
+
+    def test_score_rules_take_the_parser_column_order(self):
+        # box, then confidence; class, then visibility
+        rows = Rows([1], [1], [(1, 1, 0, 10)], [math.nan], [1], [1])
+        with pytest.raises(ValueError, match="non-positive box extent"):
+            SequenceData(name="s", num_frames=1, gt=rows)
+        rows = Rows([1], [1], [(1, 1, 10, 10)], [1], [99], [math.nan])
+        with pytest.raises(ValueError, match="unknown class code 99$"):
+            SequenceData(name="s", num_frames=1, gt=rows)
+
     @pytest.mark.parametrize("code", [-1, 13, 99])
     def test_sequence_rejects_class_codes_outside_object_class(self, code):
         # -1 was read as REFLECTION, a neutral class, so the GT box vanished
