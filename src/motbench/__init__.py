@@ -17,10 +17,7 @@ from .assignment import (
 from .clearmot import (
     Counts,
     MetricsReport,
-    Rates,
-    UndefinedMetricError,
     accumulate,
-    derived_rates,
     mota,
     motp,
     pool,
@@ -79,16 +76,13 @@ __all__ = [
     "PRCurve",
     "PRPoint",
     "ParseError",
-    "Rates",
     "Rows",
     "SequenceData",
     "SequenceSet",
     "TrackMatchTable",
-    "UndefinedMetricError",
     "ValidationReport",
     "accumulate",
     "build_table",
-    "derived_rates",
     "evaluate_identity",
     "export_curve",
     "load_sequence_set",

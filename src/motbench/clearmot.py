@@ -9,6 +9,10 @@ sequence and pool by plain summation, which is exactly the evaluation of all
 sequences concatenated into one.  Benchmark scores are always computed from
 pooled counts, never by averaging per-sequence scores: sequences differ
 wildly in target count, and pooling is the count-weighted average.
+
+Every score of a row is a ratio of counts, and :func:`summarize` derives
+them all.  A ratio whose denominator is zero is ``None``, which the reports
+print as ``N/A``; :func:`mota` and :func:`motp` follow the same convention.
 """
 
 from __future__ import annotations
@@ -20,11 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .assignment import EventLog
-from .identity import _scores_from_counts
-
-
-class UndefinedMetricError(ZeroDivisionError):
-    """A metric's denominator is zero for this input."""
+from .identity import _percent, _scores_from_counts
 
 
 @dataclass(frozen=True)
@@ -121,55 +121,23 @@ def pool(counts: Iterable[Counts]) -> Counts:
     return sum(counts[1:], counts[0])
 
 
-def mota(c: Counts) -> float:
+def mota(c: Counts) -> float | None:
     """Tracking accuracy in percent: 100 * (1 - (FN + FP + IDSW) / GT).
 
     Unbounded below; a tracker making more errors than there are objects
-    scores negative.
+    scores negative.  ``None`` without ground-truth boxes.
     """
     if c.gt_total <= 0:
-        raise UndefinedMetricError("MOTA undefined without ground-truth boxes")
+        return None
     return 100.0 * (1.0 - (c.fn + c.fp + c.idsw) / c.gt_total)
 
 
-def motp(c: Counts) -> float:
-    """Localization precision in percent: the mean overlap of all matches."""
-    if c.tp <= 0:
-        raise UndefinedMetricError("MOTP undefined without matches")
-    return 100.0 * c.overlap_sum / c.tp
+def motp(c: Counts) -> float | None:
+    """Localization precision in percent: the mean overlap of all matches.
 
-
-@dataclass(frozen=True)
-class Rates:
-    """Derived ratios; ``None`` marks a rate whose denominator is zero."""
-
-    far: float
-    recall: float | None
-    precision: float | None
-    idswr: float | None
-    fmr: float | None
-
-
-def derived_rates(c: Counts) -> Rates:
-    """False alarms per frame, recall, precision, and relative switch rates.
-
-    The switch and fragmentation rates are counts divided by recall expressed
-    in percent, so a tracker that recovers more targets is not punished for
-    the switches that naturally come with them.
+    ``None`` without matches.
     """
-    if c.frames <= 0:
-        raise UndefinedMetricError("rates undefined without frames")
-    recall = 100.0 * c.tp / c.gt_total if c.gt_total > 0 else None
-    precision = 100.0 * c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
-    idswr = c.idsw / recall if recall else None
-    fmr = c.fm / recall if recall else None
-    return Rates(
-        far=c.fp / c.frames,
-        recall=recall,
-        precision=precision,
-        idswr=idswr,
-        fmr=fmr,
-    )
+    return _percent(c.overlap_sum, c.tp)
 
 
 @dataclass(frozen=True)
@@ -184,7 +152,7 @@ class MetricsReport:
     name: str
     mota: float | None
     motp: float | None
-    far: float
+    far: float | None
     recall: float | None
     precision: float | None
     mt: int
@@ -199,38 +167,32 @@ class MetricsReport:
     fmr: float | None
     frames: int
     gt_total: int
-    idf1: float | None = None
-    idp: float | None = None
-    idr: float | None = None
-
-    @property
-    def mt_ratio(self) -> float | None:
-        return self.mt / self.gt_tracks if self.gt_tracks else None
-
-    @property
-    def ml_ratio(self) -> float | None:
-        return self.ml / self.gt_tracks if self.gt_tracks else None
+    idf1: float | None
+    idp: float | None
+    idr: float | None
+    mt_ratio: float | None  # mostly tracked and mostly lost shares of gt_tracks
+    ml_ratio: float | None
 
 
 def summarize(name: str, c: Counts) -> MetricsReport:
-    """Build a report row from counts, mapping undefined metrics to ``None``."""
-    rates = derived_rates(c)
-    try:
-        mota_value = mota(c)
-    except UndefinedMetricError:
-        mota_value = None
-    try:
-        motp_value = motp(c)
-    except UndefinedMetricError:
-        motp_value = None
+    """Build a report row from counts; a ratio with a zero denominator is ``None``.
+
+    Besides MOTA, MOTP and the identity scores, the row holds the false
+    alarms per frame (FAR), recall, precision, the relative switch and
+    fragmentation rates, and the mostly tracked and mostly lost shares of
+    the ground-truth tracks.  The relative rates are counts divided by
+    recall expressed in percent, so a tracker that recovers more targets is
+    not punished for the switches that naturally come with them.
+    """
+    recall = _percent(c.tp, c.gt_total)
     identity = _scores_from_counts(c.idtp, c.idfp, c.idfn)
     return MetricsReport(
         name=name,
-        mota=mota_value,
-        motp=motp_value,
-        far=rates.far,
-        recall=rates.recall,
-        precision=rates.precision,
+        mota=mota(c),
+        motp=motp(c),
+        far=c.fp / c.frames if c.frames > 0 else None,
+        recall=recall,
+        precision=_percent(c.tp, c.tp + c.fp),
         mt=c.mt,
         pt=c.pt,
         ml=c.ml,
@@ -239,11 +201,13 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         fn=c.fn,
         idsw=c.idsw,
         fm=c.fm,
-        idswr=rates.idswr,
-        fmr=rates.fmr,
+        idswr=c.idsw / recall if recall else None,
+        fmr=c.fm / recall if recall else None,
         frames=c.frames,
         gt_total=c.gt_total,
         idf1=identity.idf1,
         idp=identity.idp,
         idr=identity.idr,
+        mt_ratio=c.mt / c.gt_tracks if c.gt_tracks else None,
+        ml_ratio=c.ml / c.gt_tracks if c.gt_tracks else None,
     )

@@ -18,7 +18,8 @@ are ordered by tracking accuracy, best first, mirroring leaderboard tables.
 Both reports, the leaderboard and the error analysis, print through one
 formatter: a row is a dict, JSON prints the rows, and text and CSV print
 the columns of a list of ``(heading, key)`` pairs.  Undefined metrics render
-as ``N/A``; text and CSV print two decimals, JSON keeps full precision.
+as ``N/A``; text and CSV print two decimals, JSON keeps full precision.  CSV
+quotes a cell that holds a comma, a double quote or a line break.
 
 Exit codes: 0 success, 1 input error, 2 internal error (a worker process
 that dies included).  Poor scores are never an error.
@@ -77,13 +78,12 @@ def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
 def _leaderboard(units: list[tuple[str, Counts]]) -> list[dict]:
     """Rows per unit, best MOTA first, then the pooled OVERALL row; needs a unit.
 
-    A row holds the fields of its ``MetricsReport``, in field order,
-    then ``mt_ratio`` and ``ml_ratio``.
+    A row holds the fields of its ``MetricsReport``, in field order.
     """
     reports = [summarize(label, counts) for label, counts in units]
     reports.sort(key=lambda r: (r.mota is None, -(r.mota or 0.0), r.name))
     reports.append(summarize("OVERALL", pool([counts for _, counts in units])))
-    return [{**vars(r), "mt_ratio": r.mt_ratio, "ml_ratio": r.ml_ratio} for r in reports]
+    return [vars(r) for r in reports]
 
 
 def _cell(value) -> str:
@@ -105,6 +105,13 @@ def _text_table(table: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(cell: str) -> str:
+    """``cell`` quoted as RFC 4180 asks where it holds ``,``, ``"``, CR or LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _render(columns: list[tuple[str, str]], rows: list[dict], out_format: str) -> str:
     """The rows as JSON, or their ``columns`` as a text or CSV table."""
     if out_format == "json":
@@ -112,7 +119,7 @@ def _render(columns: list[tuple[str, str]], rows: list[dict], out_format: str) -
     table = [[heading for heading, _ in columns]]
     table += [[_cell(row[key]) for _, key in columns] for row in rows]
     if out_format == "csv":
-        return "".join(",".join(line) + "\n" for line in table)
+        return "".join(",".join(map(_csv_field, line)) + "\n" for line in table)
     return _text_table(table)
 
 

@@ -75,8 +75,9 @@ def pr_curve(
 
     Raises ``ValueError`` for a ``mode`` other than ``"tracking_gt"`` or
     ``"visible_only"``, and at the first row of either input that breaks the
-    row rules of the file format: a frame below 1, the box geometry or a
-    class code outside ``ObjectClass``.
+    row rules of the file format: a frame below 1, the box geometry, a
+    confidence that is not finite, a class code outside ``ObjectClass`` or
+    a visibility that is not finite.
     """
     MatchingConfig(iou_threshold)  # ValueError outside (0, 1]
     if mode not in get_args(GroundTruthMode):

@@ -66,15 +66,20 @@ class IdentityScores:
     matches: tuple[tuple[int, int], ...] = ()
 
 
+def _percent(part: float, whole: float) -> float | None:
+    """``part`` in percent of ``whole``; ``None`` when ``whole`` is zero."""
+    return 100.0 * part / whole if whole > 0 else None
+
+
 def _scores_from_counts(
     idtp: int, idfp: int, idfn: int, matches: tuple[tuple[int, int], ...] = ()
 ) -> IdentityScores:
-    idp = 100.0 * idtp / (idtp + idfp) if (idtp + idfp) > 0 else None
-    idr = 100.0 * idtp / (idtp + idfn) if (idtp + idfn) > 0 else None
-    denom = 2 * idtp + idfp + idfn
-    idf1 = 100.0 * 2 * idtp / denom if denom > 0 else None
     return IdentityScores(
-        idtp=idtp, idfp=idfp, idfn=idfn, idp=idp, idr=idr, idf1=idf1, matches=matches
+        idtp=idtp, idfp=idfp, idfn=idfn,
+        idp=_percent(idtp, idtp + idfp),
+        idr=_percent(idtp, idtp + idfn),
+        idf1=_percent(2 * idtp, 2 * idtp + idfp + idfn),
+        matches=matches,
     )
 
 

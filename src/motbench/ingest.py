@@ -375,8 +375,17 @@ _ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, NotImplementedError, EOFError,
                RuntimeError, IndexError, OSError)
 
 
-def _submission_files(path: Path) -> tuple[dict[str, bytes], list[str]]:
-    """'<stem>.txt' basenames mapped to contents, plus duplicated basenames."""
+def _is_result_name(base: str, expected: set[str]) -> bool:
+    """Whether a submission holds a result file under the basename ``base``.
+
+    It does under each ``expected`` name, and under every other '.txt' name
+    that is no dot file, such as an archiver's '._S1.txt'.
+    """
+    return base in expected or (base.endswith(".txt") and not base.startswith("."))
+
+
+def _submission_files(path: Path, expected: set[str]) -> tuple[dict[str, bytes], list[str]]:
+    """Result basenames mapped to contents, plus duplicated basenames."""
     files: dict[str, bytes] = {}
     duplicates: list[str] = []
     if zipfile.is_zipfile(path):
@@ -386,7 +395,7 @@ def _submission_files(path: Path) -> tuple[dict[str, bytes], list[str]]:
                     if info.is_dir():
                         continue
                     base = Path(info.filename).name
-                    if not base.endswith(".txt") or base.startswith("."):
+                    if not _is_result_name(base, expected):
                         continue
                     if base in files:
                         duplicates.append(base)
@@ -396,7 +405,7 @@ def _submission_files(path: Path) -> tuple[dict[str, bytes], list[str]]:
             raise IngestError(f"{path}: unreadable zip archive: {reason}") from err
     elif path.is_dir():
         for child in sorted(path.iterdir()):
-            if child.is_file() and child.suffix == ".txt":
+            if child.is_file() and _is_result_name(child.name, expected):
                 files[child.name] = child.read_bytes()
     else:
         raise IngestError(f"{path} is neither a zip archive nor a directory")
@@ -414,17 +423,20 @@ def validate_submission(
     '<Seq>-<DET>' as :func:`unit_frames` gives them, to its sequence's
     frame count.  The submission must hold one '<name>.txt' per unit and no
     other '.txt' file, and each must parse as a strict result file whose
-    frames lie in ``[1, frame count]``.  Content problems never raise; they
-    are recorded in the report.  Only an unreadable path raises.
+    frames lie in ``[1, frame count]``.  A zip and a directory (its top
+    level) are read by one name rule, which skips a dot file that no unit
+    expects.  Content problems never raise; they are recorded in the
+    report.  Only an unreadable path raises.
     """
     path = Path(archive_or_dir)
     if not path.exists():
         raise IngestError(f"submission path does not exist: {path}")
-    files, duplicates = _submission_files(path)
+    expected = {f"{seq}.txt" for seq in expected_sequences}
+    files, duplicates = _submission_files(path, expected)
     report = ValidationReport(
         expected=list(expected_sequences),
         missing=sorted(seq for seq in expected_sequences if f"{seq}.txt" not in files),
-        extra=sorted(files.keys() - {f"{seq}.txt" for seq in expected_sequences}),
+        extra=sorted(files.keys() - expected),
         file_errors={name: ["file name appears more than once in the archive"]
                      for name in duplicates},
     )

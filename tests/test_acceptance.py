@@ -14,7 +14,7 @@ import pytest
 
 from motbench.assignment import MatchingConfig, preprocess_sequence, run_sequence
 from motbench.cli import main
-from motbench.clearmot import Counts, accumulate, derived_rates, mota, motp, pool, summarize
+from motbench.clearmot import Counts, accumulate, mota, motp, pool, summarize
 from motbench.identity import evaluate_identity
 from motbench.ingest import FileKind, FormatVariant, parse_file, write_result_file
 from motbench.model import ObjectClass
@@ -60,7 +60,7 @@ def test_criterion_1_formula_fidelity_single_benchmark_row():
             gt_total=gt_total, frames=frames,
         )
         assert mota(c) == pytest.approx(51.54, abs=0.02)
-        rates = derived_rates(c)
+        rates = summarize("row", c)
         assert rates.far == pytest.approx(1.32, abs=0.01)
         assert rates.idswr == pytest.approx(5.81, abs=0.02)
         assert rates.fmr == pytest.approx(13.51, abs=0.02)
@@ -199,7 +199,7 @@ def test_criterion_5_property_suite():
         # empty-result suite
         counts, ident = evaluate(seq("empty", 7, gt_entries, []))
         assert mota(counts) == pytest.approx(0.0)
-        assert derived_rates(counts).recall == pytest.approx(0.0)
+        assert summarize("empty", counts).recall == pytest.approx(0.0)
         assert ident.idf1 == pytest.approx(0.0)
 
         assert time.perf_counter() - start < 30.0

@@ -8,15 +8,14 @@ formulas must reproduce the row's published scores to report precision.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motbench.assignment import MatchingConfig, run_sequence
 from motbench.clearmot import (
     MOSTLY_LOST_MAX,
     MOSTLY_TRACKED_MIN,
     Counts,
-    UndefinedMetricError,
     accumulate,
-    derived_rates,
     mota,
     motp,
     pool,
@@ -82,8 +81,7 @@ class TestMota:
         assert mota(counts_from_row(200, 100, 0, 100)) < 0
 
     def test_undefined_without_gt(self):
-        with pytest.raises(UndefinedMetricError):
-            mota(Counts())
+        assert mota(Counts()) is None
 
     def test_strictly_decreasing_in_each_error(self):
         base = counts_from_row(10, 10, 10, 1000)
@@ -105,8 +103,7 @@ class TestMotp:
         assert motp(c) == pytest.approx(75.0)
 
     def test_undefined_without_matches(self):
-        with pytest.raises(UndefinedMetricError):
-            motp(Counts())
+        assert motp(Counts()) is None
 
     def test_recompute_from_frame_events(self, rng):
         for _ in range(25):
@@ -125,34 +122,33 @@ class TestMotp:
 class TestDerivedRates:
     def test_false_alarms_per_frame(self):
         c = counts_from_row(7620, 21780, 375, GT_TOTAL_15, frames=FRAMES_15)
-        assert derived_rates(c).far == pytest.approx(1.32, abs=0.01)
+        assert summarize("x", c).far == pytest.approx(1.32, abs=0.01)
 
     def test_relative_switch_and_fragmentation_rates(self):
         c = counts_from_row(7620, 21780, 375, GT_TOTAL_15, frames=FRAMES_15, fm=872)
-        rates = derived_rates(c)
+        rates = summarize("x", c)
         assert rates.recall == pytest.approx(100.0 * (GT_TOTAL_15 - 21780) / GT_TOTAL_15)
         assert rates.idswr == pytest.approx(5.81, abs=0.02)
         assert rates.fmr == pytest.approx(13.51, abs=0.02)
 
     def test_mot17_rates(self):
         c = counts_from_row(17413, 213594, 1185, GT_TOTAL_17, frames=FRAMES_17, fm=2265)
-        rates = derived_rates(c)
+        rates = summarize("x", c)
         assert rates.far == pytest.approx(0.98, abs=0.01)
         assert rates.idswr == pytest.approx(19.07, abs=0.02)
         assert rates.fmr == pytest.approx(36.45, abs=0.02)
 
     def test_zero_denominators_marked_undefined(self):
-        rates = derived_rates(Counts(frames=10))
+        rates = summarize("x", Counts(frames=10))
         assert rates.recall is None
         assert rates.precision is None
         assert rates.idswr is None
-        rates = derived_rates(Counts(frames=10, fn=5, gt_total=5))
+        rates = summarize("x", Counts(frames=10, fn=5, gt_total=5))
         assert rates.recall == 0.0
         assert rates.idswr is None  # recall of zero cannot normalize switches
 
     def test_requires_frames(self):
-        with pytest.raises(UndefinedMetricError):
-            derived_rates(Counts())
+        assert summarize("x", Counts()).far is None
 
 
 class TestAccumulate:
@@ -235,7 +231,7 @@ class TestAccumulate:
             counts = accumulate(run_sequence(random_instance(rng)))
             assert counts.mt + counts.pt + counts.ml == counts.gt_tracks
             assert 0 <= counts.mt + counts.ml <= counts.gt_tracks
-            rates = derived_rates(counts)
+            rates = summarize("x", counts)
             if rates.recall is not None:
                 assert 0.0 <= rates.recall <= 100.0
             if rates.precision is not None:
@@ -314,3 +310,44 @@ class TestSummarize:
         assert report.fp == 7620 and report.fn == 21780
         assert report.mota == pytest.approx(51.54, abs=0.02)
         assert report.idf1 is None  # no identity counts, so no identity scores
+
+    def test_every_ratio_of_empty_counts_is_none(self):
+        report = summarize("x", Counts())
+        for name in ("mota", "motp", "far", "recall", "precision", "idswr", "fmr",
+                     "idf1", "idp", "idr", "mt_ratio", "ml_ratio"):
+            assert getattr(report, name) is None, name
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.builds(
+        Counts,
+        **{f.name: st.integers(0, 10**9) for f in dataclasses.fields(Counts)
+           if f.name != "overlap_sum"},
+        overlap_sum=st.floats(0.0, 1e9, allow_nan=False),
+    ))
+    def test_ratios_follow_the_published_formulas_bit_for_bit(self, c):
+        # the formulas written out one by one, each with its own zero test
+        recall = 100.0 * c.tp / c.gt_total if c.gt_total > 0 else None
+        denom = 2 * c.idtp + c.idfp + c.idfn
+        expected = {
+            "mota": 100.0 * (1.0 - (c.fn + c.fp + c.idsw) / c.gt_total)
+            if c.gt_total > 0 else None,
+            "motp": 100.0 * c.overlap_sum / c.tp if c.tp > 0 else None,
+            "far": c.fp / c.frames if c.frames > 0 else None,
+            "recall": recall,
+            "precision": 100.0 * c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None,
+            "idswr": c.idsw / recall if recall else None,
+            "fmr": c.fm / recall if recall else None,
+            "idf1": 100.0 * 2 * c.idtp / denom if denom > 0 else None,
+            "idp": 100.0 * c.idtp / (c.idtp + c.idfp) if (c.idtp + c.idfp) > 0 else None,
+            "idr": 100.0 * c.idtp / (c.idtp + c.idfn) if (c.idtp + c.idfn) > 0 else None,
+            "mt_ratio": c.mt / c.gt_tracks if c.gt_tracks else None,
+            "ml_ratio": c.ml / c.gt_tracks if c.gt_tracks else None,
+        }
+        report = summarize("x", c)
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert {name: repr(getattr(report, name)) for name in expected} == {
+            name: repr(value) for name, value in expected.items()}
+        counts = {f.name for f in dataclasses.fields(Counts)} - {
+            "tp", "overlap_sum", "idtp", "idfp", "idfn"}
+        assert {name: getattr(report, name) for name in counts} == {
+            name: getattr(c, name) for name in counts}

@@ -22,6 +22,7 @@ import pytest
 
 import motbench
 import motbench.cli as cli
+import motbench.clearmot as clearmot
 import motbench.identity as identity
 from motbench.clearmot import Counts
 from motbench.cli import main
@@ -99,7 +100,11 @@ class TestEvaluate:
         assert lines[3].startswith("OVERALL")
 
     def test_outputs_encode_identical_numbers(self, tmp_path, rng):
-        root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=3))
+        # the last two names hold what a CSV cell must quote: a comma, a quote
+        sequences = synthetic_benchmark(rng, n=5)
+        sequences[3:] = [dataclasses.replace(data, name=name)
+                         for data, name in zip(sequences[3:], ("a,b", '"q'))]
+        root = write_benchmark_tree(tmp_path, sequences)
         outputs = {}
         for fmt in ("text", "csv", "json"):
             out = tmp_path / f"report.{fmt}"
@@ -110,6 +115,7 @@ class TestEvaluate:
             ]) == 0
             outputs[fmt] = out.read_text()
         json_rows = {row["name"]: row for row in json.loads(outputs["json"])}
+        assert {len(cells) for cells in csv.reader(io.StringIO(outputs["csv"]))} == {13}
         csv_rows = list(csv.DictReader(io.StringIO(outputs["csv"])))
         assert {r["Sequence"] for r in csv_rows} == set(json_rows)
         for row in csv_rows:
@@ -419,6 +425,24 @@ class TestValidate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: missing sequence map {seqmap}\n")
 
+    def test_dot_files_are_skipped_in_a_directory_as_in_a_zip(self, tmp_path, capsys):
+        # an archiver's '._S1.txt' metadata file is no result file, in
+        # either container; the result file of a sequence named '.S2' is
+        seqmap = self.write_seqmap(tmp_path, ["S1", ".S2"])
+        row = "1,1,0,0,5,5,1,-1,-1\n"
+        files = {"S1.txt": row, ".S2.txt": row, "._S1.txt": "\x00\x05\x16\x07"}
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        archive = tmp_path / "sub.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for name, text in files.items():
+                (sub / name).write_text(text)
+                zf.writestr(name, text)
+        for submission in (sub, archive):
+            code = main(["validate", str(submission), "--benchmark", "MOT16",
+                         "--seqmap", str(seqmap)])
+            assert (code, capsys.readouterr().out) == (0, "PASS\n"), submission
+
     def test_repeated_unassigned_id_fails(self, tmp_path, capsys):
         seqmap = self.write_seqmap(tmp_path, ["SEQ-01"])
         sub = tmp_path / "sub"
@@ -636,6 +660,12 @@ def test_one_pooled_record_and_a_flat_front_end():
     for module in (motbench, identity):
         assert not hasattr(module, "pool_identity"), module.__name__
     assert "pool_identity" not in motbench.__all__
+    # one convention for an undefined ratio: None, with no error type or
+    # rate record of its own
+    for name in ("Rates", "derived_rates", "UndefinedMetricError"):
+        for module in (motbench, clearmot):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert name not in motbench.__all__
     assert {"idtp", "idfp", "idfn"} <= {f.name for f in dataclasses.fields(Counts)}
 
 
@@ -886,6 +916,7 @@ import os
 import sys
 
 import motbench.cli as cli
+import motbench.clearmot as clearmot
 
 parent, evaluate = os.getpid(), cli._evaluate_unit
 
