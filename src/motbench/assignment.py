@@ -26,20 +26,14 @@ sequence; the memory survives untracked gaps and never expires within a
 sequence.
 
 Equal-cost assignments are broken deterministically, so repeated runs and
-runs with different parallelism produce identical output.  Among matchings
-with the most pairs and the lowest total cost, the lowest summed rank
-``i * m + j`` wins, where target ``i`` and hypothesis ``j`` are positions in
-track-id order and ``m`` counts the candidate hypotheses; permutations of the
-same targets and hypotheses, which tie on that sum, pair them in id order.
-A cost difference of 1e-9 or more always decides before rank; a smaller
-one may decide or tie.  A matching problem is split before it is solved:
-:func:`solve_assignment`, the one splitter of the neutral-class filter, the
-frames with conflicting pairs and the identity solve, labels the pairs'
-connected components with a plain-Python union-find over Python lists.
-Each pair that shares no box with another pair is taken directly, and every
-other component is solved on its own by :func:`_solve_component`, so a
-target without any feasible pair cannot disturb the others' ties, and a
-frame of a few pairs costs what its pairs cost.
+runs with different parallelism produce identical output.  Every matching
+problem, the neutral-class filter, a frame with conflicting pairs or the
+identity solve, is one :func:`solve_assignment`, whose docstring states its
+tie levels and its cost rounding.  Pairs rank ``i * m + j``, where target
+``i`` and hypothesis ``j`` are positions in track-id order and ``m`` counts
+the candidate hypotheses: among matchings of equal cost the lowest summed
+rank wins, and permutations of the same targets and hypotheses pair them in
+id order.
 
 Evaluation runs the protocol on a whole sequence at once.
 :func:`preprocess_sequence` (step 1) takes the pairs at or above the
@@ -84,42 +78,42 @@ class MatchingConfig:
 _NEUTRAL = np.isin(np.arange(max(ObjectClass) + 1), list(NEUTRAL_CLASSES))
 
 
-def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) -> list[int]:
+def _shortest_augmenting_paths(adj: list[list[tuple[int, int]]], n_cols: int) -> list[int]:
     """Min-cost assignment of every row over sparse edges; the column of each row.
 
     ``adj[r]`` lists ``(column, key)`` of row ``r``'s edges, keys non-negative
-    and columns below ``n_cols``, plus one edge to a slack column that no
-    other row reaches, so every row can be assigned.  Each row in turn runs
-    one Dijkstra search (Jonker & Volgenant 1987; Crouse 2016) on the reduced
-    keys ``key - u[r] - v[c]`` to the nearest free column, which is then
-    taken by augmenting along the path.  On equal distance a free column
+    integers and columns below ``n_cols``, plus one edge to a slack column
+    that no other row reaches, so every row can be assigned.  Each row in turn
+    runs one Dijkstra search (Jonker & Volgenant 1987; Crouse 2016) on the
+    reduced keys ``key - u[r] - v[c]`` to the nearest free column, which is
+    then taken by augmenting along the path.  On equal distance a free column
     comes before a matched one, as in scipy's solver, so a column farther
     than the nearest free column seen so far is never reached and is not
     queued.  Only the rows and columns the search finalised change potential.
-    Each column is finalised at most once per search: float rounding of large
-    keys can make an already finalised column look closer again, and
-    revisiting it would never end.
+    Keys and potentials are Python integers, so every distance is exact and a
+    finalised column never looks closer again.  A search reaches only the
+    rows and columns joined to its row by edges, so rows that share no
+    column with another cost only their own edges.
     """
     n_all = n_cols + len(adj)
     inf, push, pop = math.inf, heapq.heappush, heapq.heappop
-    u = [0.0] * len(adj)
-    v = [0.0] * n_all
+    u = [0] * len(adj)
+    v = [0] * n_all
     row4col = [-1] * n_all
     col4row = [-1] * len(adj)
-    dist = [inf] * n_all
+    dist: list[float] = [inf] * n_all
     via = [-1] * n_all
-    final = [False] * n_all
     for start in range(len(adj)):
-        heap: list[tuple[float, bool, int]] = []
+        heap: list[tuple[int, bool, int]] = []
         seen: list[int] = []
         done: list[int] = []
         rows: list[int] = []  # the matched rows the search reached
-        row, reach, bound = start, 0.0, inf  # bound: nearest free column so far
+        row, reach, bound = start, 0, inf  # bound: nearest free column so far
         while True:
             base = reach - u[row]
             for col, key in adj[row]:
                 d = base + key - v[col]
-                if d < dist[col] and d <= bound and not final[col]:
+                if d < dist[col] and d <= bound:
                     if dist[col] == inf:
                         seen.append(col)
                     dist[col] = d
@@ -130,9 +124,8 @@ def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) 
                     push(heap, (d, taken, col))
             while True:
                 reach, _, col = pop(heap)
-                if reach == dist[col] and not final[col]:
+                if reach == dist[col]:
                     break
-            final[col] = True
             done.append(col)
             if row4col[col] < 0:
                 break
@@ -151,55 +144,7 @@ def _shortest_augmenting_paths(adj: list[list[tuple[int, float]]], n_cols: int) 
                 break
         for c in seen:
             dist[c] = inf
-            final[c] = False
     return col4row
-
-
-def _solve_component(
-    edges: list[int], rows: list[int], cols: list[int], cost: list[float], rank: list[int],
-    *, most_pairs: bool = True,
-) -> list[int]:
-    """The chosen edges of one connected component, by :func:`solve_assignment`."""
-    row_at = {v: i for i, v in enumerate(sorted({rows[e] for e in edges}))}
-    col_at = {v: j for j, v in enumerate(sorted({cols[e] for e in edges}))}
-    n_rows, n_cols = len(row_at), len(col_at)
-    k = min(n_rows, n_cols)
-    local = {(row_at[rows[e]], col_at[cols[e]]): e for e in edges}
-    lowest = min(cost[e] for e in edges)
-    first = min(rank[e] for e in edges)
-    if not most_pairs:  # a slack column is an edge at cost 0 and rank 0
-        lowest, first = min(lowest, 0), min(first, 0)
-    # Any matching's summed rank stays below ``ties``, so scaling the cost
-    # resolution to ``ties`` ranks every cost difference above the rank.
-    ties = k * (max(rank[e] for e in edges) - first + 1)
-    resolution = 1.0 if all(float(cost[e]).is_integer() for e in edges) else 1.0e-9
-    scale = ties / resolution
-    # Permutations of one row and column set tie on summed rank; the last
-    # level, below one rank unit, pairs rows and columns in order.
-    spread = k * n_rows * n_cols
-    keys = [
-        (cost[e] - lowest) * scale + (rank[e] - first)
-        + i * (n_cols - 1 - j) / spread
-        for (i, j), e in local.items()
-    ]
-    # With ``most_pairs``, one more pair outweighs any key total of a matching
-    # in this component, so a slack column is taken only when no pair is left.
-    slack = k * max(keys) + 1.0 if most_pairs else -lowest * scale - first
-    # Search from the smaller side: one search per node of that side.
-    flip = n_rows > n_cols
-    n_search, n_other = (n_cols, n_rows) if flip else (n_rows, n_cols)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_search)]
-    for (i, j), key in zip(local, keys):
-        if flip:
-            adj[j].append((i, key))
-        else:
-            adj[i].append((j, key))
-    for a, out in enumerate(adj):
-        out.append((n_other + a, slack))
-    picked = _shortest_augmenting_paths(adj, n_other)
-    return [
-        local[(b, a) if flip else (a, b)] for a, b in enumerate(picked) if b < n_other
-    ]
 
 
 def _free(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,60 +181,69 @@ def solve_assignment(
 ) -> list[int]:
     """Optimal matching over a sparse list of feasible edges.
 
-    Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (non-negative
-    integer ids, one id space per side) at ``cost[e]``; all four are Python
-    lists.  The chosen matching uses only these edges and has the most
-    pairs, then the lowest total cost, then the lowest summed ``rank``;
-    among permutations of the same rows and columns, which tie on summed
-    rank, it pairs them in order.  With ``most_pairs=False`` the number of
-    pairs does not count: any node may stay unmatched at cost 0 and rank 0,
-    so the lowest total cost comes first.  Every cost must then be
-    negative, so that a pair always beats leaving both its ends unmatched.
-    A cost difference of at least the resolution of the costs, 1 for
-    integer costs and 1e-9 otherwise, always decides before rank; a smaller
-    one may decide or tie.  Returns the indices of the chosen edges in
-    ascending order.
+    Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (integer ids, one
+    id space per side) at ``cost[e]``; all four are Python lists.  The chosen
+    matching uses only these edges and is the first by these levels:
 
-    The edges are split into the connected components of their graph by a
-    plain-Python union-find with path halving (Tarjan & van Leeuwen 1984),
-    so the split costs what the edges cost and makes no numpy call.  Its
-    parent pointers are one list indexed by node id, column ``c`` stored at
-    ``max(rows) + 1 + c``, and only the edges' ends are set.  So memory
-    grows by one pointer per id up to the largest: callers pass positions,
-    not raw track ids.  A component of one edge is its own
-    matching and is taken as it is.  Every other component is solved on its
-    own, with its edges in ascending order, by shortest augmenting paths
-    over its edge lists (:func:`_solve_component`); no dense matrix is
-    built.  Each node of the searching side has a slack column of its own,
-    taken when the node stays unmatched.  Its key is the penalty for a
-    missing pair, sized from that component, small enough that every
-    tie-break level stays above rounding error; with ``most_pairs=False``
-    it is the key of a cost-0, rank-0 edge.
+    1. the most pairs (only with ``most_pairs``);
+    2. the lowest summed cost units: each cost rounded half up to whole
+       units, of 1 when every cost is an integer and of 1e-9 otherwise;
+    3. the lowest summed ``rank``;
+    4. the largest summed squared ``rank``.
+
+    For ranks ``i * m + j``, as every caller gives them, permutations of the
+    same rows and columns tie on level 3, and level 4 pairs them in order.
+    With ``most_pairs=False`` any node may stay unmatched at cost 0 and rank
+    0, so the lowest total cost comes first.  Every cost must then be
+    negative, so that a pair always beats leaving both its ends unmatched.
+    As each cost is rounded on its own, float noise in a sum never decides
+    a tie, and a sum of k pairs lower by k units or more always decides.
+    Returns the indices of the chosen edges in ascending order.
+
+    Each edge gets one exact integer key of the four levels, and
+    :func:`_shortest_augmenting_paths` solves the whole call once from its
+    smaller side; no dense matrix is built.  A level reads only the edge's
+    own cost and rank, so the call picks what solving each connected
+    component alone would.  Each node of the searching side has a slack
+    column of its own, taken when the node stays unmatched.  Its key
+    outweighs the key total of any matching with ``most_pairs``, and is the
+    key of a cost-0, rank-0 edge otherwise.
     """
-    if not rows:
-        return []
-    shift = max(rows) + 1
-    ends = [c + shift for c in cols]
-    up = [0] * (shift + max(cols) + 1)  # only the slots of the edges' ends are read
-    for a, b in zip(rows, ends):
-        up[a], up[b] = a, b
-    for a, b in zip(rows, ends):
-        while a != up[a]:
-            up[a] = a = up[up[a]]
-        while b != up[b]:
-            up[b] = b = up[up[b]]
-        up[a] = b
-    components: dict[int, list[int]] = {}
-    for e, a in enumerate(rows):
-        while a != up[a]:
-            up[a] = a = up[up[a]]
-        components.setdefault(a, []).append(e)
-    chosen: list[int] = []
-    for edges in components.values():
-        chosen += edges if len(edges) == 1 else _solve_component(
-            edges, rows, cols, cost, rank, most_pairs=most_pairs)
-    chosen.sort()
-    return chosen
+    if len(rows) < 2:  # one edge or none: nothing to choose
+        return list(range(len(rows)))
+    if all(map(float.is_integer, map(float, cost))):
+        units = list(map(int, cost))
+    else:
+        units = [math.floor(c * 1e9 + 0.5) for c in cost]
+    squares = [r * r for r in rank]
+    row_at = {v: i for i, v in enumerate(sorted(set(rows)))}
+    col_at = {v: j for j, v in enumerate(sorted(set(cols)))}
+    if len(row_at) > len(col_at):  # search from the smaller side
+        row_at, col_at, rows, cols = col_at, row_at, cols, rows
+    n = len(row_at)  # every searching node adds one key to a matching's total
+    slack = [] if most_pairs else [0]  # the levels of a cost-0, rank-0 slack
+    low_unit, low_rank = min(units + slack), min(rank + slack)
+    high_square = max(squares)
+    # Each level's weight exceeds the spread of the lower levels over n keys.
+    w_square = n * (high_square - min(squares + slack)) + 1
+    w_rank = n * (max(rank + slack) - low_rank) + 1
+    keys = [((q - low_unit) * w_rank + r - low_rank) * w_square + high_square - sq
+            for q, r, sq in zip(units, rank, squares)]
+    if most_pairs:
+        miss = n * max(keys) + 1
+    else:
+        miss = (-low_unit * w_rank - low_rank) * w_square + high_square
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edge: dict[tuple[int, int], int] = {}
+    for e, (a, b, key) in enumerate(zip(rows, cols, keys)):
+        a, b = row_at[a], col_at[b]
+        adj[a].append((b, key))
+        edge[a, b] = e
+    n_other = len(col_at)
+    for a, out in enumerate(adj):
+        out.append((n_other + a, miss))
+    picked = _shortest_augmenting_paths(adj, n_other)
+    return sorted(edge[a, b] for a, b in enumerate(picked) if b < n_other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +282,8 @@ def preprocess_sequence(
     :func:`~motbench.model._edges` finds every same-frame (GT, result) pair
     at or above the threshold, scoring each GT box only against the result
     boxes near it, and only those pairs are kept.  The min-cost pass of
-    step 1 is solved only on the connected components of those pairs that
+    step 1 takes every pair that shares no box with another pair, and is
+    solved only on the other connected components of those pairs that
     hold a neutral-class pair above the threshold; each pair keeps its rank
     ``i * m + j`` by position in its whole frame, so the pass drops the
     result boxes a frame-wide solve would.  Both the frame-level metrics and
@@ -339,8 +294,10 @@ def preprocess_sequence(
     kept = np.ones(len(res), dtype=bool)
     neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
     if neutral.any():
+        free = _free(g, r)  # a pair that shares no box with another is matched
+        kept[r[neutral & free]] = False
         label = _edge_components(g, r)
-        hot = np.flatnonzero(np.isin(label, label[neutral]))
+        hot = np.flatnonzero(np.isin(label, label[neutral & ~free]))
         frame = gt.frame[g[hot]]
         r_lo = np.searchsorted(res.frame, frame)
         i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
@@ -394,8 +351,7 @@ def _match(table: EdgeTable) -> np.ndarray:
     others' positions.  Step 3 is one :func:`solve_assignment` over the
     frame's conflicting edges that share no end with a carried edge, ranked
     ``i * m + j`` by position among the ids that no carried edge took.
-    Those positions are its rows and columns, so the splitter's id-indexed
-    list is as short as the frame's boxes.
+    Those positions are its rows and columns.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
     free = _free(g, r)

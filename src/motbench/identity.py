@@ -108,9 +108,9 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     is one :func:`~motbench.assignment.solve_assignment` over the
     co-detecting pairs alone, at cost ``-co`` and with ``most_pairs=False``,
     so any track may stay unpaired and a track without co-detections never
-    enters the solve.  Equal optima go to the lowest summed rank
-    ``i * m + j`` of the pairs, where ``i`` and ``j`` are positions in id
-    order among the co-detecting gt and pred tracks, so tracks without
+    enters the solve.  Equal optima are broken by its tie levels on the
+    ranks ``i * m + j`` of the pairs, where ``i`` and ``j`` are positions in
+    id order among the co-detecting gt and pred tracks, so tracks without
     co-detections never change the pairing either.
     """
     co = table.co_detections

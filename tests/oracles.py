@@ -23,7 +23,9 @@ shares the production solver: :func:`_min_cost_matching` looks up
 ``motbench.assignment.solve_assignment`` at call time, so a test that
 replaces it sees the solves of both routes.  It therefore checks the
 sequence pass's bookkeeping (carryover, ranks, the neutral-class filter,
-switches); the scipy cross-check of ``solve_assignment`` covers the solver.
+switches); the scipy cross-check of ``solve_assignment`` covers the solver,
+and :func:`tie_order_ranking`, which ranks every matching of a small edge
+list by the solver's documented tie levels, covers its tie-break.
 
 :func:`solve_identity_dummy_graph` is the identity solve as it was before it
 paired only the co-detecting tracks: a perfect matching on a graph where
@@ -43,7 +45,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -320,6 +323,33 @@ def _all_matchings(gt_ids, res_ids, feasible, forced):
         if len(chosen) != len(set(chosen)):
             continue
         yield forced + [(g, r) for g, r in zip(free_gt, combo) if r is not None]
+
+
+def tie_order_ranking(rows, cols, cost, rank, *, most_pairs=True):
+    """Every matching of a small edge list with its tie-order levels, best first.
+
+    ``rows``, ``cols``, ``cost`` and ``rank`` are the edge lists of
+    ``solve_assignment``, at most 8 edges.  Returns ``(levels, edges)`` per
+    matching, ``edges`` its edge indices ascending, sorted by the levels the
+    solver documents: the most pairs when ``most_pairs`` is set, the lowest
+    summed cost units (each cost rounded half up to whole units, of 1 when
+    every cost is an integer and of 1e-9 otherwise, here in exact
+    fractions), the lowest summed rank and the largest summed squared rank.
+    """
+    assert len(rows) <= 8
+    if all(float(c).is_integer() for c in cost):
+        units = [int(c) for c in cost]
+    else:
+        units = [math.floor(Fraction(c) * 10**9 + Fraction(1, 2)) for c in cost]
+    ranked = []
+    for size in range(len(rows) + 1):
+        for edges in combinations(range(len(rows)), size):
+            if len({rows[e] for e in edges}) == len({cols[e] for e in edges}) == size:
+                levels = (-size if most_pairs else 0, sum(units[e] for e in edges),
+                          sum(rank[e] for e in edges), -sum(rank[e] ** 2 for e in edges))
+                ranked.append((levels, list(edges)))
+    ranked.sort()
+    return ranked
 
 
 def oracle_clear_counts(seq: SequenceData, threshold: float = 0.5):

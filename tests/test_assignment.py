@@ -16,7 +16,6 @@ import pytest
 from motbench.assignment import (
     MatchingConfig,
     _edge_components,
-    _solve_component,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
@@ -39,6 +38,7 @@ from oracles import (
     oracle_clear_counts,
     per_frame_reference,
     preprocess_frame,
+    tie_order_ranking,
 )
 
 CFG = MatchingConfig()
@@ -471,6 +471,12 @@ class TestSolveAssignment:
         for d in (2e-9, 1e-8):
             assert solve_assignment([0, 0], [0, 1], [0.3 + d, 0.3], [0, 10**6]) == [1]
             assert solve_assignment([0, 1], [0, 0], [0.3 + d, 0.3], [0, 10**6]) == [1]
+        # At ranks 0 and 1: costs count in 1e-9 units rounded half up, so a d
+        # under half a unit ties and rank 0 wins, and from half a unit up the
+        # cheaper edge wins.
+        for d, winner in ((1e-10, 0), (4e-10, 0), (6e-10, 1), (9e-10, 1), (2e-9, 1)):
+            assert solve_assignment([0, 0], [0, 1], [0.3 + d, 0.3], [0, 1]) == [winner]
+            assert solve_assignment([0, 1], [0, 0], [0.3 + d, 0.3], [0, 1]) == [winner]
 
     def test_without_most_pairs_agrees_with_enumeration(self):
         # Any node may stay unmatched: the chosen edges must form a matching
@@ -594,12 +600,11 @@ def _conflict_frame(rng: random.Random) -> tuple[list[tuple[int, int, float, int
 
 class TestSplit:
     def test_solves_each_component_alone(self):
-        # The splitter must take exactly the edges of the components that
-        # _conflict_frame built: a part of one edge as it is, every other
-        # part solved alone by _solve_component with its edges ascending,
-        # then the union, sorted.  Tie-heavy frames, ranked i * m + j as
-        # _match ranks them, with overlap costs; then the same frames with
-        # most_pairs=False and negative integer costs, as identity has them.
+        # A call over a frame's edges must take exactly the union of the
+        # calls over each part that _conflict_frame built, alone.  Tie-heavy
+        # frames, ranked i * m + j as _match ranks them, with overlap costs;
+        # then the same frames with most_pairs=False and negative integer
+        # costs, as identity has them.
         rng, counts = random.Random(2222), random.Random(2223)
         sizes = set()
         for _ in range(2400):
@@ -618,12 +623,64 @@ class TestSplit:
             ):
                 expected = []
                 for part in parts.values():
-                    expected += part if len(part) == 1 else _solve_component(
-                        part, rows, cols, cost, rank, most_pairs=most_pairs)
+                    expected += [part[k] for k in solve_assignment(
+                        *([x[e] for e in part] for x in (rows, cols, cost, rank)),
+                        most_pairs=most_pairs)]
                 chosen = solve_assignment(rows, cols, cost, rank, most_pairs=most_pairs)
                 assert chosen == sorted(expected), (edges, cost)
         assert sizes == set(range(1, 13))
         assert solve_assignment([], [], [], []) == []
+
+
+class TestTieOrder:
+    def test_agrees_with_the_tie_order_oracle(self):
+        # Every part of up to 8 edges of tie-heavy frames, costs 1 - IoU on
+        # the integer grid with most pairs, negative integers without: the
+        # solver reaches the oracle's best levels, so it takes the oracle's
+        # edges wherever one matching alone has them.  Some parts still tie
+        # on every level, as the README's three-way cycle does.
+        rng, counts = random.Random(2929), random.Random(2930)
+        unique = by_squares = 0
+        for _ in range(1500):
+            edges, _ = _conflict_frame(rng)
+            m = max(j for _, j, _, _ in edges) + 1
+            parts = defaultdict(list)
+            for i, j, o, part in edges:
+                parts[part].append((i, j, o))
+            for part in parts.values():
+                if len(part) > 8:
+                    continue
+                rows = [i for i, _, _ in part]
+                cols = [j for _, j, _ in part]
+                rank = [i * m + j for i, j in zip(rows, cols)]
+                for most_pairs, cost in (
+                    (True, [1.0 - o for _, _, o in part]),
+                    (False, [-counts.randint(1, 3) for _ in part]),
+                ):
+                    ranked = tie_order_ranking(rows, cols, cost, rank, most_pairs=most_pairs)
+                    levels = {tuple(picked): level for level, picked in ranked}
+                    best = [picked for level, picked in ranked if level == ranked[0][0]]
+                    chosen = solve_assignment(rows, cols, cost, rank, most_pairs=most_pairs)
+                    assert levels[tuple(chosen)] == ranked[0][0], (part, cost)
+                    if len(best) == 1:
+                        unique += 1
+                        by_squares += ranked[1][0][:3] == ranked[0][0][:3]
+        assert unique > 5000 and by_squares > 200
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 40, 60])
+    def test_additive_costs_pair_in_order(self, n):
+        # Costs a_i + b_j tie every permutation on cost and on summed rank
+        # i * n + j; the largest summed squared rank pairs the diagonal.
+        rng = random.Random(n)
+        steps = (0, 0.1, 0.125, 0.25, 0.3)
+        for _ in range(3):
+            a = [rng.choice(steps) for _ in range(n)]
+            b = [rng.choice(steps) for _ in range(n)]
+            rows = [i for i in range(n) for _ in range(n)]
+            cols = [j for _ in range(n) for j in range(n)]
+            chosen = solve_assignment(rows, cols, [a[i] + b[j] for i, j in zip(rows, cols)],
+                                      [i * n + j for i, j in zip(rows, cols)])
+            assert [(rows[e], cols[e]) for e in chosen] == [(i, i) for i in range(n)]
 
 
 class TestEdgeComponents:
