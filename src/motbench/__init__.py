@@ -10,7 +10,6 @@ pooling and leaderboard reporting.
 from .assignment import (
     EdgeTable,
     EventLog,
-    MatchingConfig,
     preprocess_sequence,
     run_sequence,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "FormatVariant",
     "IdentityScores",
     "IngestError",
-    "MatchingConfig",
     "MetricsReport",
     "NEUTRAL_CLASSES",
     "ObjectClass",

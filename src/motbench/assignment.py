@@ -35,20 +35,21 @@ the candidate hypotheses: among matchings of equal cost the lowest summed
 rank wins, and permutations of the same targets and hypotheses pair them in
 id order.
 
-Evaluation runs the protocol on a whole sequence at once.
-:func:`preprocess_sequence` (step 1) takes the pairs at or above the
+Evaluation runs the protocol on a whole sequence at once, as one chain.
+:func:`preprocess_sequence` (step 1) takes the sequence and the overlap
+threshold, one float in (0, 1].  It takes the pairs at or above the
 threshold from the package's one overlap pass, :func:`~motbench.model._edges`,
 and keeps them, with the boxes that survive the neutral-class filter, as one
-:class:`EdgeTable`.  :func:`run_sequence` (steps 2 and 3, then the identity
-switches) decides every pair that shares no box with another pair by array
-operations and loops only over the frames that hold a conflict.  Before
-that loop it links each pair to the pair of the same target and hypothesis
-in the previous frame, so carryover in the loop is one lookup per pair.  Its
-:class:`EventLog` is two masks over the table's pairs, matched and identity
-switch; the frame-level counts are read off those columns and the identity
-metrics count co-detections on the same table.  No step does work per
-declared frame or per far-apart pair of boxes: a sequence costs what its
-rows and their nearby pairs cost.
+:class:`EdgeTable`.  :func:`run_sequence` takes that table alone (steps 2
+and 3, then the identity switches).  It decides every pair that shares no
+box with another pair by array operations and loops only over the frames
+that hold a conflict.  Before that loop it links each pair to the pair of
+the same target and hypothesis in the previous frame, so carryover in the
+loop is one lookup per pair.  Its :class:`EventLog` is two masks over the
+table's pairs, matched and identity switch; the frame-level counts are read
+off those columns and the identity metrics count co-detections on the same
+table.  No step does work per declared frame or per far-apart pair of
+boxes: a sequence costs what its rows and their nearby pairs cost.
 """
 
 from __future__ import annotations
@@ -60,18 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NEUTRAL_CLASSES, ObjectClass, SequenceData, _edges
-
-
-@dataclass(frozen=True)
-class MatchingConfig:
-    """Knobs of the matching protocol."""
-
-    iou_threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+from .model import NEUTRAL_CLASSES, ObjectClass, SequenceData, _check_threshold, _edges
 
 
 #: ``_NEUTRAL[code]``: whether class code ``code`` is a neutral class.
@@ -273,12 +263,10 @@ class EdgeTable:
         return self.num_frames
 
 
-def preprocess_sequence(
-    seq: SequenceData,
-    cfg: MatchingConfig = MatchingConfig(),
-) -> EdgeTable:
+def preprocess_sequence(seq: SequenceData, iou_threshold: float = 0.5) -> EdgeTable:
     """Step 1 of the protocol on a whole sequence; its :class:`EdgeTable`.
 
+    Raises ``ValueError`` for an ``iou_threshold`` outside (0, 1].
     :func:`~motbench.model._edges` finds every same-frame (GT, result) pair
     at or above the threshold, scoring each GT box only against the result
     boxes near it, and only those pairs are kept.  The min-cost pass of
@@ -289,10 +277,11 @@ def preprocess_sequence(
     result boxes a frame-wide solve would.  Both the frame-level metrics and
     the identity metrics score exactly this table.
     """
-    gt, res, threshold = seq.gt, seq.results, cfg.iou_threshold
-    g, r, overlap = _edges(gt.frame, gt.ltwh, res.frame, res.ltwh, threshold)
+    _check_threshold(iou_threshold)
+    gt, res = seq.gt, seq.results
+    g, r, overlap = _edges(gt.frame, gt.ltwh, res.frame, res.ltwh, iou_threshold)
     kept = np.ones(len(res), dtype=bool)
-    neutral = _NEUTRAL[gt.object_class][g] & (overlap > threshold)
+    neutral = _NEUTRAL[gt.object_class][g] & (overlap > iou_threshold)
     if neutral.any():
         free = _free(g, r)  # a pair that shares no box with another is matched
         kept[r[neutral & free]] = False
@@ -411,19 +400,14 @@ class EventLog:
     switch: np.ndarray
 
 
-def run_sequence(
-    seq: SequenceData,
-    cfg: MatchingConfig = MatchingConfig(),
-    preprocessed: EdgeTable | None = None,
-) -> EventLog:
-    """Evaluate a whole sequence: steps 2 and 3 frame by frame, then the switches.
+def run_sequence(table: EdgeTable) -> EventLog:
+    """Steps 2 and 3 frame by frame on a sequence's table, then the switches.
 
-    ``preprocessed`` is the sequence's :func:`preprocess_sequence` table
-    under ``cfg`` (step 1), computed here when not given.  An identity
-    switch is a match whose hypothesis differs from the target's previous
-    match.
+    ``table`` is the sequence's :func:`preprocess_sequence` table (step 1),
+    which fixes the threshold: it holds only the pairs at or above it.  An
+    identity switch is a match whose hypothesis differs from the target's
+    previous match.
     """
-    table = preprocess_sequence(seq, cfg) if preprocessed is None else preprocessed
     matched = _match(table)
     e = np.flatnonzero(matched)
     e = e[np.lexsort((table.frame[e], table.gt_id[table.gt_row[e]]))]  # by target, then frame

@@ -35,7 +35,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .assignment import MatchingConfig, preprocess_sequence, run_sequence
+from .assignment import preprocess_sequence, run_sequence
 from .clearmot import Counts, accumulate, pool, summarize
 from .identity import evaluate_identity
 from .ingest import (
@@ -47,7 +47,7 @@ from .ingest import (
     unit_frames,
     validate_submission,
 )
-from .model import SequenceData
+from .model import SequenceData, _check_threshold
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,10 +66,10 @@ ERROR_COLUMNS = [
 ]
 
 
-def _evaluate_unit(unit: EvalUnit, cfg: MatchingConfig) -> Counts:
+def _evaluate_unit(unit: EvalUnit, iou_threshold: float) -> Counts:
     """The counts of one unit, its identity counts merged in."""
-    table = preprocess_sequence(unit.data, cfg)
-    counts = accumulate(run_sequence(unit.data, cfg, preprocessed=table))
+    table = preprocess_sequence(unit.data, iou_threshold)
+    counts = accumulate(run_sequence(table))
     identity = evaluate_identity(table)
     return dataclasses.replace(counts, idtp=identity.idtp, idfp=identity.idfp,
                                idfn=identity.idfn)
@@ -135,7 +135,7 @@ def _detections_as_tracker(data: SequenceData) -> SequenceData:
     return dataclasses.replace(data, results=pseudo, detections=())
 
 
-def _error_counts(unit: EvalUnit, cfg: MatchingConfig) -> dict | None:
+def _error_counts(unit: EvalUnit, iou_threshold: float) -> dict | None:
     """The FP and FN of the tracker and of the detector; None without detections.
 
     Detector errors come from evaluating the provided detections as if they
@@ -143,8 +143,8 @@ def _error_counts(unit: EvalUnit, cfg: MatchingConfig) -> dict | None:
     """
     if not unit.data.detections:
         return None
-    tracker = accumulate(run_sequence(unit.data, cfg))
-    detector = accumulate(run_sequence(_detections_as_tracker(unit.data), cfg))
+    tracker, detector = (accumulate(run_sequence(preprocess_sequence(data, iou_threshold)))
+                         for data in (unit.data, _detections_as_tracker(unit.data)))
     return {
         "sequence": unit.label,
         "fp_tracker": tracker.fp,
@@ -175,7 +175,7 @@ def _error_table(units: list[tuple[str, dict | None]]) -> list[dict]:
 
 
 def _sequence_task(gt: Path, res: Path, benchmark: Benchmark, strict: bool,
-                   analysis: bool, cfg: MatchingConfig, row: int) -> tuple[list, object]:
+                   analysis: bool, iou_threshold: float, row: int) -> tuple[list, object]:
     """Load seqmap row ``row`` and evaluate its units, for error analysis or not.
 
     Returns the repair warnings the loading logged and either the units'
@@ -189,7 +189,7 @@ def _sequence_task(gt: Path, res: Path, benchmark: Benchmark, strict: bool,
         seq_set = load_sequence_set(gt, benchmark, results_root=res, strict=strict,
                                     read_detections=analysis, rows=slice(row, row + 1))
         evaluate = _error_counts if analysis else _evaluate_unit
-        outcome = [(unit.label, evaluate(unit, cfg)) for unit in seq_set.units]
+        outcome = [(unit.label, evaluate(unit, iou_threshold)) for unit in seq_set.units]
     except Exception as err:  # raised by the caller, in seqmap order
         outcome = err
     finally:
@@ -283,14 +283,14 @@ def main(argv: list[str] | None = None) -> int:
                                          benchmark.variant)
             sys.stdout.write(report.summary() + "\n")
             return EXIT_OK if report.passed else EXIT_INPUT
-        cfg = MatchingConfig(iou_threshold=args.iou)
+        _check_threshold(args.iou)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         analysis = args.command == "error-analysis"
         sizes = input_bytes(args.gt, benchmark, results_root=args.res,
                             read_detections=analysis)
         task = functools.partial(_sequence_task, args.gt, args.res, benchmark,
-                                 not args.lenient, analysis, cfg)
+                                 not args.lenient, analysis, args.iou)
         units = _run_sequences(task, sizes, args.jobs)
         if analysis:
             text = render_error_analysis(_error_table(units), args.format)

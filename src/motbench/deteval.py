@@ -20,13 +20,11 @@ constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 
-from .assignment import MatchingConfig
-from .model import BoxEntry, Rows, _check_rows, _edges
+from .model import BoxEntry, Rows, _check_rows, _check_threshold, _edges
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -73,13 +71,13 @@ def pr_curve(
     the true positives at every threshold.  With no scored detections the
     curve is empty and its AP is zero.
 
-    Raises ``ValueError`` for a ``mode`` other than ``"tracking_gt"`` or
-    ``"visible_only"``, and at the first row of either input that breaks the
-    row rules of the file format: a frame below 1, the box geometry, a
-    confidence that is not finite, a class code outside ``ObjectClass`` or
-    a visibility that is not finite.
+    Raises ``ValueError`` for an ``iou_threshold`` outside (0, 1], for a
+    ``mode`` other than ``"tracking_gt"`` or ``"visible_only"``, and at the
+    first row of either input that breaks the row rules of the file format:
+    a frame below 1, the box geometry, a confidence that is not finite, a
+    class code outside ``ObjectClass`` or a visibility that is not finite.
     """
-    MatchingConfig(iou_threshold)  # ValueError outside (0, 1]
+    _check_threshold(iou_threshold)
     if mode not in get_args(GroundTruthMode):
         raise ValueError(f"mode must be one of {get_args(GroundTruthMode)}, got {mode!r}")
     dets, gts = Rows.of(detections), Rows.of(gt).sorted()
@@ -121,36 +119,32 @@ def pr_curve(
             if e < held:
                 holder[gt_of[e]] = e
                 k = det_of[held]
-    points = []
-    for thr, tp, kept_total in zip(
-        scores[::-1].tolist(), accumulate(gain), accumulate(counts[::-1].tolist())
-    ):
-        recall = 100.0 * tp / len(gt_frame) if len(gt_frame) else 0.0
-        precision = 100.0 * tp / kept_total
-        points.append(PRPoint(threshold=thr, recall=recall, precision=precision))
-
-    curve_points = tuple(points)
+    tp = np.cumsum(gain)
+    recall = 100.0 * tp / len(gt_frame) if len(gt_frame) else np.zeros(len(tp))
+    precision = 100.0 * tp / np.cumsum(counts[::-1])
+    points = tuple(map(PRPoint, scores[::-1].tolist(), recall.tolist(), precision.tolist()))
     return PRCurve(
-        points=curve_points,
-        ap=_eleven_point_ap(curve_points),
-        operating_point=curve_points[-1] if curve_points else None,
+        points=points,
+        ap=_eleven_point_ap(recall, precision),
+        operating_point=points[-1] if points else None,
     )
 
 
-def _eleven_point_ap(points: Sequence[PRPoint]) -> float:
+def _eleven_point_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     """Mean interpolated precision at recall 0, 10, ..., 100 percent.
 
+    ``recall`` and ``precision`` are the curve's columns, point by point.
     Interpolated precision at a recall level is the best precision achieved
     at that recall or beyond; levels the curve never reaches contribute zero.
+    Recall never falls along the points, so the points at a level or beyond
+    form a suffix: the level reads the reversed running maximum of the
+    precisions at the suffix's first point, which one ``searchsorted``
+    finds for all eleven levels.
     """
-    if not points:
-        return 0.0
-    total = 0.0
-    for step in range(11):
-        level = 10.0 * step
-        candidates = [p.precision for p in points if p.recall >= level - 1e-9]
-        total += max(candidates) if candidates else 0.0
-    return total / 11.0
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, 10.0 * np.arange(11) - 1e-9)
+    # A running total adds the levels in order; np.sum would pair them.
+    return float(np.cumsum(best[first])[-1]) / 11.0
 
 
 def export_curve(curve: PRCurve) -> str:

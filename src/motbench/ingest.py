@@ -477,7 +477,6 @@ class SequenceSet:
     pair and requires every partition's result file to be present.
     """
 
-    benchmark: Benchmark
     units: tuple[EvalUnit, ...]
 
     def __post_init__(self) -> None:
@@ -490,17 +489,19 @@ class SequenceSet:
             seen.add(key)
 
 
-def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
-    """Read a sequence-map file: one 'name num_frames [fps]' row per line.
+def read_seqmap(path: Path) -> dict[str, int]:
+    """Read a sequence-map file: each sequence's frame count, in map order.
 
-    Blank lines and lines starting with '#' are skipped.  Every fault of the
-    map raises :class:`IngestError` naming ``path``: a path that is not a
-    file, and, at their 1-based line, a byte that is not UTF-8, a malformed
-    row, a frame count below 1 and a name listed before.
+    The file holds one 'name num_frames [fps]' row per line; the fps token
+    must be a number, but nothing reads it.  Blank lines and lines starting
+    with '#' are skipped.  Every fault of the map raises
+    :class:`IngestError` naming ``path``: a path that is not a file, and,
+    at their 1-based line, a byte that is not UTF-8, a malformed row, a
+    frame count below 1 and a name listed before.
     """
     if not path.is_file():
         raise IngestError(f"missing sequence map {path}")
-    rows: dict[str, tuple[int, float | None]] = {}
+    frames: dict[str, int] = {}
     try:
         for line_no, raw in enumerate(_as_text(path).splitlines(), start=1):
             line = raw.strip()
@@ -511,17 +512,18 @@ def read_seqmap(path: Path) -> list[tuple[str, int, float | None]]:
                 raise ParseError("expected 'name num_frames [fps]'", line_no)
             try:
                 num_frames = int(tokens[1])
-                fps = float(tokens[2]) if len(tokens) == 3 else None
+                if len(tokens) == 3:
+                    float(tokens[2])  # the fps must be a number
             except ValueError:
                 raise ParseError(f"malformed number in {line!r}", line_no) from None
             if num_frames < 1:
                 raise ParseError(f"sequence {tokens[0]!r}: num_frames must be > 0", line_no)
-            if tokens[0] in rows:
+            if tokens[0] in frames:
                 raise ParseError(f"duplicate sequence {tokens[0]!r}", line_no)
-            rows[tokens[0]] = num_frames, fps
+            frames[tokens[0]] = num_frames
     except ParseError as err:
         raise IngestError(f"{path}: {err}") from err
-    return [(name, *row) for name, row in rows.items()]
+    return frames
 
 
 def unit_frames(seqmap: Path, benchmark: Benchmark) -> dict[str, int]:
@@ -531,7 +533,7 @@ def unit_frames(seqmap: Path, benchmark: Benchmark) -> dict[str, int]:
     :func:`read_seqmap` raises.
     """
     units = {_unit_name(name, detector): num_frames
-             for name, num_frames, _ in read_seqmap(seqmap)
+             for name, num_frames in read_seqmap(seqmap).items()
              for detector in benchmark.detectors or (None,)}
     if not units:
         raise IngestError(f"{seqmap}: lists no sequence")
@@ -553,7 +555,7 @@ def _sequence_files(
     """
     results_dir = Path(results_root) if results_root is not None else root / "res"
     out = []
-    for name, num_frames, _ in read_seqmap(root / "seqmap.txt")[rows]:
+    for name, num_frames in list(read_seqmap(root / "seqmap.txt").items())[rows]:
         units = []
         for detector in benchmark.detectors or (None,):
             unit = _unit_name(name, detector)
@@ -640,4 +642,4 @@ def load_sequence_set(
 
             units += [EvalUnit(detector, SequenceData(name, num_frames, gt, results, detections))]
 
-    return SequenceSet(benchmark=benchmark, units=tuple(units))
+    return SequenceSet(units=tuple(units))

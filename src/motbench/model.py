@@ -9,7 +9,9 @@ Overlaps are computed in one place, :func:`_edges` over the edges and areas
 of :func:`_geometry`, so every metric judges the same overlap.  The pass
 scores each GT box only against the same-frame result boxes whose left edge
 lies in a window that every pair at the threshold falls in, in blocks of a
-bounded number of such candidates.
+bounded number of such candidates.  Its threshold is one float in (0, 1],
+which :func:`_check_threshold` checks for the tracker matching, the
+detector sweep and the command line alike.
 
 A row's values meet one rule set, :func:`_row_rules`: a frame of at least 1
 and within the sequence, the box geometry of :func:`_geometry_rules`, a
@@ -205,6 +207,12 @@ def _check_rows(rows: Rows, what: str, num_frames: int | None = None, unique: bo
         raise ValueError(f"{what} entry at frame {rows.frame[i]}, id {rows.track_id[i]}: {rule(i)}")
 
 
+def _check_threshold(iou_threshold: float) -> None:
+    """Raise ``ValueError`` unless the overlap threshold lies in (0, 1] (NaN does not)."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def _edges(
     gt_frame: np.ndarray,
     gt_ltwh: np.ndarray,
@@ -219,9 +227,10 @@ def _edges(
     pairs come out ordered by GT row, then result row.  Every length is a
     difference of rounded edges, so each IoU lies in (0, 1] and is 1.0 for
     identical boxes.  Pairs that do not overlap are never stored, so a
-    threshold must be positive.  ``preprocess_sequence`` pairs every GT box with the result
-    boxes, ``pr_curve`` the scored GT with the detections; every box has
-    met :func:`_geometry_rules`, which use :func:`_geometry`.
+    threshold must be positive; both callers check it with
+    :func:`_check_threshold`.  ``preprocess_sequence`` pairs every GT box
+    with the result boxes, ``pr_curve`` the scored GT with the detections;
+    every box has met :func:`_geometry_rules`, which use :func:`_geometry`.
 
     A GT box is scored only against the result boxes of its frame whose
     left edge lies in its window, so a frame costs what its nearby pairs

@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import motbench.assignment as assignment
-from motbench.assignment import _NEUTRAL, EventLog, MatchingConfig, solve_assignment
+from motbench.assignment import _NEUTRAL, EventLog, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
@@ -157,7 +157,7 @@ def _min_cost_matching(
 
 
 def preprocess_frame(
-    gt: Rows, res: Rows, cfg: MatchingConfig = MatchingConfig()
+    gt: Rows, res: Rows, iou_threshold: float = 0.5
 ) -> tuple[list[int], list[int], list[int], np.ndarray]:
     """Apply the neutral-class filter to one frame.
 
@@ -171,13 +171,13 @@ def preprocess_frame(
     Pedestrian matches made here are discarded; scoring re-derives them with
     carryover applied.
     """
-    threshold, scoreable = cfg.iou_threshold, gt.scoreable
+    scoreable = gt.scoreable
     overlaps = iou_matrix(gt.ltwh, res.ltwh)
     neutral = _NEUTRAL[gt.object_class]
     res_list = res.track_id.tolist()
     removed = {
-        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, threshold)
-        if neutral[i] and overlap > threshold
+        res_list[j] for i, j, overlap in _min_cost_matching(overlaps, iou_threshold)
+        if neutral[i] and overlap > iou_threshold
     } if neutral.any() else set()
     keep_res = [j for j, pred_id in enumerate(res_list) if pred_id not in removed]
     return (
@@ -194,7 +194,7 @@ def match_frame(
     overlaps: np.ndarray,
     prev_assignment: dict[int, int],
     last_assignment: dict[int, int],
-    cfg: MatchingConfig = MatchingConfig(),
+    iou_threshold: float = 0.5,
     frame: int = 0,
 ) -> tuple[FrameEvents, dict[int, int]]:
     """Match one preprocessed frame; returns its events and the new assignment.
@@ -212,14 +212,14 @@ def match_frame(
     for gt_id, pred_id in sorted(prev_assignment.items()):
         if gt_id in gt_at and pred_id in res_at:
             overlap = float(overlaps[gt_at[gt_id], res_at[pred_id]])
-            if overlap >= cfg.iou_threshold:
+            if overlap >= iou_threshold:
                 matches.append((gt_id, pred_id, overlap))
 
     taken_gt = {gt_id for gt_id, _, _ in matches}
     taken_res = {pred_id for _, pred_id, _ in matches}
     rem_i = [i for i, gt_id in enumerate(gt_ids) if gt_id not in taken_gt]
     rem_j = [j for j, pred_id in enumerate(res_ids) if pred_id not in taken_res]
-    for a, b, overlap in _min_cost_matching(overlaps[rem_i][:, rem_j], cfg.iou_threshold):
+    for a, b, overlap in _min_cost_matching(overlaps[rem_i][:, rem_j], iou_threshold):
         matches.append((gt_ids[rem_i[a]], res_ids[rem_j[b]], overlap))
     matches.sort()
 
@@ -247,7 +247,7 @@ def _frame_rows(rows: Rows, t: int) -> Rows:
 
 
 def per_frame_reference(
-    instance: SequenceData, cfg: MatchingConfig = MatchingConfig()
+    instance: SequenceData, iou_threshold: float = 0.5
 ) -> tuple[list[FrameEvents], tuple[dict, ...]]:
     """Events and identity table counts of the protocol run one frame at a time."""
     events: list[FrameEvents] = []
@@ -258,14 +258,15 @@ def per_frame_reference(
     last: dict[int, int] = {}
     for t in range(1, instance.num_frames + 1):
         gt_ids, res_ids, _, overlaps = preprocess_frame(
-            _frame_rows(instance.gt, t), _frame_rows(instance.results, t), cfg
+            _frame_rows(instance.gt, t), _frame_rows(instance.results, t), iou_threshold
         )
-        frame_events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, cfg, frame=t)
+        frame_events, prev = match_frame(gt_ids, res_ids, overlaps, prev, last, iou_threshold,
+                                         frame=t)
         events.append(frame_events)
         last.update(prev)
         gt_len.update(gt_ids)
         pred_len.update(res_ids)
-        for i, j in zip(*np.nonzero(overlaps >= cfg.iou_threshold)):
+        for i, j in zip(*np.nonzero(overlaps >= iou_threshold)):
             co[gt_ids[i], res_ids[j]] += 1
     return events, (dict(gt_len), dict(pred_len), dict(co))
 

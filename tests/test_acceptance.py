@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from motbench.assignment import MatchingConfig, preprocess_sequence, run_sequence
+from motbench.assignment import preprocess_sequence, run_sequence
 from motbench.cli import main
 from motbench.clearmot import Counts, accumulate, mota, motp, pool, summarize
 from motbench.identity import evaluate_identity
@@ -31,7 +31,7 @@ from conftest import (
 )
 from oracles import oracle_clear_counts, oracle_identity_counts
 
-CFG = MatchingConfig()
+IOU = 0.5
 
 
 @contextmanager
@@ -45,9 +45,8 @@ def criterion(num: int, description: str):
 
 
 def evaluate(instance, threshold=0.5):
-    cfg = MatchingConfig(iou_threshold=threshold)
-    frames = preprocess_sequence(instance, cfg)
-    counts = accumulate(run_sequence(instance, cfg, preprocessed=frames))
+    frames = preprocess_sequence(instance, threshold)
+    counts = accumulate(run_sequence(frames))
     ident = evaluate_identity(frames)
     return counts, ident
 
@@ -96,7 +95,7 @@ def test_criterion_3_canonical_assignment_scenarios():
         start = time.perf_counter()
         for build in ALL_SCENARIOS:
             instance = build()
-            counts = accumulate(run_sequence(instance, CFG))
+            counts = accumulate(run_sequence(preprocess_sequence(instance, IOU)))
             tp, fp, fn, idsw, fm = SCENARIO_EXPECTATIONS[instance.name]
             assert counts.tp == tp, instance.name
             assert counts.fp == fp, instance.name

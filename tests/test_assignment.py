@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from motbench.assignment import (
-    MatchingConfig,
     _edge_components,
     preprocess_sequence,
     run_sequence,
@@ -41,7 +40,7 @@ from oracles import (
     tie_order_ranking,
 )
 
-CFG = MatchingConfig()
+IOU = 0.5
 
 
 def totals(log):
@@ -64,7 +63,7 @@ def matched_frames(log) -> dict[int, set[int]]:
 
 def kept(gt_frame, res_frame):
     """``(gt_ids, res_ids, overlaps)`` of one frame preprocessed by the reference."""
-    gt_ids, res_ids, _, overlaps = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)
+    gt_ids, res_ids, _, overlaps = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), IOU)
     return gt_ids, res_ids, overlaps
 
 
@@ -74,19 +73,19 @@ def preprocessed(gt_frame, res_frame):
     The removed ids are the result ids the edge table does not keep; the
     reference must give the same three lists.
     """
-    table = preprocess_sequence(seq("frame", 1, gt_frame, res_frame), CFG)
+    table = preprocess_sequence(seq("frame", 1, gt_frame, res_frame), IOU)
     res_ids = table.res_id.tolist()
     out = (table.gt_id.tolist(), res_ids,
            sorted({e.track_id for e in res_frame} - set(res_ids)))
-    assert preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), CFG)[:3] == out
+    assert preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), IOU)[:3] == out
     return out
 
 
 def last_frame_events(gts, preds):
     """The last frame's events by ``run_sequence``; the reference must agree."""
     instance = seq("frames", max(e.frame for e in [*gts, *preds]), gts, preds)
-    events = frame_events(run_sequence(instance, CFG))
-    assert events == per_frame_reference(instance, CFG)[0]
+    events = frame_events(run_sequence(preprocess_sequence(instance, IOU)))
+    assert events == per_frame_reference(instance, IOU)[0]
     return events[-1]
 
 
@@ -176,7 +175,7 @@ class TestPreprocessFrame:
             instance = random_instance(rng)
             gt_box = {(e.frame, e.track_id): e.box for e in instance.gt}
             res_box = {(e.frame, e.track_id): e.box for e in instance.results}
-            table = preprocess_sequence(instance, CFG)
+            table = preprocess_sequence(instance, IOU)
             gt_rows = list(zip(table.gt_frame.tolist(), table.gt_id.tolist()))
             res_rows = list(zip(table.res_frame.tolist(), table.res_id.tolist()))
             stored = {}
@@ -185,20 +184,28 @@ class TestPreprocessFrame:
                 (gt_t, gt_id), (res_t, pred_id) = gt_rows[i], res_rows[j]
                 assert gt_t == res_t == t
                 assert overlap == iou(gt_box[t, gt_id], res_box[t, pred_id])
-                assert overlap >= CFG.iou_threshold
+                assert overlap >= IOU
                 stored[t, gt_id, pred_id] = overlap
             assert list(stored) == sorted(stored)
             for t, gt_id in gt_rows:
                 for res_t, pred_id in res_rows:
                     if res_t == t and (t, gt_id, pred_id) not in stored:
-                        assert iou(gt_box[t, gt_id], res_box[t, pred_id]) < CFG.iou_threshold
+                        assert iou(gt_box[t, gt_id], res_box[t, pred_id]) < IOU
+
+    @pytest.mark.parametrize("iou_threshold", [0.0, -1.0, 1.5, float("nan")])
+    def test_thresholds_outside_the_unit_interval_rejected(self, iou_threshold):
+        # the message the command line prints after "error: " for --iou
+        instance = seq("one", 1, [gt(1, 1, 0, 0)], [hyp(1, 7, 0, 0)])
+        with pytest.raises(ValueError) as raised:
+            preprocess_sequence(instance, iou_threshold)
+        assert str(raised.value) == f"iou_threshold must be in (0, 1], got {iou_threshold}"
 
 
 class TestMatchFrame:
     def test_perfect_one_to_one(self):
         gt_frame = [gt(1, 1, 0, 0), gt(1, 2, 30, 0)]
         res_frame = [hyp(1, 8, 0, 0), hyp(1, 9, 30, 0)]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG, frame=1)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {}, IOU, frame=1)
         assert {(g, p) for g, p, _ in events.matches} == {(1, 8), (2, 9)}
         assert events.fp_ids == () and events.fn_ids == () and events.idsw_ids == ()
         assert assignment == {1: 8, 2: 9}
@@ -207,7 +214,7 @@ class TestMatchFrame:
     def test_carryover_beats_closer_hypothesis(self):
         gt_frame = [gt(2, 1, 0, 0)]
         res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]  # 9 is closer
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG,
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, IOU,
                                          frame=2)
         assert assignment == {1: 8}
         assert events.fp_ids == (9,)
@@ -220,14 +227,14 @@ class TestMatchFrame:
         # reference alone: no previous match but a last known one
         gt_frame = [gt(2, 1, 0, 0)]
         res_frame = [hyp(2, 8, 0, 3), hyp(2, 9, 0, 1)]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {1: 8}, CFG)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {1: 8}, IOU)
         assert assignment == {1: 9}
         assert events.idsw_ids == (1,)
 
     def test_broken_carryover_frees_both_sides(self):
         gt_frame = [gt(2, 1, 0, 0)]
         res_frame = [hyp(2, 8, 0, 40), hyp(2, 9, 0, 2)]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, CFG,
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {1: 8}, {1: 8}, IOU,
                                          frame=2)
         assert assignment == {1: 9}
         assert events.fp_ids == (8,)
@@ -239,7 +246,7 @@ class TestMatchFrame:
     def test_switch_requires_a_previous_assignment(self):
         gt_frame = [gt(1, 1, 0, 0)]
         res_frame = [hyp(1, 9, 0, 0)]
-        events, _ = match_frame(*kept(gt_frame, res_frame), {}, {}, CFG, frame=1)
+        events, _ = match_frame(*kept(gt_frame, res_frame), {}, {}, IOU, frame=1)
         assert events.idsw_ids == ()
         assert last_frame_events(gt_frame, res_frame) == events
 
@@ -252,7 +259,7 @@ class TestMatchFrame:
         res_frame = [
             hyp(4, 101, 4, 24, 8, 8), hyp(4, 102, 4, 40, 8, 8), hyp(4, 103, 8, 24, 8, 8)
         ]
-        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {2: 101}, CFG)
+        events, assignment = match_frame(*kept(gt_frame, res_frame), {}, {2: 101}, IOU)
         assert assignment == {2: 101}
         assert events.idsw_ids == ()
         assert events.fn_ids == (1,) and events.fp_ids == (102, 103)
@@ -261,8 +268,8 @@ class TestMatchFrame:
         rng = random.Random(2)
         for _ in range(50):
             instance = random_instance(rng)
-            log = run_sequence(instance, CFG)
-            assert (log.table.iou[log.matched] >= CFG.iou_threshold).all()
+            log = run_sequence(preprocess_sequence(instance, IOU))
+            assert (log.table.iou[log.matched] >= IOU).all()
 
 
 class TestRunSequence:
@@ -270,7 +277,7 @@ class TestRunSequence:
         gt_entries = [gt(t, i, 30 * i, 0) for t in range(1, 6) for i in (1, 2, 3)]
         results = [hyp(e.frame, e.track_id + 100, e.box.left, e.box.top)
                    for e in gt_entries]
-        log = run_sequence(seq("perfect", 5, gt_entries, results), CFG)
+        log = run_sequence(preprocess_sequence(seq("perfect", 5, gt_entries, results), IOU))
         tp, fp, fn, idsw = totals(log)
         assert (tp, fp, fn, idsw) == (15, 0, 0, 0)
         assert matched_frames(log) == {i: {1, 2, 3, 4, 5} for i in (1, 2, 3)}
@@ -278,7 +285,7 @@ class TestRunSequence:
     def test_empty_results(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 6)]
         gt_entries += [gt(1, 2, 50, 50, conf=0.0)]  # inactive: not a miss
-        log = run_sequence(seq("empty", 5, gt_entries, []), CFG)
+        log = run_sequence(preprocess_sequence(seq("empty", 5, gt_entries, []), IOU))
         tp, fp, fn, idsw = totals(log)
         assert (tp, fp, fn, idsw) == (0, 0, 5, 0)
 
@@ -286,14 +293,14 @@ class TestRunSequence:
     def test_canonical_scenarios(self, build):
         instance = build()
         expected = SCENARIO_EXPECTATIONS[instance.name]
-        log = run_sequence(instance, CFG)
+        log = run_sequence(preprocess_sequence(instance, IOU))
         counts = accumulate(log)
         assert (counts.tp, counts.fp, counts.fn, counts.idsw, counts.fm) == expected
 
     def test_gap_scenario_details(self):
         from conftest import scenario_gap_then_new_hypothesis
 
-        log = run_sequence(scenario_gap_then_new_hypothesis(), CFG)
+        log = run_sequence(preprocess_sequence(scenario_gap_then_new_hypothesis(), IOU))
         by_frame = {ev.frame: ev for ev in frame_events(log)}
         assert by_frame[3].fn_ids == (1,)
         assert by_frame[4].idsw_ids == (1,)
@@ -305,7 +312,7 @@ class TestRunSequence:
         rng = random.Random(4)
         for _ in range(30):
             instance = random_instance(rng)
-            log = run_sequence(instance, CFG)
+            log = run_sequence(preprocess_sequence(instance, IOU))
             tp, fp, fn, _ = totals(log)
             assert tp + fn == instance.gt.scoreable.sum()
             # without neutral classes in the fixture nothing is removed
@@ -321,12 +328,12 @@ class TestRunSequence:
         preds = [hyp(t, k + shift * n, 30 * k + shift, 0)
                  for t in range(1, 6) for k in range(1, n + 1) for shift in (0, 1)]
         instance = seq("crowd", 5, gts, preds)
-        table = preprocess_sequence(instance, CFG)
+        table = preprocess_sequence(instance, IOU)
         assert len(table.iou) == 16_000
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            log = run_sequence(instance, CFG, preprocessed=table)
+            log = run_sequence(table)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.12, elapsed
         assert (table.res_id[table.res_row[log.matched]] <= n).all()
@@ -346,7 +353,7 @@ class TestRunSequence:
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            table = preprocess_sequence(instance, CFG)
+            table = preprocess_sequence(instance, IOU)
             elapsed.append(time.perf_counter() - start)
         assert len(table.iou) == 9879
         assert min(elapsed) < 0.15, elapsed
@@ -356,7 +363,7 @@ class TestOracleAgreement:
     def test_against_exhaustive_enumeration(self, rng):
         for _ in range(120):
             instance = random_instance(rng)
-            log = run_sequence(instance, CFG)
+            log = run_sequence(preprocess_sequence(instance, IOU))
             _, fp, fn, idsw = totals(log)
             assert (fp, fn, idsw) == oracle_clear_counts(instance)
 
@@ -377,8 +384,8 @@ class TestOracleAgreement:
                     for e in instance.results
                 ],
             )
-            a = totals(run_sequence(instance, CFG))
-            b = totals(run_sequence(relabeled, CFG))
+            a = totals(run_sequence(preprocess_sequence(instance, IOU)))
+            b = totals(run_sequence(preprocess_sequence(relabeled, IOU)))
             assert a == b
 
 

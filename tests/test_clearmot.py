@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motbench.assignment import MatchingConfig, run_sequence
+from motbench.assignment import preprocess_sequence, run_sequence
 from motbench.clearmot import (
     MOSTLY_LOST_MAX,
     MOSTLY_TRACKED_MIN,
@@ -23,6 +23,11 @@ from motbench.clearmot import (
 )
 from conftest import gt, hyp, random_instance, seq
 from oracles import frame_events
+
+
+def counts_of(instance):
+    """The counts of ``instance`` by the evaluation chain at the default threshold."""
+    return accumulate(run_sequence(preprocess_sequence(instance)))
 
 # benchmark-wide constants of the two public test splits used in fixtures
 GT_TOTAL_15 = 61440
@@ -108,7 +113,7 @@ class TestMotp:
     def test_recompute_from_frame_events(self, rng):
         for _ in range(25):
             instance = random_instance(rng)
-            log = run_sequence(instance, MatchingConfig())
+            log = run_sequence(preprocess_sequence(instance))
             counts = accumulate(log)
             overlaps = [o for ev in frame_events(log) for _, _, o in ev.matches]
             if not overlaps:
@@ -155,7 +160,7 @@ class TestAccumulate:
     def test_perfect_log(self):
         gt_entries = [gt(t, i, 40 * i, 0) for t in range(1, 7) for i in (1, 2)]
         results = [hyp(e.frame, e.track_id, e.box.left, e.box.top) for e in gt_entries]
-        counts = accumulate(run_sequence(seq("p", 6, gt_entries, results)))
+        counts = counts_of(seq("p", 6, gt_entries, results))
         assert counts.fm == 0
         assert counts.mt == counts.gt_tracks == 2
         assert counts.ml == 0
@@ -165,38 +170,38 @@ class TestAccumulate:
         # covered frames 1-2 and 4-6 of 6: one fragmentation, ratio 5/6
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 7)]
         results = [hyp(t, 10, 0, 0) for t in (1, 2, 4, 5, 6)]
-        counts = accumulate(run_sequence(seq("frag", 6, gt_entries, results)))
+        counts = counts_of(seq("frag", 6, gt_entries, results))
         assert counts.fm == 1
         assert counts.mt == 1 and counts.pt == 0 and counts.ml == 0
 
     def test_exactly_twenty_percent_is_partially_tracked(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 11)]
         results = [hyp(t, 10, 0, 0) for t in (1, 2)]
-        counts = accumulate(run_sequence(seq("boundary", 10, gt_entries, results)))
+        counts = counts_of(seq("boundary", 10, gt_entries, results))
         assert counts.pt == 1 and counts.ml == 0
 
     def test_below_twenty_percent_is_mostly_lost(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 11)]
         results = [hyp(1, 10, 0, 0)]
-        counts = accumulate(run_sequence(seq("lost", 10, gt_entries, results)))
+        counts = counts_of(seq("lost", 10, gt_entries, results))
         assert counts.ml == 1
 
     def test_exactly_eighty_percent_is_mostly_tracked(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 11)]
         results = [hyp(t, 10, 0, 0) for t in range(1, 9)]
-        counts = accumulate(run_sequence(seq("mt", 10, gt_entries, results)))
+        counts = counts_of(seq("mt", 10, gt_entries, results))
         assert counts.mt == 1
 
     def test_trailing_gap_is_not_a_fragmentation(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 7)]
         results = [hyp(t, 10, 0, 0) for t in (1, 2, 3)]
-        counts = accumulate(run_sequence(seq("trail", 6, gt_entries, results)))
+        counts = counts_of(seq("trail", 6, gt_entries, results))
         assert counts.fm == 0
 
     def test_identity_changes_do_not_affect_coverage(self):
         gt_entries = [gt(t, 1, 0, 0) for t in range(1, 7)]
         results = [hyp(t, 100 + t, 0, 0) for t in range(1, 7)]  # new id every frame
-        counts = accumulate(run_sequence(seq("ids", 6, gt_entries, results)))
+        counts = counts_of(seq("ids", 6, gt_entries, results))
         assert counts.idsw == 5
         assert counts.mt == 1 and counts.fm == 0
 
@@ -209,9 +214,9 @@ class TestAccumulate:
             num_frames = rng.randint(1, 12)
             boxes = [t for t in range(1, num_frames + 1) if rng.random() < 0.8]
             hits = [t for t in boxes if rng.random() < 0.5]
-            counts = accumulate(run_sequence(seq(
+            counts = counts_of(seq(
                 "frag", num_frames, [gt(t, 1, 0, 0) for t in boxes],
-                [hyp(t, 10, 0, 0) for t in hits])))
+                [hyp(t, 10, 0, 0) for t in hits]))
             span = range(min(boxes, default=1), max(boxes, default=0) + 1)
             status = [t in hits for t in span]
             resumed = sum(
@@ -228,7 +233,7 @@ class TestAccumulate:
 
     def test_track_classes_partition_and_rates_bounded(self, rng):
         for _ in range(40):
-            counts = accumulate(run_sequence(random_instance(rng)))
+            counts = counts_of(random_instance(rng))
             assert counts.mt + counts.pt + counts.ml == counts.gt_tracks
             assert 0 <= counts.mt + counts.ml <= counts.gt_tracks
             rates = summarize("x", counts)
@@ -293,8 +298,8 @@ class TestPool:
             merged = seq("merged", first.num_frames + second.num_frames,
                          [*first.gt, *shifted(second.gt)],
                          [*first.results, *shifted(second.results)])
-            parts = [accumulate(run_sequence(first)), accumulate(run_sequence(second))]
-            assert accumulate(run_sequence(merged)) == pool(parts)
+            parts = [counts_of(first), counts_of(second)]
+            assert counts_of(merged) == pool(parts)
 
 
 class TestSummarize:

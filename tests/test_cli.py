@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 
 import motbench
+import motbench.assignment as assignment
 import motbench.cli as cli
 import motbench.clearmot as clearmot
 import motbench.identity as identity
@@ -669,6 +670,18 @@ def test_one_pooled_record_and_a_flat_front_end():
     assert {"idtp", "idfp", "idfn"} <= {f.name for f in dataclasses.fields(Counts)}
 
 
+def test_one_threshold_and_one_table_through_the_chain():
+    # the threshold is one float wherever it is given, and run_sequence
+    # scores the table that preprocess_sequence returns, nothing else
+    for module in (motbench, assignment):
+        assert not hasattr(module, "MatchingConfig"), module.__name__
+    assert "MatchingConfig" not in motbench.__all__
+    assert list(inspect.signature(assignment.run_sequence).parameters) == ["table"]
+    for fn in (assignment.preprocess_sequence, pr_curve):
+        threshold = inspect.signature(fn).parameters["iou_threshold"]
+        assert (threshold.annotation, threshold.default) == ("float", 0.5), fn.__name__
+
+
 def test_one_sequence_map_path():
     # ingest reads the map and names the units; main only calls it, and one
     # function runs the sequences for every --jobs value
@@ -920,10 +933,10 @@ import motbench.clearmot as clearmot
 
 parent, evaluate = os.getpid(), cli._evaluate_unit
 
-def dying(unit, cfg):
+def dying(unit, iou_threshold):
     if os.getpid() != parent:
         os._exit(3)
-    return evaluate(unit, cfg)
+    return evaluate(unit, iou_threshold)
 
 cli._evaluate_unit = dying
 root = sys.argv[1]

@@ -4,6 +4,7 @@ import inspect
 import random
 import time
 
+import numpy as np
 import pytest
 
 import motbench.deteval as deteval
@@ -347,21 +348,27 @@ class TestPrCurve:
         assert [(p.recall, p.precision) for p in curve.points] == [(50.0, 100.0), (50.0, 50.0)]
 
 
+def ap_of(points):
+    """``_eleven_point_ap`` of the points' recall and precision columns."""
+    return _eleven_point_ap(np.array([p.recall for p in points]),
+                            np.array([p.precision for p in points]))
+
+
 class TestAveragePrecision:
     def test_perfect_curve(self):
         points = tuple(
             PRPoint(threshold=1.0 - 0.1 * k, recall=10.0 * k, precision=100.0)
             for k in range(1, 11)
         )
-        assert _eleven_point_ap(points) == pytest.approx(100.0)
+        assert ap_of(points) == pytest.approx(100.0)
 
     def test_precision_one_up_to_half_recall(self):
         points = (PRPoint(threshold=0.9, recall=50.0, precision=100.0),)
         # recall levels 0..50 see precision 100, the other five see nothing
-        assert _eleven_point_ap(points) == pytest.approx(600.0 / 11.0)
+        assert ap_of(points) == pytest.approx(600.0 / 11.0)
 
     def test_empty_curve_is_zero(self):
-        assert _eleven_point_ap(()) == 0.0
+        assert ap_of(()) == 0.0
 
     def test_interpolation_takes_best_precision_to_the_right(self):
         points = (
@@ -369,7 +376,7 @@ class TestAveragePrecision:
             PRPoint(threshold=0.5, recall=60.0, precision=90.0),
         )
         # levels 0..60 interpolate to 90, not 40
-        assert _eleven_point_ap(points) == pytest.approx(7 * 90.0 / 11.0)
+        assert ap_of(points) == pytest.approx(7 * 90.0 / 11.0)
 
 
 def test_export_curve_round_trips_numbers():

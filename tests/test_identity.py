@@ -5,14 +5,14 @@ import random
 import pytest
 
 import motbench.identity as identity
-from motbench.assignment import MatchingConfig, preprocess_sequence, solve_assignment
+from motbench.assignment import preprocess_sequence, solve_assignment
 from motbench.identity import build_table, evaluate_identity, solve_identity
 from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
 from oracles import oracle_identity_counts, solve_identity_dummy_graph
 
 
 def scores_for(instance, threshold=0.5):
-    frames = preprocess_sequence(instance, MatchingConfig(iou_threshold=threshold))
+    frames = preprocess_sequence(instance, threshold)
     return evaluate_identity(frames)
 
 

@@ -859,7 +859,14 @@ class TestLoadSequenceSet:
     def test_seqmap_with_fps_and_comments(self, tmp_path):
         path = tmp_path / "seqmap.txt"
         path.write_text("# comment\nSEQ-01 600 30\n\nSEQ-02 450\n")
-        assert read_seqmap(path) == [("SEQ-01", 600, 30.0), ("SEQ-02", 450, None)]
+        assert list(read_seqmap(path).items()) == [("SEQ-01", 600), ("SEQ-02", 450)]
+
+    def test_seqmap_fps_must_be_a_number(self, tmp_path):
+        # nothing reads the fps, but the map's row format still holds
+        path = tmp_path / "seqmap.txt"
+        path.write_text("SEQ-01 600 30\nSEQ-02 450 fast\n")
+        with pytest.raises(IngestError, match=r"seqmap\.txt: line 2: malformed number"):
+            read_seqmap(path)
 
     def test_ten_column_benchmark_round_trip(self, tmp_path):
         data = small_sequence("SEQ-01")

@@ -18,7 +18,6 @@ import pytest
 import motbench.assignment as assignment
 import motbench.model as model
 from motbench.assignment import (
-    MatchingConfig,
     preprocess_sequence,
     run_sequence,
     solve_assignment,
@@ -35,14 +34,14 @@ from oracles import (
     preprocess_frame,
 )
 
-CFG = MatchingConfig()
+IOU = 0.5
 
 
-def assert_pinned(instance, cfg=CFG):
-    table = preprocess_sequence(instance, cfg)
+def assert_pinned(instance, iou_threshold=IOU):
+    table = preprocess_sequence(instance, iou_threshold)
     assert len(table) == instance.num_frames
-    log = run_sequence(instance, cfg, preprocessed=table)
-    ref_events, ref_counts = per_frame_reference(instance, cfg)
+    log = run_sequence(table)
+    ref_events, ref_counts = per_frame_reference(instance, iou_threshold)
     assert frame_events(log) == ref_events
     assert accumulate(log) == per_frame_counts(ref_events, instance.num_frames)
     identity_table = build_table(table)
@@ -115,9 +114,9 @@ def test_conflict_solves_get_the_ranks_of_match_frame(monkeypatch):
     checked = 0
     for _ in range(300):
         instance = snap_to_grid(random_instance(rng, max_tracks=7, max_frames=8))
-        table = preprocess_sequence(instance, CFG)  # no neutral class: no solve
+        table = preprocess_sequence(instance, IOU)  # no neutral class: no solve
         solves.clear()
-        run_sequence(instance, CFG, preprocessed=table)
+        run_sequence(table)
         sequence_solves = solves[:]
         solves.clear()
         per_frame_reference(instance)
@@ -143,7 +142,7 @@ def test_neutral_filter_solves_with_the_ranks_of_preprocess_frame(monkeypatch):
         instance = snap_to_grid(with_classes(random_instance(rng, 7, 8), rng))
         gt_rows, res_rows = instance.gt.frame.tolist(), instance.results.frame.tolist()
         solves.clear()
-        preprocess_sequence(instance, CFG)
+        preprocess_sequence(instance, IOU)
         sequence = {
             (gt_rows[g], g - gt_rows.index(gt_rows[g]), r - res_rows.index(res_rows[r]), c, k)
             for g, r, c, k in (solves[0] if solves else [])
@@ -151,7 +150,7 @@ def test_neutral_filter_solves_with_the_ranks_of_preprocess_frame(monkeypatch):
         reference = set()
         for t in range(1, instance.num_frames + 1):
             solves.clear()
-            preprocess_frame(_frame_rows(instance.gt, t), _frame_rows(instance.results, t), CFG)
+            preprocess_frame(_frame_rows(instance.gt, t), _frame_rows(instance.results, t), IOU)
             reference |= {(t, *edge) for edge in (solves[0] if solves else [])}
         assert sequence <= reference
         checked += len(sequence)
@@ -170,8 +169,7 @@ def test_crowded_grid_ties_with_neutral_classes(step):
 def test_thresholds_with_neutral_classes(threshold):
     rng = random.Random(int(threshold * 100))
     for _ in range(150):
-        assert_pinned(with_classes(random_instance(rng, 6, 6), rng),
-                      MatchingConfig(iou_threshold=threshold))
+        assert_pinned(with_classes(random_instance(rng, 6, 6), rng), threshold)
 
 
 def test_frames_with_one_side_only():
@@ -196,7 +194,7 @@ def test_frame_with_only_neutral_ground_truth():
     preds = [hyp(1, 8, 0, 1), hyp(2, 8, 36, 1), hyp(2, 9, 3, 3), hyp(2, 10, 500, 0)]
     instance = seq("neutral-only", 2, gts, preds)
     assert_pinned(instance)
-    events = frame_events(run_sequence(instance, CFG))[1]
+    events = frame_events(run_sequence(preprocess_sequence(instance, IOU)))[1]
     assert events.fn_ids == () and events.matches == () and events.fp_ids == (10,)
 
 
@@ -226,7 +224,7 @@ def test_frame_spans_pair_blocks(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(model, "np", Numpy())
-        preprocess_sequence(instance, CFG)
+        preprocess_sequence(instance, IOU)
     (total,) = totals
     per_frame = int(total[len(cells) - 1]), int(total[-1] - total[len(cells) - 1])
     assert per_frame == (3700, 3180)
