@@ -47,8 +47,6 @@ from .ingest import (
 )
 from .model import (
     NEUTRAL_CLASSES,
-    Box,
-    BoxEntry,
     ObjectClass,
     Rows,
     SequenceData,
@@ -58,8 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Benchmark",
-    "Box",
-    "BoxEntry",
     "Counts",
     "EdgeTable",
     "EvalUnit",

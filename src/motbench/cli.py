@@ -47,7 +47,7 @@ from .ingest import (
     unit_frames,
     validate_submission,
 )
-from .model import SequenceData, _check_threshold
+from .model import Rows, SequenceData, _check_threshold
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -132,7 +132,7 @@ def _detections_as_tracker(data: SequenceData) -> SequenceData:
     """Rebrand raw detections as a degenerate tracker, one id per box."""
     dets = data.detections
     pseudo = dataclasses.replace(dets, track_id=range(1, len(dets) + 1))
-    return dataclasses.replace(data, results=pseudo, detections=())
+    return dataclasses.replace(data, results=pseudo, detections=Rows())
 
 
 def _error_counts(unit: EvalUnit, iou_threshold: float) -> dict | None:

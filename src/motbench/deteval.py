@@ -20,11 +20,11 @@ constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, get_args
+from typing import Literal, get_args
 
 import numpy as np
 
-from .model import BoxEntry, Rows, _check_rows, _check_threshold, _edges
+from .model import Rows, _check_rows, _check_threshold, _edges
 
 GroundTruthMode = Literal["tracking_gt", "visible_only"]
 
@@ -51,8 +51,8 @@ class PRCurve:
 
 
 def pr_curve(
-    detections: Rows | Iterable[BoxEntry],
-    gt: Rows | Iterable[BoxEntry],
+    detections: Rows,
+    gt: Rows,
     iou_threshold: float = 0.5,
     mode: GroundTruthMode = "tracking_gt",
     min_visibility: float = 0.5,
@@ -80,7 +80,7 @@ def pr_curve(
     _check_threshold(iou_threshold)
     if mode not in get_args(GroundTruthMode):
         raise ValueError(f"mode must be one of {get_args(GroundTruthMode)}, got {mode!r}")
-    dets, gts = Rows.of(detections), Rows.of(gt).sorted()
+    dets, gts = detections, gt.sorted()
     _check_rows(dets, "detections")
     _check_rows(gts, "gt")
     scored = gts.scoreable

@@ -47,11 +47,11 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
-from .model import BoxEntry, ObjectClass, Rows, SequenceData, _check_rows, _row_rules
+from .model import ObjectClass, Rows, SequenceData, _check_rows, _row_rules
 
 logger = logging.getLogger(__name__)
 
@@ -309,10 +309,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_result_file(
-    entries: Rows | Iterable[BoxEntry],
-    variant: FormatVariant = FormatVariant.MOT16_17,
-) -> str:
+def write_result_file(rows: Rows, variant: FormatVariant = FormatVariant.MOT16_17) -> str:
     """Serialize result rows, sorted by (frame, id), one line per row.
 
     Unknown trailing fields are written as -1.  Only rows that
@@ -324,7 +321,7 @@ def write_result_file(
     assigned identities) or a frame or id of 2**53 or more (the parser
     rejects it).
     """
-    rows = Rows.of(entries).sorted()
+    rows = rows.sorted()
     _check_rows(rows, "result", unique=True)
     lines = []
     for frame, track_id, ltwh, confidence in zip(
@@ -633,9 +630,7 @@ def load_sequence_set(
         gt = parse(gt_path, FileKind.GROUND_TRUTH, num_frames).sorted()
 
         for detector, det_path, res_path in files:
-            detections: Rows | tuple = ()
-            if det_path:
-                detections = parse(det_path, FileKind.DETECTION, num_frames)
+            detections = parse(det_path, FileKind.DETECTION, num_frames) if det_path else Rows()
             if not res_path.is_file():  # its stem is the unit's name
                 raise IngestError(f"missing result file for {res_path.stem!r}: {res_path}")
             results = parse(res_path, FileKind.RESULT, num_frames)

@@ -14,17 +14,16 @@ which :func:`_check_threshold` checks for the tracker matching, the
 detector sweep and the command line alike.
 
 A row's values meet one rule set, :func:`_row_rules`: a frame of at least 1
-and within the sequence, the box geometry of :func:`_geometry_rules`, a
-finite confidence, a class code of :class:`ObjectClass`, a finite
-visibility, and a (frame, id) key of its own where keys must be unique.  The
-parser takes its frame, geometry and key rules from it; :class:`SequenceData`,
-the detector sweep and the result writer check rows built in code with
-:func:`_check_rows`; :class:`Box` checks its own floats with the geometry
-rules.  So a box that one of them accepts, all accept.
+and within the sequence, the box geometry, a finite confidence, a class
+code of :class:`ObjectClass`, a finite visibility, and a (frame, id) key of
+its own where keys must be unique.  The parser takes its frame, geometry and
+key rules from it; :class:`SequenceData`, the detector sweep and the result
+writer check rows built in code with :func:`_check_rows`.  So a box that
+one of them accepts, all accept.
 
-A sequence stores its rows as read-only numpy columns (:class:`Rows`) sorted
-by (frame, track id), so each frame is a slice.  :class:`BoxEntry` and
-:class:`Box` build and inspect rows one at a time; evaluation never does.
+Rows are stored as read-only numpy columns (:class:`Rows`), the one row
+type; a sequence keeps them sorted by (frame, track id), so each frame is a
+slice.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across worker threads.
@@ -32,9 +31,10 @@ functions, so everything here is safe to share across worker threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,40 +66,6 @@ NEUTRAL_CLASSES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned bounding box given as top-left corner plus extent."""
-
-    left: float
-    top: float
-    width: float
-    height: float
-
-    def __post_init__(self) -> None:
-        for name in ("left", "top", "width", "height"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for failing, message in _geometry_rules(self.width, self.height, self.left, self.top,
-                                                self.right, self.bottom, self.area):
-            if failing:
-                raise ValueError("box extent must be positive, also between the rounded edges, "
-                                 f"got left={self.left} top={self.top} width={self.width} "
-                                 f"height={self.height}: {message.format(self.width, self.height)}")
-
-    @property
-    def right(self) -> float:
-        return self.left + self.width
-
-    @property
-    def bottom(self) -> float:
-        """Lower edge in image coordinates; larger values are closer to the camera."""
-        return self.top + self.height
-
-    @property
-    def area(self) -> float:
-        """Area between the rounded edges, as every overlap measures it."""
-        return (self.right - self.left) * (self.bottom - self.top)
-
-
 #: Candidate (GT row, result row) pairs whose IoU one vectorised pass
 #: computes; a constant, so the pass's memory does not grow with crowding.
 _PAIR_BUDGET = 1 << 11
@@ -117,40 +83,10 @@ def _geometry(ltwh: np.ndarray) -> tuple[np.ndarray, ...]:
     return left, top, right, bottom, (right - left) * (bottom - top)
 
 
-def _geometry_rules(width, height, left, top, right, bottom, area) -> list[tuple[object, str]]:
-    """The four box rules of every overlap, in the order a box meets them.
-
-    The edges and the area are those of :func:`_geometry`.  Per rule, whether
-    the box breaks it, and its message as a format string of the width and
-    the height: extents positive, the area finite, every edge and the area
-    within 2**1022, and the area not 0.  A box that breaks a rule may hold
-    any value in the later ones.  The rules are plain comparisons joined by
-    ``|``, so the values may be the floats of one :class:`Box` or columns:
-    a numpy call on one box costs several times the box itself.
-    """
-    # The area is the one every IoU divides by; ``area - area`` is NaN, not
-    # 0, when it is infinite or NaN.  Positive extents put each left and top
-    # at or below its right and bottom, so a right or bottom edge that is
-    # not finite makes the area not finite, and an edge beyond the limit
-    # shows in a left or top below it or a right or bottom above it.
-    return [
-        ((width <= 0) | (height <= 0), "non-positive box extent width={} height={}"),
-        ((area - area) != 0, "box right edge, bottom edge or area is not finite"),
-        ((left < -_GEOMETRY_LIMIT) | (top < -_GEOMETRY_LIMIT) | (right > _GEOMETRY_LIMIT)
-         | (bottom > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT), "box edge or area beyond 2**1022"),
-        (area == 0, "box area (right - left) * (bottom - top) is 0"),
-    ]
-
-
 def _in_order(f: np.ndarray, i: np.ndarray) -> bool:
     """Whether rows with frames ``f`` and ids ``i`` are in (frame, id) order: one linear check."""
     # compared, not subtracted: ids may span 2**64
     return bool(((f[:-1] < f[1:]) | ((f[:-1] == f[1:]) & (i[:-1] <= i[1:]))).all())
-
-
-#: The message of the first rule of :func:`_row_rules`, which
-#: :class:`BoxEntry` checks on its own frame too.
-_FIRST_FRAME = "frame index must be >= 1, got {}"
 
 
 def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray,
@@ -164,20 +100,37 @@ def _row_rules(frame: np.ndarray, track_id: np.ndarray, ltwh: np.ndarray,
     (``"frame"``, ``"box"``, ``"confidence"``, ``"class"``,
     ``"visibility"`` or ``"key"``), the mask of the rows that break it and
     its message for a row: the frame at least 1, and at most ``num_frames``
-    when it is given; the four rules of :func:`_geometry_rules`; a finite
+    when it is given; the four box rules of every overlap, on the edges and
+    the area of :func:`_geometry`: extents positive, the area finite, every
+    edge and the area within 2**1022, and the area not 0; a finite
     confidence; a class code inside :class:`ObjectClass`; a finite
     visibility; and, when ``unique`` is set, no (frame, id) key that an
     earlier row holds.  A row that breaks a rule may hold any value in the
     later ones.  Rows already in (frame, id) order cost a linear pass;
     others are sorted once for the key rule.
     """
+    rules = [("frame", frame < 1, lambda i: f"frame index must be >= 1, got {frame[i]}")]
+    if num_frames is not None:
+        rules.append(("frame", frame > num_frames,
+                      lambda i: f"frame {frame[i]} outside [1, {num_frames}]"))
+    width, height = ltwh.T[2:]
+    # The area is the one every IoU divides by; ``area - area`` is NaN, not
+    # 0, when it is infinite or NaN.  Positive extents put each left and top
+    # at or below its right and bottom, so a right or bottom edge that is
+    # not finite makes the area not finite, and an edge beyond the limit
+    # shows in a left or top below it or a right or bottom above it.
     with np.errstate(all="ignore"):
-        rules = [("frame", frame < 1, lambda i: _FIRST_FRAME.format(frame[i]))]
-        if num_frames is not None:
-            rules.append(("frame", frame > num_frames,
-                          lambda i: f"frame {frame[i]} outside [1, {num_frames}]"))
-        rules += [("box", failing, lambda i, message=message: message.format(*ltwh[i, 2:]))
-                  for failing, message in _geometry_rules(*ltwh.T[2:], *_geometry(ltwh))]
+        left, top, right, bottom, area = _geometry(ltwh)
+        rules += [
+            ("box", (width <= 0) | (height <= 0),
+             lambda i: f"non-positive box extent width={width[i]} height={height[i]}"),
+            ("box", (area - area) != 0,
+             lambda i: "box right edge, bottom edge or area is not finite"),
+            ("box", (left < -_GEOMETRY_LIMIT) | (top < -_GEOMETRY_LIMIT)
+             | (right > _GEOMETRY_LIMIT) | (bottom > _GEOMETRY_LIMIT) | (area > _GEOMETRY_LIMIT),
+             lambda i: "box edge or area beyond 2**1022"),
+            ("box", area == 0, lambda i: "box area (right - left) * (bottom - top) is 0"),
+        ]
     rules += [("confidence", ~np.isfinite(confidence),
                lambda i: f"confidence {confidence[i]} not finite"),
               ("class", (code < ObjectClass.OTHER) | (code > ObjectClass.REFLECTION),
@@ -230,7 +183,8 @@ def _edges(
     threshold must be positive; both callers check it with
     :func:`_check_threshold`.  ``preprocess_sequence`` pairs every GT box
     with the result boxes, ``pr_curve`` the scored GT with the detections;
-    every box has met :func:`_geometry_rules`, which use :func:`_geometry`.
+    every box has met the box rules of :func:`_row_rules`, which use
+    :func:`_geometry`.
 
     A GT box is scored only against the result boxes of its frame whose
     left edge lies in its window, so a frame costs what its nearby pairs
@@ -344,43 +298,23 @@ def _edges(
     return g[ranked], r[ranked], overlap[ranked]
 
 
-@dataclass(frozen=True)
-class BoxEntry:
-    """One parsed file row: a box observed in one frame.
-
-    ``confidence`` carries the detector score for detections and the 0/1
-    consider-flag for ground truth and result rows.  ``object_class`` and
-    ``visibility`` are only meaningful for ground truth; parsers default them
-    to pedestrian / fully visible everywhere else.
-    """
-
-    frame: int
-    track_id: int
-    box: Box
-    confidence: float = 1.0
-    object_class: ObjectClass = ObjectClass.PEDESTRIAN
-    visibility: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.frame < 1:
-            raise ValueError(_FIRST_FRAME.format(self.frame))
-
-    @property
-    def is_active(self) -> bool:
-        """Whether the consider-flag marks this entry for evaluation."""
-        return self.confidence != 0
-
-
 #: The :class:`Rows` columns stored as int64; the others are float64.
 _INT_COLUMNS = ("frame", "track_id", "object_class")
+
+#: One row's values, as iterating a :class:`Rows` yields them.
+_Row = namedtuple("_Row", ("frame", "track_id", "ltwh", "confidence", "object_class", "visibility"))
 
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """File rows as read-only numpy columns; iterating yields :class:`BoxEntry`.
+    """File rows as read-only numpy columns.
 
-    ``ltwh`` is ``n x 4`` (left, top, width, height), ``object_class`` holds
-    class codes; the other columns are as on :class:`BoxEntry`.
+    ``ltwh`` has shape ``(n, 4)`` (left, top, width, height); an empty
+    ``ltwh`` may be given as ``()``, and any other shape is a ``ValueError``.
+    ``confidence`` carries the detector score for detections and the 0/1
+    consider-flag for ground truth and result rows.  ``object_class`` holds
+    class codes; it and ``visibility`` are only meaningful for ground truth,
+    and parsers default them to pedestrian and fully visible elsewhere.
     """
 
     frame: np.ndarray = ()
@@ -393,30 +327,25 @@ class Rows:
     def __post_init__(self) -> None:
         for name, value in list(vars(self).items()):
             column = np.array(value, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
-            column = column.reshape(-1, 4) if name == "ltwh" else column
+            if name == "ltwh":
+                column = column.reshape(0, 4) if column.shape == (0,) else column
+                if column.shape[1:] != (4,):
+                    raise ValueError(f"ltwh must have shape (n, 4), got {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if any(len(column) != len(self.frame) for column in vars(self).values()):
             raise ValueError("columns differ in length")
 
-    @classmethod
-    def of(cls, entries: Rows | Iterable[BoxEntry]) -> Rows:
-        """``entries`` as columns; a :class:`Rows` is returned as it is."""
-        if isinstance(entries, Rows):
-            return entries
-        return cls(*zip(*[
-            (e.frame, e.track_id, (e.box.left, e.box.top, e.box.width, e.box.height),
-             e.confidence, e.object_class, e.visibility)
-            for e in entries
-        ]))
-
     def __len__(self) -> int:
         return len(self.frame)
 
-    def __iter__(self) -> Iterator[BoxEntry]:
-        for frame, track_id, ltwh, conf, code, vis in zip(*(
-                column.tolist() for column in vars(self).values())):
-            yield BoxEntry(frame, track_id, Box(*ltwh), conf, ObjectClass(code), vis)
+    def __iter__(self) -> Iterator[_Row]:
+        """Each row's values as a named tuple of Python numbers, ``ltwh`` a list of four.
+
+        No evaluation path iterates; the bench's PR-sweep counter reads the
+        detections' frames and scores this way.
+        """
+        return map(_Row, *(column.tolist() for column in vars(self).values()))
 
     @property
     def scoreable(self) -> np.ndarray:
@@ -439,27 +368,26 @@ class Rows:
 class SequenceData:
     """All rows of one sequence plus its frame-count metadata.
 
-    ``gt``, ``results`` and ``detections`` take :class:`Rows` or any iterable
-    of :class:`BoxEntry`; they are stored as :meth:`Rows.sorted`.  Every row
-    must meet the rules the parser holds a file's rows to
-    (:func:`_row_rules`): a frame in ``[1, num_frames]``, the box geometry, a
-    finite confidence, a class code of :class:`ObjectClass`, a finite
-    visibility, and, outside detections, a (frame, id) key of its own.  The
-    first row in (frame, id) order that breaks one raises ``ValueError`` with
-    the first rule it breaks.
+    ``gt``, ``results`` and ``detections`` are :class:`Rows`, stored as
+    :meth:`Rows.sorted`.  Every row must meet the rules the parser holds a
+    file's rows to (:func:`_row_rules`): a frame in ``[1, num_frames]``, the
+    box geometry, a finite confidence, a class code of :class:`ObjectClass`,
+    a finite visibility, and, outside detections, a (frame, id) key of its
+    own.  The first row in (frame, id) order that breaks one raises
+    ``ValueError`` with the first rule it breaks.
     """
 
     name: str
     num_frames: int
-    gt: Rows = ()
-    results: Rows = ()
-    detections: Rows = ()
+    gt: Rows = field(default_factory=Rows)
+    results: Rows = field(default_factory=Rows)
+    detections: Rows = field(default_factory=Rows)
 
     def __post_init__(self) -> None:
         if self.num_frames <= 0:
             raise ValueError(f"sequence {self.name!r}: num_frames must be > 0")
         for kind in ("gt", "results", "detections"):
-            rows = Rows.of(getattr(self, kind)).sorted()
+            rows = getattr(self, kind).sorted()
             object.__setattr__(self, kind, rows)
             # detections share the id -1
             _check_rows(rows, f"sequence {self.name!r}: {kind}", self.num_frames,

@@ -12,17 +12,49 @@ from __future__ import annotations
 import dataclasses
 import random
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 
 from motbench.identity import TrackMatchTable
 from motbench.ingest import Benchmark
-from motbench.model import Box, BoxEntry, ObjectClass, SequenceData, _edges
+from motbench.model import ObjectClass, Rows, SequenceData, _edges
 
 
-def box(left, top, width=10.0, height=10.0) -> Box:
-    return Box(left, top, width, height)
+class Entry(NamedTuple):
+    """One row's values, as the :class:`Rows` columns hold them."""
+
+    frame: int
+    track_id: int
+    left: float
+    top: float
+    width: float
+    height: float
+    confidence: float = 1.0
+    object_class: int = ObjectClass.PEDESTRIAN
+    visibility: float = 1.0
+
+
+def rows(entries: Iterable[Entry]) -> Rows:
+    """``entries`` as :class:`Rows` columns, in their order."""
+    entries = list(entries)
+    return Rows([e.frame for e in entries], [e.track_id for e in entries],
+                [(e.left, e.top, e.width, e.height) for e in entries],
+                [e.confidence for e in entries], [e.object_class for e in entries],
+                [e.visibility for e in entries])
+
+
+def entries(rows: Rows) -> list[Entry]:
+    """The rows of ``rows`` as :class:`Entry` values of Python numbers and class codes."""
+    return [Entry(frame, track_id, *ltwh, confidence, ObjectClass(code), visibility)
+            for frame, track_id, ltwh, confidence, code, visibility
+            in zip(*(column.tolist() for column in vars(rows).values()))]
+
+
+def box(left, top, width=10.0, height=10.0) -> Entry:
+    """A box alone: the row of a frame-1 ground-truth box of track 1."""
+    return gt(1, 1, left, top, width, height)
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -39,33 +71,23 @@ def iou_matrix(a, b) -> np.ndarray:
     return matrix
 
 
-def pair_iou(a: Box, b: Box) -> float:
+def pair_iou(a: Entry, b: Entry) -> float:
     """The IoU of one box pair: the 1 x 1 case of :func:`iou_matrix`."""
     return float(iou_matrix([a.left, a.top, a.width, a.height],
                             [b.left, b.top, b.width, b.height])[0, 0])
 
 
 def gt(frame, track_id, left, top, width=10.0, height=10.0,
-       conf=1.0, object_class=ObjectClass.PEDESTRIAN, visibility=1.0) -> BoxEntry:
-    return BoxEntry(
-        frame=frame,
-        track_id=track_id,
-        box=Box(left, top, width, height),
-        confidence=conf,
-        object_class=object_class,
-        visibility=visibility,
-    )
+       conf=1.0, object_class=ObjectClass.PEDESTRIAN, visibility=1.0) -> Entry:
+    return Entry(frame, track_id, left, top, width, height, conf, object_class, visibility)
 
 
-def hyp(frame, track_id, left, top, width=10.0, height=10.0, conf=1.0) -> BoxEntry:
-    return BoxEntry(
-        frame=frame, track_id=track_id, box=Box(left, top, width, height), confidence=conf
-    )
+def hyp(frame, track_id, left, top, width=10.0, height=10.0, conf=1.0) -> Entry:
+    return Entry(frame, track_id, left, top, width, height, conf)
 
 
-def det(frame, left, top, width=10.0, height=10.0, conf=1.0) -> BoxEntry:
-    return BoxEntry(frame=frame, track_id=-1, box=Box(left, top, width, height),
-                    confidence=conf)
+def det(frame, left, top, width=10.0, height=10.0, conf=1.0) -> Entry:
+    return Entry(frame, -1, left, top, width, height, conf)
 
 
 def crowd(frames: int, n: int, seed: int) -> list[tuple[int, int, int, int, int, float]]:
@@ -88,9 +110,9 @@ def seq(name, num_frames, gt_entries=(), results=(), detections=()) -> SequenceD
     return SequenceData(
         name=name,
         num_frames=num_frames,
-        gt=tuple(gt_entries),
-        results=tuple(results),
-        detections=tuple(detections),
+        gt=rows(gt_entries),
+        results=rows(results),
+        detections=rows(detections),
     )
 
 
@@ -184,8 +206,8 @@ def random_instance(rng: random.Random, max_tracks: int = 4,
     they are common.
     """
     num_frames = rng.randint(1, max_frames)
-    gt_entries: list[BoxEntry] = []
-    gt_boxes: dict[int, list[BoxEntry]] = {}
+    gt_entries: list[Entry] = []
+    gt_boxes: dict[int, list[Entry]] = {}
     for i in range(rng.randint(0, max_tracks)):
         track_id = i + 1
         base_l = rng.uniform(0.0, 40.0)
@@ -202,7 +224,7 @@ def random_instance(rng: random.Random, max_tracks: int = 4,
             )
             gt_entries.append(entry)
             gt_boxes.setdefault(t, []).append(entry)
-    results: list[BoxEntry] = []
+    results: list[Entry] = []
     for j in range(rng.randint(0, max_tracks)):
         track_id = 100 + j
         for t in range(1, num_frames + 1):
@@ -210,7 +232,7 @@ def random_instance(rng: random.Random, max_tracks: int = 4,
                 continue
             anchors = gt_boxes.get(t)
             if anchors and rng.random() < 0.7:
-                a = rng.choice(anchors).box
+                a = rng.choice(anchors)
                 results.append(hyp(
                     t, track_id,
                     a.left + rng.uniform(-3.0, 3.0),
@@ -234,19 +256,18 @@ def snap_to_grid(instance: SequenceData, step: float = 4.0) -> SequenceData:
     files, makes exact IoU ties common, so the engine's tie-break decides
     counts and must agree with the oracle's.
     """
-    def snap(e: BoxEntry) -> BoxEntry:
-        b = e.box
-        return dataclasses.replace(e, box=Box(
-            step * round(b.left / step),
-            step * round(b.top / step),
-            max(step, step * round(b.width / step)),
-            max(step, step * round(b.height / step)),
-        ))
+    def snap(e: Entry) -> Entry:
+        return e._replace(
+            left=step * round(e.left / step),
+            top=step * round(e.top / step),
+            width=max(step, step * round(e.width / step)),
+            height=max(step, step * round(e.height / step)),
+        )
 
     return dataclasses.replace(
         instance,
-        gt=tuple(snap(e) for e in instance.gt),
-        results=tuple(snap(e) for e in instance.results),
+        gt=rows(snap(e) for e in entries(instance.gt)),
+        results=rows(snap(e) for e in entries(instance.results)),
     )
 
 
@@ -285,12 +306,12 @@ def table_counts(table: TrackMatchTable) -> tuple[dict, dict, dict]:
     )
 
 
-def gt_file_text(entries, variant_cols: int = 9) -> str:
+def gt_file_text(boxes: Rows, variant_cols: int = 9) -> str:
     lines = []
-    for e in sorted(entries, key=lambda e: (e.frame, e.track_id)):
+    for e in sorted(entries(boxes), key=lambda e: (e.frame, e.track_id)):
         fields = [
             str(e.frame), str(e.track_id),
-            repr(e.box.left), repr(e.box.top), repr(e.box.width), repr(e.box.height),
+            repr(e.left), repr(e.top), repr(e.width), repr(e.height),
             repr(e.confidence) if e.confidence != int(e.confidence) else str(int(e.confidence)),
         ]
         if variant_cols == 9:
@@ -301,12 +322,12 @@ def gt_file_text(entries, variant_cols: int = 9) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def det_file_text(entries, variant_cols: int = 9) -> str:
+def det_file_text(boxes: Rows, variant_cols: int = 9) -> str:
     lines = []
-    for e in sorted(entries, key=lambda e: e.frame):
+    for e in sorted(entries(boxes), key=lambda e: e.frame):
         fields = [
             str(e.frame), "-1",
-            repr(e.box.left), repr(e.box.top), repr(e.box.width), repr(e.box.height),
+            repr(e.left), repr(e.top), repr(e.width), repr(e.height),
             repr(e.confidence),
         ]
         fields += ["-1", "-1"] if variant_cols == 9 else ["-1", "-1", "-1"]

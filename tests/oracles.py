@@ -47,7 +47,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +58,12 @@ from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
 from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
 from motbench.ingest import FileKind, FormatVariant, ParseError, logger
 from motbench.model import (
-    _GEOMETRY_LIMIT, _PAIR_BUDGET, Box, BoxEntry, ObjectClass, Rows, SequenceData, _geometry,
+    _GEOMETRY_LIMIT, _PAIR_BUDGET, ObjectClass, Rows, SequenceData, _geometry,
 )
-from conftest import iou_matrix
+from conftest import Entry, entries, iou_matrix
 
 
-def iou(a: Box, b: Box) -> float:
+def iou(a: Entry, b: Entry) -> float:
     """Intersection over union of two boxes, on continuous areas.
 
     Every length is a difference of rounded edges, so the intersection never
@@ -71,14 +71,18 @@ def iou(a: Box, b: Box) -> float:
     identical boxes, 0.0 when the boxes do not overlap.  Symmetric in its
     arguments.
     """
-    inter_w = min(a.right, b.right) - max(a.left, b.left)
+    a_right, a_bottom = a.left + a.width, a.top + a.height
+    b_right, b_bottom = b.left + b.width, b.top + b.height
+    inter_w = min(a_right, b_right) - max(a.left, b.left)
     if inter_w <= 0:
         return 0.0
-    inter_h = min(a.bottom, b.bottom) - max(a.top, b.top)
+    inter_h = min(a_bottom, b_bottom) - max(a.top, b.top)
     if inter_h <= 0:
         return 0.0
     inter = inter_w * inter_h
-    return inter / (a.area + b.area - inter)
+    a_area = (a_right - a.left) * (a_bottom - a.top)
+    b_area = (b_right - b.left) * (b_bottom - b.top)
+    return inter / (a_area + b_area - inter)
 
 
 def edges_all_pairs(
@@ -296,12 +300,12 @@ def frame_events(log: EventLog) -> list[FrameEvents]:
 
 
 def _frames(seq: SequenceData):
-    gt_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    res_by_frame: dict[int, list[BoxEntry]] = defaultdict(list)
-    for e in seq.gt:
-        if e.object_class is ObjectClass.PEDESTRIAN and e.is_active:
+    gt_by_frame: dict[int, list[Entry]] = defaultdict(list)
+    res_by_frame: dict[int, list[Entry]] = defaultdict(list)
+    for e in entries(seq.gt):
+        if e.object_class == ObjectClass.PEDESTRIAN and e.confidence != 0:
             gt_by_frame[e.frame].append(e)
-    for e in seq.results:
+    for e in entries(seq.results):
         res_by_frame[e.frame].append(e)
     for t in range(1, seq.num_frames + 1):
         yield (
@@ -366,7 +370,7 @@ def oracle_clear_counts(seq: SequenceData, threshold: float = 0.5):
         gt_ids = [g.track_id for g in gts]
         res_ids = [r.track_id for r in ress]
         overlaps = {
-            (g.track_id, r.track_id): iou(g.box, r.box) for g in gts for r in ress
+            (g.track_id, r.track_id): iou(g, r) for g in gts for r in ress
         }
         feasible = {pair for pair, o in overlaps.items() if o >= threshold}
         forced = [
@@ -409,7 +413,7 @@ def oracle_identity_counts(seq: SequenceData, threshold: float = 0.5):
             res_len[r.track_id] += 1
         for g in gts:
             for r in ress:
-                if iou(g.box, r.box) >= threshold:
+                if iou(g, r) >= threshold:
                     co[(g.track_id, r.track_id)] += 1
 
     gt_ids = sorted(gt_len)
@@ -555,8 +559,8 @@ def eleven_point_ap(points: Sequence[PRPoint]) -> float:
 
 
 def pr_curve_rescored(
-    detections: Rows | Iterable[BoxEntry],
-    gt: Rows | Iterable[BoxEntry],
+    detections: Rows,
+    gt: Rows,
     iou_threshold: float = 0.5,
     mode: GroundTruthMode = "tracking_gt",
     min_visibility: float = 0.5,
@@ -570,7 +574,7 @@ def pr_curve_rescored(
     then to the lower ground-truth track id.  With no scored detections the
     curve is empty and its AP is zero.
     """
-    dets, gts = Rows.of(detections), Rows.of(gt).sorted()
+    dets, gts = detections, gt.sorted()
     scored = gts.scoreable
     if mode == "visible_only":
         scored &= gts.visibility >= min_visibility

@@ -22,9 +22,11 @@ from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
     det,
+    entries,
     gt,
     hyp,
     random_instance,
+    rows,
     seq,
     snap_to_grid,
     write_benchmark_tree,
@@ -120,16 +122,16 @@ def test_criterion_4_oracle_equivalence_500_instances():
 
 
 def _relabel(instance, rng):
-    pred_ids = sorted({e.track_id for e in instance.results})
+    pred_ids = sorted({e.track_id for e in entries(instance.results)})
     shuffled = pred_ids[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(pred_ids, shuffled))
     return seq(
-        instance.name, instance.num_frames, instance.gt,
+        instance.name, instance.num_frames, entries(instance.gt),
         [
-            hyp(e.frame, mapping[e.track_id], e.box.left, e.box.top,
-                e.box.width, e.box.height)
-            for e in instance.results
+            hyp(e.frame, mapping[e.track_id], e.left, e.top,
+                e.width, e.height)
+            for e in entries(instance.results)
         ],
     )
 
@@ -152,16 +154,16 @@ def test_criterion_5_property_suite():
             )
 
         # parse/write round-trip identity
-        entries = [
+        written = [
             hyp(rng.randint(1, 40), tid, rng.uniform(-10, 800), rng.uniform(-10, 400),
                 rng.uniform(1, 90), rng.uniform(1, 200), conf=rng.uniform(0, 1))
             for tid in range(1, 120)
         ]
         recovered = parse_file(
-            write_result_file(entries), FormatVariant.MOT16_17, FileKind.RESULT
+            write_result_file(rows(written)), FormatVariant.MOT16_17, FileKind.RESULT
         )
-        assert sorted(recovered, key=lambda e: (e.frame, e.track_id)) == sorted(
-            entries, key=lambda e: (e.frame, e.track_id)
+        assert sorted(entries(recovered), key=lambda e: (e.frame, e.track_id)) == sorted(
+            written, key=lambda e: (e.frame, e.track_id)
         )
 
         # pooling additivity on counts
@@ -186,7 +188,7 @@ def test_criterion_5_property_suite():
 
         # perfect-input suite
         gt_entries = [gt(t, i, 50 * i, 2 * t) for t in range(1, 8) for i in (1, 2, 3)]
-        results = [hyp(e.frame, e.track_id + 10, e.box.left, e.box.top)
+        results = [hyp(e.frame, e.track_id + 10, e.left, e.top)
                    for e in gt_entries]
         counts, ident = evaluate(seq("perfect", 7, gt_entries, results))
         assert mota(counts) == pytest.approx(100.0)
@@ -250,9 +252,10 @@ def test_criterion_7_determinism_across_parallelism(tmp_path):
         for k in range(7):
             instance = random_instance(rng, max_tracks=4, max_frames=10)
             sequences.append(seq(
-                f"SYN-{k:02d}", instance.num_frames, instance.gt, instance.results,
-                [det(e.frame, e.box.left, e.box.top, conf=rng.random())
-                 for e in instance.gt],
+                f"SYN-{k:02d}", instance.num_frames, entries(instance.gt),
+                entries(instance.results),
+                [det(e.frame, e.left, e.top, conf=rng.random())
+                 for e in entries(instance.gt)],
             ))
         root = write_benchmark_tree(tmp_path, sequences)
         outputs = []

@@ -20,14 +20,16 @@ from motbench.assignment import (
     solve_assignment,
 )
 from motbench.clearmot import accumulate
-from motbench.model import ObjectClass, Rows
+from motbench.model import ObjectClass
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
     crowd,
+    entries,
     gt,
     hyp,
     random_instance,
+    rows,
     seq,
 )
 from oracles import (
@@ -63,7 +65,7 @@ def matched_frames(log) -> dict[int, set[int]]:
 
 def kept(gt_frame, res_frame):
     """``(gt_ids, res_ids, overlaps)`` of one frame preprocessed by the reference."""
-    gt_ids, res_ids, _, overlaps = preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), IOU)
+    gt_ids, res_ids, _, overlaps = preprocess_frame(rows(gt_frame), rows(res_frame), IOU)
     return gt_ids, res_ids, overlaps
 
 
@@ -77,7 +79,7 @@ def preprocessed(gt_frame, res_frame):
     res_ids = table.res_id.tolist()
     out = (table.gt_id.tolist(), res_ids,
            sorted({e.track_id for e in res_frame} - set(res_ids)))
-    assert preprocess_frame(Rows.of(gt_frame), Rows.of(res_frame), IOU)[:3] == out
+    assert preprocess_frame(rows(gt_frame), rows(res_frame), IOU)[:3] == out
     return out
 
 
@@ -173,8 +175,8 @@ class TestPreprocessFrame:
         rng = random.Random(500500)
         for _ in range(200):
             instance = random_instance(rng)
-            gt_box = {(e.frame, e.track_id): e.box for e in instance.gt}
-            res_box = {(e.frame, e.track_id): e.box for e in instance.results}
+            gt_box = {(e.frame, e.track_id): e for e in entries(instance.gt)}
+            res_box = {(e.frame, e.track_id): e for e in entries(instance.results)}
             table = preprocess_sequence(instance, IOU)
             gt_rows = list(zip(table.gt_frame.tolist(), table.gt_id.tolist()))
             res_rows = list(zip(table.res_frame.tolist(), table.res_id.tolist()))
@@ -275,7 +277,7 @@ class TestMatchFrame:
 class TestRunSequence:
     def test_results_equal_gt(self):
         gt_entries = [gt(t, i, 30 * i, 0) for t in range(1, 6) for i in (1, 2, 3)]
-        results = [hyp(e.frame, e.track_id + 100, e.box.left, e.box.top)
+        results = [hyp(e.frame, e.track_id + 100, e.left, e.top)
                    for e in gt_entries]
         log = run_sequence(preprocess_sequence(seq("perfect", 5, gt_entries, results), IOU))
         tp, fp, fn, idsw = totals(log)
@@ -370,18 +372,18 @@ class TestOracleAgreement:
     def test_relabeling_hypotheses_changes_nothing(self, rng):
         for _ in range(40):
             instance = random_instance(rng)
-            pred_ids = sorted({e.track_id for e in instance.results})
+            pred_ids = sorted({e.track_id for e in entries(instance.results)})
             shuffled = pred_ids[:]
             rng.shuffle(shuffled)
             mapping = dict(zip(pred_ids, shuffled))
             relabeled = seq(
                 instance.name,
                 instance.num_frames,
-                instance.gt,
+                entries(instance.gt),
                 [
-                    hyp(e.frame, mapping[e.track_id], e.box.left, e.box.top,
-                        e.box.width, e.box.height)
-                    for e in instance.results
+                    hyp(e.frame, mapping[e.track_id], e.left, e.top,
+                        e.width, e.height)
+                    for e in entries(instance.results)
                 ],
             )
             a = totals(run_sequence(preprocess_sequence(instance, IOU)))

@@ -12,8 +12,7 @@ from pathlib import Path
 
 from motbench.assignment import preprocess_sequence
 from motbench.identity import TrackMatchTable, build_table
-from motbench.model import Rows
-from conftest import det, random_instance, seq, write_benchmark_tree
+from conftest import det, entries, random_instance, rows, seq, write_benchmark_tree
 
 COMMANDS = Path(__file__).resolve().parents[1] / "bench" / "commands.py"
 
@@ -53,8 +52,8 @@ def test_counters_read_engine_objects():
                          "identity.co_pairs": len(tracks.co_detections)}
     # thresholds 0.5 < 0.7 < 0.9: frame 1 is re-scored at all three and
     # changes at two, frame 2 at one, frame 3 at two and changes at one
-    dets = Rows.of([det(1, 0, 0, conf=0.9), det(1, 5, 5, conf=0.5),
-                    det(2, 0, 0, conf=0.5), det(3, 9, 9, conf=0.7)])
+    dets = rows([det(1, 0, 0, conf=0.9), det(1, 5, 5, conf=0.5),
+                 det(2, 0, 0, conf=0.5), det(3, 9, 9, conf=0.7)])
     assert commands.rescore_counts(dets) == (6, 4)
 
 
@@ -63,10 +62,10 @@ def test_traced_commands_record_every_stage(tmp_path):
     sequences = []
     for k in range(2):
         instance = random_instance(rng, max_tracks=4, max_frames=6)
-        detections = [det(e.frame, e.box.left + 1, e.box.top, conf=rng.random())
-                      for e in instance.gt]
-        sequences.append(seq(f"SYN-{k:02d}", instance.num_frames, instance.gt,
-                             instance.results, detections))
+        detections = [det(e.frame, e.left + 1, e.top, conf=rng.random())
+                      for e in entries(instance.gt)]
+        sequences.append(seq(f"SYN-{k:02d}", instance.num_frames, entries(instance.gt),
+                             entries(instance.results), detections))
     root = write_benchmark_tree(tmp_path / "tree", sequences)
     commands = load_commands()
     spans, counts = set(), set()

@@ -21,7 +21,7 @@ from motbench.clearmot import (
     pool,
     summarize,
 )
-from conftest import gt, hyp, random_instance, seq
+from conftest import entries, gt, hyp, random_instance, seq
 from oracles import frame_events
 
 
@@ -159,7 +159,7 @@ class TestDerivedRates:
 class TestAccumulate:
     def test_perfect_log(self):
         gt_entries = [gt(t, i, 40 * i, 0) for t in range(1, 7) for i in (1, 2)]
-        results = [hyp(e.frame, e.track_id, e.box.left, e.box.top) for e in gt_entries]
+        results = [hyp(e.frame, e.track_id, e.left, e.top) for e in gt_entries]
         counts = counts_of(seq("p", 6, gt_entries, results))
         assert counts.fm == 0
         assert counts.mt == counts.gt_tracks == 2
@@ -292,12 +292,12 @@ class TestPool:
             second = random_instance(rng)
 
             def shifted(rows):
-                return [dataclasses.replace(e, frame=e.frame + first.num_frames,
-                                            track_id=e.track_id + 1000) for e in rows]
+                return [e._replace(frame=e.frame + first.num_frames,
+                                   track_id=e.track_id + 1000) for e in entries(rows)]
 
             merged = seq("merged", first.num_frames + second.num_frames,
-                         [*first.gt, *shifted(second.gt)],
-                         [*first.results, *shifted(second.results)])
+                         [*entries(first.gt), *shifted(second.gt)],
+                         [*entries(first.results), *shifted(second.results)])
             parts = [counts_of(first), counts_of(second)]
             assert counts_of(merged) == pool(parts)
 

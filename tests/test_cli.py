@@ -27,10 +27,10 @@ import motbench.clearmot as clearmot
 import motbench.identity as identity
 from motbench.clearmot import Counts
 from motbench.cli import main
-from motbench.deteval import export_curve, pr_curve
-from motbench.ingest import Benchmark, load_sequence_set
-from motbench.model import Box, BoxEntry
-from conftest import det, gt, hyp, random_instance, seq, write_benchmark_tree
+from motbench.deteval import pr_curve
+from motbench.ingest import Benchmark
+from motbench.model import Rows
+from conftest import det, entries, gt, hyp, random_instance, seq, write_benchmark_tree
 
 
 def perfect_sequence(name, frames=6, tracks=3, offset=0.0):
@@ -40,10 +40,10 @@ def perfect_sequence(name, frames=6, tracks=3, offset=0.0):
         for i in range(1, tracks + 1)
     ]
     results = [
-        hyp(e.frame, e.track_id + 100, e.box.left, e.box.top) for e in gt_entries
+        hyp(e.frame, e.track_id + 100, e.left, e.top) for e in gt_entries
     ]
     detections = [
-        det(e.frame, e.box.left, e.box.top, conf=0.9) for e in gt_entries
+        det(e.frame, e.left, e.top, conf=0.9) for e in gt_entries
     ]
     return seq(name, frames, gt_entries, results, detections)
 
@@ -53,13 +53,13 @@ def synthetic_benchmark(rng, n=7):
     for k in range(n):
         instance = random_instance(rng, max_tracks=4, max_frames=8)
         detections = [
-            det(e.frame, e.box.left + rng.uniform(-2, 2),
-                e.box.top + rng.uniform(-2, 2), e.box.width, e.box.height,
+            det(e.frame, e.left + rng.uniform(-2, 2),
+                e.top + rng.uniform(-2, 2), e.width, e.height,
                 conf=rng.random())
-            for e in instance.gt if rng.random() < 0.9
+            for e in entries(instance.gt) if rng.random() < 0.9
         ]
         sequences.append(seq(f"SYN-{k:02d}", instance.num_frames,
-                             instance.gt, instance.results, detections))
+                             entries(instance.gt), entries(instance.results), detections))
     return sequences
 
 
@@ -86,8 +86,8 @@ class TestEvaluate:
 
     def test_text_output_columns_and_sorting(self, tmp_path, capsys):
         bad = perfect_sequence("SEQ-BAD")
-        bad = seq(bad.name, bad.num_frames, bad.gt, list(bad.results)[: len(bad.results) // 2],
-                  bad.detections)
+        bad = seq(bad.name, bad.num_frames, entries(bad.gt),
+                  entries(bad.results)[: len(bad.results) // 2], entries(bad.detections))
         root = write_benchmark_tree(tmp_path, [bad, perfect_sequence("SEQ-GOOD")])
         code = main([
             "evaluate", "--benchmark", "MOT16",
@@ -516,13 +516,13 @@ class TestErrorAnalysis:
         base = perfect_sequence("SEQ-01")
         # tracker output: exactly the detections, each box its own id; also
         # degrade the detections so FP and FN are both nonzero
-        detections = [d for k, d in enumerate(base.detections) if k % 3 != 0]
+        detections = [d for k, d in enumerate(entries(base.detections)) if k % 3 != 0]
         detections += [det(1, 500, 500, conf=0.4), det(2, 500, 500, conf=0.4)]
         results = [
-            hyp(d.frame, 1000 + k, d.box.left, d.box.top, d.box.width, d.box.height)
+            hyp(d.frame, 1000 + k, d.left, d.top, d.width, d.height)
             for k, d in enumerate(detections)
         ]
-        data = seq("SEQ-01", base.num_frames, base.gt, results, detections)
+        data = seq("SEQ-01", base.num_frames, entries(base.gt), results, detections)
         root = write_benchmark_tree(tmp_path, [data])
         out = tmp_path / "err.json"
         assert main([
@@ -539,8 +539,8 @@ class TestErrorAnalysis:
 
     def test_empty_tracker_has_zero_fp_ratio(self, tmp_path):
         base = perfect_sequence("SEQ-01")
-        detections = list(base.detections) + [det(1, 500, 500, conf=0.4)]
-        data = seq("SEQ-01", base.num_frames, base.gt, [], detections)
+        detections = entries(base.detections) + [det(1, 500, 500, conf=0.4)]
+        data = seq("SEQ-01", base.num_frames, entries(base.gt), [], detections)
         root = write_benchmark_tree(tmp_path, [data])
         out = tmp_path / "err.json"
         assert main([
@@ -571,7 +571,7 @@ class TestErrorAnalysis:
 
     def test_missing_detections_is_an_input_error(self, tmp_path, capsys):
         base = perfect_sequence("SEQ-01")
-        data = seq("SEQ-01", base.num_frames, base.gt, base.results, ())
+        data = seq("SEQ-01", base.num_frames, entries(base.gt), entries(base.results))
         root = write_benchmark_tree(tmp_path, [data])
         code = main([
             "error-analysis", "--benchmark", "MOT16",
@@ -691,27 +691,6 @@ def test_one_sequence_map_path():
     assert len(re.findall(r'f"\{\w+\}-\{\w+\}"', source)) == 1
 
 
-def test_evaluation_paths_construct_no_row_objects(tmp_path, rng):
-    # the evaluate, error-analysis and PR-curve paths read the row columns
-    # only: none of them builds a BoxEntry or a Box, one per parsed row
-    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=2))
-    args = ["--benchmark", "MOT16", "--gt", str(root), "--res", str(root / "res")]
-    refuse = mock.Mock(side_effect=AssertionError("row object constructed"))
-    with mock.patch.object(BoxEntry, "__post_init__", refuse), \
-            mock.patch.object(Box, "__post_init__", refuse):
-        for fmt in ("text", "csv", "json"):
-            assert main(["evaluate", *args, "--format", fmt,
-                         "--out", str(tmp_path / f"eval.{fmt}")]) == 0
-            assert main(["error-analysis", *args, "--format", fmt,
-                         "--out", str(tmp_path / f"ea.{fmt}")]) == 0
-        seq_set = load_sequence_set(root, Benchmark.MOT16)
-        for unit in seq_set.units:
-            for mode in ("tracking_gt", "visible_only"):
-                curve = pr_curve(unit.data.detections, unit.data.gt, mode=mode)
-                assert curve.points and export_curve(curve)
-    refuse.assert_not_called()
-
-
 def _write_tree(root: Path, seqmap: str, gt_rows: str, res_rows: str) -> list[str]:
     """A one-sequence MOT16 tree (sequence ``S-01``); the evaluate arguments for it."""
     (root / "gt").mkdir(parents=True)
@@ -828,7 +807,7 @@ class TestWorkers:
 
     def tree(self, tmp_path, with_detections=(True, True, True)):
         sequences = [perfect_sequence(f"SEQ-{k}", offset=k) for k in (1, 2, 3)]
-        sequences = [s if keep else dataclasses.replace(s, detections=())
+        sequences = [s if keep else dataclasses.replace(s, detections=Rows())
                      for s, keep in zip(sequences, with_detections)]
         return write_benchmark_tree(tmp_path / "tree", sequences)
 

@@ -44,7 +44,7 @@ def _sequence(name: str, shift: float = 0.0):
     gts = [gt(t, k, 30.0 * k + shift, 2.0 * t) for t in range(1, 6) for k in (1, 2, 3)]
     gts += [gt(t, 4, 130, 0, object_class=ObjectClass.DISTRACTOR) for t in (1, 2, 3)]
     gts += [gt(2, 5, 200, 0, conf=0.0), gt(3, 6, 240, 0, object_class=ObjectClass.CAR)]
-    res = [hyp(e.frame, e.track_id + 100, e.box.left + 1, e.box.top) for e in gts]
+    res = [hyp(e.frame, e.track_id + 100, e.left + 1, e.top) for e in gts]
     res += [hyp(4, 120, 31 + shift, 8), hyp(5, 121, 500, 500)]
     return seq(name, 5, gts, res)
 

@@ -10,7 +10,7 @@ import pytest
 import motbench.deteval as deteval
 from motbench.deteval import PRCurve, PRPoint, _eleven_point_ap, export_curve, pr_curve
 from motbench.model import Rows
-from conftest import crowd, det, gt, hyp
+from conftest import crowd, det, gt, hyp, rows
 from oracles import iou, pr_curve_rescored
 
 
@@ -86,8 +86,8 @@ def _ladder(rng: random.Random, n: int = 40, clutter: int = 80):
 class TestPrCurve:
     def test_perfect_detections_single_point(self):
         gts = [gt(t, i, 40 * i, 0) for t in range(1, 4) for i in (1, 2)]
-        dets = [det(e.frame, e.box.left, e.box.top, conf=0.7) for e in gts]
-        curve = pr_curve(dets, gts)
+        dets = [det(e.frame, e.left, e.top, conf=0.7) for e in gts]
+        curve = pr_curve(rows(dets), rows(gts))
         assert len(curve.points) == 1
         point = curve.points[0]
         assert point.recall == pytest.approx(100.0)
@@ -96,7 +96,7 @@ class TestPrCurve:
 
     def test_no_detections_gives_empty_curve(self):
         gts = [gt(1, 1, 0, 0)]
-        curve = pr_curve([], gts)
+        curve = pr_curve(rows([]), rows(gts))
         assert curve.points == ()
         assert curve.ap == 0.0
         assert curve.operating_point is None
@@ -109,7 +109,7 @@ class TestPrCurve:
             det(1, 40, 0, conf=0.8),
             det(1, 80, 0, conf=0.7),
         ]
-        curve = pr_curve(dets, gts)
+        curve = pr_curve(rows(dets), rows(gts))
         by_thr = {p.threshold: p for p in curve.points}
         assert by_thr[0.95].precision == pytest.approx(0.0)
         assert by_thr[0.9].precision == pytest.approx(50.0)
@@ -129,12 +129,12 @@ class TestPrCurve:
             dets = [det(1, rng.uniform(0, 40), rng.uniform(0, 40),
                         rng.uniform(6, 14), rng.uniform(6, 14), conf=0.5)
                     for _ in range(3)]
-            curve = pr_curve(dets, gts)
+            curve = pr_curve(rows(dets), rows(gts))
             tp = round(curve.points[-1].recall / 100.0 * len(gts))
 
             # independent greedy recomputation from a flat sorted pair list
             pairs = sorted(
-                ((iou(d.box, g.box), di, gi)
+                ((iou(d, g), di, gi)
                  for di, d in enumerate(dets) for gi, g in enumerate(gts)),
                 key=lambda p: (-p[0], p[1], p[2]),
             )
@@ -151,7 +151,7 @@ class TestPrCurve:
             for perm in permutations(range(3)):
                 matched = sum(
                     1 for di, gi in enumerate(perm)
-                    if iou(dets[di].box, gts[gi].box) >= 0.5
+                    if iou(dets[di], gts[gi]) >= 0.5
                 )
                 best = max(best, matched)
             assert tp <= best
@@ -163,13 +163,13 @@ class TestPrCurve:
         dets = []
         for e in gts:
             if rng.random() < 0.8:
-                dets.append(det(e.frame, e.box.left + rng.uniform(-3, 3),
-                                e.box.top + rng.uniform(-3, 3),
+                dets.append(det(e.frame, e.left + rng.uniform(-3, 3),
+                                e.top + rng.uniform(-3, 3),
                                 conf=rng.random()))
         for _ in range(10):
             dets.append(det(rng.randint(1, 5), rng.uniform(0, 60),
                             rng.uniform(0, 60), conf=rng.random()))
-        curve = pr_curve(dets, gts)
+        curve = pr_curve(rows(dets), rows(gts))
         thresholds = [p.threshold for p in curve.points]
         assert thresholds == sorted(thresholds, reverse=True)
         recalls = [p.recall for p in curve.points]
@@ -179,8 +179,8 @@ class TestPrCurve:
         # Both detections cover G1 at IoU 0.5; only the wide one also covers G2.
         gts = [gt(1, 1, 0, 0), gt(1, 2, 10, 0)]
         tall, wide = det(1, 0, 0, 10, 20, conf=0.9), det(1, 0, 0, 20, 10, conf=0.9)
-        assert pr_curve([tall, wide], gts).points[0].recall == pytest.approx(100.0)
-        assert pr_curve([wide, tall], gts).points[0].recall == pytest.approx(50.0)
+        assert pr_curve(rows([tall, wide]), rows(gts)).points[0].recall == pytest.approx(100.0)
+        assert pr_curve(rows([wide, tall]), rows(gts)).points[0].recall == pytest.approx(50.0)
 
     def test_visible_only_mode_shrinks_gt(self):
         gts = [
@@ -188,17 +188,17 @@ class TestPrCurve:
             gt(1, 2, 40, 0, visibility=0.1),
         ]
         dets = [det(1, 0, 0, conf=0.9)]
-        tracking = pr_curve(dets, gts, mode="tracking_gt")
-        visible = pr_curve(dets, gts, mode="visible_only", min_visibility=0.5)
+        tracking = pr_curve(rows(dets), rows(gts), mode="tracking_gt")
+        visible = pr_curve(rows(dets), rows(gts), mode="visible_only", min_visibility=0.5)
         assert tracking.points[0].recall == pytest.approx(50.0)
         assert visible.points[0].recall == pytest.approx(100.0)
 
     def test_unknown_mode_rejected(self):
         # "visible" once scored as tracking_gt: recall 100 where visible_only gives 0
         gts, dets = [gt(1, 1, 0, 0, visibility=0.1)], [det(1, 0, 0, conf=0.9)]
-        assert pr_curve(dets, gts, mode="visible_only").points[0].recall == 0.0
+        assert pr_curve(rows(dets), rows(gts), mode="visible_only").points[0].recall == 0.0
         with pytest.raises(ValueError, match="got 'visible'"):
-            pr_curve(dets, gts, mode="visible")
+            pr_curve(rows(dets), rows(gts), mode="visible")
 
     @pytest.mark.parametrize("side", ["detections", "gt"])
     @pytest.mark.parametrize("ltwh", [(float("nan"), 0, 10, 10), (0, 0, 1e308, 10)])
@@ -206,7 +206,8 @@ class TestPrCurve:
         # a NaN left edge was scored as a false positive, an overflowing
         # area warned in the overlap pass
         bad = Rows([1], [-1 if side == "detections" else 1], [ltwh], [0.9], [1], [1])
-        inputs = {"detections": [det(1, 0, 0, conf=0.9)], "gt": [gt(1, 1, 0, 0)], side: bad}
+        inputs = {"detections": rows([det(1, 0, 0, conf=0.9)]), "gt": rows([gt(1, 1, 0, 0)]),
+                  side: bad}
         with pytest.raises(ValueError, match=(
                 rf"^{side} entry at frame 1, id -?1: box right edge, bottom edge or area "
                 "is not finite$")):
@@ -218,20 +219,20 @@ class TestPrCurve:
         dets = [det(1, 0, 0, conf=0.9), det(1, 40, 0, conf=float("nan"))]
         with pytest.raises(ValueError, match=(
                 r"^detections entry at frame 1, id -1: confidence nan not finite$")):
-            pr_curve(dets, [gt(1, 1, 0, 0)])
+            pr_curve(rows(dets), rows([gt(1, 1, 0, 0)]))
 
     def test_score_rescaling_invariance(self):
         rng = random.Random(31)
         gts = [gt(t, i, 30 * i, 0) for t in range(1, 4) for i in (1, 2, 3)]
-        dets = [det(e.frame, e.box.left + rng.uniform(-2, 2), e.box.top,
+        dets = [det(e.frame, e.left + rng.uniform(-2, 2), e.top,
                     conf=rng.random()) for e in gts]
-        base = pr_curve(dets, gts)
+        base = pr_curve(rows(dets), rows(gts))
         rescaled_dets = [
-            det(d.frame, d.box.left, d.box.top, d.box.width, d.box.height,
+            det(d.frame, d.left, d.top, d.width, d.height,
                 conf=3.0 * d.confidence ** 2 + 1.0)
             for d in dets
         ]
-        rescaled = pr_curve(rescaled_dets, gts)
+        rescaled = pr_curve(rows(rescaled_dets), rows(gts))
         assert base.ap == pytest.approx(rescaled.ap)
         assert [(p.recall, p.precision) for p in base.points] == pytest.approx(
             [(p.recall, p.precision) for p in rescaled.points]
@@ -241,10 +242,10 @@ class TestPrCurve:
         rng = random.Random(41)
         gts = [gt(t, i, rng.uniform(0, 50), rng.uniform(0, 50))
                for t in range(1, 4) for i in (1, 2, 3)]
-        dets = [det(e.frame, e.box.left + rng.uniform(-4, 4),
-                    e.box.top + rng.uniform(-4, 4), conf=0.5) for e in gts]
-        strict = pr_curve(dets, gts, iou_threshold=0.7)
-        loose = pr_curve(dets, gts, iou_threshold=0.3)
+        dets = [det(e.frame, e.left + rng.uniform(-4, 4),
+                    e.top + rng.uniform(-4, 4), conf=0.5) for e in gts]
+        strict = pr_curve(rows(dets), rows(gts), iou_threshold=0.7)
+        loose = pr_curve(rows(dets), rows(gts), iou_threshold=0.3)
         assert loose.points[-1].recall >= strict.points[-1].recall - 1e-9
 
     @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
@@ -254,8 +255,8 @@ class TestPrCurve:
         for _ in range(80):
             gts, dets = _tie_heavy(rng)
             for detections in (dets, []):
-                curve = pr_curve(detections, gts, iou_threshold, mode)
-                expected = pr_curve_rescored(detections, gts, iou_threshold, mode)
+                curve = pr_curve(rows(detections), rows(gts), iou_threshold, mode)
+                expected = pr_curve_rescored(rows(detections), rows(gts), iou_threshold, mode)
                 assert curve == expected
                 assert export_curve(curve) == export_curve(expected)
 
@@ -265,15 +266,15 @@ class TestPrCurve:
         rng = random.Random(4242)
         for _ in range(20):
             gts, dets = _chain_heavy(rng)
-            curve = pr_curve(dets, gts, iou_threshold, mode)
-            expected = pr_curve_rescored(dets, gts, iou_threshold, mode)
+            curve = pr_curve(rows(dets), rows(gts), iou_threshold, mode)
+            expected = pr_curve_rescored(rows(dets), rows(gts), iou_threshold, mode)
             assert curve == expected
             assert export_curve(curve) == export_curve(expected)
 
     def test_equals_the_rescoring_sweep_on_a_long_chain(self):
         gts, dets = _ladder(random.Random(3))
-        curve = pr_curve(dets, gts, iou_threshold=0.2)
-        expected = pr_curve_rescored(dets, gts, iou_threshold=0.2)
+        curve = pr_curve(rows(dets), rows(gts), iou_threshold=0.2)
+        expected = pr_curve_rescored(rows(dets), rows(gts), iou_threshold=0.2)
         assert curve == expected
         assert export_curve(curve) == export_curve(expected)
 
@@ -290,7 +291,7 @@ class TestPrCurve:
             gts, dets = _tie_heavy(random.Random(frames), frames=frames)
             for detections in (dets, []):
                 calls.clear()
-                pr_curve(detections, gts)
+                pr_curve(rows(detections), rows(gts))
                 assert calls == [len(detections)]
         assert "pairwise_iou" not in inspect.getsource(deteval)
 
@@ -305,7 +306,7 @@ class TestPrCurve:
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            curve = pr_curve(dets, gts)
+            curve = pr_curve(rows(dets), rows(gts))
             elapsed.append(time.perf_counter() - start)
         assert len(curve.points) == 1000
         assert min(elapsed) < 0.25, elapsed
@@ -317,10 +318,10 @@ class TestPrCurve:
         # 0.39-0.40 s scoring every pair on a 2-vCPU x86_64 VM and 0.03 s
         # windowed; the whole curve took 0.43 s and 0.07 s.
         rng = random.Random(8)
-        rows = crowd(5, 1600, seed=3)
-        gts = Rows.of([gt(t, k, x, y, w, h) for t, k, x, y, w, h in rows])
-        dets = Rows.of([det(t, x + rng.randint(-3, 3), y + rng.randint(-3, 3), w, h,
-                            conf=rng.random()) for t, _, x, y, w, h in rows])
+        people = crowd(5, 1600, seed=3)
+        gts = rows([gt(t, k, x, y, w, h) for t, k, x, y, w, h in people])
+        dets = rows([det(t, x + rng.randint(-3, 3), y + rng.randint(-3, 3), w, h,
+                         conf=rng.random()) for t, _, x, y, w, h in people])
         edges, elapsed = deteval._edges, []
 
         def timed(*args):
@@ -339,12 +340,12 @@ class TestPrCurve:
     def test_rejects_thresholds_outside_the_unit_interval(self, iou_threshold):
         gts, dets = [gt(1, 1, 0, 0)], [det(1, 100, 100, conf=0.9)]
         with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
-            pr_curve(dets, gts, iou_threshold=iou_threshold)
+            pr_curve(rows(dets), rows(gts), iou_threshold=iou_threshold)
 
     def test_threshold_one_takes_identical_boxes_only(self):
         gts = [gt(1, 1, 0, 0), gt(1, 2, 40, 0)]
         dets = [det(1, 0, 0, conf=0.9), det(1, 41, 0, conf=0.8)]
-        curve = pr_curve(dets, gts, iou_threshold=1.0)
+        curve = pr_curve(rows(dets), rows(gts), iou_threshold=1.0)
         assert [(p.recall, p.precision) for p in curve.points] == [(50.0, 100.0), (50.0, 50.0)]
 
 

@@ -7,7 +7,7 @@ import pytest
 import motbench.identity as identity
 from motbench.assignment import preprocess_sequence, solve_assignment
 from motbench.identity import build_table, evaluate_identity, solve_identity
-from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
+from conftest import entries, gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
 from oracles import oracle_identity_counts, solve_identity_dummy_graph
 
 
@@ -95,7 +95,7 @@ class TestBuildTable:
 class TestSolveIdentity:
     def test_perfect_predictions(self):
         gts = [gt(t, i, 40 * i, 0) for t in range(1, 6) for i in (1, 2)]
-        preds = [hyp(e.frame, e.track_id + 50, e.box.left, e.box.top) for e in gts]
+        preds = [hyp(e.frame, e.track_id + 50, e.left, e.top) for e in gts]
         scores = solve_identity(build_table(frames_of(gts, preds)))
         assert scores.idf1 == pytest.approx(100.0)
         assert scores.idfp == scores.idfn == 0
@@ -180,18 +180,18 @@ class TestSolveIdentity:
     def test_relabeling_predictions_changes_nothing(self, rng):
         for _ in range(30):
             instance = random_instance(rng)
-            pred_ids = sorted({e.track_id for e in instance.results})
+            pred_ids = sorted({e.track_id for e in entries(instance.results)})
             shuffled = pred_ids[:]
             rng.shuffle(shuffled)
             mapping = dict(zip(pred_ids, shuffled))
             relabeled = seq(
                 instance.name,
                 instance.num_frames,
-                instance.gt,
+                entries(instance.gt),
                 [
-                    hyp(e.frame, mapping[e.track_id], e.box.left, e.box.top,
-                        e.box.width, e.box.height)
-                    for e in instance.results
+                    hyp(e.frame, mapping[e.track_id], e.left, e.top,
+                        e.width, e.height)
+                    for e in entries(instance.results)
                 ],
             )
             a = scores_for(instance)
@@ -208,8 +208,8 @@ class TestSolveIdentity:
             extended = seq(
                 instance.name,
                 instance.num_frames + 1,
-                list(instance.gt) + [gt(instance.num_frames + 1, gt_id, 7, 7)],
-                list(instance.results) + [hyp(instance.num_frames + 1, pred_id, 7, 7)],
+                entries(instance.gt) + [gt(instance.num_frames + 1, gt_id, 7, 7)],
+                entries(instance.results) + [hyp(instance.num_frames + 1, pred_id, 7, 7)],
             )
             after = scores_for(extended)
             if before.idf1 is not None and after.idf1 is not None:

@@ -30,7 +30,7 @@ from motbench.ingest import (
 )
 from motbench.model import ObjectClass, Rows
 import oracles
-from conftest import gt, hyp, seq, write_benchmark_tree
+from conftest import entries, gt, hyp, rows, seq, write_benchmark_tree
 
 DET_16 = (FormatVariant.MOT16_17, FileKind.DETECTION)
 GT_16 = (FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)
@@ -40,24 +40,24 @@ GT_15 = (FormatVariant.MOT15, FileKind.GROUND_TRUTH)
 
 class TestParse:
     def test_detection_line(self):
-        (e,) = parse_file("1, -1, 794.2, 47.5, 71.2, 174.8, 67.5, -1, -1", *DET_16)
+        (e,) = entries(parse_file("1, -1, 794.2, 47.5, 71.2, 174.8, 67.5, -1, -1", *DET_16))
         assert e.frame == 1
         assert e.track_id == -1
-        assert (e.box.left, e.box.top, e.box.width, e.box.height) == (794.2, 47.5, 71.2, 174.8)
+        assert (e.left, e.top, e.width, e.height) == (794.2, 47.5, 71.2, 174.8)
         assert e.confidence == 67.5
         assert e.object_class is ObjectClass.PEDESTRIAN
         assert e.visibility == 1.0
 
     def test_ground_truth_line_with_flag_class_visibility(self):
-        (e,) = parse_file("2, 4, 781.7, 25.1, 69.2, 170.2, 0, 12, 1.", *GT_16)
-        assert not e.is_active
+        (e,) = entries(parse_file("2, 4, 781.7, 25.1, 69.2, 170.2, 0, 12, 1.", *GT_16))
+        assert e.confidence == 0
         assert e.object_class is ObjectClass.REFLECTION
         assert e.visibility == 1.0
 
     def test_ten_column_ground_truth(self):
-        (e,) = parse_file("1, 3, 875.4, 39.9, 25.3, 35.0, 0, -1, -1, -1", *GT_15)
+        (e,) = entries(parse_file("1, 3, 875.4, 39.9, 25.3, 35.0, 0, -1, -1, -1", *GT_15))
         assert e.track_id == 3
-        assert not e.is_active
+        assert e.confidence == 0
         # world coordinates are discarded; everything defaults to pedestrian
         assert e.object_class is ObjectClass.PEDESTRIAN
 
@@ -233,7 +233,7 @@ class TestParse:
         line = "1, 1, 0, 0, 5, 5, 1, 77, 1"
         with pytest.raises(ParseError, match="unknown class"):
             parse_file(line, *GT_16)
-        (e,) = parse_file(line, *GT_16, strict=False)
+        (e,) = entries(parse_file(line, *GT_16, strict=False))
         assert e.object_class is ObjectClass.OTHER
 
     def test_visibility_out_of_range(self):
@@ -325,15 +325,15 @@ class TestParse:
 
     def test_rows_iterate_back_to_the_written_entries(self):
         rng = random.Random(19)
-        entries = [
+        written = [
             hyp(rng.randint(1, 30), tid, rng.uniform(-20, 900), rng.uniform(-20, 500),
                 rng.uniform(0.5, 120), rng.uniform(0.5, 300), conf=rng.choice([0.0, 1.0]))
             for tid in range(1, 60)
         ]
-        rows = parse_file(write_result_file(entries), *RES_16)
-        assert len(rows) == len(entries)
-        assert Counter(rows) == Counter(entries)
-        assert all(type(e.frame) is int and type(e.box.left) is float for e in rows)
+        parsed = parse_file(write_result_file(rows(written)), *RES_16)
+        assert len(parsed) == len(written)
+        assert Counter(entries(parsed)) == Counter(written)
+        assert parsed.frame.dtype == np.int64 and parsed.ltwh.dtype == np.float64
 
     def test_shuffling_lines_preserves_entry_multiset(self):
         rng = random.Random(5)
@@ -342,13 +342,13 @@ class TestParse:
             for f in range(1, 6) for i in range(1, 5)
         ]
         reference = sorted(
-            parse_file("\n".join(lines), *GT_16),
+            entries(parse_file("\n".join(lines), *GT_16)),
             key=lambda e: (e.frame, e.track_id),
         )
         shuffled = lines[:]
         rng.shuffle(shuffled)
         assert sorted(
-            parse_file("\n".join(shuffled), *GT_16),
+            entries(parse_file("\n".join(shuffled), *GT_16)),
             key=lambda e: (e.frame, e.track_id),
         ) == reference
 
@@ -578,19 +578,19 @@ ANY_ROWS = st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 2, st.tuples(*[st.float
 
 class TestWrite:
     def test_empty(self):
-        assert write_result_file([]) == ""
+        assert write_result_file(rows([])) == ""
 
     def test_single_entry_nine_columns(self):
-        text = write_result_file([hyp(1, 5, 10.5, 20.0, 30.0, 40.0, conf=1.0)])
+        text = write_result_file(rows([hyp(1, 5, 10.5, 20.0, 30.0, 40.0, conf=1.0)]))
         assert text == "1,5,10.5,20,30,40,1,-1,-1\n"
 
     def test_mot15_variant_has_ten_columns(self):
-        text = write_result_file([hyp(1, 5, 10, 20, 30, 40)], FormatVariant.MOT15)
+        text = write_result_file(rows([hyp(1, 5, 10, 20, 30, 40)]), FormatVariant.MOT15)
         assert text.strip().count(",") == 9
 
     def test_rejects_unassigned_ids(self):
         with pytest.raises(ValueError, match="unassigned"):
-            write_result_file([hyp(1, -1, 0, 0)])
+            write_result_file(rows([hyp(1, -1, 0, 0)]))
 
     @pytest.mark.parametrize("frame, track_id, ltwh, conf, error", [
         (0, 1, (0, 0, 10, 10), 1, "frame index must be >= 1, got 0"),
@@ -614,7 +614,7 @@ class TestWrite:
     def test_rejects_a_repeated_frame_and_id(self):
         with pytest.raises(ValueError, match=r"^result entry at frame 1, id 3: "
                                              r"duplicate \(frame, id\) pair \(1, 3\)$"):
-            write_result_file([hyp(1, 3, 0, 0), hyp(2, 3, 0, 0), hyp(1, 3, 5, 0)])
+            write_result_file(rows([hyp(1, 3, 0, 0), hyp(2, 3, 0, 0), hyp(1, 3, 5, 0)]))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(rows=st.tuples(*[st.lists(rows, max_size=size, unique_by=lambda row: row[:2])
@@ -633,13 +633,13 @@ class TestWrite:
             assert np.array_equal(getattr(parsed, name), getattr(expected, name)), name
 
     def test_rows_sorted_by_frame_then_id(self):
-        text = write_result_file([hyp(2, 1, 0, 0), hyp(1, 9, 0, 0), hyp(1, 2, 0, 0)])
+        text = write_result_file(rows([hyp(2, 1, 0, 0), hyp(1, 9, 0, 0), hyp(1, 2, 0, 0)]))
         firsts = [line.split(",")[:2] for line in text.splitlines()]
         assert firsts == [["1", "2"], ["1", "9"], ["2", "1"]]
 
     def test_round_trip_on_random_fixture(self):
         rng = random.Random(11)
-        entries = [
+        written = [
             hyp(
                 rng.randint(1, 50), tid,
                 rng.uniform(-20, 900), rng.uniform(-20, 500),
@@ -648,9 +648,9 @@ class TestWrite:
             )
             for tid in range(1, 101)
         ]
-        parsed = parse_file(write_result_file(entries), *RES_16)
-        assert sorted(parsed, key=lambda e: (e.frame, e.track_id)) == sorted(
-            entries, key=lambda e: (e.frame, e.track_id)
+        parsed = parse_file(write_result_file(rows(written)), *RES_16)
+        assert sorted(entries(parsed), key=lambda e: (e.frame, e.track_id)) == sorted(
+            written, key=lambda e: (e.frame, e.track_id)
         )
 
 
@@ -876,5 +876,5 @@ class TestLoadSequenceSet:
         loaded = load_sequence_set(tmp_path, Benchmark.MOT15)
         unit = loaded.units[0]
         assert len(unit.data.gt) == len(data.gt)
-        assert all(e.object_class is ObjectClass.PEDESTRIAN for e in unit.data.gt)
+        assert all(e.object_class is ObjectClass.PEDESTRIAN for e in entries(unit.data.gt))
         assert len(unit.data.results) == len(data.results)

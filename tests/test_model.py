@@ -14,14 +14,12 @@ import motbench.deteval as deteval
 import motbench.model as model
 from motbench.ingest import FileKind, FormatVariant, parse_file
 from motbench.model import (
-    Box,
-    BoxEntry,
     ObjectClass,
     Rows,
     SequenceData,
     _edges,
 )
-from conftest import box, det, gt, hyp, iou_matrix, pair_iou
+from conftest import Entry, box, det, entries, gt, hyp, iou_matrix, pair_iou, rows
 from oracles import edges_all_pairs, iou
 
 
@@ -30,21 +28,21 @@ def ltwh(boxes) -> np.ndarray:
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes]).reshape(-1, 4)
 
 
-def pixel_iou(a: Box, b: Box) -> float:
+def pixel_iou(a: Entry, b: Entry) -> float:
     """Count unit cells; exact for integer-coordinate boxes."""
     cells_a = {(x, y)
-               for x in range(int(a.left), int(a.right))
-               for y in range(int(a.top), int(a.bottom))}
+               for x in range(int(a.left), int(a.left + a.width))
+               for y in range(int(a.top), int(a.top + a.height))}
     cells_b = {(x, y)
-               for x in range(int(b.left), int(b.right))
-               for y in range(int(b.top), int(b.bottom))}
+               for x in range(int(b.left), int(b.left + b.width))
+               for y in range(int(b.top), int(b.top + b.height))}
     union = len(cells_a | cells_b)
     return len(cells_a & cells_b) / union if union else 0.0
 
 
 def int_boxes(max_pos=20, max_size=10):
     return st.builds(
-        Box,
+        box,
         left=st.integers(-max_pos, max_pos),
         top=st.integers(-max_pos, max_pos),
         width=st.integers(1, max_size),
@@ -55,42 +53,18 @@ def int_boxes(max_pos=20, max_size=10):
 #: Boxes the parser rejects, each with the rule it breaks first.
 PARSER_REJECTS = [
     (10, 10, 0, 5, "non-positive box extent width=0.0 height=5.0"),
+    (0, 0, 0, 5, "non-positive box extent width=0.0 height=5.0"),
+    (0, 0, 5, -1, "non-positive box extent width=5.0 height=-1.0"),
     (0, 0, 1e308, 10, "box right edge, bottom edge or area is not finite"),
     (float("nan"), 0, 10, 10, "box right edge, bottom edge or area is not finite"),
     (0, 0, 1e154, 1e154, "box edge or area beyond 2**1022"),
     (-8.9e307, 0, 10, 10, "box edge or area beyond 2**1022"),
     (1, 1, 1e-17, 1, "box area (right - left) * (bottom - top) is 0"),
+    # 1 + 1e-17 rounds to 1: no extent is left between the edges
+    (1.0, 0.0, 1e-17, 5.0, "box area (right - left) * (bottom - top) is 0"),
+    # the area underflows to 0
+    (0.0, 0.0, 1e-200, 1e-200, "box area (right - left) * (bottom - top) is 0"),
 ]
-
-
-class TestBox:
-    @pytest.mark.parametrize("left, top, width, height, rule", PARSER_REJECTS)
-    def test_rejects_the_boxes_the_parser_rejects(self, left, top, width, height, rule):
-        # an area that overflows to inf, or beyond what an IoU's sum of two
-        # areas holds, once made a Box
-        with pytest.raises(ValueError) as err:
-            Box(left, top, width, height)
-        assert "rounded edges" in str(err.value)
-        assert str(err.value).endswith(f": {rule}")
-
-    def test_rejects_non_positive_extent(self):
-        with pytest.raises(ValueError):
-            Box(0, 0, 0, 5)
-        with pytest.raises(ValueError):
-            Box(0, 0, 5, -1)
-
-    def test_rejects_extent_lost_to_rounding(self):
-        # 1 + 1e-17 rounds to 1: no extent is left between the edges
-        with pytest.raises(ValueError, match="rounded edges"):
-            Box(1.0, 0.0, 1e-17, 5.0)
-        with pytest.raises(ValueError, match="rounded edges"):
-            Box(0.0, 0.0, 1e-200, 1e-200)  # the area underflows to 0
-        assert Box(1.0, 0.0, 1.6653345369377348e-16, 5.0).area == 2.0**-52 * 5.0
-
-    def test_negative_coordinates_allowed(self):
-        b = Box(-10.5, -3.0, 4.0, 8.0)
-        assert b.right == -6.5
-        assert b.bottom == 5.0
 
 
 class TestIou:
@@ -106,7 +80,7 @@ class TestIou:
 
     def test_half_shifted_boxes(self):
         # overlap 50, union 150
-        value = pair_iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        value = pair_iou(box(0, 0, 10, 10), box(5, 0, 10, 10))
         assert value == pytest.approx(50 / 150)
 
     @given(int_boxes(), int_boxes())
@@ -120,19 +94,19 @@ class TestIou:
     @given(int_boxes(), int_boxes(),
            st.integers(-50, 50), st.integers(-50, 50))
     def test_translation_invariance(self, a, b, dx, dy):
-        a2 = Box(a.left + dx, a.top + dy, a.width, a.height)
-        b2 = Box(b.left + dx, b.top + dy, b.width, b.height)
+        a2 = box(a.left + dx, a.top + dy, a.width, a.height)
+        b2 = box(b.left + dx, b.top + dy, b.width, b.height)
         assert pair_iou(a2, b2) == pytest.approx(pair_iou(a, b), abs=1e-12)
 
     @given(int_boxes(), int_boxes())
     def test_half_overlap_implies_big_intersection(self, a, b):
         """IoU >= 0.5 forces the intersection above a third of either area."""
         if pair_iou(a, b) >= 0.5:
-            inter_w = max(0.0, min(a.right, b.right) - max(a.left, b.left))
-            inter_h = max(0.0, min(a.bottom, b.bottom) - max(a.top, b.top))
+            inter_w = max(0.0, min(a.left + a.width, b.left + b.width) - max(a.left, b.left))
+            inter_h = max(0.0, min(a.top + a.height, b.top + b.height) - max(a.top, b.top))
             inter = inter_w * inter_h
-            assert inter > a.area / 3
-            assert inter > b.area / 3
+            assert inter > a.width * a.height / 3
+            assert inter > b.width * b.height / 3
 
     def test_bounded(self):
         rng = random.Random(7)
@@ -343,7 +317,7 @@ def test_one_overlap_implementation(monkeypatch):
 
 class TestRows:
     def rows(self):
-        return Rows.of([gt(2, 5, 0, 0), gt(1, 3, 10, 10, conf=0.0), hyp(1, 1, 20, 20)])
+        return rows([gt(2, 5, 0, 0), gt(1, 3, 10, 10, conf=0.0), hyp(1, 1, 20, 20)])
 
     def test_columns_are_read_only(self):
         rows = self.rows()
@@ -367,18 +341,36 @@ class TestRows:
         with pytest.raises(ValueError, match="length"):
             Rows([1, 2], [1], [(0, 0, 1, 1)], [1], [1], [1])
 
+    @pytest.mark.parametrize("ltwh", [
+        np.arange(1, 9.0).reshape(4, 2), np.arange(1, 9.0), np.ones((2, 4, 1)), np.ones((2, 5)),
+        np.ones((0, 3)), 1.0,
+    ])
+    def test_ltwh_of_another_shape_rejected(self, ltwh):
+        # a 4 x 2 array was reshaped to 2 x 4, its values moved to other rows
+        # and fields, and a sequence accepted it
+        with pytest.raises(ValueError, match=r"^ltwh must have shape \(n, 4\), got \("):
+            Rows([1, 1], [1, 2], ltwh, [1, 1], [1, 1], [1, 1])
+        assert Rows(ltwh=np.ones((0, 4))).ltwh.shape == Rows(ltwh=[]).ltwh.shape == (0, 4)
+
     def test_iterates_as_entries(self):
-        entries = [gt(2, 5, 0, 0, object_class=ObjectClass.REFLECTION, visibility=0.25),
+        written = [gt(2, 5, 0, 0, object_class=ObjectClass.REFLECTION, visibility=0.25),
                    hyp(1, 1, 20.5, 20, 3, 4, conf=0.75)]
-        assert list(Rows.of(entries)) == entries
-        assert list(Rows.of(())) == [] and Rows.of(()).ltwh.shape == (0, 4)
+        assert entries(rows(written)) == written
+        assert [tuple(row) for row in rows(written)] == [
+            (2, 5, [0.0, 0.0, 10.0, 10.0], 1.0, 12, 0.25),
+            (1, 1, [20.5, 20.0, 3.0, 4.0], 0.75, 1, 1.0),
+        ]
+        assert all(type(row.frame) is int and type(row.confidence) is float
+                   for row in rows(written))
+        assert list(Rows()) == [] and Rows().ltwh.shape == (0, 4)
 
     def test_sequence_orders_rows_by_frame_then_id_stably(self):
         # equal (frame, id) keys are legal among detections, whose ids are
         # unassigned: they keep their input order
         results = [hyp(3, 2, 0, 0), hyp(1, 4, 0, 0), hyp(3, 1, 0, 0)]
         detections = [det(3, 0, 0), det(1, 5, 0), det(2, 0, 0), det(1, 6, 0), det(1, 7, 0)]
-        data = SequenceData(name="s", num_frames=3, results=results, detections=detections)
+        data = SequenceData(name="s", num_frames=3, results=rows(results),
+                            detections=rows(detections))
         assert isinstance(data.results, Rows)
         assert list(zip(data.results.frame.tolist(), data.results.track_id.tolist())) == [
             (1, 4), (3, 1), (3, 2)
@@ -387,38 +379,54 @@ class TestRows:
         assert data.detections.ltwh[:3, 0].tolist() == [5.0, 6.0, 7.0]
 
     def test_sorted_rows_are_kept_as_they_are(self):
-        rows = Rows.of([gt(1, 1, 0, 0), gt(1, 2, 0, 0), gt(2, 1, 0, 0)])
-        assert rows.sorted() is rows
-        assert SequenceData(name="s", num_frames=2, gt=rows).gt is rows
+        ordered = rows([gt(1, 1, 0, 0), gt(1, 2, 0, 0), gt(2, 1, 0, 0)])
+        assert ordered.sorted() is ordered
+        assert SequenceData(name="s", num_frames=2, gt=ordered).gt is ordered
         # detections share the id -1, so equal keys follow each other
-        detections = Rows.of([det(1, 0, 0), det(1, 5, 0), det(2, 0, 0), det(2, 9, 0)])
+        detections = rows([det(1, 0, 0), det(1, 5, 0), det(2, 0, 0), det(2, 9, 0)])
         assert detections.sorted() is detections
-        extreme = Rows.of([hyp(1, -2**62, 0, 0), hyp(1, 2**62, 0, 0), hyp(2, -2**62, 0, 0)])
+        extreme = rows([hyp(1, -2**62, 0, 0), hyp(1, 2**62, 0, 0), hyp(2, -2**62, 0, 0)])
         assert extreme.sorted() is extreme
-        assert Rows.of(()).sorted().frame.shape == (0,)
+        assert Rows().sorted().frame.shape == (0,)
 
     def test_unordered_rows_are_sorted_stably(self):
-        detections = Rows.of([det(2, 0, 0), det(1, 5, 0), det(2, 1, 0), det(1, 6, 0)])
+        detections = rows([det(2, 0, 0), det(1, 5, 0), det(2, 1, 0), det(1, 6, 0)])
         ordered = detections.sorted()
         assert ordered.frame.tolist() == [1, 1, 2, 2]
         assert ordered.ltwh[:, 0].tolist() == [5.0, 6.0, 0.0, 1.0]
         # the ids' difference does not fit in an int64
-        rows = Rows.of([hyp(1, 2**62, 0, 0), hyp(1, -2**62 - 1, 0, 0)])
-        assert rows.sorted().track_id.tolist() == [-2**62 - 1, 2**62]
+        wide = rows([hyp(1, 2**62, 0, 0), hyp(1, -2**62 - 1, 0, 0)])
+        assert wide.sorted().track_id.tolist() == [-2**62 - 1, 2**62]
 
 
 class TestEntriesAndSequences:
-    def test_entry_rejects_frame_zero(self):
-        with pytest.raises(ValueError):
-            BoxEntry(frame=0, track_id=1, box=box(0, 0))
+    @pytest.mark.parametrize("kind", ["gt", "results", "detections"])
+    def test_sequence_rejects_frame_zero(self, kind):
+        with pytest.raises(ValueError) as err:
+            SequenceData(name="s", num_frames=3, **{kind: rows([hyp(0, 1, 0, 0)])})
+        assert str(err.value) == (f"sequence 's': {kind} entry at frame 0, id 1: "
+                                  "frame index must be >= 1, got 0")
 
     def test_active_flag(self):
-        assert gt(1, 1, 0, 0, conf=1.0).is_active
-        assert not gt(1, 1, 0, 0, conf=0.0).is_active
+        flagged = rows([gt(1, 1, 0, 0, conf=1.0), gt(1, 2, 0, 0, conf=0.0)])
+        assert flagged.scoreable.tolist() == [True, False]
 
     def test_sequence_rejects_out_of_range_frames(self):
         with pytest.raises(ValueError):
-            SequenceData(name="s", num_frames=3, gt=(gt(4, 1, 0, 0),))
+            SequenceData(name="s", num_frames=3, gt=rows([gt(4, 1, 0, 0)]))
+
+    def test_area_is_measured_between_the_rounded_edges(self):
+        # 1 + 1.67e-16 rounds to 1 + 2**-52: that much extent is left
+        ltwh = np.array([[1.0, 0.0, 1.6653345369377348e-16, 5.0]])
+        assert model._geometry(ltwh)[4].tolist() == [2.0**-52 * 5.0]
+        assert len(SequenceData(name="s", num_frames=1,
+                                gt=Rows([1], [1], ltwh, [1], [1], [1])).gt) == 1
+
+    def test_negative_coordinates_allowed(self):
+        data = SequenceData(name="s", num_frames=1, gt=rows([gt(1, 1, -10.5, -3.0, 4.0, 8.0)]))
+        _, _, right, bottom, _ = model._geometry(data.gt.ltwh)
+        assert right.tolist() == [-6.5]
+        assert bottom.tolist() == [5.0]
 
     def test_sequence_rejects_zero_frames(self):
         with pytest.raises(ValueError):
@@ -471,9 +479,9 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_class_codes_outside_object_class(self, code):
         # -1 was read as REFLECTION, a neutral class, so the GT box vanished
         # from every count; 99 raised IndexError in the neutral filter
-        rows = Rows([1, 1], [1, 2], [(0, 0, 10, 10)] * 2, [1, 1], [1, code], [1, 1])
+        coded = Rows([1, 1], [1, 2], [(0, 0, 10, 10)] * 2, [1, 1], [1, code], [1, 1])
         with pytest.raises(ValueError) as err:
-            SequenceData(name="s", num_frames=1, gt=rows, results=[hyp(1, 7, 0, 0)])
+            SequenceData(name="s", num_frames=1, gt=coded, results=rows([hyp(1, 7, 0, 0)]))
         assert str(err.value) == ("sequence 's': gt entry at frame 1, id 2: "
                                   f"unknown class code {code}")
         other = Rows([1], [1], [(0, 0, 10, 10)], [1], [ObjectClass.OTHER], [1])
@@ -500,8 +508,8 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_a_repeated_frame_and_id(self, kind, track_id):
         # two boxes of one track in one frame would count as two co-detected
         # frames of one pair and push IDP or IDR above 100
-        rows = [gt(2, 3, 0, 0), hyp(1, track_id, 0, 0), hyp(1, track_id, 1, 0)]
+        repeated = rows([gt(2, 3, 0, 0), hyp(1, track_id, 0, 0), hyp(1, track_id, 1, 0)])
         with pytest.raises(ValueError) as err:
-            SequenceData(name="s", num_frames=2, **{kind: rows})
+            SequenceData(name="s", num_frames=2, **{kind: repeated})
         assert str(err.value) == (f"sequence 's': {kind} entry at frame 1, id {track_id}: "
                                   f"duplicate (frame, id) pair (1, {track_id})")

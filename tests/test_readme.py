@@ -5,7 +5,8 @@ import re
 from pathlib import Path
 
 from conftest import (
-    det, scenario_crossing_locked_by_carryover, scenario_switch_mid_track, write_benchmark_tree,
+    det, rows, scenario_crossing_locked_by_carryover, scenario_switch_mid_track,
+    write_benchmark_tree,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,7 +17,7 @@ def test_library_examples_run_in_order(tmp_path, monkeypatch, capsys):
     assert len(blocks) == 3
     monkeypatch.chdir(tmp_path)
     crossing = scenario_crossing_locked_by_carryover()
-    detections = [det(t, 0, 0, conf=0.5 + t / 20) for t in range(1, crossing.num_frames + 1)]
+    detections = rows(det(t, 0, 0, conf=0.5 + t / 20) for t in range(1, crossing.num_frames + 1))
     sequences = [scenario_switch_mid_track(), dataclasses.replace(crossing, detections=detections)]
     # the first block reads the tree and the results, the third the last unit it read
     write_benchmark_tree(tmp_path / "data" / "MOT16", sequences)

@@ -25,7 +25,9 @@ from motbench.assignment import (
 from motbench.clearmot import accumulate
 from motbench.identity import build_table, solve_identity
 from motbench.model import ObjectClass
-from conftest import gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
+from conftest import (
+    entries, gt, hyp, random_instance, rows, seq, snap_to_grid, table_counts, track_table,
+)
 from oracles import (
     _frame_rows,
     frame_events,
@@ -61,11 +63,12 @@ _CLASSES = [ObjectClass.PEDESTRIAN] * 4 + [
 
 def with_classes(instance, rng: random.Random):
     """The instance with GT tracks of mixed classes and some inactive rows."""
-    classes = {track: rng.choice(_CLASSES) for track in {e.track_id for e in instance.gt}}
-    return dataclasses.replace(instance, gt=tuple(
-        dataclasses.replace(e, object_class=classes[e.track_id],
-                            confidence=0.0 if rng.random() < 0.1 else 1.0)
-        for e in instance.gt
+    classes = {track: rng.choice(_CLASSES)
+               for track in {e.track_id for e in entries(instance.gt)}}
+    return dataclasses.replace(instance, gt=rows(
+        e._replace(object_class=classes[e.track_id],
+                   confidence=0.0 if rng.random() < 0.1 else 1.0)
+        for e in entries(instance.gt)
     ))
 
 
