@@ -43,7 +43,6 @@ from .ingest import (
     parse_file,
     read_seqmap,
     validate_submission,
-    write_result_file,
 )
 from .model import (
     NEUTRAL_CLASSES,
@@ -91,5 +90,4 @@ __all__ = [
     "solve_identity",
     "summarize",
     "validate_submission",
-    "write_result_file",
 ]

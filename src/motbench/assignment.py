@@ -260,6 +260,7 @@ class EdgeTable:
     iou: np.ndarray
 
     def __len__(self) -> int:
+        """``num_frames``; no evaluation path calls it, the bench's frame counter does."""
         return self.num_frames
 
 

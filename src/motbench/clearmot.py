@@ -11,8 +11,10 @@ pooled counts, never by averaging per-sequence scores: sequences differ
 wildly in target count, and pooling is the count-weighted average.
 
 Every score of a row is a ratio of counts, and :func:`summarize` derives
-them all.  A ratio whose denominator is zero is ``None``, which the reports
-print as ``N/A``; :func:`mota` and :func:`motp` follow the same convention.
+them all, IDF1, IDP and IDR included: the identity solve yields only
+counts, so each ratio has this one source.  A ratio whose denominator is
+zero is ``None``, which the reports print as ``N/A``; :func:`mota` and
+:func:`motp` follow the same convention.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from .assignment import EventLog
-from .identity import _percent, _scores_from_counts
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,11 @@ def accumulate(log: EventLog) -> Counts:
     )
 
 
+def _percent(part: float, whole: float) -> float | None:
+    """``part`` in percent of ``whole``; ``None`` when ``whole`` is zero."""
+    return 100.0 * part / whole if whole > 0 else None
+
+
 def pool(counts: Iterable[Counts]) -> Counts:
     """Componentwise sum; the counts of all inputs concatenated."""
     counts = list(counts)
@@ -177,15 +183,16 @@ class MetricsReport:
 def summarize(name: str, c: Counts) -> MetricsReport:
     """Build a report row from counts; a ratio with a zero denominator is ``None``.
 
-    Besides MOTA, MOTP and the identity scores, the row holds the false
-    alarms per frame (FAR), recall, precision, the relative switch and
-    fragmentation rates, and the mostly tracked and mostly lost shares of
-    the ground-truth tracks.  The relative rates are counts divided by
-    recall expressed in percent, so a tracker that recovers more targets is
-    not punished for the switches that naturally come with them.
+    Besides MOTA, MOTP and the identity scores IDF1 = 2 IDTP / (2 IDTP +
+    IDFP + IDFN), IDP = IDTP / (IDTP + IDFP) and IDR = IDTP / (IDTP +
+    IDFN), in percent, the row holds the false alarms per frame (FAR),
+    recall, precision, the relative switch and fragmentation rates, and the
+    mostly tracked and mostly lost shares of the ground-truth tracks.  The
+    relative rates are counts divided by recall expressed in percent, so a
+    tracker that recovers more targets is not punished for the switches
+    that naturally come with them.
     """
     recall = _percent(c.tp, c.gt_total)
-    identity = _scores_from_counts(c.idtp, c.idfp, c.idfn)
     return MetricsReport(
         name=name,
         mota=mota(c),
@@ -205,9 +212,9 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         fmr=c.fm / recall if recall else None,
         frames=c.frames,
         gt_total=c.gt_total,
-        idf1=identity.idf1,
-        idp=identity.idp,
-        idr=identity.idr,
+        idf1=_percent(2 * c.idtp, 2 * c.idtp + c.idfp + c.idfn),
+        idp=_percent(c.idtp, c.idtp + c.idfp),
+        idr=_percent(c.idtp, c.idtp + c.idfn),
         mt_ratio=c.mt / c.gt_tracks if c.gt_tracks else None,
         ml_ratio=c.ml / c.gt_tracks if c.gt_tracks else None,
     )

@@ -12,10 +12,11 @@ them alone, and any track may stay unpaired.
 From the optimal matching, identity true positives (IDTP) are the co-detected
 frames of matched pairs; every other ground-truth box is an identity false
 negative (IDFN) and every other predicted box an identity false positive
-(IDFP).  Precision, recall, and their harmonic mean follow.  Benchmark
-scores pool these three counts, never the ratios: they ride in
+(IDFP).  These three counts are all the solve yields: they ride in
 :class:`~motbench.clearmot.Counts` with the frame-level counts and sum with
-them, so this module has no pooling of its own.
+them, and :func:`~motbench.clearmot.summarize` derives the identity
+precision, recall and F1 from them, so benchmark scores pool the counts,
+never the ratios, and this module has no pooling of its own.
 
 Co-detections are counted on the edge table the frame-level metrics score
 (the kept boxes of each frame and their pairs at or above the matching
@@ -57,30 +58,12 @@ class TrackMatchTable:
 
 @dataclass(frozen=True)
 class IdentityScores:
+    """A sequence's identity counts and its matched (gt id, pred id) track pairs."""
+
     idtp: int
     idfp: int
     idfn: int
-    idp: float | None
-    idr: float | None
-    idf1: float | None
     matches: tuple[tuple[int, int], ...] = ()
-
-
-def _percent(part: float, whole: float) -> float | None:
-    """``part`` in percent of ``whole``; ``None`` when ``whole`` is zero."""
-    return 100.0 * part / whole if whole > 0 else None
-
-
-def _scores_from_counts(
-    idtp: int, idfp: int, idfn: int, matches: tuple[tuple[int, int], ...] = ()
-) -> IdentityScores:
-    return IdentityScores(
-        idtp=idtp, idfp=idfp, idfn=idfn,
-        idp=_percent(idtp, idtp + idfp),
-        idr=_percent(idtp, idtp + idfn),
-        idf1=_percent(2 * idtp, 2 * idtp + idfp + idfn),
-        matches=matches,
-    )
 
 
 def build_table(table: EdgeTable) -> TrackMatchTable:
@@ -102,7 +85,7 @@ def build_table(table: EdgeTable) -> TrackMatchTable:
 
 
 def solve_identity(table: TrackMatchTable) -> IdentityScores:
-    """Optimal track pairing and the identity scores it induces.
+    """Optimal track pairing and the identity counts it induces.
 
     The pairing has the most co-detected frames summed over its pairs.  It
     is one :func:`~motbench.assignment.solve_assignment` over the
@@ -121,15 +104,11 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     idtp = int(co[chosen].sum())
     matches = tuple(zip(table.gt_ids[table.pair_gt[chosen]].tolist(),
                         table.pred_ids[table.pair_pred[chosen]].tolist()))
-    return _scores_from_counts(
-        idtp,
-        int(table.pred_lengths.sum()) - idtp,
-        int(table.gt_lengths.sum()) - idtp,
-        matches,
-    )
+    return IdentityScores(idtp, int(table.pred_lengths.sum()) - idtp,
+                          int(table.gt_lengths.sum()) - idtp, matches)
 
 
 def evaluate_identity(preprocessed: EdgeTable) -> IdentityScores:
-    """Identity scores of one sequence from its :class:`EdgeTable`."""
+    """Identity counts and pairing of one sequence from its :class:`EdgeTable`."""
     return solve_identity(build_table(preprocessed))
 

@@ -1,4 +1,4 @@
-"""Reading and writing the benchmark's comma-separated file formats.
+"""Reading the benchmark's comma-separated file formats.
 
 Two line layouts exist.  The older 10-column variant ends with three world
 coordinates that 2D evaluation reads and discards; the newer 9-column variant
@@ -51,7 +51,7 @@ from typing import IO, Callable, Mapping
 
 import numpy as np
 
-from .model import ObjectClass, Rows, SequenceData, _check_rows, _row_rules
+from .model import ObjectClass, Rows, SequenceData, _row_rules
 
 logger = logging.getLogger(__name__)
 
@@ -300,43 +300,6 @@ def parse_file(
             i, column, _, message = first
             raise ParseError(message(i, column), line_no[i])
     return Rows(frame, track_id, ltwh, columns[6], code, visibility)
-
-
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips; integral values print without '.0'."""
-    if value == int(value):
-        return str(int(value))
-    return repr(float(value))
-
-
-def write_result_file(rows: Rows, variant: FormatVariant = FormatVariant.MOT16_17) -> str:
-    """Serialize result rows, sorted by (frame, id), one line per row.
-
-    Unknown trailing fields are written as -1.  Only rows that
-    :func:`parse_file` reads back as they are get written: ``ValueError``
-    names the first row that breaks a rule of a result file's rows
-    (:func:`~motbench.model._row_rules`: frame at least 1, box geometry,
-    finite confidence, class code, finite visibility, a (frame, id) key of
-    its own), then the first with a negative track id (writers must supply
-    assigned identities) or a frame or id of 2**53 or more (the parser
-    rejects it).
-    """
-    rows = rows.sorted()
-    _check_rows(rows, "result", unique=True)
-    lines = []
-    for frame, track_id, ltwh, confidence in zip(
-        rows.frame.tolist(), rows.track_id.tolist(), rows.ltwh.tolist(),
-        rows.confidence.tolist(),
-    ):
-        if track_id < 0:
-            raise ValueError(f"result entry at frame {frame} has unassigned track id {track_id}")
-        if max(frame, track_id) >= _INT_LIMIT:
-            raise ValueError(f"result entry at frame {frame}, id {track_id}: frame or id "
-                             "beyond 2**53 - 1")
-        fields = [str(frame), str(track_id), *map(_fmt, ltwh), _fmt(confidence)]
-        fields += ["-1", "-1", "-1"] if variant is FormatVariant.MOT15 else ["-1", "-1"]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass

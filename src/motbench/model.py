@@ -17,9 +17,9 @@ A row's values meet one rule set, :func:`_row_rules`: a frame of at least 1
 and within the sequence, the box geometry, a finite confidence, a class
 code of :class:`ObjectClass`, a finite visibility, and a (frame, id) key of
 its own where keys must be unique.  The parser takes its frame, geometry and
-key rules from it; :class:`SequenceData`, the detector sweep and the result
-writer check rows built in code with :func:`_check_rows`.  So a box that
-one of them accepts, all accept.
+key rules from it; :class:`SequenceData` and the detector sweep check rows
+built in code with :func:`_check_rows`.  So a box that one of them
+accepts, all accept.
 
 Rows are stored as read-only numpy columns (:class:`Rows`), the one row
 type; a sequence keeps them sorted by (frame, track id), so each frame is a
@@ -315,6 +315,10 @@ class Rows:
     consider-flag for ground truth and result rows.  ``object_class`` holds
     class codes; it and ``visibility`` are only meaningful for ground truth,
     and parsers default them to pedestrian and fully visible elsewhere.
+    ``frame``, ``track_id`` and ``object_class`` are stored as int64, the
+    others as float64; a value that does not convert, or an integer-column
+    value that the cast would change (a fraction, or one outside int64), is
+    a ``ValueError`` naming its column.
     """
 
     frame: np.ndarray = ()
@@ -326,7 +330,14 @@ class Rows:
 
     def __post_init__(self) -> None:
         for name, value in list(vars(self).items()):
-            column = np.array(value, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+            integral = name in _INT_COLUMNS
+            try:
+                with np.errstate(invalid="ignore"):  # a cast that changes a value fails below
+                    column = np.array(value, dtype=np.int64 if integral else np.float64)
+            except (OverflowError, ValueError) as error:
+                raise ValueError(f"{name}: {error}") from None
+            if integral and not np.array_equal(column, value):
+                raise ValueError(f"{name} holds a value that is not an integer within int64")
             if name == "ltwh":
                 column = column.reshape(0, 4) if column.shape == (0,) else column
                 if column.shape[1:] != (4,):
@@ -369,11 +380,12 @@ class SequenceData:
     """All rows of one sequence plus its frame-count metadata.
 
     ``gt``, ``results`` and ``detections`` are :class:`Rows`, stored as
-    :meth:`Rows.sorted`.  Every row must meet the rules the parser holds a
-    file's rows to (:func:`_row_rules`): a frame in ``[1, num_frames]``, the
-    box geometry, a finite confidence, a class code of :class:`ObjectClass`,
-    a finite visibility, and, outside detections, a (frame, id) key of its
-    own.  The first row in (frame, id) order that breaks one raises
+    :meth:`Rows.sorted`.  ``num_frames`` must be an integer > 0, and every
+    row must meet the rules the parser holds a file's rows to
+    (:func:`_row_rules`): a frame in ``[1, num_frames]``, the box geometry,
+    a finite confidence, a class code of :class:`ObjectClass`, a finite
+    visibility, and, outside detections, a (frame, id) key of its own.  The
+    first row in (frame, id) order that breaks one raises
     ``ValueError`` with the first rule it breaks.
     """
 
@@ -384,8 +396,8 @@ class SequenceData:
     detections: Rows = field(default_factory=Rows)
 
     def __post_init__(self) -> None:
-        if self.num_frames <= 0:
-            raise ValueError(f"sequence {self.name!r}: num_frames must be > 0")
+        if not isinstance(self.num_frames, (int, np.integer)) or self.num_frames <= 0:
+            raise ValueError(f"sequence {self.name!r}: num_frames must be an integer > 0")
         for kind in ("gt", "results", "detections"):
             rows = getattr(self, kind).sorted()
             object.__setattr__(self, kind, rows)

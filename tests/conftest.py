@@ -341,8 +341,6 @@ def write_benchmark_tree(
     benchmark: Benchmark = Benchmark.MOT16,
 ) -> Path:
     """Materialize sequences as a benchmark directory the loader understands."""
-    from motbench.ingest import write_result_file
-
     cols = 10 if benchmark is Benchmark.MOT15 else 9
     (root / "gt").mkdir(parents=True, exist_ok=True)
     (root / "det").mkdir(exist_ok=True)
@@ -358,7 +356,7 @@ def write_benchmark_tree(
         for detector in benchmark.detectors or (None,):
             suffix = f"-{detector}" if detector else ""
             (root / "res" / f"{data.name}{suffix}.txt").write_text(
-                write_result_file(data.results, benchmark.variant)
+                gt_file_text(data.results, cols)
             )
     (root / "seqmap.txt").write_text("\n".join(map_lines) + "\n")
     return root

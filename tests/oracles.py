@@ -55,7 +55,7 @@ import motbench.assignment as assignment
 from motbench.assignment import _NEUTRAL, EventLog, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
-from motbench.identity import IdentityScores, TrackMatchTable, _scores_from_counts
+from motbench.identity import IdentityScores, TrackMatchTable
 from motbench.ingest import FileKind, FormatVariant, ParseError, logger
 from motbench.model import (
     _GEOMETRY_LIMIT, _PAIR_BUDGET, ObjectClass, Rows, SequenceData, _geometry,
@@ -467,12 +467,8 @@ def solve_identity_dummy_graph(table: TrackMatchTable) -> IdentityScores:
     idtp = int(co[real].sum())
     matches = tuple(zip(table.gt_ids[table.pair_gt[real]].tolist(),
                         table.pred_ids[table.pair_pred[real]].tolist()))
-    return _scores_from_counts(
-        idtp,
-        int(table.pred_lengths.sum()) - idtp,
-        int(table.gt_lengths.sum()) - idtp,
-        matches,
-    )
+    return IdentityScores(idtp, int(table.pred_lengths.sum()) - idtp,
+                          int(table.gt_lengths.sum()) - idtp, matches)
 
 
 def _fragmentations(status: Sequence[bool]) -> int:

@@ -29,9 +29,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motbench.cli import main
-from motbench.ingest import write_result_file
 from motbench.model import ObjectClass
-from conftest import gt, hyp, seq, write_benchmark_tree
+from conftest import gt, gt_file_text, hyp, seq, write_benchmark_tree
 
 NUMBERS = ("1e308", "-1.7e308", "1e154", "4.5e307", "9.3e18", "5e-324", "1e-310",
            "1e-200", "1.6653345369377348e-16", "nan", "inf", "-inf", "-0", "0", "1000000")
@@ -226,4 +225,4 @@ def test_the_unmutated_tree_scores_every_box(tree):
     rows = json.loads(out.getvalue())
     _check_report(rows)
     assert (rows[-1]["gt_total"], rows[-1]["fn"], rows[-1]["idsw"]) == (2 * SCOREABLE, 0, 0)
-    assert write_result_file(_sequence("FUZZ-01").results).encode() == originals[TARGETS[0]]
+    assert gt_file_text(_sequence("FUZZ-01").results).encode() == originals[TARGETS[0]]

@@ -6,6 +6,7 @@ import pytest
 
 import motbench.identity as identity
 from motbench.assignment import preprocess_sequence, solve_assignment
+from motbench.clearmot import Counts, summarize
 from motbench.identity import build_table, evaluate_identity, solve_identity
 from conftest import entries, gt, hyp, random_instance, seq, snap_to_grid, table_counts, track_table
 from oracles import oracle_identity_counts, solve_identity_dummy_graph
@@ -14,6 +15,11 @@ from oracles import oracle_identity_counts, solve_identity_dummy_graph
 def scores_for(instance, threshold=0.5):
     frames = preprocess_sequence(instance, threshold)
     return evaluate_identity(frames)
+
+
+def identity_report(scores):
+    """The report row of an identity solve's counts alone: its IDF1, IDP and IDR."""
+    return summarize("identity", Counts(idtp=scores.idtp, idfp=scores.idfp, idfn=scores.idfn))
 
 
 def frames_of(gts, preds):
@@ -97,20 +103,21 @@ class TestSolveIdentity:
         gts = [gt(t, i, 40 * i, 0) for t in range(1, 6) for i in (1, 2)]
         preds = [hyp(e.frame, e.track_id + 50, e.left, e.top) for e in gts]
         scores = solve_identity(build_table(frames_of(gts, preds)))
-        assert scores.idf1 == pytest.approx(100.0)
+        assert identity_report(scores).idf1 == pytest.approx(100.0)
         assert scores.idfp == scores.idfn == 0
 
     def test_empty_predictions(self):
         gts = [gt(t, 1, 0, 0) for t in range(1, 6)]
         scores = solve_identity(build_table(frames_of(gts, [])))
+        report = identity_report(scores)
         assert scores.idtp == 0
-        assert scores.idr == 0.0
-        assert scores.idf1 == 0.0
-        assert scores.idp is None
+        assert report.idr == 0.0
+        assert report.idf1 == 0.0
+        assert report.idp is None
 
     def test_nothing_at_all_is_undefined(self):
-        scores = solve_identity(build_table(frames_of([], [])))
-        assert scores.idf1 is None and scores.idp is None and scores.idr is None
+        report = identity_report(solve_identity(build_table(frames_of([], []))))
+        assert report.idf1 is None and report.idp is None and report.idr is None
 
     def test_track_split_in_half(self):
         # one 10-frame target covered 5 frames each by two hypotheses; only
@@ -120,7 +127,7 @@ class TestSolveIdentity:
         preds += [hyp(t, 9, 0, 0) for t in range(6, 11)]
         scores = solve_identity(build_table(frames_of(gts, preds)))
         assert (scores.idtp, scores.idfp, scores.idfn) == (5, 5, 5)
-        assert scores.idf1 == pytest.approx(50.0)
+        assert identity_report(scores).idf1 == pytest.approx(50.0)
         assert scores.matches == ((1, 8),)  # tie broken toward the earlier id
 
     def test_tracks_without_codetections_never_enter_the_solve(self):
@@ -163,11 +170,11 @@ class TestSolveIdentity:
 
     def test_harmonic_mean_property(self, rng):
         for _ in range(40):
-            scores = scores_for(random_instance(rng))
-            if scores.idf1 is None or not scores.idp or not scores.idr:
+            report = identity_report(scores_for(random_instance(rng)))
+            if report.idf1 is None or not report.idp or not report.idr:
                 continue
-            harmonic = 2.0 / (1.0 / scores.idp + 1.0 / scores.idr)
-            assert scores.idf1 == pytest.approx(harmonic, abs=1e-9)
+            harmonic = 2.0 / (1.0 / report.idp + 1.0 / report.idr)
+            assert report.idf1 == pytest.approx(harmonic, abs=1e-9)
 
     def test_oracle_agreement(self, rng):
         for _ in range(120):
@@ -211,16 +218,17 @@ class TestSolveIdentity:
                 entries(instance.gt) + [gt(instance.num_frames + 1, gt_id, 7, 7)],
                 entries(instance.results) + [hyp(instance.num_frames + 1, pred_id, 7, 7)],
             )
-            after = scores_for(extended)
+            before, after = identity_report(before), identity_report(scores_for(extended))
             if before.idf1 is not None and after.idf1 is not None:
                 assert after.idf1 >= before.idf1 - 1e-9
 
     def test_idf1_perfect_only_without_errors(self, rng):
         for _ in range(40):
             scores = scores_for(random_instance(rng))
-            if scores.idf1 is None:
+            report = identity_report(scores)
+            if report.idf1 is None:
                 continue
-            assert scores.idf1 <= 100.0
-            if scores.idf1 == pytest.approx(100.0):
+            assert report.idf1 <= 100.0
+            if report.idf1 == pytest.approx(100.0):
                 assert scores.idfp == 0 and scores.idfn == 0
 

@@ -1,10 +1,9 @@
-"""Parser, writer, submission validation, and sequence-set loading tests."""
+"""Parser, submission validation, and sequence-set loading tests."""
 
 import codecs
 import inspect
 import logging
 import random
-import re
 import time
 import zipfile
 from collections import Counter
@@ -13,7 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from motbench import ingest
 from motbench.ingest import (
@@ -26,11 +24,10 @@ from motbench.ingest import (
     parse_file,
     read_seqmap,
     validate_submission,
-    write_result_file,
 )
-from motbench.model import ObjectClass, Rows
+from motbench.model import ObjectClass
 import oracles
-from conftest import entries, gt, hyp, rows, seq, write_benchmark_tree
+from conftest import entries, gt, gt_file_text, hyp, rows, seq, write_benchmark_tree
 
 DET_16 = (FormatVariant.MOT16_17, FileKind.DETECTION)
 GT_16 = (FormatVariant.MOT16_17, FileKind.GROUND_TRUTH)
@@ -330,10 +327,26 @@ class TestParse:
                 rng.uniform(0.5, 120), rng.uniform(0.5, 300), conf=rng.choice([0.0, 1.0]))
             for tid in range(1, 60)
         ]
-        parsed = parse_file(write_result_file(rows(written)), *RES_16)
+        parsed = parse_file(gt_file_text(rows(written)), *RES_16)
         assert len(parsed) == len(written)
         assert Counter(entries(parsed)) == Counter(written)
         assert parsed.frame.dtype == np.int64 and parsed.ltwh.dtype == np.float64
+
+    def test_round_trip_on_random_fixture(self):
+        rng = random.Random(11)
+        written = [
+            hyp(
+                rng.randint(1, 50), tid,
+                rng.uniform(-20, 900), rng.uniform(-20, 500),
+                rng.uniform(0.5, 120), rng.uniform(0.5, 300),
+                conf=rng.uniform(0, 100),
+            )
+            for tid in range(1, 101)
+        ]
+        parsed = parse_file(gt_file_text(rows(written)), *RES_16)
+        assert sorted(entries(parsed), key=lambda e: (e.frame, e.track_id)) == sorted(
+            written, key=lambda e: (e.frame, e.track_id)
+        )
 
     def test_shuffling_lines_preserves_entry_multiset(self):
         rng = random.Random(5)
@@ -562,96 +575,6 @@ class TestColumnarPath:
                     variant, kind, lines[at])
                 if defect != "duplicate" or kind is not FileKind.DETECTION:
                     assert expected[1].startswith(f"line {at + 1}: "), expected
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-#: ``(frame, id, ltwh, confidence)`` rows: small keys and boxes; any key the
-#: writer may accept with any finite edges and positive extents; anything.
-USUAL_ROWS = st.tuples(st.integers(1, 3), st.integers(0, 3), st.tuples(
-    *[st.one_of(st.integers(-5, 20), st.floats(-1e6, 1e6))] * 2,
-    *[st.one_of(st.integers(1, 20), st.floats(1e-6, 1e6))] * 2), st.sampled_from([0, 1]))
-ODD_ROWS = st.tuples(st.integers(1, 2**53), st.integers(0, 2**53), st.tuples(
-    *[_FINITE] * 2, *[st.floats(0, exclude_min=True)] * 2), _FINITE)
-ANY_ROWS = st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 2, st.tuples(*[st.floats()] * 4),
-                     st.floats())
-
-
-class TestWrite:
-    def test_empty(self):
-        assert write_result_file(rows([])) == ""
-
-    def test_single_entry_nine_columns(self):
-        text = write_result_file(rows([hyp(1, 5, 10.5, 20.0, 30.0, 40.0, conf=1.0)]))
-        assert text == "1,5,10.5,20,30,40,1,-1,-1\n"
-
-    def test_mot15_variant_has_ten_columns(self):
-        text = write_result_file(rows([hyp(1, 5, 10, 20, 30, 40)]), FormatVariant.MOT15)
-        assert text.strip().count(",") == 9
-
-    def test_rejects_unassigned_ids(self):
-        with pytest.raises(ValueError, match="unassigned"):
-            write_result_file(rows([hyp(1, -1, 0, 0)]))
-
-    @pytest.mark.parametrize("frame, track_id, ltwh, conf, error", [
-        (0, 1, (0, 0, 10, 10), 1, "frame index must be >= 1, got 0"),
-        (1, 1, (0, 0, 1e308, 10), 1, "box right edge, bottom edge or area is not finite"),
-        (1, 1, (float("inf"), 0, 10, 10), 1, "box right edge, bottom edge or area is not finite"),
-        (1, 1, (0, 0, 1e154, 1e154), 1, "box edge or area beyond 2**1022"),
-        (1, 2**53 + 1, (0, 0, 10, 10), 1, "frame or id beyond 2**53"),
-        (1, 2**53, (0, 0, 10, 10), 1, "frame or id beyond 2**53 - 1"),
-        (2**53, 1, (0, 0, 10, 10), 1, "frame or id beyond 2**53 - 1"),
-        (1, 1, (0, 0, 10, 10), float("inf"), "confidence inf not finite"),
-    ])
-    def test_rejects_rows_the_parser_would_not_read_back(self, frame, track_id, ltwh, conf,
-                                                          error):
-        # each was written, and then failed to parse or parsed with another
-        # id; an infinite edge or score raised OverflowError instead
-        rows = Rows([frame], [track_id], [ltwh], [conf], [1], [1])
-        with pytest.raises(ValueError, match=rf"^result entry at frame {frame}, id {track_id}: "
-                                             rf".*{re.escape(error)}"):
-            write_result_file(rows)
-
-    def test_rejects_a_repeated_frame_and_id(self):
-        with pytest.raises(ValueError, match=r"^result entry at frame 1, id 3: "
-                                             r"duplicate \(frame, id\) pair \(1, 3\)$"):
-            write_result_file(rows([hyp(1, 3, 0, 0), hyp(2, 3, 0, 0), hyp(1, 3, 5, 0)]))
-
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(rows=st.tuples(*[st.lists(rows, max_size=size, unique_by=lambda row: row[:2])
-                            for rows, size in ((USUAL_ROWS, 3), (ODD_ROWS, 2), (ANY_ROWS, 1))]),
-           variant=st.sampled_from(FormatVariant))
-    def test_every_row_set_written_parses_back_to_the_same_rows(self, rows, variant):
-        rows = sum(rows, [])  # about a third of the row sets are written
-        frame, track_id, ltwh, conf = zip(*rows) if rows else ((),) * 4
-        rows = Rows(frame, track_id, ltwh, conf, [1] * len(frame), [1] * len(frame))
-        try:
-            text = write_result_file(rows, variant)
-        except ValueError:
-            return
-        parsed, expected = parse_file(text, variant, FileKind.RESULT), rows.sorted()
-        for name in ("frame", "track_id", "ltwh", "confidence"):
-            assert np.array_equal(getattr(parsed, name), getattr(expected, name)), name
-
-    def test_rows_sorted_by_frame_then_id(self):
-        text = write_result_file(rows([hyp(2, 1, 0, 0), hyp(1, 9, 0, 0), hyp(1, 2, 0, 0)]))
-        firsts = [line.split(",")[:2] for line in text.splitlines()]
-        assert firsts == [["1", "2"], ["1", "9"], ["2", "1"]]
-
-    def test_round_trip_on_random_fixture(self):
-        rng = random.Random(11)
-        written = [
-            hyp(
-                rng.randint(1, 50), tid,
-                rng.uniform(-20, 900), rng.uniform(-20, 500),
-                rng.uniform(0.5, 120), rng.uniform(0.5, 300),
-                conf=rng.uniform(0, 100),
-            )
-            for tid in range(1, 101)
-        ]
-        parsed = parse_file(write_result_file(rows(written)), *RES_16)
-        assert sorted(entries(parsed), key=lambda e: (e.frame, e.track_id)) == sorted(
-            written, key=lambda e: (e.frame, e.track_id)
-        )
 
 
 class TestValidateSubmission:

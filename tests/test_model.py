@@ -352,6 +352,27 @@ class TestRows:
             Rows([1, 1], [1, 2], ltwh, [1, 1], [1, 1], [1, 1])
         assert Rows(ltwh=np.ones((0, 4))).ltwh.shape == Rows(ltwh=[]).ltwh.shape == (0, 4)
 
+    @pytest.mark.parametrize("column, values", [
+        ("frame", [1.5, 2.9]), ("track_id", [1.7, 1.2]), ("object_class", [1.9, 1]),
+        ("frame", [float("nan"), 1]), ("track_id", np.array([1.0, np.inf])),
+        ("frame", [2**63, 1]), ("track_id", [1, -2**63 - 1]), ("frame", [2.0**63, 1]),
+        ("track_id", np.array([9.3e18, 1.0])), ("object_class", np.array([2**64 - 1, 1], np.uint64)),
+    ])
+    def test_integer_columns_reject_values_the_cast_would_change(self, column, values):
+        # fractions were truncated, and a sequence then scored the rows;
+        # 2**63 raised OverflowError
+        columns = dict(frame=[1, 2], track_id=[1, 2], ltwh=[(0, 0, 10, 10)] * 2,
+                       confidence=[1, 1], object_class=[1, 1], visibility=[1, 1])
+        with pytest.raises(ValueError, match=rf"^{column}\b"):
+            Rows(**{**columns, column: values})
+
+    def test_integer_columns_take_integral_values_of_any_type(self):
+        rows = Rows([1.0, 2], np.array([2**63 - 1, -2**63]), [(0, 0, 1, 1)] * 2, [1, 1],
+                    np.array([True, False]), [1, 1])
+        assert rows.frame.tolist() == [1, 2]
+        assert rows.track_id.tolist() == [2**63 - 1, -2**63]
+        assert rows.object_class.tolist() == [1, 0]
+
     def test_iterates_as_entries(self):
         written = [gt(2, 5, 0, 0, object_class=ObjectClass.REFLECTION, visibility=0.25),
                    hyp(1, 1, 20.5, 20, 3, 4, conf=0.75)]
@@ -431,6 +452,15 @@ class TestEntriesAndSequences:
     def test_sequence_rejects_zero_frames(self):
         with pytest.raises(ValueError):
             SequenceData(name="s", num_frames=0)
+
+    @pytest.mark.parametrize("num_frames", [2.5, 3.0, float("nan"), float("inf"), "3", None])
+    def test_sequence_rejects_a_frame_count_that_is_not_an_integer(self, num_frames):
+        # 2.5 was accepted and reported as "frames: 2.5"
+        with pytest.raises(ValueError, match=r"^sequence 's': num_frames must be an integer > 0"):
+            SequenceData(name="s", num_frames=num_frames, gt=rows([gt(1, 1, 0, 0)]))
+
+    def test_sequence_takes_a_numpy_integer_frame_count(self):
+        assert SequenceData(name="s", num_frames=np.int64(2)).num_frames == 2
 
     @pytest.mark.parametrize("left, top, width, height, rule", PARSER_REJECTS)
     @pytest.mark.parametrize("kind", ["gt", "results", "detections"])
