@@ -4,13 +4,14 @@
 ``--jobs`` before any file is read, runs one task per sequence-map row,
 renders the report and writes it to stdout or ``--out``.  A task loads one
 row's files and evaluates every unit of that sequence.  With ``--jobs 1``
-the tasks run one after another in this process; with ``--jobs N`` they run
-in up to ``min(N, rows)`` forked worker processes (in process where the
-platform cannot fork), largest input first, and each worker holds one
-sequence in memory at a time.  Workers send back only counts, the repair
-warnings they logged and the error they met; these are replayed in
+the tasks run one after another in this process; with ``--jobs N``,
+``min(N, rows)`` forked child processes pull the rows, largest input first,
+from one queue (in process where the platform cannot fork), and each child
+holds one sequence in memory at a time.  Children send back only counts, the
+repair warnings they logged and the error they met; these are replayed in
 sequence-map order, up to the first error, so stdout and stderr are the same
-bytes for any ``--jobs`` value.
+bytes for any ``--jobs`` value.  A child that exits abnormally, killed or
+with a non-zero status, ends the run with exit 2.
 
 Reports carry one row per evaluated (sequence, detector) unit plus a pooled
 OVERALL row computed from summed counts, the identity counts included.  Rows
@@ -21,8 +22,8 @@ the columns of a list of ``(heading, key)`` pairs.  Undefined metrics render
 as ``N/A``; text and CSV print two decimals, JSON keeps full precision.  CSV
 quotes a cell that holds a comma, a double quote or a line break.
 
-Exit codes: 0 success, 1 input error, 2 internal error (a worker process
-that dies included).  Poor scores are never an error.
+Exit codes: 0 success, 1 input error, 2 internal error (a child that exits
+abnormally included).  Poor scores are never an error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import dataclasses
 import functools
 import json
 import logging
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -197,30 +200,89 @@ def _sequence_task(gt: Path, res: Path, benchmark: Benchmark, strict: bool,
     return records, outcome
 
 
+def _forked(task, sizes: list[int], workers: int) -> list:
+    """``task`` of every row, in row order, run in ``workers`` forked children.
+
+    Forked, not spawned: a fresh interpreter would import numpy and the
+    package again, which costs more than most sequences take to evaluate.
+    The children pull row numbers, largest input first, from one pipe; each
+    number is one 4-byte write, so no read gets part of one.  A child
+    pickles its ``[(row, result), ...]`` into a pipe of its own and exits.
+    The parent reads each child's pipe to its end, then reaps the child: one
+    that exits other than with 0 raises :class:`RuntimeError`.  An exception
+    in the parent kills and reaps the children first.
+    """
+    take_fd, give_fd = os.pipe()
+    take, give = open(take_fd, "rb", buffering=0), open(give_fd, "wb", buffering=0)
+    pipes = [take, give]  # every end the parent opened, closed on the way out
+    children = {}  # pid: the read end of its result pipe, until it is reaped
+    try:
+        for _ in range(workers):
+            receive_fd, send_fd = os.pipe()
+            receive, send = open(receive_fd, "rb"), open(send_fd, "wb")
+            pipes += receive, send
+            pid = os.fork()
+            if pid == 0:
+                _work(task, take, give, send)
+            send.close()
+            children[pid] = receive
+        try:
+            for row in sorted(range(len(sizes)), key=lambda row: -sizes[row]):
+                give.write(row.to_bytes(4, "little"))
+        except BrokenPipeError:  # every child has exited; its status says why
+            pass
+        give.close()
+        results = {}
+        for pid, receive in list(children.items()):
+            data = receive.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                raise RuntimeError(f"worker process {pid} " + (
+                    f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"))
+            results.update(pickle.loads(data))
+        return [results[row] for row in range(len(sizes))]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if children:  # left only by an exception
+            import signal
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _work(task, take, give, send) -> None:
+    """A forked child: run ``task`` on each row it takes, send the results, exit."""
+    code = 1
+    try:
+        give.close()  # the parent's end: EOF follows the last row
+        done = []
+        while record := take.read(4):
+            row = int.from_bytes(record, "little")
+            done.append((row, task(row)))
+        with send:
+            pickle.dump(done, send)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _run_sequences(task, sizes: list[int], jobs: int) -> list[tuple[str, object]]:
     """Every unit's ``(label, outcome)`` in seqmap order, one ``task`` per row.
 
     With ``jobs`` above 1 and more than one row, the rows run in up to
-    ``min(jobs, rows)`` forked processes, largest row first, and their
-    results are read in row order once every worker has exited; without
-    fork, they run in process.  Each row's repair warnings are replayed
-    before its outcome is read, and the first row's error in seqmap order
-    is raised, after its warnings.
+    ``min(jobs, rows)`` forked children (:func:`_forked`); without fork,
+    they run in process.  Each row's repair warnings are replayed before its
+    outcome is read, and the first row's error in seqmap order is raised,
+    after its warnings.
     """
     workers = min(jobs, len(sizes))
-    results = map(task, range(len(sizes)))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            order = sorted(range(len(sizes)), key=lambda row: -sizes[row])
-            # fork, not spawn: a spawned worker would import numpy and the
-            # package again, which costs more than most sequences take to
-            # evaluate
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as executor:
-                results = [result for _, result in sorted(zip(order, executor.map(task, order)))]
+    if workers > 1 and hasattr(os, "fork"):
+        results = _forked(task, sizes, workers)
+    else:
+        results = map(task, range(len(sizes)))
     units = []
     for records, outcome in results:
         for record in records:
@@ -251,9 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iou", type=float, default=0.5,
                        help="matching overlap threshold (default 0.5)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="evaluate sequences in up to N forked worker processes, "
-                            "one sequence each at a time (default 1: in process); "
-                            "output is the same for any N")
+                       help="evaluate sequences in up to N forked child processes "
+                            "that pull them largest first, one each at a time "
+                            "(default 1: in process); output is the same for any N, "
+                            "and a child that exits abnormally ends the run with exit 2")
         p.add_argument("--lenient", action="store_true",
                        help="tolerate recoverable format deviations")
 

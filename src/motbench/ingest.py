@@ -187,8 +187,8 @@ def parse_file(
     Blank lines and a leading byte-order mark are skipped.
     Lenient repair warnings name ``source`` when it is a :class:`Path`.
     """
-    text = _as_text(source)
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    split = _as_text(source).splitlines()
+    lines = [line for line in map(str.strip, split) if line]
     if not lines:
         return Rows()
     n = len(lines)
@@ -290,7 +290,7 @@ def parse_file(
             errors.append((i, column + int(by_column[:, i].argmax()), step, message))
     first = min(errors, key=lambda e: e[:3], default=(n,))
     if errors or repairs:
-        numbered = (no for no, line in enumerate(text.splitlines(), start=1) if line.strip())
+        numbered = (no for no, line in enumerate(split, start=1) if line.strip())
         line_no = list(itertools.islice(numbered, first[0] + 1))  # up to the error line
         origin = f"{source}: " if isinstance(source, Path) else ""
         for i, column, step, message in sorted(repairs, key=lambda r: r[:3]):

@@ -1,13 +1,11 @@
 """End-to-end command-line tests on synthetic benchmarks."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import inspect
 import io
 import json
 import logging
-import multiprocessing
 import os
 import random
 import re
@@ -858,78 +856,135 @@ class TestWorkers:
         assert err == "error: no detections available for: SEQ-1, SEQ-3\n"
 
     @pytest.fixture
-    def pool_sizes(self):
-        """The worker count of each pool started; the pools stay referenced.
+    def forks(self):
+        """The pid of each child forked since the list was last cleared.
 
-        A pool of more than two workers is refused before it starts one.
+        A fork past the second is refused.
         """
-        real = concurrent.futures.ProcessPoolExecutor
-        sizes, started = [], []
+        real, pids = os.fork, []
 
-        def spy(max_workers, mp_context):
-            sizes.append(max_workers)
-            assert max_workers <= 2
-            started.append(real(max_workers, mp_context=mp_context))
-            return started[-1]
+        def spy():
+            assert len(pids) < 2, "more than two children"
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
 
-        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", spy):
-            yield sizes
-        for executor in started:
-            executor.shutdown(cancel_futures=True)
+        with mock.patch.object(os, "fork", spy):
+            yield pids
 
-    def test_no_worker_outlives_main(self, tmp_path, capfd, pool_sizes):
-        # the pools stay referenced, so only main can have stopped their workers
+    def two_rows(self, tmp_path):
         root = write_benchmark_tree(
             tmp_path / "tree", [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
-        args = ["--benchmark", "MOT16", "--gt", str(root), "--res", str(root / "res"),
-                "--jobs", "2"]
-        assert self.run(capfd, ["evaluate", *args])[0] == 0
-        assert multiprocessing.active_children() == []
+        return root, ["evaluate", "--benchmark", "MOT16", "--gt", str(root),
+                      "--res", str(root / "res")]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_worker_outlives_main(self, tmp_path, capfd, forks):
+        # after a success and after an input error raised in a worker
+        root, argv = self.two_rows(tmp_path)
+        assert self.run(capfd, [*argv, "--jobs", "2"])[0] == 0
+        assert len(forks) == 2
+        self.assert_no_child()
+        forks.clear()
         (root / "res" / "SEQ-2.txt").unlink()
-        assert self.run(capfd, ["evaluate", *args])[0] == 1
-        assert multiprocessing.active_children() == []
-        assert pool_sizes == [2, 2]
+        assert self.run(capfd, [*argv, "--jobs", "2"])[0] == 1
+        assert len(forks) == 2
+        self.assert_no_child()
 
-    def test_at_most_one_worker_per_sequence(self, tmp_path, capfd, pool_sizes):
-        # two sequences: a larger --jobs value starts two workers
-        root = write_benchmark_tree(
-            tmp_path / "tree", [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
-        argv = ["evaluate", "--benchmark", "MOT16", "--gt", str(root),
-                "--res", str(root / "res")]
+    def test_at_most_one_worker_per_sequence(self, tmp_path, capfd, forks):
+        # two sequences: a larger --jobs value forks two children
+        _, argv = self.two_rows(tmp_path)
         parallel = self.run(capfd, [*argv, "--jobs", "16"])
-        assert pool_sizes == [2]
+        assert len(forks) == 2
+        self.assert_no_child()
         assert parallel == self.run(capfd, [*argv, "--jobs", "1"])
+
+    def test_an_error_in_main_reaps_the_workers(self, tmp_path, capfd):
+        # the second fork fails while the first child runs: main kills it
+        real, pids = os.fork, []
+
+        def fork_once():
+            if pids:
+                raise RuntimeError("no second fork")
+            pids.append(real())
+            return pids[-1]
+
+        _, argv = self.two_rows(tmp_path)
+        with mock.patch.object(os, "fork", fork_once):
+            code, out, err = self.run(capfd, [*argv, "--jobs", "2"])
+        assert (code, out, err) == (2, "", "internal error: no second fork\n")
+        self.assert_no_child()
 
 
 # Evaluates the tree given as the first argument with --jobs 2 while every
-# worker process exits at its first unit, as one the kernel killed would.
+# worker process ends at its first unit, as one the kernel killed would: by
+# the exit code or the signal the second argument names.  Exits with main's
+# code, or with 9 if a child outlived main.
 _DYING_WORKERS = """
 import os
+import signal
 import sys
 
 import motbench.cli as cli
-import motbench.clearmot as clearmot
 
 parent, evaluate = os.getpid(), cli._evaluate_unit
+how, value = sys.argv[2].split(":")
 
 def dying(unit, iou_threshold):
     if os.getpid() != parent:
-        os._exit(3)
+        if how == "exit":
+            os._exit(int(value))
+        os.kill(os.getpid(), getattr(signal, value))
     return evaluate(unit, iou_threshold)
 
 cli._evaluate_unit = dying
 root = sys.argv[1]
-sys.exit(cli.main(["evaluate", "--benchmark", "MOT16", "--gt", root,
-                   "--res", root + "/res", "--jobs", "2"]))
+code = cli.main(["evaluate", "--benchmark", "MOT16", "--gt", root,
+                 "--res", root + "/res", "--jobs", "2"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(9)
 """
 
 
-def test_a_dead_worker_ends_the_run(tmp_path):
+@pytest.mark.parametrize("death", ["exit:3", "signal:SIGKILL"])
+def test_a_dead_worker_ends_the_run(tmp_path, death):
     # an internal error, not a wait for results that never come
     root = write_benchmark_tree(
         tmp_path, [perfect_sequence("SEQ-1"), perfect_sequence("SEQ-2", offset=3)])
     env = {**os.environ, "PYTHONPATH": str(Path(motbench.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _DYING_WORKERS, str(root)],
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKERS, str(root), death],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+
+
+# Runs evaluate --jobs 2 on the tree given as the first argument, then prints
+# the executor modules that are loaded.
+_NO_EXECUTOR = """
+import sys
+
+from motbench.cli import main
+
+root = sys.argv[1]
+assert main(["evaluate", "--benchmark", "MOT16", "--gt", root, "--res", root + "/res",
+             "--out", root + "/report.txt", "--jobs", "2"]) == 0
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_workers_need_no_executor(tmp_path, rng):
+    # the executor's imports cost CLI users 20-33 ms; bare forks need neither
+    root = write_benchmark_tree(tmp_path, synthetic_benchmark(rng, n=3))
+    env = {**os.environ, "PYTHONPATH": str(Path(motbench.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NO_EXECUTOR, str(root)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (root / "report.txt").read_text().startswith("Sequence")

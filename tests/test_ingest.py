@@ -199,6 +199,15 @@ class TestParse:
         with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
             parse_file(b"1,1,0,0,10,10,1,-1,-1\r\n2,1\xff,0,0,10,10,1,-1,-1\r\n", *RES_16)
 
+    def test_blank_lines_and_every_break_count_toward_line_numbers(self, caplog):
+        # lines 1, 2 and 4 are blank; "\x0c" and "\u2028" end lines as "\n" does
+        text = ("\n \t\n1,1,0,0,10,10,1,1,1\x0c\x0c2,1,0,0,10,10,1,77,1"
+                "\u20283,1,x,0,10,10,1,1,1\n")
+        with caplog.at_level(logging.WARNING, logger="motbench.ingest"), \
+                pytest.raises(ParseError, match="^line 6: malformed number 'x' in left field$"):
+            parse_file(text, *GT_16, strict=False)
+        assert caplog.messages == ["line 5: unknown class code 77, using OTHER"]
+
     def test_non_positive_extent(self):
         with pytest.raises(ParseError, match="non-positive"):
             parse_file("1, 1, 10, 10, 0, 5, 1, 1, 1", *GT_16)
