@@ -43,13 +43,14 @@ and keeps them, with the boxes that survive the neutral-class filter, as one
 :class:`EdgeTable`.  :func:`run_sequence` takes that table alone (steps 2
 and 3, then the identity switches).  It decides every pair that shares no
 box with another pair by array operations and loops only over the frames
-that hold a conflict.  Before that loop it links each pair to the pair of
-the same target and hypothesis in the previous frame, so carryover in the
-loop is one lookup per pair.  Its :class:`EventLog` is two masks over the
-table's pairs, matched and identity switch; the frame-level counts are read
-off those columns and the identity metrics count co-detections on the same
-table.  No step does work per declared frame or per far-apart pair of
-boxes: a sequence costs what its rows and their nearby pairs cost.
+that hold a conflict, each one slice of the table.  Before that loop it
+links each pair to the pair of the same target and hypothesis in the
+previous frame, so carryover in the loop is one lookup per pair of the
+slice.  Its :class:`EventLog` is two masks over the table's pairs, matched
+and identity switch; the frame-level counts are read off those columns and
+the identity metrics count co-detections on the same table.  No step does
+work per declared frame or per far-apart pair of boxes: a sequence costs
+what its rows and their nearby pairs cost.
 """
 
 from __future__ import annotations
@@ -334,55 +335,47 @@ def _match(table: EdgeTable) -> np.ndarray:
     An edge that shares neither endpoint with another edge is matched
     whatever carryover says.  Only frames with a conflicting edge run the
     two steps, in frame order, and no numpy call runs per frame.  Before the
-    loop, numpy computes each edge's carryover link
-    (:func:`_carryover_links`) and each such frame's slices of its
-    conflicting edges and of its linked edges.  Carryover (step 2) takes the
-    linked edges whose link is matched, free edges too, as they move the
-    others' positions.  Step 3 is one :func:`solve_assignment` over the
-    frame's conflicting edges that share no end with a carried edge, ranked
-    ``i * m + j`` by position among the ids that no carried edge took.
-    Those positions are its rows and columns.
+    loop, numpy finds each such frame's slice of the table and turns the
+    columns the loop reads into lists indexed by edge: the positions of both
+    ends in their frame, the carryover link (:func:`_carryover_links`) and
+    the cost.  Carryover (step 2) takes the slice's edges whose link is
+    matched, free edges too, as they move the others' positions.  The
+    slice's edges still unmatched after it are its conflicting ones; step 3
+    is one :func:`solve_assignment` over those that share no end with a
+    carried edge, ranked ``i * m + j`` by position among the ids that no
+    carried edge took.  Those positions are its rows and columns.
     """
     g, r, frame = table.gt_row, table.res_row, table.frame
     free = _free(g, r)
     if free.all():
         return free
-    matched = free.tolist()
-    link = _carryover_links(table)
-    conflict = np.flatnonzero(~free)
-    hot = frame[conflict]
-    cut = np.flatnonzero(np.diff(hot)) + 1
-    hot = hot[np.r_[0, cut]]  # each frame t with a conflict, ascending
-    linked = np.flatnonzero(link >= 0)  # the carryover candidates, by frame
-    # Per t: its conflicting and its linked edges, as slices; t's result count.
-    spans = [np.r_[0, cut], np.r_[cut, len(conflict)],
-             *np.searchsorted(frame[linked], [hot, hot + 1])]
+    hot = frame[~free]
+    hot = hot[np.r_[True, hot[1:] != hot[:-1]]]  # each frame with a conflict, ascending
+    spans = np.searchsorted(frame, [hot, hot + 1]).tolist()  # its slice of the edges
     res_count = np.diff(np.searchsorted(table.res_frame, [hot, hot + 1]), axis=0)[0]
-    g_pos = g - np.searchsorted(table.gt_frame, frame)
-    r_pos = r - np.searchsorted(table.res_frame, frame)
-    source = link[linked].tolist()
-    linked_g, linked_r = g_pos[linked].tolist(), r_pos[linked].tolist()
-    conflict_g, conflict_r = g_pos[conflict].tolist(), r_pos[conflict].tolist()
-    cost = (1.0 - table.iou[conflict]).tolist()
-    linked, conflict = linked.tolist(), conflict.tolist()
-    for c_lo, c_hi, l_lo, l_hi, n_res in zip(*(s.tolist() for s in spans), res_count.tolist()):
-        carried = [k for k in range(l_lo, l_hi) if matched[source[k]]]
-        taken_g = [linked_g[k] for k in carried]  # ascending, as the edges are
-        taken_r = sorted([linked_r[k] for k in carried])
+    g_pos = (g - np.searchsorted(table.gt_frame, frame)).tolist()
+    r_pos = (r - np.searchsorted(table.res_frame, frame)).tolist()
+    link = _carryover_links(table).tolist()
+    cost = (1.0 - table.iou).tolist()
+    matched = free.tolist() + [False]  # an edge without a link reads this last entry
+    for lo, hi, n_res in zip(*spans, res_count.tolist()):
+        carried = [e for e in range(lo, hi) if matched[link[e]]]
+        for e in carried:
+            matched[e] = True
+        taken_g = [g_pos[e] for e in carried]  # ascending, as the edges are
+        taken_r = sorted([r_pos[e] for e in carried])
         held_g, held_r = set(taken_g), set(taken_r)
-        rest = [k for k in range(c_lo, c_hi)
-                if conflict_g[k] not in held_g and conflict_r[k] not in held_r]
-        for k in carried:
-            matched[linked[k]] = True
+        rest = [e for e in range(lo, hi)
+                if not matched[e] and g_pos[e] not in held_g and r_pos[e] not in held_r]
         if not rest:
             continue
-        rows = [conflict_g[k] - bisect_left(taken_g, conflict_g[k]) for k in rest]
-        cols = [conflict_r[k] - bisect_left(taken_r, conflict_r[k]) for k in rest]
+        rows = [g_pos[e] - bisect_left(taken_g, g_pos[e]) for e in rest]
+        cols = [r_pos[e] - bisect_left(taken_r, r_pos[e]) for e in rest]
         m = n_res - len(carried)
         rank = [i * m + j for i, j in zip(rows, cols)]
-        for k in solve_assignment(rows, cols, [cost[k] for k in rest], rank):
-            matched[conflict[rest[k]]] = True
-    return np.array(matched, dtype=bool)
+        for k in solve_assignment(rows, cols, [cost[e] for e in rest], rank):
+            matched[rest[k]] = True
+    return np.array(matched[:-1], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)

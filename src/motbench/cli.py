@@ -11,7 +11,8 @@ holds one sequence in memory at a time.  Children send back only counts, the
 repair warnings they logged and the error they met; these are replayed in
 sequence-map order, up to the first error, so stdout and stderr are the same
 bytes for any ``--jobs`` value.  A child that exits abnormally, killed or
-with a non-zero status, ends the run with exit 2.
+with a non-zero status, or one that cannot be started ends the run with
+exit 2.
 
 Reports carry one row per evaluated (sequence, detector) unit plus a pooled
 OVERALL row computed from summed counts, the identity counts included.  Rows
@@ -23,7 +24,7 @@ as ``N/A``; text and CSV print two decimals, JSON keeps full precision.  CSV
 quotes a cell that holds a comma, a double quote or a line break.
 
 Exit codes: 0 success, 1 input error, 2 internal error (a child that exits
-abnormally included).  Poor scores are never an error.
+abnormally or cannot be started included).  Poor scores are never an error.
 """
 
 from __future__ import annotations
@@ -209,14 +210,16 @@ def _forked(task, sizes: list[int], workers: int) -> list:
     number is one 4-byte write, so no read gets part of one.  A child
     pickles its ``[(row, result), ...]`` into a pipe of its own and exits.
     The parent reads each child's pipe to its end, then reaps the child: one
-    that exits other than with 0 raises :class:`RuntimeError`.  An exception
-    in the parent kills and reaps the children first.
+    that exits other than with 0 raises :class:`RuntimeError`, and so does
+    an :class:`OSError` of a pipe or a fork, as no input causes it.  An
+    exception in the parent kills and reaps the children first.
     """
-    take_fd, give_fd = os.pipe()
-    take, give = open(take_fd, "rb", buffering=0), open(give_fd, "wb", buffering=0)
-    pipes = [take, give]  # every end the parent opened, closed on the way out
+    pipes = []  # every end the parent opened, closed on the way out
     children = {}  # pid: the read end of its result pipe, until it is reaped
     try:
+        take_fd, give_fd = os.pipe()
+        take, give = open(take_fd, "rb", buffering=0), open(give_fd, "wb", buffering=0)
+        pipes += take, give
         for _ in range(workers):
             receive_fd, send_fd = os.pipe()
             receive, send = open(receive_fd, "rb"), open(send_fd, "wb")
@@ -242,6 +245,8 @@ def _forked(task, sizes: list[int], workers: int) -> list:
                     f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"))
             results.update(pickle.loads(data))
         return [results[row] for row in range(len(sizes))]
+    except OSError as err:
+        raise RuntimeError(f"cannot run worker processes: {err}") from err
     finally:
         for pipe in pipes:
             pipe.close()
@@ -316,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="evaluate sequences in up to N forked child processes "
                             "that pull them largest first, one each at a time "
                             "(default 1: in process); output is the same for any N, "
-                            "and a child that exits abnormally ends the run with exit 2")
+                            "and a child that exits abnormally or cannot be started "
+                            "ends the run with exit 2")
         p.add_argument("--lenient", action="store_true",
                        help="tolerate recoverable format deviations")
 

@@ -306,7 +306,6 @@ def parse_file(
 class ValidationReport:
     """Outcome of checking a submission archive or directory."""
 
-    expected: list[str]
     missing: list[str] = field(default_factory=list)
     extra: list[str] = field(default_factory=list)
     file_errors: dict[str, list[str]] = field(default_factory=dict)
@@ -394,7 +393,6 @@ def validate_submission(
     expected = {f"{seq}.txt" for seq in expected_sequences}
     files, duplicates = _submission_files(path, expected)
     report = ValidationReport(
-        expected=list(expected_sequences),
         missing=sorted(seq for seq in expected_sequences if f"{seq}.txt" not in files),
         extra=sorted(files.keys() - expected),
         file_errors={name: ["file name appears more than once in the archive"]

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import inspect
 import io
 import json
@@ -918,6 +919,28 @@ class TestWorkers:
         with mock.patch.object(os, "fork", fork_once):
             code, out, err = self.run(capfd, [*argv, "--jobs", "2"])
         assert (code, out, err) == (2, "", "internal error: no second fork\n")
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("call, failure", [
+        ("fork", BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+        ("pipe", OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+    ])
+    def test_a_worker_that_cannot_start_is_an_internal_error(self, tmp_path, capfd,
+                                                             call, failure):
+        # the second os.fork or os.pipe fails, as at the process or file limit
+        real, calls = getattr(os, call), []
+
+        def second_fails():
+            calls.append(call)
+            if len(calls) == 2:
+                raise failure
+            return real()
+
+        _, argv = self.two_rows(tmp_path)
+        with mock.patch.object(os, call, second_fails):
+            code, out, err = self.run(capfd, [*argv, "--jobs", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1, err
         self.assert_no_child()
 
 
