@@ -29,7 +29,9 @@ Equal-cost assignments are broken deterministically, so repeated runs and
 runs with different parallelism produce identical output.  Every matching
 problem, the neutral-class filter, a frame with conflicting pairs or the
 identity solve, is one :func:`solve_assignment`, whose docstring states its
-tie levels and its cost rounding.  Pairs rank ``i * m + j``, where target
+tie levels.  The solver takes integer costs: the matching's 1 - IoU goes in
+as whole 1e-9 units from :func:`_cost_units`, the one place where a cost is
+rounded, once per pair.  Pairs rank ``i * m + j``, where target
 ``i`` and hypothesis ``j`` are positions in track-id order and ``m`` counts
 the candidate hypotheses: among matchings of equal cost the lowest summed
 rank wins, and permutations of the same targets and hypotheses pair them in
@@ -166,19 +168,31 @@ def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label, root = root, root[root]
 
 
+def _cost_units(cost: np.ndarray) -> np.ndarray:
+    """Each cost in whole units of 1e-9, rounded half up, as int64.
+
+    The matching's costs 1 - IoU go to :func:`solve_assignment` this way.
+    As each cost is rounded on its own, float noise in a sum never decides
+    a tie, and a sum of k pairs lower by k units or more always decides.
+    """
+    return np.floor(cost * 1e9 + 0.5).astype(np.int64)
+
+
 def solve_assignment(
-    rows: list[int], cols: list[int], cost: list[float], rank: list[int],
+    rows: list[int], cols: list[int], cost: list[int], rank: list[int],
     *, most_pairs: bool = True,
 ) -> list[int]:
     """Optimal matching over a sparse list of feasible edges.
 
     Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (integer ids, one
-    id space per side) at ``cost[e]``; all four are Python lists.  The chosen
-    matching uses only these edges and is the first by these levels:
+    id space per side) at ``cost[e]``; all four are Python lists of
+    integers.  The chosen matching uses only these edges and is the first by
+    these levels:
 
     1. the most pairs (only with ``most_pairs``);
-    2. the lowest summed cost units: each cost rounded half up to whole
-       units, of 1 when every cost is an integer and of 1e-9 otherwise;
+    2. the lowest summed ``cost``: the frame matching's 1 - IoU in 1e-9
+       units, rounded once per pair by :func:`_cost_units`, or identity's
+       negated co-detection counts;
     3. the lowest summed ``rank``;
     4. the largest summed squared ``rank``.
 
@@ -187,8 +201,6 @@ def solve_assignment(
     With ``most_pairs=False`` any node may stay unmatched at cost 0 and rank
     0, so the lowest total cost comes first.  Every cost must then be
     negative, so that a pair always beats leaving both its ends unmatched.
-    As each cost is rounded on its own, float noise in a sum never decides
-    a tie, and a sum of k pairs lower by k units or more always decides.
     Returns the indices of the chosen edges in ascending order.
 
     Each edge gets one exact integer key of the four levels, and
@@ -202,10 +214,6 @@ def solve_assignment(
     """
     if len(rows) < 2:  # one edge or none: nothing to choose
         return list(range(len(rows)))
-    if all(map(float.is_integer, map(float, cost))):
-        units = list(map(int, cost))
-    else:
-        units = [math.floor(c * 1e9 + 0.5) for c in cost]
     squares = [r * r for r in rank]
     row_at = {v: i for i, v in enumerate(sorted(set(rows)))}
     col_at = {v: j for j, v in enumerate(sorted(set(cols)))}
@@ -213,17 +221,17 @@ def solve_assignment(
         row_at, col_at, rows, cols = col_at, row_at, cols, rows
     n = len(row_at)  # every searching node adds one key to a matching's total
     slack = [] if most_pairs else [0]  # the levels of a cost-0, rank-0 slack
-    low_unit, low_rank = min(units + slack), min(rank + slack)
+    low_cost, low_rank = min(cost + slack), min(rank + slack)
     high_square = max(squares)
     # Each level's weight exceeds the spread of the lower levels over n keys.
     w_square = n * (high_square - min(squares + slack)) + 1
     w_rank = n * (max(rank + slack) - low_rank) + 1
-    keys = [((q - low_unit) * w_rank + r - low_rank) * w_square + high_square - sq
-            for q, r, sq in zip(units, rank, squares)]
+    keys = [((q - low_cost) * w_rank + r - low_rank) * w_square + high_square - sq
+            for q, r, sq in zip(cost, rank, squares)]
     if most_pairs:
         miss = n * max(keys) + 1
     else:
-        miss = (-low_unit * w_rank - low_rank) * w_square + high_square
+        miss = (-low_cost * w_rank - low_rank) * w_square + high_square
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     edge: dict[tuple[int, int], int] = {}
     for e, (a, b, key) in enumerate(zip(rows, cols, keys)):
@@ -294,7 +302,8 @@ def preprocess_sequence(seq: SequenceData, iou_threshold: float = 0.5) -> EdgeTa
         i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
         m = np.searchsorted(res.frame, frame, "right") - r_lo
         chosen = hot[solve_assignment(g[hot].tolist(), r[hot].tolist(),
-                                      (1.0 - overlap[hot]).tolist(), (i * m + j).tolist())]
+                                      _cost_units(1.0 - overlap[hot]).tolist(),
+                                      (i * m + j).tolist())]
         kept[r[chosen[neutral[chosen]]]] = False
     scoreable = gt.scoreable
     scoring = scoreable[g] & kept[r]
@@ -356,7 +365,7 @@ def _match(table: EdgeTable) -> np.ndarray:
     g_pos = (g - np.searchsorted(table.gt_frame, frame)).tolist()
     r_pos = (r - np.searchsorted(table.res_frame, frame)).tolist()
     link = _carryover_links(table).tolist()
-    cost = (1.0 - table.iou).tolist()
+    cost = _cost_units(1.0 - table.iou).tolist()
     matched = free.tolist() + [False]  # an edge without a link reads this last entry
     for lo, hi, n_res in zip(*spans, res_count.tolist()):
         carried = [e for e in range(lo, hi) if matched[link[e]]]

@@ -2,9 +2,11 @@
 
 :func:`accumulate` counts a sequence straight off the columns of its
 :class:`~motbench.assignment.EventLog`.  One :class:`Counts` record carries
-every count of a report row: the frame-level ones and the identity counts
-IDTP/IDFP/IDFN, which the caller merges in from
-:func:`~motbench.identity.evaluate_identity`.  Counts accumulate per
+the counts of a report row that sum independently: the frame-level ones and
+the identity counts IDTP/IDFP/IDFN, which the caller merges in from
+:func:`~motbench.identity.evaluate_identity`.  The row's ground-truth box
+and track totals are sums of these, TP + FN and MT + PT + ML, and
+:func:`summarize` derives them.  Counts accumulate per
 sequence and pool by plain summation, which is exactly the evaluation of all
 sequences concatenated into one.  Benchmark scores are always computed from
 pooled counts, never by averaging per-sequence scores: sequences differ
@@ -37,13 +39,11 @@ class Counts:
     fn: int = 0
     idsw: int = 0
     fm: int = 0
-    gt_total: int = 0      # scoreable ground-truth boxes
     frames: int = 0
     overlap_sum: float = 0.0  # sum of matched-pair overlaps
     mt: int = 0
     pt: int = 0
     ml: int = 0
-    gt_tracks: int = 0
     idtp: int = 0  # identity true positives, false positives, false negatives
     idfp: int = 0
     idfn: int = 0
@@ -104,13 +104,11 @@ def accumulate(log: EventLog) -> Counts:
         fn=fn,
         idsw=int(log.switch.sum()),
         fm=fm,
-        gt_total=tp + fn,
         frames=table.num_frames,
         overlap_sum=overlap_sum,
         mt=mt,
         pt=len(tracks) - mt - ml,
         ml=ml,
-        gt_tracks=len(tracks),
     )
 
 
@@ -133,9 +131,10 @@ def mota(c: Counts) -> float | None:
     Unbounded below; a tracker making more errors than there are objects
     scores negative.  ``None`` without ground-truth boxes.
     """
-    if c.gt_total <= 0:
+    gt_total = c.tp + c.fn
+    if gt_total <= 0:
         return None
-    return 100.0 * (1.0 - (c.fn + c.fp + c.idsw) / c.gt_total)
+    return 100.0 * (1.0 - (c.fn + c.fp + c.idsw) / gt_total)
 
 
 def motp(c: Counts) -> float | None:
@@ -192,7 +191,8 @@ def summarize(name: str, c: Counts) -> MetricsReport:
     tracker that recovers more targets is not punished for the switches
     that naturally come with them.
     """
-    recall = _percent(c.tp, c.gt_total)
+    gt_total, gt_tracks = c.tp + c.fn, c.mt + c.pt + c.ml
+    recall = _percent(c.tp, gt_total)
     return MetricsReport(
         name=name,
         mota=mota(c),
@@ -203,7 +203,7 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         mt=c.mt,
         pt=c.pt,
         ml=c.ml,
-        gt_tracks=c.gt_tracks,
+        gt_tracks=gt_tracks,
         fp=c.fp,
         fn=c.fn,
         idsw=c.idsw,
@@ -211,10 +211,10 @@ def summarize(name: str, c: Counts) -> MetricsReport:
         idswr=c.idsw / recall if recall else None,
         fmr=c.fm / recall if recall else None,
         frames=c.frames,
-        gt_total=c.gt_total,
+        gt_total=gt_total,
         idf1=_percent(2 * c.idtp, 2 * c.idtp + c.idfp + c.idfn),
         idp=_percent(c.idtp, c.idtp + c.idfp),
         idr=_percent(c.idtp, c.idtp + c.idfn),
-        mt_ratio=c.mt / c.gt_tracks if c.gt_tracks else None,
-        ml_ratio=c.ml / c.gt_tracks if c.gt_tracks else None,
+        mt_ratio=c.mt / gt_tracks if gt_tracks else None,
+        ml_ratio=c.ml / gt_tracks if gt_tracks else None,
     )

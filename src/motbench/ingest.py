@@ -21,11 +21,12 @@ clamps out-of-range visibility values, logging each repair.
 :func:`parse_file` returns a file's rows as columns
 (:class:`~motbench.model.Rows`), and one columnar pass checks every rule of
 the format.  Numpy's C text reader reads most files with one call into a
-table of floats.  When it refuses a file (ragged lines, fewer than 7
-columns, a token that ``float()`` reads and it does not, such as ``1_0`` or
-non-ASCII digits), a per-token reader fills the same table from ``float()``
-of each stripped token and marks the tokens it refuses; it stops after the
-first line whose column count or tokens the rules reject.  Each rule is then
+table of floats, which also decides a file whose lines all have too few
+or too many columns.  When it refuses a file (ragged lines, a token that
+``float()`` reads and it does not, such as ``1_0`` or non-ASCII digits), a
+per-token reader fills the same table from ``float()`` of each stripped
+token and marks the tokens it refuses; it stops after the first line whose
+column count or tokens the rules reject.  Each rule is then
 a mask over the lines.  A line meets the rules in a fixed order: its column
 count, then field by field (malformed, not finite, not an integer, of
 magnitude 2**53 or more, then the field's own rules such as frame bounds or
@@ -205,7 +206,7 @@ def parse_file(
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         table = None
-    if table is not None and table.shape[1] >= 7:
+    if table is not None:
         width, readable = np.full(n, table.shape[1]), None  # every cell read
         columns = np.ones((read, n))  # as the token reader pads a line
         columns[:table.shape[1]] = table[:, :read].T
@@ -436,15 +437,6 @@ class SequenceSet:
     """
 
     units: tuple[EvalUnit, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "units", tuple(self.units))
-        seen: set[tuple[str | None, str]] = set()
-        for unit in self.units:
-            key = (unit.detector, unit.data.name)
-            if key in seen:
-                raise IngestError(f"duplicate sequence {unit.label!r} in partition")
-            seen.add(key)
 
 
 def read_seqmap(path: Path) -> dict[str, int]:

@@ -45,14 +45,13 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
 import motbench.assignment as assignment
-from motbench.assignment import _NEUTRAL, EventLog, solve_assignment
+from motbench.assignment import _NEUTRAL, EventLog, _cost_units, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
 from motbench.identity import IdentityScores, TrackMatchTable
@@ -155,7 +154,7 @@ def _min_cost_matching(
     feasible = overlaps[rows, cols]
     pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
     chosen = assignment.solve_assignment(
-        rows.tolist(), cols.tolist(), (1.0 - feasible).tolist(),
+        rows.tolist(), cols.tolist(), _cost_units(1.0 - feasible).tolist(),
         (rows * overlaps.shape[1] + cols).tolist())
     return [pairs[e] for e in chosen]
 
@@ -334,23 +333,18 @@ def tie_order_ranking(rows, cols, cost, rank, *, most_pairs=True):
     """Every matching of a small edge list with its tie-order levels, best first.
 
     ``rows``, ``cols``, ``cost`` and ``rank`` are the edge lists of
-    ``solve_assignment``, at most 8 edges.  Returns ``(levels, edges)`` per
-    matching, ``edges`` its edge indices ascending, sorted by the levels the
-    solver documents: the most pairs when ``most_pairs`` is set, the lowest
-    summed cost units (each cost rounded half up to whole units, of 1 when
-    every cost is an integer and of 1e-9 otherwise, here in exact
-    fractions), the lowest summed rank and the largest summed squared rank.
+    ``solve_assignment``, all integers as it takes them, at most 8 edges.
+    Returns ``(levels, edges)`` per matching, ``edges`` its edge indices
+    ascending, sorted by the levels the solver documents: the most pairs
+    when ``most_pairs`` is set, the lowest summed cost, the lowest summed
+    rank and the largest summed squared rank.
     """
     assert len(rows) <= 8
-    if all(float(c).is_integer() for c in cost):
-        units = [int(c) for c in cost]
-    else:
-        units = [math.floor(Fraction(c) * 10**9 + Fraction(1, 2)) for c in cost]
     ranked = []
     for size in range(len(rows) + 1):
         for edges in combinations(range(len(rows)), size):
             if len({rows[e] for e in edges}) == len({cols[e] for e in edges}) == size:
-                levels = (-size if most_pairs else 0, sum(units[e] for e in edges),
+                levels = (-size if most_pairs else 0, sum(cost[e] for e in edges),
                           sum(rank[e] for e in edges), -sum(rank[e] ** 2 for e in edges))
                 ranked.append((levels, list(edges)))
     ranked.sort()
@@ -361,7 +355,8 @@ def oracle_clear_counts(seq: SequenceData, threshold: float = 0.5):
     """(fp, fn, idsw) by exhaustive per-frame assignment enumeration.
 
     Mirrors the protocol: forced carryover pairs, then the best completion by
-    (max matches, min total 1-IoU, earliest pairs) over all possibilities.
+    (max matches, min total 1-IoU in 1e-9 units, earliest pairs) over all
+    possibilities.
     """
     prev: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -384,7 +379,7 @@ def oracle_clear_counts(seq: SequenceData, threshold: float = 0.5):
 
         def key(matching):
             extra = [p for p in matching if p not in forced]
-            cost = sum(1.0 - overlaps[p] for p in extra)
+            cost = int(_cost_units(np.array([1.0 - overlaps[p] for p in extra])).sum())
             ranksum = sum(gt_rank[g] * len(rem_res) + res_rank[r] for g, r in extra)
             return (-len(matching), cost, ranksum)
 
@@ -518,9 +513,8 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
             ml += 1
         else:
             pt += 1
-    return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, gt_total=tp + fn,
-                  frames=num_frames, overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml,
-                  gt_tracks=len(gt_frames))
+    return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, frames=num_frames,
+                  overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml)
 
 
 def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:

@@ -55,8 +55,7 @@ def test_criterion_1_formula_fidelity_single_benchmark_row():
     with criterion(1, "published-row formula fidelity (single benchmark)"):
         gt_total, frames = 61440, 5783
         c = Counts(
-            tp=gt_total - 21780, fp=7620, fn=21780, idsw=375, fm=872,
-            gt_total=gt_total, frames=frames,
+            tp=gt_total - 21780, fp=7620, fn=21780, idsw=375, fm=872, frames=frames,
         )
         assert mota(c) == pytest.approx(51.54, abs=0.02)
         rates = summarize("row", c)
@@ -75,14 +74,12 @@ def test_criterion_2_three_partition_pooling_fidelity():
             for _ in range(3):
                 part_fn = min(remaining, per_seq_gt)
                 remaining -= part_fn
-                pieces.append(Counts(
-                    tp=per_seq_gt - part_fn, fn=part_fn,
-                    gt_total=per_seq_gt, frames=per_seq_frames,
-                ))
+                pieces.append(Counts(tp=per_seq_gt - part_fn, fn=part_fn,
+                                     frames=per_seq_frames))
             assert remaining == 0
             pieces[0] = dataclasses.replace(pieces[0], fp=fp, idsw=idsw)
             pooled = pool(pieces)
-            assert pooled.gt_total == 3 * per_seq_gt
+            assert summarize("pooled", pooled).gt_total == 3 * per_seq_gt
             return mota(pooled)
 
         assert pooled_mota(17413, 213594, 1185) == pytest.approx(58.85, abs=0.05)
@@ -156,8 +153,7 @@ def test_criterion_5_property_suite():
             counts_a, _ = evaluate(random_instance(rng))
             counts_b, _ = evaluate(random_instance(rng))
             pooled = pool([counts_a, counts_b])
-            for field in ("tp", "fp", "fn", "idsw", "fm", "gt_total", "frames",
-                          "mt", "pt", "ml", "gt_tracks"):
+            for field in ("tp", "fp", "fn", "idsw", "fm", "frames", "mt", "pt", "ml"):
                 assert getattr(pooled, field) == (
                     getattr(counts_a, field) + getattr(counts_b, field)
                 )
@@ -180,7 +176,7 @@ def test_criterion_5_property_suite():
         assert motp(counts) == pytest.approx(100.0)
         identity = Counts(idtp=ident.idtp, idfp=ident.idfp, idfn=ident.idfn)
         assert summarize("perfect", identity).idf1 == pytest.approx(100.0)
-        assert counts.mt == counts.gt_tracks == 3
+        assert (counts.mt, counts.pt, counts.ml) == (3, 0, 0)
         assert counts.fm == 0 and counts.idsw == 0
 
         # empty-result suite

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from motbench.assignment import (
+    _cost_units,
     _edge_components,
     preprocess_sequence,
     run_sequence,
@@ -395,9 +396,10 @@ def _random_edges(rng: random.Random):
     """A seeded random edge list: ``(rows, cols, cost, rank)`` arrays.
 
     Sides are rectangular with sparse, non-contiguous ids; densities run from
-    sparse to complete; costs are continuous floats, quarter steps, small
-    integers (ties everywhere) or wide integers; ranks are ``i * m + j`` in
-    id order, sometimes scaled up to the size of identity ranks.
+    sparse to complete; costs are continuous floats or quarter steps, both
+    in the 1e-9 units of ``_cost_units``, small integers (ties everywhere)
+    or wide integers; ranks are ``i * m + j`` in id order, sometimes scaled
+    up to the size of identity ranks.
     """
     row_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
     col_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
@@ -413,11 +415,12 @@ def _random_edges(rng: random.Random):
         "small": lambda: rng.randint(0, 3),
         "wide": lambda: rng.randint(0, 10**6),
     }[kind]
-    dtype = np.float64 if kind in ("float", "quarter") else np.int64
+    cost = np.array([draw() for _ in pairs])
+    if kind in ("float", "quarter"):
+        cost = _cost_units(cost)
     scale = rng.choice([1, 1, 10**4])
     i, j = np.array(pairs).T
-    return (np.take(row_ids, i), np.take(col_ids, j),
-            np.array([draw() for _ in pairs], dtype=dtype), (i * len(col_ids) + j) * scale)
+    return np.take(row_ids, i), np.take(col_ids, j), cost, (i * len(col_ids) + j) * scale
 
 
 def _scipy_optimum(rows, cols, cost, banned=None):
@@ -432,7 +435,7 @@ def _scipy_optimum(rows, cols, cost, banned=None):
 
     row_ids, r = np.unique(rows, return_inverse=True)
     col_ids, c = np.unique(cols, return_inverse=True)
-    missing = (min(len(row_ids), len(col_ids)) + 1) * (float(np.abs(cost).max()) + 1.0)
+    missing = (min(len(row_ids), len(col_ids)) + 1) * (int(np.abs(cost).max()) + 1)
     matrix = np.full((len(row_ids), len(col_ids)), missing)
     feasible = np.zeros(matrix.shape, dtype=bool)
     for e in range(len(rows)):
@@ -442,7 +445,7 @@ def _scipy_optimum(rows, cols, cost, banned=None):
     a, b = linear_sum_assignment(matrix)
     keep = feasible[a, b]
     chosen = {(int(row_ids[x]), int(col_ids[y])) for x, y in zip(a[keep], b[keep])}
-    return len(chosen), float(matrix[a[keep], b[keep]].sum()), chosen
+    return len(chosen), int(matrix[a[keep], b[keep]].sum()), chosen
 
 
 class TestSolveAssignment:
@@ -462,10 +465,10 @@ class TestSolveAssignment:
             assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
             size, total, expected = _scipy_optimum(rows, cols, cost)
             assert len(pairs) == size
-            assert float(cost[chosen].sum()) == pytest.approx(total, rel=1e-12, abs=1e-9)
+            assert int(cost[chosen].sum()) == total
             short += size < len(set(rows.tolist()))
             if all(
-                alt_size < size or alt_total > total + 1e-9
+                alt_size < size or alt_total > total
                 for alt_size, alt_total, _ in (
                     _scipy_optimum(rows, cols, cost, banned=e) for e in chosen
                 )
@@ -475,17 +478,21 @@ class TestSolveAssignment:
         assert unique > 1000 and short > 300
 
     def test_a_cost_difference_of_the_resolution_decides_before_rank(self):
-        # Costs 0.3 + d and 0.3: at d of 1e-9 or more the cheaper edge wins
-        # even 10**6 ranks behind, on a shared row and on a shared column.
+        # Costs 0.3 + d and 0.3 in the units of _cost_units: at d of 1e-9 or
+        # more the cheaper edge wins even 10**6 ranks behind, on a shared row
+        # and on a shared column.
+        def units(d):
+            return _cost_units(np.array([0.3 + d, 0.3])).tolist()
+
         for d in (2e-9, 1e-8):
-            assert solve_assignment([0, 0], [0, 1], [0.3 + d, 0.3], [0, 10**6]) == [1]
-            assert solve_assignment([0, 1], [0, 0], [0.3 + d, 0.3], [0, 10**6]) == [1]
+            assert solve_assignment([0, 0], [0, 1], units(d), [0, 10**6]) == [1]
+            assert solve_assignment([0, 1], [0, 0], units(d), [0, 10**6]) == [1]
         # At ranks 0 and 1: costs count in 1e-9 units rounded half up, so a d
         # under half a unit ties and rank 0 wins, and from half a unit up the
         # cheaper edge wins.
         for d, winner in ((1e-10, 0), (4e-10, 0), (6e-10, 1), (9e-10, 1), (2e-9, 1)):
-            assert solve_assignment([0, 0], [0, 1], [0.3 + d, 0.3], [0, 1]) == [winner]
-            assert solve_assignment([0, 1], [0, 0], [0.3 + d, 0.3], [0, 1]) == [winner]
+            assert solve_assignment([0, 0], [0, 1], units(d), [0, 1]) == [winner]
+            assert solve_assignment([0, 1], [0, 0], units(d), [0, 1]) == [winner]
 
     def test_without_most_pairs_agrees_with_enumeration(self):
         # Any node may stay unmatched: the chosen edges must form a matching
@@ -627,7 +634,7 @@ class TestSplit:
             for e, (_, _, _, part) in enumerate(edges):
                 parts[part].append(e)
             for most_pairs, cost in (
-                (True, [1.0 - o for _, _, o, _ in edges]),
+                (True, _cost_units(1.0 - np.array([o for _, _, o, _ in edges])).tolist()),
                 (False, [-counts.randint(1, 3) for _ in edges]),
             ):
                 expected = []
@@ -663,7 +670,7 @@ class TestTieOrder:
                 cols = [j for _, j, _ in part]
                 rank = [i * m + j for i, j in zip(rows, cols)]
                 for most_pairs, cost in (
-                    (True, [1.0 - o for _, _, o in part]),
+                    (True, _cost_units(1.0 - np.array([o for _, _, o in part])).tolist()),
                     (False, [-counts.randint(1, 3) for _ in part]),
                 ):
                     ranked = tie_order_ranking(rows, cols, cost, rank, most_pairs=most_pairs)
@@ -687,8 +694,8 @@ class TestTieOrder:
             b = [rng.choice(steps) for _ in range(n)]
             rows = [i for i in range(n) for _ in range(n)]
             cols = [j for _ in range(n) for j in range(n)]
-            chosen = solve_assignment(rows, cols, [a[i] + b[j] for i, j in zip(rows, cols)],
-                                      [i * n + j for i, j in zip(rows, cols)])
+            cost = _cost_units(np.array([a[i] + b[j] for i, j in zip(rows, cols)])).tolist()
+            chosen = solve_assignment(rows, cols, cost, [i * n + j for i, j in zip(rows, cols)])
             assert [(rows[e], cols[e]) for e in chosen] == [(i, i) for i in range(n)]
 
 

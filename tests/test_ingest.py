@@ -528,6 +528,20 @@ class TestColumnarPath:
                 assert _columns(parse_file(text, variant, kind, strict, 2)) == expected, text
 
     @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("width", [1, 5, 6])
+    def test_short_uniform_files_are_decided_by_the_c_reader(self, width, strict):
+        # Every line has the same column count, too few for any variant: the
+        # C reader's table gives that count to the column-count rule.
+        for variant in FormatVariant:
+            for kind in FileKind:
+                text = "\n".join(",".join(line.split(",")[:width]) for line in WELL_FORMED[kind])
+                expected = _outcome(oracles.parse_rows, text, variant, kind, strict)
+                assert expected[0] is ParseError
+                with mock.patch.object(ingest, "_read_tokens",
+                                       side_effect=AssertionError("token reader used")):
+                    assert _outcome(parse_file, text, variant, kind, strict) == expected
+
+    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("kind", list(FileKind))
     @pytest.mark.parametrize("variant", list(FormatVariant))
     @pytest.mark.parametrize("lines", [
