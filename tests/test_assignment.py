@@ -6,6 +6,7 @@ reference of ``oracles``, and both must agree; a case that needs a
 hand-set carryover or last-known state runs on the reference alone.
 """
 
+import math
 import random
 import time
 from collections import defaultdict
@@ -446,6 +447,32 @@ def _scipy_optimum(rows, cols, cost, banned=None):
     keep = feasible[a, b]
     chosen = {(int(row_ids[x]), int(col_ids[y])) for x, y in zip(a[keep], b[keep])}
     return len(chosen), int(matrix[a[keep], b[keep]].sum()), chosen
+
+
+class TestCostUnits:
+    def test_agrees_with_plain_python_half_up_rounding(self):
+        # Per element: math.floor(x * 1e9 + 0.5), the same IEEE arithmetic in
+        # plain Python.  Values: IoU-like ratios, random costs in [0, 1], and
+        # costs near whole and half units.
+        rng = random.Random(35)
+        values = [0.0, 1.0, 0.3, 0.5, 1 / 3, 2 / 3]
+        values += [1.0 - a / b for b in range(1, 60) for a in range(b + 1)]
+        values += [rng.random() for _ in range(2000)]
+        for k in (0, 1, 2, 7, 299_999_999, 300_000_000, 999_999_999):
+            for offset in (-0.5, -0.4999, -1e-6, 0.0, 1e-6, 0.4999, 0.5, 0.5001):
+                values.append((k + offset) / 1e9)
+        units = _cost_units(np.array(values))
+        assert units.dtype == np.int64
+        assert units.tolist() == [math.floor(x * 1e9 + 0.5) for x in values]
+        assert all(abs(u - x * 1e9) <= 0.5 for u, x in zip(units.tolist(), values))
+
+    def test_an_exact_half_unit_rounds_up(self):
+        # Costs whose product with 1e9 is exactly k + 0.5 go to k + 1, for
+        # even k too (round-half-even would give k there).
+        halves = [k for k in range(40) if (k + 0.5) / 1e9 * 1e9 == k + 0.5]
+        assert {0, 2, 4}.issubset(halves)
+        units = _cost_units(np.array([(k + 0.5) / 1e9 for k in halves]))
+        assert units.tolist() == [k + 1 for k in halves]
 
 
 class TestSolveAssignment:

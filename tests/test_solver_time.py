@@ -12,8 +12,7 @@ SRC = Path(motbench.__file__).resolve().parents[1]
 
 def test_prints_one_row_per_caller_on_the_detector_sweep_tree():
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(SRC), "--seeds", "1", "--workloads", "detector_sweep",
-         "--repeat", "2"],
+        [sys.executable, str(TOOL), str(SRC), "--seeds", "1", "--workloads", "detector_sweep"],
         capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     header, *rows = proc.stdout.splitlines()

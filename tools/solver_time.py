@@ -8,7 +8,7 @@ and ``evaluate_identity``.  Timers wrap ``solve_assignment`` and the search
 it calls, ``_shortest_augmenting_paths``.  A call counts for its caller: the
 neutral-class filter inside ``preprocess_sequence``, the frame matching
 (``_match``) inside ``run_sequence``, or the identity solve inside
-``evaluate_identity``.  The chain runs ``--repeat`` times.  Per seed,
+``evaluate_identity``.  The chain runs ``REPEAT`` (15) times.  Per seed,
 workload and caller the script prints the number of calls, the number of
 edges they took, and the least total seconds of one repetition spent in
 ``solve_assignment`` and in the search.  The difference of the two is the
@@ -16,8 +16,7 @@ solver's set-up.
 
 Usage (from any directory)::
 
-    python3 tools/solver_time.py SRC --seeds 1 2 3 [--workloads detector_sweep ...] \\
-        [--repeat 7]
+    python3 tools/solver_time.py SRC --seeds 1 2 3 [--workloads detector_sweep ...]
 
 ``SRC`` is a directory that holds a ``motbench`` package, such as the
 ``src`` of a checkout; ``--workloads`` defaults to every workload.  The
@@ -38,10 +37,11 @@ from gen import write_tree  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
 CALLERS = ("neutral filter", "_match", "identity")
+REPEAT = 15
 
 
-def _timed(units, repeat: int) -> dict[str, tuple[int, int, float, float]]:
-    """Per caller: calls, edges and the best solve and search seconds over ``repeat`` runs."""
+def _timed(units) -> dict[str, tuple[int, int, float, float]]:
+    """Per caller: calls, edges and the best solve and search seconds of ``REPEAT`` runs."""
     import motbench.assignment as assignment
     import motbench.identity as identity
 
@@ -68,7 +68,7 @@ def _timed(units, repeat: int) -> dict[str, tuple[int, int, float, float]]:
     assignment.solve_assignment = identity.solve_assignment = timed_solve
     assignment._shortest_augmenting_paths = timed_search
     try:
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             run = {name: [0, 0, 0.0, 0.0] for name in CALLERS}
             for unit in units:
                 caller = CALLERS[0]
@@ -91,12 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
                         default=sorted(WORKLOADS))
-    parser.add_argument("--repeat", type=int, default=7, help="runs per tree (default 7)")
     args = parser.parse_args(argv)
     if not (args.src / "motbench" / "assignment.py").is_file():
         parser.error(f"no motbench package under {args.src}")
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
     from motbench.ingest import Benchmark, load_sequence_set
 
@@ -112,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
                 units = load_sequence_set(root, Benchmark(workload.benchmark),
                                           results_root=root / "res",
                                           read_detections=False).units
-                for caller, (calls, edges, solve_s, search_s) in _timed(
-                        units, args.repeat).items():
+                for caller, (calls, edges, solve_s, search_s) in _timed(units).items():
                     print(f"{seed:>4}  {name:<16}  {caller:<14}  {calls:>6}  {edges:>7}"
                           f"  {solve_s:>8.6f}  {search_s:>8.6f}")
     return 0
