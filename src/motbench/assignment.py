@@ -295,16 +295,18 @@ def preprocess_sequence(seq: SequenceData, iou_threshold: float = 0.5) -> EdgeTa
     if neutral.any():
         free = _free(g, r)  # a pair that shares no box with another is matched
         kept[r[neutral & free]] = False
-        label = _edge_components(g, r)
-        hot = np.flatnonzero(np.isin(label, label[neutral & ~free]))
-        frame = gt.frame[g[hot]]
-        r_lo = np.searchsorted(res.frame, frame)
-        i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
-        m = np.searchsorted(res.frame, frame, "right") - r_lo
-        chosen = hot[solve_assignment(g[hot].tolist(), r[hot].tolist(),
-                                      _cost_units(1.0 - overlap[hot]).tolist(),
-                                      (i * m + j).tolist())]
-        kept[r[chosen[neutral[chosen]]]] = False
+        contested = neutral & ~free
+        if contested.any():
+            label = _edge_components(g, r)
+            hot = np.flatnonzero(np.isin(label, label[contested]))
+            frame = gt.frame[g[hot]]
+            r_lo = np.searchsorted(res.frame, frame)
+            i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
+            m = np.searchsorted(res.frame, frame, "right") - r_lo
+            chosen = hot[solve_assignment(g[hot].tolist(), r[hot].tolist(),
+                                          _cost_units(1.0 - overlap[hot]).tolist(),
+                                          (i * m + j).tolist())]
+            kept[r[chosen[neutral[chosen]]]] = False
     scoreable = gt.scoreable
     scoring = scoreable[g] & kept[r]
     g, r = g[scoring], r[scoring]

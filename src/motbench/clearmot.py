@@ -6,11 +6,17 @@ the counts of a report row that sum independently: the frame-level ones and
 the identity counts IDTP/IDFP/IDFN, which the caller merges in from
 :func:`~motbench.identity.evaluate_identity`.  The row's ground-truth box
 and track totals are sums of these, TP + FN and MT + PT + ML, and
-:func:`summarize` derives them.  Counts accumulate per
-sequence and pool by plain summation, which is exactly the evaluation of all
-sequences concatenated into one.  Benchmark scores are always computed from
-pooled counts, never by averaging per-sequence scores: sequences differ
-wildly in target count, and pooling is the count-weighted average.
+:func:`summarize` derives them.  Counts accumulate per sequence and pool
+by summation.  Every count pools exactly, as the evaluation of all
+sequences concatenated into one.  MOTP's overlap sum is correctly rounded
+(``math.fsum``; Shewchuk 1997): a sequence's is the correctly rounded sum
+of its matched overlaps, and the pooled one the correctly rounded sum of
+the sequences' sums.  So each depends on the matched pairs alone, not on
+the order of frames, targets or sequences, and the pooled sum is within
+two rounding errors of the exact sum of all matches.  Benchmark scores are
+always computed from pooled counts, never by averaging per-sequence
+scores: sequences differ wildly in target count, and pooling is the
+count-weighted average.
 
 Every score of a row is a ratio of counts, and :func:`summarize` derives
 them all, IDF1, IDP and IDR included: the identity solve yields only
@@ -22,6 +28,7 @@ zero is ``None``, which the reports print as ``N/A``; :func:`mota` and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,19 +47,13 @@ class Counts:
     idsw: int = 0
     fm: int = 0
     frames: int = 0
-    overlap_sum: float = 0.0  # sum of matched-pair overlaps
+    overlap_sum: float = 0.0  # correctly rounded sum of matched-pair overlaps
     mt: int = 0
     pt: int = 0
     ml: int = 0
     idtp: int = 0  # identity true positives, false positives, false negatives
     idfp: int = 0
     idfn: int = 0
-
-    def __add__(self, other: "Counts") -> "Counts":
-        return Counts(**{
-            f.name: getattr(self, f.name) + getattr(other, f.name)
-            for f in dataclasses.fields(Counts)
-        })
 
 
 #: Coverage bounds: tracked for at least 80% of the life span counts as
@@ -75,13 +76,6 @@ def accumulate(log: EventLog) -> Counts:
     table, matched = log.table, log.matched
     frame = table.frame[matched]
     tp = len(frame)
-    # MOTP's sum keeps one association: each frame's overlaps in target-id
-    # order (the table's order), then the frame sums in frame order.
-    overlaps = table.iou[matched].tolist()
-    overlap_sum, lo = 0.0, 0
-    for hi in [*(np.flatnonzero(np.diff(frame)) + 1).tolist(), tp]:
-        overlap_sum += sum(overlaps[lo:hi])
-        lo = hi
 
     # The table lists boxes in frame order: a track's first and last box
     # open and close its life span.
@@ -105,7 +99,7 @@ def accumulate(log: EventLog) -> Counts:
         idsw=int(log.switch.sum()),
         fm=fm,
         frames=table.num_frames,
-        overlap_sum=overlap_sum,
+        overlap_sum=math.fsum(table.iou[matched].tolist()),
         mt=mt,
         pt=len(tracks) - mt - ml,
         ml=ml,
@@ -118,11 +112,17 @@ def _percent(part: float, whole: float) -> float | None:
 
 
 def pool(counts: Iterable[Counts]) -> Counts:
-    """Componentwise sum; the counts of all inputs concatenated."""
+    """Componentwise sum; the counts of all inputs concatenated.
+
+    Every count sums exactly, and ``overlap_sum`` is the correctly rounded
+    sum of the inputs' sums, so the result does not depend on their order.
+    """
     counts = list(counts)
     if not counts:
         raise ValueError("cannot pool an empty collection of counts")
-    return sum(counts[1:], counts[0])
+    summed = [f.name for f in dataclasses.fields(Counts) if f.name != "overlap_sum"]
+    return Counts(overlap_sum=math.fsum(c.overlap_sum for c in counts),
+                  **{name: sum(getattr(c, name) for c in counts) for name in summed})
 
 
 def mota(c: Counts) -> float | None:

@@ -26,7 +26,8 @@ type; a sequence keeps them sorted by (frame, track id), so each frame is a
 slice.
 
 All types are immutable after construction and all operations are pure
-functions, so everything here is safe to share across worker threads.
+functions, so a forked ``--jobs`` worker and its parent compute the same
+values from the same rows.
 """
 
 from __future__ import annotations

@@ -483,10 +483,11 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
 
     A track's life span runs from its first to its last scoreable frame (a
     frame where it is matched or missed); frames inside the span where it is
-    not matched count as untracked.
+    not matched count as untracked.  The overlap sum is one correctly rounded
+    sum over every match, the engine's convention.
     """
     tp = fp = fn = idsw = 0
-    overlap_sum = 0.0
+    overlaps: list[float] = []
     gt_frames: dict[int, list[int]] = defaultdict(list)
     matched: dict[int, set[int]] = defaultdict(set)
     for ev in events:
@@ -494,7 +495,7 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
         fp += len(ev.fp_ids)
         fn += len(ev.fn_ids)
         idsw += len(ev.idsw_ids)
-        overlap_sum += sum(overlap for _, _, overlap in ev.matches)
+        overlaps.extend(overlap for _, _, overlap in ev.matches)
         for gt_id, _, _ in ev.matches:
             matched[gt_id].add(ev.frame)
             gt_frames[gt_id].append(ev.frame)
@@ -514,7 +515,7 @@ def per_frame_counts(events: Sequence[FrameEvents], num_frames: int) -> Counts:
         else:
             pt += 1
     return Counts(tp=tp, fp=fp, fn=fn, idsw=idsw, fm=fm, frames=num_frames,
-                  overlap_sum=overlap_sum, mt=mt, pt=pt, ml=ml)
+                  overlap_sum=math.fsum(overlaps), mt=mt, pt=pt, ml=ml)
 
 
 def _greedy_frame_tp(overlaps: np.ndarray, thr: float) -> int:

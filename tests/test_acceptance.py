@@ -6,6 +6,7 @@ All tolerances are pinned here, not configurable.
 """
 
 import dataclasses
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -157,9 +158,7 @@ def test_criterion_5_property_suite():
                 assert getattr(pooled, field) == (
                     getattr(counts_a, field) + getattr(counts_b, field)
                 )
-            assert pooled.overlap_sum == pytest.approx(
-                counts_a.overlap_sum + counts_b.overlap_sum, abs=1e-9
-            )
+            assert pooled.overlap_sum == math.fsum([counts_a.overlap_sum, counts_b.overlap_sum])
 
         # localization precision bounded by the matching threshold
         for _ in range(60):

@@ -14,6 +14,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+import motbench.assignment as assignment
 from motbench.assignment import (
     _cost_units,
     _edge_components,
@@ -148,6 +149,17 @@ class TestPreprocessFrame:
         assert res_ids == []
         assert removed == [9]
         assert gt_ids == [1]  # the pedestrian still scores
+
+    def test_free_neutral_pair_is_dropped_without_a_solve(self, monkeypatch):
+        # the static person's only pair shares no box with another pair, so
+        # its result box goes without labelling components or solving
+        def spy(*args):
+            raise AssertionError("_edge_components ran without a contested neutral pair")
+        monkeypatch.setattr(assignment, "_edge_components", spy)
+        gt_frame = [gt(1, 1, 0, 0, object_class=ObjectClass.STATIC_PERSON), gt(1, 2, 50, 50)]
+        res_frame = [hyp(1, 8, 50, 50), hyp(1, 9, 0, 1)]
+        gt_ids, res_ids, removed = preprocessed(gt_frame, res_frame)
+        assert (gt_ids, res_ids, removed) == ([2], [8], [9])
 
     def test_inactive_entries_never_score(self):
         gt_frame = [gt(1, 1, 0, 0, conf=0.0), gt(1, 2, 30, 30)]

@@ -6,6 +6,7 @@ formulas must reproduce the row's published scores to report precision.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,15 @@ LEADERBOARD_17 = [
     (28398, 287582, 4852, 43.14),  # SORT17
     (23723, 330767, 4607, 36.36),  # GM_PHD
 ]
+
+
+#: Counts of any size, with any float overlap sum from 0 to 1e9.
+ANY_COUNTS = st.builds(
+    Counts,
+    **{f.name: st.integers(0, 10**9) for f in dataclasses.fields(Counts)
+       if f.name != "overlap_sum"},
+    overlap_sum=st.floats(0.0, 1e9, allow_nan=False),
+)
 
 
 def counts_from_row(fp, fn, idsw, gt_total, frames=1, fm=0):
@@ -251,6 +261,14 @@ class TestPool:
         with pytest.raises(ValueError):
             pool([])
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(ANY_COUNTS, min_size=2, max_size=5))
+    def test_pool_does_not_depend_on_input_order(self, counts):
+        # bit for bit: repr tells every float apart
+        expected = repr(pool(counts))
+        for order in itertools.permutations(counts):
+            assert repr(pool(order)) == expected
+
     def test_mot17_pooling_reproduces_published_scores(self):
         per_detector = [
             counts_from_row(17413, 188076, 1185, 188076, frames=5919),
@@ -322,12 +340,7 @@ class TestSummarize:
             assert getattr(report, name) is None, name
 
     @settings(derandomize=True, max_examples=500, deadline=None)
-    @given(st.builds(
-        Counts,
-        **{f.name: st.integers(0, 10**9) for f in dataclasses.fields(Counts)
-           if f.name != "overlap_sum"},
-        overlap_sum=st.floats(0.0, 1e9, allow_nan=False),
-    ))
+    @given(ANY_COUNTS)
     def test_ratios_follow_the_published_formulas_bit_for_bit(self, c):
         # the formulas written out one by one, each with its own zero test
         gt_total, gt_tracks = c.tp + c.fn, c.mt + c.pt + c.ml

@@ -11,7 +11,9 @@ with neutral classes, consider flags and visibility in its ground truth.
 
 Scaling every coordinate by a power of two is exact for any float input, so
 it keeps the report of continuous-geometry sequences too; and the worker
-count of ``--jobs`` changes no byte.
+count of ``--jobs`` changes no byte.  Nor does the order of the sequence
+map's rows: reversing it on generated trees of four sequences keeps the
+pooled row's every digit, MOTP's correctly rounded overlap sum included.
 """
 
 import dataclasses
@@ -122,20 +124,24 @@ def test_evaluate_report_bytes_do_not_depend_on_the_worker_count(tmp_path):
             assert _report(root, jobs=2) == _report(root, jobs=1), (seed, snap)
 
 
-@pytest.fixture(scope="module")
-def generated_tree(tmp_path_factory) -> Path:
-    """A small tree of the benchmark's generator, seed 1."""
+def _generate(root: Path, seed: int, names: list[str]) -> Path:
+    """A tree of the benchmark's generator at ``root``: one small crowded sequence per name."""
     spec = importlib.util.spec_from_file_location("bench_gen", GEN)
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen  # its dataclasses resolve annotations there
     try:
         spec.loader.exec_module(gen)
-        root = tmp_path_factory.mktemp("generated")
-        gen.write_tree(root, 1, [gen.SeqSpec("MOT16-03", 40, 30, (10, 40), (2, 4), miss_p=0.05,
-                                             fp_tracks=40, twin_p=0.05)])
+        gen.write_tree(root, seed, [gen.SeqSpec(name, 40, 30, (10, 40), (2, 4), miss_p=0.05,
+                                                fp_tracks=40, twin_p=0.05) for name in names])
     finally:
         del sys.modules[spec.name]
     return root
+
+
+@pytest.fixture(scope="module")
+def generated_tree(tmp_path_factory) -> Path:
+    """A small tree of the benchmark's generator, seed 1."""
+    return _generate(tmp_path_factory.mktemp("generated"), 1, ["MOT16-03"])
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
@@ -146,3 +152,15 @@ def test_generated_tree_keeps_the_relation(relation, generated_tree, tmp_path):
     assert _report(after) == expected, relation
     overall = json.loads(expected)[-1]
     assert overall["gt_total"] > overall["fn"] and overall["idsw"] > 0, overall
+
+
+def test_generated_trees_keep_a_reversed_seqmap(tmp_path):
+    for seed in range(10):
+        root = _generate(tmp_path / str(seed), seed,
+                         ["MOT16-02", "MOT16-04", "MOT16-05", "MOT16-09"])
+        expected = _report(root)
+        seqmap = root / "seqmap.txt"
+        seqmap.write_text("".join(reversed(seqmap.read_text().splitlines(keepends=True))))
+        assert _report(root) == expected, seed
+        overall = json.loads(expected)[-1]
+        assert overall["gt_total"] > overall["fn"] and overall["idsw"] > 0, overall
