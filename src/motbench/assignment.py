@@ -28,14 +28,16 @@ sequence.
 Equal-cost assignments are broken deterministically, so repeated runs and
 runs with different parallelism produce identical output.  Every matching
 problem, the neutral-class filter, a frame with conflicting pairs or the
-identity solve, is one :func:`solve_assignment`, whose docstring states its
-tie levels.  The solver takes integer costs: the matching's 1 - IoU goes in
-as whole 1e-9 units from :func:`_cost_units`, the one place where a cost is
-rounded, once per pair.  Pairs rank ``i * m + j``, where target
-``i`` and hypothesis ``j`` are positions in track-id order and ``m`` counts
-the candidate hypotheses: among matchings of equal cost the lowest summed
-rank wins, and permutations of the same targets and hypotheses pair them in
-id order.
+identity solve, is one :func:`solve_assignment`, which takes the lowest
+total cost and lets any node stay unmatched; its docstring states its tie
+levels.  The matching states "most pairs first" through its costs:
+:func:`_cost_units`, the one place where a cost is rounded, once per pair,
+turns each overlap into 1 - IoU in whole 1e-9 units minus :data:`_PAIR`,
+so one more pair always lowers the total.  Pairs rank ``i * m + j``, where
+target ``i`` and hypothesis ``j`` are positions in track-id order and ``m``
+counts the candidate hypotheses: among matchings of equal cost the lowest
+summed rank wins, and permutations of the same targets and hypotheses pair
+them in id order.
 
 Evaluation runs the protocol on a whole sequence at once, as one chain.
 :func:`preprocess_sequence` (step 1) takes the sequence and the overlap
@@ -168,49 +170,50 @@ def _edge_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label, root = root, root[root]
 
 
-def _cost_units(cost: np.ndarray) -> np.ndarray:
-    """Each cost in whole units of 1e-9, rounded half up, as int64.
+#: Subtracted from every matching cost.  It exceeds the summed 1e-9 units
+#: of any n < 2**32 pairs, so a matching with one more pair costs less.
+_PAIR = 1 << 62
 
-    The matching's costs 1 - IoU go to :func:`solve_assignment` this way.
-    As each cost is rounded on its own, float noise in a sum never decides
-    a tie, and a sum of k pairs lower by k units or more always decides.
+
+def _cost_units(iou: np.ndarray) -> np.ndarray:
+    """Each overlap's matching cost as int64: 1 - IoU in 1e-9 units, minus :data:`_PAIR`.
+
+    The units are whole, rounded half up.  As each cost is rounded on its
+    own, float noise in a sum never decides a tie, and a sum of k pairs
+    lower by k units or more always decides.
     """
-    return np.floor(cost * 1e9 + 0.5).astype(np.int64)
+    return np.floor((1.0 - iou) * 1e9 + 0.5).astype(np.int64) - _PAIR
 
 
-def solve_assignment(
-    rows: list[int], cols: list[int], cost: list[int], rank: list[int],
-    *, most_pairs: bool = True,
-) -> list[int]:
-    """Optimal matching over a sparse list of feasible edges.
+def solve_assignment(rows: list[int], cols: list[int], cost: list[int],
+                     rank: list[int]) -> list[int]:
+    """Lowest-cost matching over a sparse list of feasible edges.
 
     Edge ``e`` joins row ``rows[e]`` to column ``cols[e]`` (integer ids, one
     id space per side) at ``cost[e]``; all four are Python lists of
-    integers.  The chosen matching uses only these edges and is the first by
-    these levels:
+    integers.  Every cost must be negative, so that a pair always beats
+    leaving both its ends unmatched, and every rank non-negative.  Any node
+    may stay unmatched, at cost 0 and rank 0.  The chosen matching uses only
+    these edges and is the first by these levels:
 
-    1. the most pairs (only with ``most_pairs``);
-    2. the lowest summed ``cost``: the frame matching's 1 - IoU in 1e-9
-       units, rounded once per pair by :func:`_cost_units`, or identity's
-       negated co-detection counts;
-    3. the lowest summed ``rank``;
-    4. the largest summed squared ``rank``.
+    1. the lowest summed ``cost``: the frame matching's :func:`_cost_units`,
+       whose :data:`_PAIR` puts the most pairs first, or identity's negated
+       co-detection counts;
+    2. the lowest summed ``rank``;
+    3. the largest summed squared ``rank``.
 
     For ranks ``i * m + j``, as every caller gives them, permutations of the
-    same rows and columns tie on level 3, and level 4 pairs them in order.
-    With ``most_pairs=False`` any node may stay unmatched at cost 0 and rank
-    0, so the lowest total cost comes first.  Every cost must then be
-    negative, so that a pair always beats leaving both its ends unmatched.
+    same rows and columns tie on level 2, and level 3 pairs them in order.
     Returns the indices of the chosen edges in ascending order.
 
-    Each edge gets one exact integer key of the four levels, and
+    Each edge gets one exact integer key of the three levels, and
     :func:`_shortest_augmenting_paths` solves the whole call once from its
     smaller side; no dense matrix is built.  A level reads only the edge's
     own cost and rank, so the call picks what solving each connected
     component alone would.  Each node of the searching side has a slack
-    column of its own, taken when the node stays unmatched.  Its key
-    outweighs the key total of any matching with ``most_pairs``, and is the
-    key of a cost-0, rank-0 edge otherwise.
+    column of its own, taken when the node stays unmatched, whose key is
+    that of a cost-0, rank-0 edge.  Keys are shifted by the lowest cost so
+    that none is negative.
     """
     if len(rows) < 2:  # one edge or none: nothing to choose
         return list(range(len(rows)))
@@ -220,18 +223,13 @@ def solve_assignment(
     if len(row_at) > len(col_at):  # search from the smaller side
         row_at, col_at, rows, cols = col_at, row_at, cols, rows
     n = len(row_at)  # every searching node adds one key to a matching's total
-    slack = [] if most_pairs else [0]  # the levels of a cost-0, rank-0 slack
-    low_cost, low_rank = min(cost + slack), min(rank + slack)
-    high_square = max(squares)
+    low_cost, high_square = min(cost), max(squares)
     # Each level's weight exceeds the spread of the lower levels over n keys.
-    w_square = n * (high_square - min(squares + slack)) + 1
-    w_rank = n * (max(rank + slack) - low_rank) + 1
-    keys = [((q - low_cost) * w_rank + r - low_rank) * w_square + high_square - sq
+    w_square = n * high_square + 1
+    w_rank = n * max(rank) + 1
+    keys = [((q - low_cost) * w_rank + r) * w_square + high_square - sq
             for q, r, sq in zip(cost, rank, squares)]
-    if most_pairs:
-        miss = n * max(keys) + 1
-    else:
-        miss = (-low_cost * w_rank - low_rank) * w_square + high_square
+    miss = -low_cost * w_rank * w_square + high_square
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     edge: dict[tuple[int, int], int] = {}
     for e, (a, b, key) in enumerate(zip(rows, cols, keys)):
@@ -304,7 +302,7 @@ def preprocess_sequence(seq: SequenceData, iou_threshold: float = 0.5) -> EdgeTa
             i, j = g[hot] - np.searchsorted(gt.frame, frame), r[hot] - r_lo
             m = np.searchsorted(res.frame, frame, "right") - r_lo
             chosen = hot[solve_assignment(g[hot].tolist(), r[hot].tolist(),
-                                          _cost_units(1.0 - overlap[hot]).tolist(),
+                                          _cost_units(overlap[hot]).tolist(),
                                           (i * m + j).tolist())]
             kept[r[chosen[neutral[chosen]]]] = False
     scoreable = gt.scoreable
@@ -367,7 +365,7 @@ def _match(table: EdgeTable) -> np.ndarray:
     g_pos = (g - np.searchsorted(table.gt_frame, frame)).tolist()
     r_pos = (r - np.searchsorted(table.res_frame, frame)).tolist()
     link = _carryover_links(table).tolist()
-    cost = _cost_units(1.0 - table.iou).tolist()
+    cost = _cost_units(table.iou).tolist()
     matched = free.tolist() + [False]  # an edge without a link reads this last entry
     for lo, hi, n_res in zip(*spans, res_count.tolist()):
         carried = [e for e in range(lo, hi) if matched[link[e]]]

@@ -7,7 +7,11 @@ This is the pairing with the fewest frames on which paired tracks disagree,
 an unpaired track disagreeing on its whole length: those frames number the
 summed track length minus twice the co-detected frames.  Only co-detecting
 pairs add to that count, so the pairing is a maximum-weight matching over
-them alone, and any track may stay unpaired.
+them alone, and any track may stay unpaired.  That is the assignment
+kernel's one objective, the lowest total cost with any node free to stay
+unmatched, at cost minus the co-detections; unlike the frame matching's
+costs, these carry no bonus per pair, so fewer pairs win when they
+co-detect on more frames.
 
 From the optimal matching, identity true positives (IDTP) are the co-detected
 frames of matched pairs; every other ground-truth box is an identity false
@@ -89,9 +93,9 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
 
     The pairing has the most co-detected frames summed over its pairs.  It
     is one :func:`~motbench.assignment.solve_assignment` over the
-    co-detecting pairs alone, at cost ``-co`` and with ``most_pairs=False``,
-    so any track may stay unpaired and a track without co-detections never
-    enters the solve.  Equal optima are broken by its tie levels on the
+    co-detecting pairs alone, at cost ``-co``: the solver lets any track
+    stay unpaired, and a track without co-detections never enters the
+    solve.  Equal optima are broken by its tie levels on the
     ranks ``i * m + j`` of the pairs, where ``i`` and ``j`` are positions in
     id order among the co-detecting gt and pred tracks, so tracks without
     co-detections never change the pairing either.
@@ -100,7 +104,7 @@ def solve_identity(table: TrackMatchTable) -> IdentityScores:
     _, i = np.unique(table.pair_gt, return_inverse=True)
     pred_used, j = np.unique(table.pair_pred, return_inverse=True)
     chosen = solve_assignment(i.tolist(), j.tolist(), (-co).tolist(),
-                              (i * len(pred_used) + j).tolist(), most_pairs=False)
+                              (i * len(pred_used) + j).tolist())
     idtp = int(co[chosen].sum())
     matches = tuple(zip(table.gt_ids[table.pair_gt[chosen]].tolist(),
                         table.pred_ids[table.pair_pred[chosen]].tolist()))

@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 import motbench.assignment as assignment
-from motbench.assignment import _NEUTRAL, EventLog, _cost_units, solve_assignment
+from motbench.assignment import _NEUTRAL, _PAIR, EventLog, _cost_units, solve_assignment
 from motbench.clearmot import MOSTLY_LOST_MAX, MOSTLY_TRACKED_MIN, Counts
 from motbench.deteval import GroundTruthMode, PRCurve, PRPoint
 from motbench.identity import IdentityScores, TrackMatchTable
@@ -154,7 +154,7 @@ def _min_cost_matching(
     feasible = overlaps[rows, cols]
     pairs = list(zip(rows.tolist(), cols.tolist(), feasible.tolist()))
     chosen = assignment.solve_assignment(
-        rows.tolist(), cols.tolist(), _cost_units(1.0 - feasible).tolist(),
+        rows.tolist(), cols.tolist(), _cost_units(feasible).tolist(),
         (rows * overlaps.shape[1] + cols).tolist())
     return [pairs[e] for e in chosen]
 
@@ -332,12 +332,13 @@ def _all_matchings(gt_ids, res_ids, feasible, forced):
 def tie_order_ranking(rows, cols, cost, rank, *, most_pairs=True):
     """Every matching of a small edge list with its tie-order levels, best first.
 
-    ``rows``, ``cols``, ``cost`` and ``rank`` are the edge lists of
-    ``solve_assignment``, all integers as it takes them, at most 8 edges.
-    Returns ``(levels, edges)`` per matching, ``edges`` its edge indices
-    ascending, sorted by the levels the solver documents: the most pairs
+    ``rows``, ``cols``, ``cost`` and ``rank`` are integer edge lists, at
+    most 8 edges.  Returns ``(levels, edges)`` per matching, ``edges`` its
+    edge indices ascending, sorted by the documented levels: the most pairs
     when ``most_pairs`` is set, the lowest summed cost, the lowest summed
-    rank and the largest summed squared rank.
+    rank and the largest summed squared rank.  The solver puts the most
+    pairs first through its costs, so with ``most_pairs`` its costs are
+    these less ``_PAIR``.
     """
     assert len(rows) <= 8
     ranked = []
@@ -379,7 +380,7 @@ def oracle_clear_counts(seq: SequenceData, threshold: float = 0.5):
 
         def key(matching):
             extra = [p for p in matching if p not in forced]
-            cost = int(_cost_units(np.array([1.0 - overlaps[p] for p in extra])).sum())
+            cost = int((_cost_units(np.array([overlaps[p] for p in extra])) + _PAIR).sum())
             ranksum = sum(gt_rank[g] * len(rem_res) + res_rank[r] for g, r in extra)
             return (-len(matching), cost, ranksum)
 
@@ -438,7 +439,8 @@ def solve_identity_dummy_graph(table: TrackMatchTable) -> IdentityScores:
     track length.  Only tracks that appear in a co-detecting pair enter the
     graph, with their own dummies and one dummy-to-dummy edge per pair.
     Equal-cost optima go to the lowest summed rank ``i * m + j`` of the real
-    pairs, positions in id order among the co-detecting tracks.
+    pairs, positions in id order among the co-detecting tracks.  The costs
+    go to the solver less ``_PAIR``, so that it takes a perfect matching.
     """
     co = table.co_detections
     # i, j: positions among the co-detecting tracks, which stay in id order.
@@ -454,8 +456,8 @@ def solve_identity_dummy_graph(table: TrackMatchTable) -> IdentityScores:
     chosen = solve_assignment(
         rows=np.concatenate([i, gt_nodes, n + pred_nodes, n + j]).tolist(),
         cols=np.concatenate([j, m + gt_nodes, pred_nodes, m + i]).tolist(),
-        cost=np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
-                             np.zeros(n_pairs, dtype=np.int64)]).tolist(),
+        cost=(np.concatenate([gt_len[i] + pred_len[j] - 2 * co, gt_len, pred_len,
+                              np.zeros(n_pairs, dtype=np.int64)]) - _PAIR).tolist(),
         rank=np.concatenate([i * m + j, np.zeros(n + m + n_pairs, dtype=np.int64)]).tolist(),
     )
     real = np.array([e for e in chosen if e < n_pairs], dtype=np.int64)

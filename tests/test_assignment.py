@@ -6,6 +6,7 @@ reference of ``oracles``, and both must agree; a case that needs a
 hand-set carryover or last-known state runs on the reference alone.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 import motbench.assignment as assignment
+import motbench.identity as identity
 from motbench.assignment import (
+    _PAIR,
     _cost_units,
     _edge_components,
     preprocess_sequence,
@@ -23,7 +26,8 @@ from motbench.assignment import (
     solve_assignment,
 )
 from motbench.clearmot import accumulate
-from motbench.model import ObjectClass
+from motbench.identity import evaluate_identity
+from motbench.model import NEUTRAL_CLASSES, ObjectClass
 from conftest import (
     ALL_SCENARIOS,
     SCENARIO_EXPECTATIONS,
@@ -34,6 +38,7 @@ from conftest import (
     random_instance,
     rows,
     seq,
+    snap_to_grid,
 )
 from oracles import (
     frame_events,
@@ -409,10 +414,12 @@ def _random_edges(rng: random.Random):
     """A seeded random edge list: ``(rows, cols, cost, rank)`` arrays.
 
     Sides are rectangular with sparse, non-contiguous ids; densities run from
-    sparse to complete; costs are continuous floats or quarter steps, both
-    in the 1e-9 units of ``_cost_units``, small integers (ties everywhere)
-    or wide integers; ranks are ``i * m + j`` in id order, sometimes scaled
-    up to the size of identity ranks.
+    sparse to complete; costs are non-negative: continuous floats or quarter
+    steps, both in the 1e-9 units of ``_cost_units`` before its shift by
+    ``_PAIR``, small integers (ties everywhere) or wide integers; ranks are
+    ``i * m + j`` in id order, sometimes scaled up to the size of identity
+    ranks.  The solver takes ``cost - _PAIR``, which puts the most pairs
+    first.
     """
     row_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
     col_ids = sorted(rng.sample(range(40), rng.randint(1, 9)))
@@ -430,7 +437,7 @@ def _random_edges(rng: random.Random):
     }[kind]
     cost = np.array([draw() for _ in pairs])
     if kind in ("float", "quarter"):
-        cost = _cost_units(cost)
+        cost = _cost_units(1.0 - cost) + _PAIR
     scale = rng.choice([1, 1, 10**4])
     i, j = np.array(pairs).T
     return np.take(row_ids, i), np.take(col_ids, j), cost, (i * len(col_ids) + j) * scale
@@ -463,28 +470,43 @@ def _scipy_optimum(rows, cols, cost, banned=None):
 
 class TestCostUnits:
     def test_agrees_with_plain_python_half_up_rounding(self):
-        # Per element: math.floor(x * 1e9 + 0.5), the same IEEE arithmetic in
-        # plain Python.  Values: IoU-like ratios, random costs in [0, 1], and
-        # costs near whole and half units.
+        # Per element: math.floor((1 - x) * 1e9 + 0.5) - _PAIR, the same IEEE
+        # arithmetic in plain Python.  Overlaps: ratios of small integers,
+        # random values in [0, 1], and overlaps whose cost lies near whole and
+        # half units.
         rng = random.Random(35)
         values = [0.0, 1.0, 0.3, 0.5, 1 / 3, 2 / 3]
-        values += [1.0 - a / b for b in range(1, 60) for a in range(b + 1)]
+        values += [a / b for b in range(1, 60) for a in range(b + 1)]
         values += [rng.random() for _ in range(2000)]
         for k in (0, 1, 2, 7, 299_999_999, 300_000_000, 999_999_999):
             for offset in (-0.5, -0.4999, -1e-6, 0.0, 1e-6, 0.4999, 0.5, 0.5001):
-                values.append((k + offset) / 1e9)
+                values.append(1.0 - (k + offset) / 1e9)
         units = _cost_units(np.array(values))
         assert units.dtype == np.int64
-        assert units.tolist() == [math.floor(x * 1e9 + 0.5) for x in values]
-        assert all(abs(u - x * 1e9) <= 0.5 for u, x in zip(units.tolist(), values))
+        assert units.tolist() == [math.floor((1.0 - x) * 1e9 + 0.5) - _PAIR for x in values]
+        assert all(abs(u + _PAIR - (1.0 - x) * 1e9) <= 0.5 for u, x in zip(units.tolist(), values))
 
     def test_an_exact_half_unit_rounds_up(self):
-        # Costs whose product with 1e9 is exactly k + 0.5 go to k + 1, for
+        # Overlaps whose cost times 1e9 is exactly k + 0.5 go to k + 1, for
         # even k too (round-half-even would give k there).
-        halves = [k for k in range(40) if (k + 0.5) / 1e9 * 1e9 == k + 0.5]
-        assert {0, 2, 4}.issubset(halves)
-        units = _cost_units(np.array([(k + 0.5) / 1e9 for k in halves]))
-        assert units.tolist() == [k + 1 for k in halves]
+        overlaps = {k: 1.0 - (k + 0.5) / 1e9 for k in range(300_000_000, 300_000_040)}
+        halves = [k for k, x in overlaps.items() if (1.0 - x) * 1e9 == k + 0.5]
+        assert {300_000_000, 300_000_002, 300_000_004}.issubset(halves)
+        units = _cost_units(np.array([overlaps[k] for k in halves]))
+        assert units.tolist() == [k + 1 - _PAIR for k in halves]
+
+    def test_one_more_pair_beats_any_overlap(self):
+        # Two pairs at an overlap just at the threshold beat one pair at
+        # IoU 1.0 between them; and on a chain of 1001 edges alternating row
+        # and column, 501 pairs at the threshold beat 500 at IoU 1.0.
+        for threshold in (0.05, 0.5, 1.0):
+            cost = _cost_units(np.array([threshold, 1.0, threshold])).tolist()
+            assert solve_assignment([0, 0, 1], [0, 1, 1], cost, [0, 1, 3]) == [0, 2]
+            steps = np.arange(1001)
+            rows, cols = ((steps + 1) // 2).tolist(), (steps // 2).tolist()
+            cost = _cost_units(np.where(steps % 2, 1.0, threshold)).tolist()
+            chosen = solve_assignment(rows, cols, cost, [i * 500 + j for i, j in zip(rows, cols)])
+            assert chosen == steps[::2].tolist()
 
 
 class TestSolveAssignment:
@@ -498,7 +520,8 @@ class TestSolveAssignment:
         unique = short = 0
         for _ in range(2400):
             rows, cols, cost, rank = _random_edges(rng)
-            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist())
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), (cost - _PAIR).tolist(),
+                                      rank.tolist())
             assert chosen == sorted(set(chosen))
             pairs = {(int(rows[e]), int(cols[e])) for e in chosen}
             assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
@@ -517,11 +540,11 @@ class TestSolveAssignment:
         assert unique > 1000 and short > 300
 
     def test_a_cost_difference_of_the_resolution_decides_before_rank(self):
-        # Costs 0.3 + d and 0.3 in the units of _cost_units: at d of 1e-9 or
-        # more the cheaper edge wins even 10**6 ranks behind, on a shared row
-        # and on a shared column.
+        # Overlaps 0.7 - d and 0.7, so costs 0.3 + d and 0.3 in the units of
+        # _cost_units: at d of 1e-9 or more the cheaper edge wins even 10**6
+        # ranks behind, on a shared row and on a shared column.
         def units(d):
-            return _cost_units(np.array([0.3 + d, 0.3])).tolist()
+            return _cost_units(np.array([0.7 - d, 0.7])).tolist()
 
         for d in (2e-9, 1e-8):
             assert solve_assignment([0, 0], [0, 1], units(d), [0, 10**6]) == [1]
@@ -533,12 +556,13 @@ class TestSolveAssignment:
             assert solve_assignment([0, 0], [0, 1], units(d), [0, 1]) == [winner]
             assert solve_assignment([0, 1], [0, 0], units(d), [0, 1]) == [winner]
 
-    def test_without_most_pairs_agrees_with_enumeration(self):
+    def test_lowest_total_agrees_with_enumeration(self):
         # Any node may stay unmatched: the chosen edges must form a matching
         # with the lowest summed cost, then the lowest summed rank, among all
         # matchings, the empty one included.  Most costs are -1 and a few are
         # heavier, so equal totals are common and the optimum often leaves
-        # out a pair that the most-pairs matching takes.
+        # out a pair that the most-pairs matching, on the costs less _PAIR,
+        # takes.
         rng = random.Random(1107)
         fewer = 0  # instances whose optimum has fewer pairs than the most
         for _ in range(2400):
@@ -552,8 +576,7 @@ class TestSolveAssignment:
             heavy = rng.choice([1, 2, 3, 5])
             cost = -np.array([rng.choice([1, 1, heavy]) for _ in pairs], dtype=np.int64)
             rank = (i * len(col_ids) + j) * rng.choice([1, 1, 10**4])
-            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist(),
-                                      most_pairs=False)
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(), rank.tolist())
             assert chosen == sorted(set(chosen))
             assert len(set(rows[chosen].tolist())) == len(set(cols[chosen].tolist())) == len(chosen)
 
@@ -574,19 +597,19 @@ class TestSolveAssignment:
 
             assert (int(cost[chosen].sum()), int(rank[chosen].sum())) == best(sorted(by_row), set())
             fewer += len(chosen) < len(solve_assignment(rows.tolist(), cols.tolist(),
-                                                        cost.tolist(), rank.tolist()))
+                                                        (cost - _PAIR).tolist(), rank.tolist()))
         assert fewer > 50
 
     def test_large_sparse_components_agree_with_scipy(self):
         # Identity-sized components: hundreds of nodes a side, a few edges
-        # each, integer costs and ranks in the tens of millions; then one
+        # each, integer costs less _PAIR and ranks in the tens of millions; then one
         # path of 1999 edges alternating row and column under shuffled ids,
         # one component whose ids do not follow the path.
         rng = random.Random(885)
 
         def check(rows, cols):
             cost = np.array([rng.randint(0, 300) for _ in rows], dtype=np.int64)
-            chosen = solve_assignment(rows.tolist(), cols.tolist(), cost.tolist(),
+            chosen = solve_assignment(rows.tolist(), cols.tolist(), (cost - _PAIR).tolist(),
                                       (rows * 4251 + cols).tolist())
             size, total, _ = _scipy_optimum(rows, cols, cost)
             assert (len(chosen), int(cost[chosen].sum())) == (size, total)
@@ -598,6 +621,37 @@ class TestSolveAssignment:
         row_id, col_id = rng.sample(range(1000), 1000), rng.sample(range(1000), 1000)
         step = np.arange(1000)
         check(np.take(row_id, np.r_[step, step[1:]]), np.take(col_id, np.r_[step, step[:-1]]))
+
+    def test_every_caller_passes_negative_costs_and_non_negative_ranks(self, monkeypatch):
+        # The solver's sign preconditions, on each call of the neutral
+        # filter, _match and identity: random instances, on the integer grid
+        # and off it, with some ground-truth tracks in a neutral class, at
+        # three thresholds.
+        calls, caller = defaultdict(int), None
+
+        def spy(rows, cols, cost, rank):
+            assert not cost or (max(cost) < 0 and min(rank) >= 0), caller
+            calls[caller] += bool(cost)
+            return solve_assignment(rows, cols, cost, rank)
+
+        monkeypatch.setattr(assignment, "solve_assignment", spy)
+        monkeypatch.setattr(identity, "solve_assignment", spy)
+        rng, neutral = random.Random(37), sorted(NEUTRAL_CLASSES)
+        for k in range(400):
+            instance = random_instance(rng, 6, 6)
+            classes = {t: rng.choice([ObjectClass.PEDESTRIAN, *neutral]) for t in range(1, 7)}
+            instance = dataclasses.replace(instance, gt=rows(
+                e._replace(object_class=classes[e.track_id]) for e in entries(instance.gt)))
+            if k % 2:
+                instance = snap_to_grid(instance)
+            for threshold in (0.05, 0.5, 1.0):
+                caller = "neutral filter"
+                table = preprocess_sequence(instance, threshold)
+                caller = "_match"
+                run_sequence(table)
+                caller = "identity"
+                evaluate_identity(table)
+        assert min(calls[name] for name in ("neutral filter", "_match", "identity")) > 100, calls
 
 
 #: Overlaps of integer-pixel boxes at or above 0.5, few enough that equal
@@ -658,8 +712,8 @@ class TestSplit:
         # A call over a frame's edges must take exactly the union of the
         # calls over each part that _conflict_frame built, alone.  Tie-heavy
         # frames, ranked i * m + j as _match ranks them, with overlap costs;
-        # then the same frames with most_pairs=False and negative integer
-        # costs, as identity has them.
+        # then the same frames with small negative integer costs, as
+        # identity has them.
         rng, counts = random.Random(2222), random.Random(2223)
         sizes = set()
         for _ in range(2400):
@@ -672,16 +726,15 @@ class TestSplit:
             parts = defaultdict(list)
             for e, (_, _, _, part) in enumerate(edges):
                 parts[part].append(e)
-            for most_pairs, cost in (
-                (True, _cost_units(1.0 - np.array([o for _, _, o, _ in edges])).tolist()),
-                (False, [-counts.randint(1, 3) for _ in edges]),
+            for cost in (
+                _cost_units(np.array([o for _, _, o, _ in edges])).tolist(),
+                [-counts.randint(1, 3) for _ in edges],
             ):
                 expected = []
                 for part in parts.values():
                     expected += [part[k] for k in solve_assignment(
-                        *([x[e] for e in part] for x in (rows, cols, cost, rank)),
-                        most_pairs=most_pairs)]
-                chosen = solve_assignment(rows, cols, cost, rank, most_pairs=most_pairs)
+                        *([x[e] for e in part] for x in (rows, cols, cost, rank)))]
+                chosen = solve_assignment(rows, cols, cost, rank)
                 assert chosen == sorted(expected), (edges, cost)
         assert sizes == set(range(1, 13))
         assert solve_assignment([], [], [], []) == []
@@ -692,8 +745,10 @@ class TestTieOrder:
         # Every part of up to 8 edges of tie-heavy frames, costs 1 - IoU on
         # the integer grid with most pairs, negative integers without: the
         # solver reaches the oracle's best levels, so it takes the oracle's
-        # edges wherever one matching alone has them.  Some parts still tie
-        # on every level, as the README's three-way cycle does.
+        # edges wherever one matching alone has them.  The oracle ranks the
+        # 1 - IoU units with its most-pairs level; the solver gets them less
+        # _PAIR, as _cost_units gives them.  Some parts still tie on every
+        # level, as the README's three-way cycle does.
         rng, counts = random.Random(2929), random.Random(2930)
         unique = by_squares = 0
         for _ in range(1500):
@@ -709,13 +764,14 @@ class TestTieOrder:
                 cols = [j for _, j, _ in part]
                 rank = [i * m + j for i, j in zip(rows, cols)]
                 for most_pairs, cost in (
-                    (True, _cost_units(1.0 - np.array([o for _, _, o in part])).tolist()),
+                    (True, (_cost_units(np.array([o for _, _, o in part])) + _PAIR).tolist()),
                     (False, [-counts.randint(1, 3) for _ in part]),
                 ):
                     ranked = tie_order_ranking(rows, cols, cost, rank, most_pairs=most_pairs)
                     levels = {tuple(picked): level for level, picked in ranked}
                     best = [picked for level, picked in ranked if level == ranked[0][0]]
-                    chosen = solve_assignment(rows, cols, cost, rank, most_pairs=most_pairs)
+                    shift = _PAIR if most_pairs else 0
+                    chosen = solve_assignment(rows, cols, [c - shift for c in cost], rank)
                     assert levels[tuple(chosen)] == ranked[0][0], (part, cost)
                     if len(best) == 1:
                         unique += 1
@@ -724,16 +780,17 @@ class TestTieOrder:
 
     @pytest.mark.parametrize("n", [5, 10, 20, 40, 60])
     def test_additive_costs_pair_in_order(self, n):
-        # Costs a_i + b_j tie every permutation on cost and on summed rank
-        # i * n + j; the largest summed squared rank pairs the diagonal.
+        # Costs a_i + b_j (1e-9 units less _PAIR) tie every permutation on
+        # cost and on summed rank i * n + j; the largest summed squared rank
+        # pairs the diagonal.
         rng = random.Random(n)
-        steps = (0, 0.1, 0.125, 0.25, 0.3)
+        steps = (0, 100_000_000, 125_000_000, 250_000_000, 300_000_000)
         for _ in range(3):
             a = [rng.choice(steps) for _ in range(n)]
             b = [rng.choice(steps) for _ in range(n)]
             rows = [i for i in range(n) for _ in range(n)]
             cols = [j for _ in range(n) for j in range(n)]
-            cost = _cost_units(np.array([a[i] + b[j] for i, j in zip(rows, cols)])).tolist()
+            cost = [a[i] + b[j] - _PAIR for i, j in zip(rows, cols)]
             chosen = solve_assignment(rows, cols, cost, [i * n + j for i, j in zip(rows, cols)])
             assert [(rows[e], cols[e]) for e in chosen] == [(i, i) for i in range(n)]
 

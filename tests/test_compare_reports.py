@@ -22,7 +22,7 @@ def compare(left, right):
 
 def test_same_sources_read_no_difference_and_an_edited_heading_reads_some(tmp_path):
     code, lines = compare(SRC, SRC)
-    assert (code, lines) == (0, ["0 of 12 runs differ"])
+    assert (code, lines) == (0, ["0 of 14 runs differ"])
 
     edited = tmp_path / "src"
     shutil.copytree(SRC / "motbench", edited / "motbench",
@@ -32,8 +32,10 @@ def test_same_sources_read_no_difference_and_an_edited_heading_reads_some(tmp_pa
     assert source.count('("MOTA", "mota")') == 1
     cli.write_text(source.replace('("MOTA", "mota")', '("MOTA%", "mota")'))
     code, lines = compare(SRC, edited)
-    # the heading prints in text and csv evaluate reports, not in json or error-analysis
-    assert code == 1 and lines[-1] == "4 of 12 runs differ"
-    assert len(lines) == 5
+    # the heading prints in text and csv evaluate reports, at --iou 0.3 too, not in json
+    # or error-analysis
+    assert code == 1 and lines[-1] == "6 of 14 runs differ"
+    assert len(lines) == 7
     assert all(line.startswith("differs (stdout): seed 1, detector_sweep: motbench evaluate ")
-               and "--format json" not in line for line in lines[:4])
+               and "--format json" not in line for line in lines[:6])
+    assert sum("evaluate --iou 0.3 " in line for line in lines[:6]) == 2

@@ -142,9 +142,9 @@ class TestSolveIdentity:
         _, crowded = crowded_tables()
         sizes = []
 
-        def spy(rows, cols, cost, rank, **kwargs):
+        def spy(rows, cols, cost, rank):
             sizes.append(len(rows))
-            return solve_assignment(rows, cols, cost, rank, **kwargs)
+            return solve_assignment(rows, cols, cost, rank)
 
         monkeypatch.setattr(identity, "solve_assignment", spy)
         solve_identity(crowded)

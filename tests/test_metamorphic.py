@@ -14,6 +14,10 @@ it keeps the report of continuous-geometry sequences too; and the worker
 count of ``--jobs`` changes no byte.  Nor does the order of the sequence
 map's rows: reversing it on generated trees of four sequences keeps the
 pooled row's every digit, MOTP's correctly rounded overlap sum included.
+
+Reversing the id order may change a report, but only through a tie: where
+the matched (target, hypothesis) pairs of a sequence stay the same, so does
+its MOTP overlap sum, bit for bit.
 """
 
 import dataclasses
@@ -26,8 +30,10 @@ from pathlib import Path
 
 import pytest
 
+from motbench.assignment import preprocess_sequence, run_sequence
+from motbench.clearmot import accumulate
 from motbench.cli import main
-from conftest import random_instance, snap_to_grid, write_benchmark_tree
+from conftest import entries, random_instance, rows, snap_to_grid, write_benchmark_tree
 
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -164,3 +170,36 @@ def test_generated_trees_keep_a_reversed_seqmap(tmp_path):
         assert _report(root) == expected, seed
         overall = json.loads(expected)[-1]
         assert overall["gt_total"] > overall["fn"] and overall["idsw"] > 0, overall
+
+
+def _matched_pairs(instance, gt_id=lambda i: i, res_id=lambda i: i):
+    """``instance``'s matched ``(frame, gt id, result id)``, ids mapped, and overlap sum."""
+    log = run_sequence(preprocess_sequence(instance))
+    table, e = log.table, log.matched.nonzero()[0]
+    pairs = {(f, gt_id(g), res_id(r)) for f, g, r in zip(
+        table.frame[e].tolist(), table.gt_id[table.gt_row[e]].tolist(),
+        table.res_id[table.res_row[e]].tolist())}
+    return pairs, accumulate(log).overlap_sum
+
+
+def test_reversed_ids_keep_motp_wherever_the_matched_pairs_stay():
+    # Ids k become 1000 - k on both sides, which reverses every rank; on the
+    # integer grid some ties then go the other way and change the pairs.
+    rng, same, moved = random.Random(11), 0, 0
+    for k in range(600):
+        instance = random_instance(rng, 6, 8)
+        if k % 3:
+            instance = snap_to_grid(instance)
+        reversed_ids = dataclasses.replace(instance, **{
+            side: rows(e._replace(track_id=1000 - e.track_id)
+                       for e in entries(getattr(instance, side)))
+            for side in ("gt", "results")})
+        pairs, overlap_sum = _matched_pairs(instance)
+        back = (lambda i: 1000 - i)
+        reversed_pairs, reversed_sum = _matched_pairs(reversed_ids, back, back)
+        if pairs == reversed_pairs:
+            same += 1
+            assert reversed_sum.hex() == overlap_sum.hex(), k
+        else:
+            moved += 1
+    assert same > 450 and moved > 30, (same, moved)

@@ -3,7 +3,9 @@
 For each seed and each workload of ``bench/run.py`` the script writes the
 workload's tree with ``bench/gen.write_tree``.  On it, it runs ``evaluate``,
 and ``error-analysis`` where the tree holds detections, in text, csv and
-json, with ``--jobs 1`` and ``--jobs 2``.  Each run starts a fresh
+json, with ``--jobs 1`` and ``--jobs 2``; then ``evaluate --iou 0.3`` in
+text with both, so that a change of a tie or of the most-pairs bound shows
+at a threshold other than the default too.  Each run starts a fresh
 interpreter, once against each source tree.  It prints every run whose
 stdout, stderr or exit code differs between the two sides, then the count
 of such runs, and exits 1 when any differs.
@@ -47,10 +49,12 @@ def _run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
 def _commands(root: Path, workload) -> list[list[str]]:
     """Every command line the comparison runs on ``workload``'s tree at ``root``."""
     commands = ["evaluate", "error-analysis"] if workload.with_detections else ["evaluate"]
-    return [[command, "--benchmark", workload.benchmark, "--gt", str(root),
+    runs = [([command], out_format) for command in commands
+            for out_format in ("text", "csv", "json")]
+    runs.append((["evaluate", "--iou", "0.3"], "text"))
+    return [[*command, "--benchmark", workload.benchmark, "--gt", str(root),
              "--res", str(root / "res"), "--format", out_format, "--jobs", jobs]
-            for command in commands for out_format in ("text", "csv", "json")
-            for jobs in ("1", "2")]
+            for command, out_format in runs for jobs in ("1", "2")]
 
 
 def compare(left: Path, right: Path, seeds: list[int], workloads: list[str]) -> int:

@@ -12,7 +12,10 @@ neutral-class filter inside ``preprocess_sequence``, the frame matching
 workload and caller the script prints the number of calls, the number of
 edges they took, and the least total seconds of one repetition spent in
 ``solve_assignment`` and in the search.  The difference of the two is the
-solver's set-up.
+solver's set-up.  Last comes ``key_bits``, the bit length of the widest key
+the search received, the slack columns' keys included.  One more run of the
+chain, without the timers, reads it, so reading the keys adds nothing to
+the seconds.
 
 Usage (from any directory)::
 
@@ -40,14 +43,15 @@ CALLERS = ("neutral filter", "_match", "identity")
 REPEAT = 15
 
 
-def _timed(units) -> dict[str, tuple[int, int, float, float]]:
-    """Per caller: calls, edges and the best solve and search seconds of ``REPEAT`` runs."""
+def _timed(units) -> dict[str, tuple[int, int, float, float, int]]:
+    """Per caller: calls, edges, the best solve and search seconds of ``REPEAT`` runs, key bits."""
     import motbench.assignment as assignment
     import motbench.identity as identity
 
     solve, search = assignment.solve_assignment, assignment._shortest_augmenting_paths
     caller, clock = CALLERS[0], time.perf_counter
     run: dict[str, list] = {}
+    key_bits = dict.fromkeys(CALLERS, 0)
 
     def timed_solve(rows, *args, **kwargs):
         start = clock()
@@ -64,25 +68,37 @@ def _timed(units) -> dict[str, tuple[int, int, float, float]]:
         run[caller][3] += clock() - start
         return picked
 
+    def widest_search(adj, n_cols):
+        widest = max(key.bit_length() for out in adj for _, key in out)
+        key_bits[caller] = max(key_bits[caller], widest)
+        return search(adj, n_cols)
+
+    def chain():
+        nonlocal caller
+        for unit in units:
+            caller = CALLERS[0]
+            table = assignment.preprocess_sequence(unit.data, 0.5)
+            caller = CALLERS[1]
+            assignment.run_sequence(table)
+            caller = CALLERS[2]
+            identity.evaluate_identity(table)
+
     runs = []
     assignment.solve_assignment = identity.solve_assignment = timed_solve
     assignment._shortest_augmenting_paths = timed_search
     try:
         for _ in range(REPEAT):
             run = {name: [0, 0, 0.0, 0.0] for name in CALLERS}
-            for unit in units:
-                caller = CALLERS[0]
-                table = assignment.preprocess_sequence(unit.data, 0.5)
-                caller = CALLERS[1]
-                assignment.run_sequence(table)
-                caller = CALLERS[2]
-                identity.evaluate_identity(table)
+            chain()
             runs.append(run)
+        assignment.solve_assignment = identity.solve_assignment = solve
+        assignment._shortest_augmenting_paths = widest_search
+        chain()
     finally:
         assignment.solve_assignment = identity.solve_assignment = solve
         assignment._shortest_augmenting_paths = search
-    return {name: (*run[name][:2], min(r[name][2] for r in runs), min(r[name][3] for r in runs))
-            for name in CALLERS}
+    return {name: (*run[name][:2], min(r[name][2] for r in runs), min(r[name][3] for r in runs),
+                   key_bits[name]) for name in CALLERS}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     from motbench.ingest import Benchmark, load_sequence_set
 
     print(f"{'seed':>4}  {'workload':<16}  {'caller':<14}  {'calls':>6}  {'edges':>7}"
-          f"  {'solve_s':>8}  {'search_s':>8}")
+          f"  {'solve_s':>8}  {'search_s':>8}  {'key_bits':>8}")
     with tempfile.TemporaryDirectory(prefix="solver-time-") as work:
         for seed in args.seeds:
             for name in args.workloads:
@@ -109,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
                 units = load_sequence_set(root, Benchmark(workload.benchmark),
                                           results_root=root / "res",
                                           read_detections=False).units
-                for caller, (calls, edges, solve_s, search_s) in _timed(units).items():
+                for caller, (calls, edges, solve_s, search_s, bits) in _timed(units).items():
                     print(f"{seed:>4}  {name:<16}  {caller:<14}  {calls:>6}  {edges:>7}"
-                          f"  {solve_s:>8.6f}  {search_s:>8.6f}")
+                          f"  {solve_s:>8.6f}  {search_s:>8.6f}  {bits:>8}")
     return 0
 
 
